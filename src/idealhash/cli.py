@@ -35,6 +35,7 @@ from .hashspace import (
     balanced_functions,
     family_from_text,
     family_to_text,
+    partition_classes,
 )
 
 SCHEMA_VERSION = 1
@@ -42,6 +43,11 @@ ENV_PREFIX = "IDEALHASH_"
 
 
 def _env(name: str, fallback):
+    """A flag default: the IDEALHASH_<NAME> string when set, else `fallback`.
+
+    argparse runs a flag's `type` over a string default, so a malformed
+    override is a usage error (exit 2), reported like a malformed flag.
+    """
     raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
     return raw if raw is not None else fallback
 
@@ -58,7 +64,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+    return [_fraction(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
@@ -71,7 +77,7 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("json", "csv", "table"), default=_env("format", "json"))
     sp.add_argument("--out", type=str, default=_env("out", None), help="write the report here instead of stdout")
-    sp.add_argument("--budget", type=int, default=int(_env("budget", DEFAULT_ENUM_BUDGET)), help="enumeration budget on C(u,n)")
+    sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,14 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     _add_common_flags(sp)
     sp.add_argument("--eps", type=_fraction, default=_env("eps", "0"))
-    sp.add_argument("--t", type=float, default=float(_env("t", 2.0)))
+    sp.add_argument("--t", type=float, default=_env("t", 2.0))
 
     sp = sub.add_parser("exact", help="exact ideality count and probability")
     _add_param_flags(sp)
     _add_common_flags(sp)
     sp.add_argument("--with-hc", action="store_true", help="also search the exact minimal family size")
-    sp.add_argument("--size-limit", type=int, default=int(_env("size_limit", 8)))
-    sp.add_argument("--pool-budget", type=int, default=int(_env("pool_budget", oracle_mod.DEFAULT_POOL_BUDGET)))
+    sp.add_argument("--size-limit", type=int, default=_env("size_limit", 8))
+    sp.add_argument("--pool-budget", type=int, default=_env("pool_budget", oracle_mod.DEFAULT_POOL_BUDGET))
 
     sp = sub.add_parser("verify", help="check a family file against every key set")
     _add_param_flags(sp)
@@ -100,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     _add_common_flags(sp)
     sp.add_argument("--method", choices=("random", "greedy", "yao"), required=True)
-    sp.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    sp.add_argument("--max-rounds", type=int, default=int(_env("max_rounds", 64)))
-    sp.add_argument("--t", type=float, default=float(_env("t", 2.0)))
+    sp.add_argument("--seed", type=int, default=_env("seed", 0))
+    sp.add_argument("--max-rounds", type=int, default=_env("max_rounds", 64))
+    sp.add_argument("--t", type=float, default=_env("t", 2.0))
     sp.add_argument("--load-target", type=int, default=None)
     sp.add_argument("--pool", choices=("balanced", "all"), default=_env("pool", "balanced"))
     sp.add_argument("--family-out", type=str, default=None, help="also write the family in text form")
@@ -113,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--c", type=_fraction, default=_env("c", "1"))
-    sp.add_argument("--trials", type=int, default=int(_env("trials", 10000)))
-    sp.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    sp.add_argument("--workers", type=int, default=int(_env("workers", 1)))
+    sp.add_argument("--trials", type=int, default=_env("trials", 10000))
+    sp.add_argument("--seed", type=int, default=_env("seed", 0))
+    sp.add_argument("--workers", type=int, default=_env("workers", 1))
     _add_common_flags(sp)
 
     sp = sub.add_parser("check-lemmas", help="run the exact inequality battery")
@@ -125,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", type=_int_list, required=True, help="comma-separated list")
     sp.add_argument("--m", type=_int_list, required=True)
     sp.add_argument("--n", type=_int_list, required=True)
-    sp.add_argument("--c", type=_fraction_list, default=_fraction_list(str(_env("c", "1"))))
+    sp.add_argument("--c", type=_fraction_list, default=_env("c", "1"))
     sp.add_argument("--eps", type=_fraction, default=_env("eps", "0"))
-    sp.add_argument("--t", type=float, default=float(_env("t", 2.0)))
+    sp.add_argument("--t", type=float, default=_env("t", 2.0))
     _add_common_flags(sp)
     return ap
 
@@ -284,13 +290,7 @@ def _cmd_construct(args) -> int:
         if args.pool == "balanced":
             pool = list(balanced_functions(p))
         else:
-            seen = set()
-            pool = []
-            for h in all_functions(p.u, p.m, budget=args.budget):
-                sig = h.partition_signature()
-                if sig not in seen:
-                    seen.add(sig)
-                    pool.append(h)
+            pool, _ = partition_classes(all_functions(p.u, p.m, budget=args.budget))
         if args.method == "greedy":
             log = construct_mod.greedy_cover(p, pool, budget=args.budget)
         else:
@@ -450,3 +450,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

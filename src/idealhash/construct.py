@@ -8,23 +8,22 @@ pool order).
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .combinatorics import binom
-from .errors import BudgetExceededError, PoolExhaustedError
+from .errors import PoolExhaustedError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
     Family,
     HashFunction,
     Params,
     function_to_text,
+    partition_classes,
 )
-from .oracle import cover_mask
+from .oracle import cell_matrix, cover_mask, exceed_masks, pool_exceed_masks, ranked_key_sets
 
 
 @dataclass(frozen=True)
@@ -57,31 +56,6 @@ class ConstructionLog:
             "load_target": self.load_target,
             "fallback_rounds": list(self.fallback_rounds),
         }
-
-
-def _guard_budget(p: Params, budget: int) -> int:
-    total = binom(p.u, p.n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({p.u},{p.n}) = {total} exceeds enumeration budget {budget}"
-        )
-    return total
-
-
-def _exceed_mask(h: HashFunction, p: Params, cap: int) -> int:
-    """Bitmask of ranked key sets whose max load under h exceeds cap."""
-    mask = 0
-    cells = h.cells
-    m = p.m
-    for idx, combo in enumerate(itertools.combinations(range(1, p.u + 1), p.n)):
-        loads = [0] * m
-        for key in combo:
-            cell = cells[key - 1] - 1
-            loads[cell] += 1
-            if loads[cell] > cap:
-                mask |= 1 << idx
-                break
-    return mask
 
 
 def sample_balanced_function(rng: random.Random, u: int, m: int) -> HashFunction:
@@ -117,16 +91,14 @@ def random_balanced_family(
     """
     if max_rounds < 1:
         raise ValueError("need max_rounds >= 1")
-    total = _guard_budget(p, budget)
-    cap = p.load_cap
     rng = random.Random(seed)
-    uncovered = (1 << total) - 1
+    uncovered = (1 << len(ranked_key_sets(p, budget))) - 1
     chosen: list[HashFunction] = []
     trail: list[int] = []
     for _ in range(max_rounds):
         h = sample_balanced_function(rng, p.u, p.m)
         chosen.append(h)
-        uncovered &= _exceed_mask(h, p, cap)
+        uncovered &= ~cover_mask(h, p, budget)
         trail.append(uncovered.bit_count())
         if uncovered == 0:
             break
@@ -154,10 +126,14 @@ def greedy_cover(
     candidates = tuple(pool)
     if not candidates:
         raise ValueError("pool must be non-empty")
-    total = _guard_budget(p, budget)
-    masks = [cover_mask(h, p, budget) for h in candidates]
-    order = sorted(range(len(candidates)), key=lambda i: candidates[i].partition_signature())
-    uncovered = (1 << total) - 1
+    sets = ranked_key_sets(p, budget)
+    # A repeat of a partition class has its first member's mask and a later
+    # place in the order, so it never wins a round: only first members compete.
+    reps, _ = partition_classes(candidates)
+    full = (1 << len(sets)) - 1
+    masks = [full ^ mk for mk in exceed_masks(cell_matrix(reps, p), sets, p.load_cap)]
+    order = sorted(range(len(reps)), key=lambda i: reps[i].partition_signature())
+    uncovered = full
     chosen: list[HashFunction] = []
     trail: list[int] = []
     available = set(order)
@@ -174,12 +150,12 @@ def greedy_cover(
         if best_i is None:
             break  # pool exhausted: nothing adds coverage
         available.discard(best_i)
-        chosen.append(candidates[best_i])
+        chosen.append(reps[best_i])
         uncovered &= ~masks[best_i]
         trail.append(uncovered.bit_count())
     if not chosen:
         # nothing helped at all; keep the log shape with the best-signature candidate
-        chosen.append(candidates[order[0]])
+        chosen.append(reps[order[0]])
         trail.append(uncovered.bit_count())
     return ConstructionLog(
         method="greedy",
@@ -214,9 +190,8 @@ def yao_family(
     candidates = list(pool)
     if not candidates:
         raise ValueError("pool must be non-empty")
-    total = _guard_budget(p, budget)
-    exceed_masks = [_exceed_mask(h, p, load_target) for h in candidates]
-    live = (1 << total) - 1
+    exceed = pool_exceed_masks(candidates, p, load_target, budget)
+    live = (1 << p.total_sets) - 1
     chosen: list[HashFunction] = []
     trail: list[int] = []
     fallbacks: list[int] = []
@@ -228,16 +203,16 @@ def yao_family(
             )
         live_count = live.bit_count()
         best_i = 0
-        best_cnt = (exceed_masks[0] & live).bit_count()
+        best_cnt = (exceed[0] & live).bit_count()
         for i in range(1, len(candidates)):
-            cnt = (exceed_masks[i] & live).bit_count()
+            cnt = (exceed[i] & live).bit_count()
             if cnt < best_cnt:
                 best_cnt = cnt
                 best_i = i
         if Fraction(best_cnt, live_count) > threshold:
             fallbacks.append(len(chosen) + 1)
         chosen.append(candidates.pop(best_i))
-        live &= exceed_masks.pop(best_i)
+        live &= exceed.pop(best_i)
         trail.append(live.bit_count())
     return ConstructionLog(
         method="yao",

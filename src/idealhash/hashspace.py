@@ -105,7 +105,7 @@ class HashFunction:
         if self.m < 1:
             raise ValueError("need m >= 1")
         if any(c < 1 or c > self.m for c in self.cells):
-            raise ValueError("cell indices must lie in 1..m")
+            raise DimensionMismatchError(f"cell indices must lie in 1..{self.m}")
 
     @property
     def u(self) -> int:
@@ -289,6 +289,33 @@ def all_functions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
         raise BudgetExceededError(f"m**u = {m**u} exceeds budget {budget}")
     for cells in itertools.product(range(1, m + 1), repeat=u):
         yield HashFunction(cells, m)
+
+
+def partition_classes(
+    functions: Iterable[HashFunction], budget: int | None = None
+) -> tuple[list[HashFunction], list[int]]:
+    """Group functions by partition signature.
+
+    Returns the first function of each class in order of appearance, and the
+    class index of every input.  Max load is invariant under relabeling
+    cells, so coverage needs one member per class.  Two functions share a
+    signature exactly when numbering their cells in order of first
+    appearance gives the same sequence, which is the cheaper key used here.
+    Raises once more than `budget` classes have appeared.
+    """
+    reps: list[HashFunction] = []
+    index: list[int] = []
+    seen: dict[tuple[int, ...], int] = {}
+    for h in functions:
+        labels: dict[int, int] = {}
+        key = tuple([labels.setdefault(c, len(labels)) for c in h.cells])
+        i = seen.setdefault(key, len(reps))
+        if i == len(reps):
+            reps.append(h)
+            if budget is not None and len(reps) > budget:
+                raise BudgetExceededError(f"candidate pool exceeds budget {budget}")
+        index.append(i)
+    return reps, index
 
 
 # --- text serialization -----------------------------------------------------

@@ -8,14 +8,18 @@ with every load at most cap is the coefficient of x^n in the product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .combinatorics import binom
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, DimensionMismatchError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
     Decomposition,
@@ -25,6 +29,7 @@ from .hashspace import (
     Params,
     all_functions,
     balanced_fiber_sizes,
+    partition_classes,
 )
 
 DEFAULT_POOL_BUDGET = 10**4
@@ -143,64 +148,133 @@ def balance_extremality_check(u: int, m: int, n: int, c: Fraction | int) -> bool
     return argmax == {balanced}
 
 
+# --- coverage kernel --------------------------------------------------------
+#
+# Every coverage question (verify a family, score a construction pool, search
+# the minimal family) asks, per function, which ranked key sets it hashes with
+# a max load above the cap.  One numpy kernel answers it as a Python-int
+# bitset per function: bit i stands for the key set of lexicographic rank i.
+
+BLOCK_ELEMENTS = 1 << 16  # functions x sets x n keys gathered per kernel block
+
+
+def ranked_key_sets(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    """All C(u,n) key sets as a (T x n) array of 0-based keys, row i of rank i.
+
+    Checks the enumeration budget before anything is built.  The array is
+    cached, read-only, and column-major, so the kernel reads one key position
+    of many sets contiguously.
+    """
+    total = binom(p.u, p.n)
+    if total > budget:
+        raise BudgetExceededError(
+            f"C({p.u},{p.n}) = {total} exceeds enumeration budget {budget}"
+        )
+    return _ranked_sets(p.u, p.n)
+
+
+@functools.lru_cache(maxsize=4)
+def _ranked_sets(u: int, n: int) -> np.ndarray:
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(u), n)),
+        dtype=np.min_scalar_type(u - 1),
+        count=binom(u, n) * n,
+    )
+    sets = np.asfortranarray(flat.reshape(-1, n))
+    sets.flags.writeable = False
+    return sets
+
+
+def cell_matrix(functions: Sequence[HashFunction], p: Params) -> np.ndarray:
+    """(k x u) matrix of 0-based cells, one row per function, dtype sized to m."""
+    if any(h.u != p.u or h.m != p.m for h in functions):
+        raise DimensionMismatchError(
+            f"every function must map keys 1..{p.u} into cells 1..{p.m}"
+        )
+    cells = np.array([h.cells for h in functions], dtype=np.min_scalar_type(p.m))
+    return cells.reshape(len(functions), p.u) - 1
+
+
+def exceed_masks(cells: np.ndarray, sets: np.ndarray, cap: int) -> Iterator[int]:
+    """Per row of `cells`, the bitset of the rows of `sets` whose max load exceeds cap.
+
+    Loads are counted as W-bit fields packed into unsigned words, one field
+    per cell: summing one word per key of a set adds up every cell's load at
+    once, and adding 2^(W-1) - 1 - cap to each field sets its top bit exactly
+    when that load exceeds cap (W is wide enough that no field carries).
+    Cells beyond one word's worth of fields go to further words.  The work
+    runs in blocks of at most BLOCK_ELEMENTS gathered keys, so scratch memory
+    stays flat whatever the number of functions and sets; results are yielded
+    one function at a time, as blocks complete.
+    """
+    k = cells.shape[0]
+    total, n = sets.shape
+    if k == 0:
+        return
+    if cap >= n:  # no set can overflow
+        yield from itertools.repeat(0, k)
+        return
+    width = n.bit_length() + 1  # 2^(width-1) > n >= every load: no field carries
+    per_word = 64 // width
+    m = int(cells.max()) + 1
+    fields = min(m, per_word)
+    word = np.dtype(f"uint{max(8, 1 << (fields * width - 1).bit_length())}")
+    ones = sum(1 << (c * width) for c in range(fields))  # a 1 in every field
+    offset = word.type(((1 << (width - 1)) - 1 - cap) * ones)
+    high = word.type((1 << (width - 1)) * ones)
+    if total * n <= BLOCK_ELEMENTS:
+        rows, chunk = BLOCK_ELEMENTS // (total * n), total
+    else:
+        rows, chunk = 1, max(8, BLOCK_ELEMENTS // n // 8 * 8)
+    for lo in range(0, k, rows):
+        block = cells[lo : lo + rows]
+        weight = np.left_shift(word.type(1), (block % per_word).astype(word) * word.type(width))
+        weights = [  # one word per group of per_word cells
+            np.where(block // per_word == g, weight, word.type(0))
+            for g in range(-(-m // per_word))
+        ]
+        packed = []
+        for start in range(0, total, chunk):
+            cols = sets[start : start + chunk]
+            hit = np.zeros((block.shape[0], cols.shape[0]), dtype=bool)
+            for w in weights:
+                acc = w[:, cols[:, 0]]
+                for j in range(1, n):
+                    acc += w[:, cols[:, j]]
+                hit |= (acc + offset) & high != 0
+            packed.append(np.packbits(hit, axis=1, bitorder="little"))
+        for row in np.concatenate(packed, axis=1):
+            yield int.from_bytes(row.tobytes(), "little")
+
+
+def pool_exceed_masks(
+    functions: Sequence[HashFunction], p: Params, cap: int, budget: int
+) -> list[int]:
+    """Exceed bitsets of every function, in order, computed once per partition class."""
+    sets = ranked_key_sets(p, budget)
+    reps, index = partition_classes(functions)
+    masks = list(exceed_masks(cell_matrix(reps, p), sets, cap))
+    return [masks[i] for i in index]
+
+
 def verify_family(
     f: Family, p: Params, budget: int = DEFAULT_ENUM_BUDGET
 ) -> CoverageReport:
     """Count the key sets covered by some family member; witness the first miss."""
-    total = binom(p.u, p.n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({p.u},{p.n}) = {total} exceeds enumeration budget {budget}"
-        )
-    cap = p.load_cap
-    cell_maps = [h.cells for h in f.functions]
-    m = p.m
-    covered = 0
-    witness: KeySet | None = None
-    for combo in itertools.combinations(range(1, p.u + 1), p.n):
-        hit = False
-        for cells in cell_maps:
-            loads = [0] * m
-            ok = True
-            for key in combo:
-                cell = cells[key - 1] - 1
-                loads[cell] += 1
-                if loads[cell] > cap:
-                    ok = False
-                    break
-            if ok:
-                hit = True
-                break
-        if hit:
-            covered += 1
-        elif witness is None:
-            witness = KeySet(combo)
-    return CoverageReport(covered=covered, uncovered_witness=witness)
+    uncovered = functools.reduce(
+        operator.and_, pool_exceed_masks(f.functions, p, p.load_cap, budget)
+    )
+    witness = None
+    if uncovered:
+        rank = (uncovered & -uncovered).bit_length() - 1
+        witness = KeySet(tuple(int(key) + 1 for key in _ranked_sets(p.u, p.n)[rank]))
+    return CoverageReport(covered=p.total_sets - uncovered.bit_count(), uncovered_witness=witness)
 
 
 def cover_mask(h: HashFunction, p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Bitmask over lexicographically ranked key sets that h hashes within cap."""
-    total = binom(p.u, p.n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({p.u},{p.n}) = {total} exceeds enumeration budget {budget}"
-        )
-    cap = p.load_cap
-    cells = h.cells
-    m = p.m
-    mask = 0
-    for idx, combo in enumerate(itertools.combinations(range(1, p.u + 1), p.n)):
-        loads = [0] * m
-        ok = True
-        for key in combo:
-            cell = cells[key - 1] - 1
-            loads[cell] += 1
-            if loads[cell] > cap:
-                ok = False
-                break
-        if ok:
-            mask |= 1 << idx
-    return mask
+    (exceed,) = pool_exceed_masks([h], p, p.load_cap, budget)
+    return ((1 << p.total_sets) - 1) ^ exceed
 
 
 def _cover_dfs(uncovered: int, masks: list[int], slots: int) -> bool:
@@ -238,34 +312,19 @@ def min_family_size_exact(
     """
     if p.c >= p.m or p.m == 1:
         return 1
-    total = binom(p.u, p.n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({p.u},{p.n}) = {total} exceeds enumeration budget {budget}"
-        )
+    sets = ranked_key_sets(p, budget)
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    candidates: list[HashFunction] = []
-    for h in all_functions(p.u, p.m, budget=max(budget, p.m**p.u)):
-        sig = h.partition_signature()
-        if sig in seen:
-            continue
-        seen.add(sig)
-        candidates.append(h)
-        if len(candidates) > pool_budget:
-            raise BudgetExceededError(
-                f"candidate pool exceeds budget {pool_budget}"
-            )
+    candidates, _ = partition_classes(
+        all_functions(p.u, p.m, budget=max(budget, p.m**p.u)), budget=pool_budget
+    )
+    full = (1 << len(sets)) - 1
+    exceed = exceed_masks(cell_matrix(candidates, p), sets, p.load_cap)
     scored = sorted(
-        (
-            (cover_mask(h, p, budget), h.partition_signature())
-            for h in candidates
-        ),
+        ((full ^ mk, h.partition_signature()) for mk, h in zip(exceed, candidates)),
         key=lambda pair: (-pair[0].bit_count(), pair[1]),
     )
     masks = [mk for mk, _sig in scored if mk]
-    full = (1 << total) - 1
     for k in range(1, size_limit + 1):
         if _cover_dfs(full, masks, k):
             return k

@@ -33,6 +33,11 @@ def _worker_rng(seed: int, worker: int) -> np.random.Generator:
 
 
 def _split_trials(trials: int, workers: int) -> list[int]:
+    """Trials per worker stream; validates both counts."""
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
     base, extra = divmod(trials, workers)
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
@@ -41,14 +46,13 @@ def estimate_max_load(
     n: int, m: int, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Mean maximum cell load of n uniform throws into m cells."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    shares = _split_trials(trials, workers)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if m == 1:
         return Estimate(float(n), 0.0, trials, seed, workers)
     maxima = []
-    for w, share in enumerate(_split_trials(trials, workers)):
+    for w, share in enumerate(shares):
         if share == 0:
             continue
         rng = _worker_rng(seed, w)
@@ -84,14 +88,13 @@ def estimate_ideal_probability(
     Interval: normal approximation, switching to Wilson when successes < 10
     (estimates near zero are exactly the ones compared against tail bounds).
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    shares = _split_trials(trials, workers)
     h = blocked_function(p)
     cell_of = h.cells
     cap = p.load_cap
     m = p.m
     successes = 0
-    for w, share in enumerate(_split_trials(trials, workers)):
+    for w, share in enumerate(shares):
         if share == 0:
             continue
         rng = _worker_rng(seed, w)

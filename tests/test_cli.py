@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idealhash
 from idealhash.cli import run
 
 
@@ -121,6 +126,26 @@ class TestConstructAndVerify:
         assert payload["is_ideal_family"] is False
         assert payload["uncovered_witness"] == [1, 2]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 1 2\n",  # short line: key 4 has no cell
+            "1 1 2 2 1\n",  # long line: key 5 is outside the universe
+            "1 1 2 3\n",  # cell 3 with m = 2
+            "1 1 2 0\n",
+        ],
+    )
+    def test_verify_rejects_family_not_matching_params(self, capsys, tmp_path, text):
+        fam_path = tmp_path / "bad.txt"
+        fam_path.write_text(text)
+        rc, out, err = run_capture(
+            capsys,
+            ["verify", "--u", "4", "--m", "2", "--n", "2", "--c", "1", "--family", str(fam_path)],
+        )
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DimensionMismatchError"
+
     def test_random_construct_seeded(self, capsys):
         argv = [
             "construct", "--method", "random",
@@ -160,6 +185,18 @@ class TestSimulate:
         )
         assert rc == 1
         assert json.loads(err)["error"] == "ValueError"
+
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_one(self, capsys, workers):
+        for kind in (["--kind", "max-load"], ["--kind", "ideal-prob", "--u", "8"]):
+            rc, out, err = run_capture(
+                capsys,
+                ["simulate", *kind, "--m", "2", "--n", "4", "--trials", "10", "--workers", workers],
+            )
+            assert rc == 1
+            assert out == ""
+            assert json.loads(err) == {"error": "ValueError", "message": "need workers >= 1"}
 
 
 class TestErrorsAndExitCodes:
@@ -220,6 +257,47 @@ class TestEnvOverrides:
         )
         assert rc == 1
         assert json.loads(err)["error"] == "BudgetExceededError"
+
+
+    @pytest.mark.parametrize(
+        "name, value, argv",
+        [
+            ("IDEALHASH_BUDGET", "abc", ["exact", "--u", "8", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_BUDGET", "1e6", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_SEED", "1.5", ["construct", "--method", "random", "--u", "4", "--m", "2", "--n", "2"]),
+            ("IDEALHASH_WORKERS", "two", ["simulate", "--kind", "max-load", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_T", "fast", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_C", "1/0", ["report", "--u", "8", "--m", "2", "--n", "4"]),
+        ],
+    )
+    def test_malformed_override_is_a_usage_error(self, capsys, monkeypatch, name, value, argv):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "error: argument --" in capsys.readouterr().err
+
+    def test_flag_wins_over_malformed_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("IDEALHASH_BUDGET", "abc")
+        rc, out, _ = run_capture(
+            capsys, ["exact", "--u", "8", "--m", "2", "--n", "4", "--budget", "100"]
+        )
+        assert rc == 0
+        assert json.loads(out)["m_c"] == 36
+
+
+@pytest.mark.parametrize("module", ["idealhash", "idealhash.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "exact", "--u", "8", "--m", "2", "--n", "4"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["probability"] == "36/70"
+    assert b"Traceback" not in done.stderr
 
 
 class TestReport:

@@ -1,0 +1,185 @@
+"""The coverage kernel against direct per-set load loops that live only here."""
+
+import itertools
+import random
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idealhash import oracle
+from idealhash.construct import greedy_cover, random_balanced_family, yao_family
+from idealhash.errors import BudgetExceededError, DimensionMismatchError
+from idealhash.hashspace import (
+    Family,
+    HashFunction,
+    KeySet,
+    Params,
+    all_functions,
+    balanced_functions,
+    partition_classes,
+)
+from idealhash.oracle import (
+    cell_matrix,
+    cover_mask,
+    exceed_masks,
+    min_family_size_exact,
+    pool_exceed_masks,
+    ranked_key_sets,
+    verify_family,
+)
+
+
+def direct_exceed_mask(cells, combos, cap):
+    """Bit i set when the i-th set puts more than cap of its keys in one cell."""
+    mask = 0
+    for i, combo in enumerate(combos):
+        loads = {}
+        for key in combo:
+            loads[cells[key]] = loads.get(cells[key], 0) + 1
+        if max(loads.values()) > cap:
+            mask |= 1 << i
+    return mask
+
+
+def combo_array(u, n):
+    combos = list(itertools.combinations(range(u), n))
+    return combos, np.array(combos, dtype=np.min_scalar_type(u - 1)).reshape(len(combos), n)
+
+
+@st.composite
+def kernel_cases(draw):
+    u = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=u))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=m - 1), min_size=u, max_size=u),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cap = draw(st.integers(min_value=0, max_value=n + 1))
+    block = draw(st.sampled_from([8, 24, 100, oracle.BLOCK_ELEMENTS]))
+    return u, n, m, rows, cap, block
+
+
+class TestExceedMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_every_row_matches_the_direct_loop(self, case):
+        # rows are arbitrary maps: unbalanced, and non-surjective when a cell is never drawn;
+        # small blocks force the split over functions and over sets
+        u, n, m, rows, cap, block = case
+        combos, sets = combo_array(u, n)
+        cells = np.array(rows, dtype=np.min_scalar_type(m - 1))
+        with mock.patch.object(oracle, "BLOCK_ELEMENTS", block):
+            got = list(exceed_masks(cells, sets, cap))
+        assert got == [direct_exceed_mask(row, combos, cap) for row in rows]
+
+    @pytest.mark.parametrize(
+        "u, n, m",
+        [
+            (20, 18, 16),  # 6-bit fields, ten per word: two words
+            (42, 40, 40),  # 7-bit fields, nine per word: five words
+            (257, 2, 2),  # keys past 255 and more sets than one block holds
+        ],
+    )
+    def test_wide_tables_and_universes(self, u, n, m):
+        rng = random.Random(u)
+        combos, sets = combo_array(u, n)
+        rows = [[rng.randrange(m) for _ in range(u)] for _ in range(3)]
+        cells = np.array(rows, dtype=np.min_scalar_type(m - 1))
+        for cap in (1, 2, n // 2):
+            got = list(exceed_masks(cells, sets, cap))
+            assert got == [direct_exceed_mask(row, combos, cap) for row in rows]
+
+    def test_pool_masks_follow_pool_order_through_duplicates(self):
+        p = Params(6, 3, 3)
+        pool = list(balanced_functions(p))  # every partition class appears 3! times
+        combos = list(itertools.combinations(range(6), 3))
+        got = pool_exceed_masks(pool, p, p.load_cap, budget=10**6)
+        want = [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in pool]
+        assert got == want
+
+    def test_ranked_key_sets_are_lexicographic_and_read_only(self):
+        for u, n in ((1, 1), (5, 2), (9, 4)):
+            sets = ranked_key_sets(Params(u, 1, n))
+            assert [tuple(int(k) for k in row) for row in sets] == list(
+                itertools.combinations(range(u), n)
+            )
+            assert not sets.flags.writeable
+
+
+class TestCallers:
+    def test_verify_witness_is_the_first_uncovered_set(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            u, m = rng.randint(3, 8), rng.randint(1, 3)
+            n = rng.randint(m, u)
+            p = Params(u, m, n)
+            fam = Family(
+                tuple(
+                    HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m)
+                    for _ in range(rng.randint(1, 3))
+                )
+            )
+            uncovered = [
+                combo
+                for combo in itertools.combinations(range(1, u + 1), n)
+                if all(
+                    max(sum(1 for key in combo if h.cells[key - 1] == c) for c in range(1, m + 1))
+                    > p.load_cap
+                    for h in fam.functions
+                )
+            ]
+            rep = verify_family(fam, p)
+            assert rep.covered == p.total_sets - len(uncovered)
+            assert rep.uncovered_witness == (KeySet(uncovered[0]) if uncovered else None)
+
+    def test_budget_is_checked_before_any_set_array_is_built(self, monkeypatch):
+        def forbidden(u, n):
+            raise AssertionError("ranked key sets built past the budget")
+
+        monkeypatch.setattr(oracle, "_ranked_sets", forbidden)
+        p = Params(30, 2, 15)
+        h = HashFunction((1, 2) * 15, 2)
+        calls = [
+            lambda: verify_family(Family((h,)), p, budget=100),
+            lambda: cover_mask(h, p, budget=100),
+            lambda: greedy_cover(p, [h], budget=100),
+            lambda: yao_family(p, t=2.0, pool=[h], load_target=8, budget=100),
+            lambda: random_balanced_family(p, seed=1, budget=100),
+            lambda: min_family_size_exact(p, budget=100),
+        ]
+        for call in calls:
+            with pytest.raises(BudgetExceededError):
+                call()
+
+    def test_functions_must_match_params(self):
+        p = Params(4, 2, 2)
+        for cells in ((1, 2, 1), (1, 2, 1, 2, 1)):
+            with pytest.raises(DimensionMismatchError):
+                verify_family(Family((HashFunction(cells, 2),)), p)
+        with pytest.raises(DimensionMismatchError):
+            cell_matrix([HashFunction((1, 2, 1, 2), 3)], p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    u=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_partition_classes_group_by_partition_signature(u, m, data):
+    pool = data.draw(
+        st.lists(st.sampled_from(list(all_functions(u, m))), min_size=1, max_size=12)
+    )
+    reps, index = partition_classes(pool)
+    sigs = [h.partition_signature() for h in pool]
+    assert [reps[i] for i in index] == [pool[sigs.index(s)] for s in sigs]
+    assert len(reps) == len(set(sigs))
+    with pytest.raises(BudgetExceededError):
+        partition_classes(pool, budget=len(reps) - 1)
