@@ -5,21 +5,16 @@ ideal-family sizes, verified family constructions, Monte Carlo estimates,
 and the advice-bit consequences, behind one CLI (`idealhash`).
 """
 
-from .combinatorics import LogReal, StirlingBracket, binom, composition_count, stirling_bracket
+from .combinatorics import LogReal, binom, composition_count, compositions
 from .hashspace import (
     Decomposition,
     Family,
     HashFunction,
     KeySet,
-    LoadProfile,
     Params,
-    all_key_sets,
     balanced_fiber_sizes,
     balanced_functions,
     blocked_function,
-    family_cost,
-    is_c_ideal,
-    load_profile,
 )
 from .oracle import (
     CoverageReport,
@@ -33,23 +28,17 @@ from .oracle import (
 
 __all__ = [
     "LogReal",
-    "StirlingBracket",
     "binom",
     "composition_count",
-    "stirling_bracket",
+    "compositions",
     "Decomposition",
     "Family",
     "HashFunction",
     "KeySet",
-    "LoadProfile",
     "Params",
-    "all_key_sets",
     "balanced_fiber_sizes",
     "balanced_functions",
     "blocked_function",
-    "family_cost",
-    "is_c_ideal",
-    "load_profile",
     "CoverageReport",
     "IdealCount",
     "balance_extremality_check",

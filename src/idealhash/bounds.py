@@ -86,19 +86,6 @@ def lower_main(m: int, alpha: Fraction, c: Fraction, eps: Fraction | float = 0) 
     return LogReal.from_ln(log_value)
 
 
-def lower_main_exact_variant(n: int, m: int, c: Fraction) -> LogReal:
-    """Finite-n variant of the main lower bound: exp(m*(1-alpha/n)^n*(alpha/(c*alpha+1))^(c*alpha+1)).
-
-    Replaces the limit e^-alpha by the exact (1 - alpha/n)^n = (1 - 1/m)^n,
-    which makes the estimate falsifiable at desk scale.
-    """
-    alpha = Fraction(n, m)
-    c = Fraction(c)
-    ca1 = c * alpha + 1
-    term = float(Fraction(m - 1, m)) ** n * float(alpha / ca1) ** float(ca1)
-    return LogReal.from_ln(m * term)
-
-
 def lower_universe(u: int, m: int, n: int, c: Fraction | int) -> float:
     """(ln u - ln(c*alpha)) / ln m: indistinguishable keys force this many functions.
 
@@ -162,8 +149,8 @@ def ln_binom(u: int, n: int) -> float:
 
 def upper_yao(u: int, n: int, t: float) -> int:
     """floor(ln C(u,n) / ln t) + 1 rounds of covering at shrink factor 1/t."""
-    if t <= 1:
-        raise ValueError("need t > 1")
+    if not 1 < t < math.inf:
+        raise ValueError("need 1 < t < inf")
     if not 1 <= n <= u:
         raise ValueError("need 1 <= n <= u")
     return math.floor(ln_binom(u, n) / math.log(t)) + 1
@@ -285,35 +272,6 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
             BoundEntry("lower.mehlhorn", "lower", None, False, "requires c = 1, alpha >= 1")
         )
 
-    # exact volume form via the closed binomial expression (needs m | u, m | n)
-    if c == 1 and u % m == 0 and n % m == 0:
-        m1 = binom(u // m, n // m) ** m
-        if m1 > 0:
-            ratio = Fraction(binom(u, n), m1)
-            entries.append(
-                BoundEntry(
-                    name="lower.volume",
-                    kind="lower",
-                    value=LogReal.from_value(ratio),
-                    valid=True,
-                    validity_note="closed-form C(u,n)/C(u/m,alpha)^m",
-                    ceiling=-(-ratio.numerator // ratio.denominator),
-                )
-            )
-        else:
-            entries.append(
-                BoundEntry("lower.volume", "lower", None, False, "no set fits the cap")
-            )
-    else:
-        entries.append(
-            BoundEntry(
-                "lower.volume",
-                "lower",
-                None,
-                False,
-                "closed form requires c = 1, m | u, m | n (use the counting oracle)",
-            )
-        )
     return tuple(entries)
 
 
@@ -533,9 +491,6 @@ def bound_report(
         )
     )
 
-    for e in comparison_bounds(p.u, p.n, p.m, p.c):
-        if e.name == "lower.volume":
-            continue  # already present from the exact counting path
-        entries.append(e)
+    entries.extend(comparison_bounds(p.u, p.n, p.m, p.c))
 
     return BoundReport(params=p, entries=tuple(entries))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from .bounds import upper_base_constant_check
-from .combinatorics import composition_count, ln_fraction
+from .combinatorics import composition_count, compositions, ln_fraction
 from .distributions import (
     binomial_marginal_le,
     binomial_tail_lb,
@@ -46,21 +46,12 @@ class CheckResult:
         return self.failures == 0
 
 
-def _compositions(n: int, m: int):
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
 def check_poissonization_identity(n_max: int = 12, m_max: int = 4) -> CheckResult:
     """Sum-conditioned Poisson mass equals the multinomial mass, exactly."""
     instances = failures = 0
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            for lv in _compositions(n, m):
+            for lv in compositions(n, m, n):
                 instances += 1
                 if conditioned_poisson_pmf(lv, n, m) != multinomial_pmf(lv, n, m):
                     failures += 1
@@ -76,7 +67,7 @@ def check_conditioned_indicator(n_max: int = 10, m_max: int = 4) -> CheckResult:
                 instances += 1
                 total = sum(
                     conditioned_poisson_pmf(lv, n, m)
-                    for lv in _compositions(n, m)
+                    for lv in compositions(n, m, n)
                     if max(lv) <= cap
                 )
                 if total != p_tmax_le(n, m, cap):

@@ -59,6 +59,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _one_of(options: tuple[str, ...]):
+    """A flag type admitting only `options`: argparse checks `choices` against
+    given flags but not against string defaults such as IDEALHASH_* overrides."""
+
+    def parse(text: str) -> str:
+        if text not in options:
+            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(options)})")
+        return text
+
+    return parse
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -75,9 +87,10 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("json", "csv", "table"), default=_env("format", "json"))
+    formats = ("json", "csv", "table")
+    sp.add_argument("--format", choices=formats, type=_one_of(formats), default=_env("format", "json"))
     sp.add_argument("--out", type=str, default=_env("out", None), help="write the report here instead of stdout")
-    sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n)")
+    sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n), and on m**u for all-function pools")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rounds", type=int, default=_env("max_rounds", 64))
     sp.add_argument("--t", type=float, default=_env("t", 2.0))
     sp.add_argument("--load-target", type=int, default=None)
-    sp.add_argument("--pool", choices=("balanced", "all"), default=_env("pool", "balanced"))
+    pools = ("balanced", "all")
+    sp.add_argument("--pool", choices=pools, type=_one_of(pools), default=_env("pool", "balanced"))
     sp.add_argument("--family-out", type=str, default=None, help="also write the family in text form")
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimates")
@@ -121,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=_fraction, default=_env("c", "1"))
     sp.add_argument("--trials", type=int, default=_env("trials", 10000))
     sp.add_argument("--seed", type=int, default=_env("seed", 0))
-    sp.add_argument("--workers", type=int, default=_env("workers", 1))
+    sp.add_argument("--workers", type=int, default=_env("workers", 1), help="RNG streams to split the trials across (run serially)")
     _add_common_flags(sp)
 
     sp = sub.add_parser("check-lemmas", help="run the exact inequality battery")

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Iterator
 
 _LN2 = math.log(2.0)
 
@@ -126,36 +127,6 @@ class LogReal:
         return LogReal(self.log_value * e)
 
 
-@dataclass(frozen=True)
-class StirlingBracket:
-    """Two-sided Robbins-style bracket for k!, carried in log scale.
-
-    Invariant: lower.log_value <= ln(k!) <= upper.log_value, with gap
-    exactly 1/(12k) - 1/(12k+1).
-    """
-
-    lower: LogReal
-    upper: LogReal
-
-    @property
-    def width(self) -> float:
-        return self.upper.log_value - self.lower.log_value
-
-
-def stirling_bracket(k: int) -> StirlingBracket:
-    """Bracket ln(k!) between the two classical correction terms.
-
-    lower = ln(sqrt(2*pi*k) * (k/e)^k) + 1/(12k+1), upper uses 1/(12k).
-    """
-    if k < 1:
-        raise ValueError("stirling_bracket needs k >= 1; 0! = 1 needs no bracket")
-    base = 0.5 * math.log(2.0 * math.pi * k) + k * (math.log(k) - 1.0)
-    return StirlingBracket(
-        lower=LogReal.from_ln(base + 1.0 / (12 * k + 1)),
-        upper=LogReal.from_ln(base + 1.0 / (12 * k)),
-    )
-
-
 def composition_count(n: int, m: int, d: int) -> int:
     """Number of tuples (l_1..l_m) with 0 <= l_i <= d and sum n, exactly.
 
@@ -176,3 +147,24 @@ def composition_count(n: int, m: int, d: int) -> int:
             for s in range(n + 1)
         ]
     return row[n]
+
+
+def compositions(n: int, m: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple (l_1..l_m) with 0 <= l_i <= cap and sum n, in lexicographic order.
+
+    `composition_count(n, m, cap)` is the number of tuples yielded.  Each part
+    ranges only over values that leave the remaining parts a feasible sum.
+    """
+    if m < 1:
+        raise ValueError("compositions needs m >= 1")
+
+    def tails(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+        if parts == 1:
+            if 0 <= total <= cap:
+                yield (total,)
+            return
+        for first in range(max(0, total - (parts - 1) * cap), min(total, cap) + 1):
+            for rest in tails(total - first, parts - 1):
+                yield (first,) + rest
+
+    return tails(n, m)

@@ -183,8 +183,8 @@ def yao_family(
     the minimum exceed-fraction and are recorded.  Raises PoolExhaustedError
     if the pool empties with live sets remaining.
     """
-    if t <= 1:
-        raise ValueError("need t > 1")
+    if not 1 < t < math.inf:
+        raise ValueError("need 1 < t < inf")
     if load_target < math.ceil(p.alpha):
         raise ValueError("load_target below ceil(alpha) is unsatisfiable")
     candidates = list(pool)

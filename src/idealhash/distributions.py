@@ -13,10 +13,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import LogReal, binom, composition_count, ln_fraction
+from .combinatorics import LogReal, binom, composition_count, compositions, ln_fraction
 from .errors import BudgetExceededError
 
-ExactProb = Fraction
 LoadVector = Sequence[int]
 
 
@@ -34,8 +33,8 @@ def hypergeometric_marginal_le(u: int, beta_i: int, n: int, cap: int) -> Fractio
     return Fraction(hits, total)
 
 
-def multinomial_pmf(lv: LoadVector, n: int, m: int) -> Fraction:
-    """P((T_1..T_m) = lv) for n independent uniform throws into m cells."""
+def _load_vector(lv: LoadVector, n: int, m: int) -> tuple[int, ...]:
+    """lv as a tuple, checked to hold m non-negative loads summing to n."""
     ells = tuple(lv)
     if len(ells) != m:
         raise ValueError("load vector length must equal m")
@@ -43,6 +42,12 @@ def multinomial_pmf(lv: LoadVector, n: int, m: int) -> Fraction:
         raise ValueError("loads must be non-negative")
     if sum(ells) != n:
         raise ValueError("loads must sum to n")
+    return ells
+
+
+def multinomial_pmf(lv: LoadVector, n: int, m: int) -> Fraction:
+    """P((T_1..T_m) = lv) for n independent uniform throws into m cells."""
+    ells = _load_vector(lv, n, m)
     ways = math.factorial(n)
     for l in ells:
         ways //= math.factorial(l)
@@ -55,13 +60,7 @@ def conditioned_poisson_pmf(lv: LoadVector, n: int, m: int) -> Fraction:
     Computed along the cancelled chain: alpha^n * n! / (n^n * prod l_i!) with
     alpha = n/m exact; equals the multinomial mass identically.
     """
-    ells = tuple(lv)
-    if len(ells) != m:
-        raise ValueError("load vector length must equal m")
-    if any(l < 0 for l in ells):
-        raise ValueError("loads must be non-negative")
-    if sum(ells) != n:
-        raise ValueError("loads must sum to n")
+    ells = _load_vector(lv, n, m)
     alpha = Fraction(n, m)
     denom = n**n
     for l in ells:
@@ -168,7 +167,7 @@ def min_product_factorials_check(
     target = math.factorial(d) ** (n // d)
     best = None
     extreme_only = True
-    for ells in _capped_compositions(n, m, d):
+    for ells in compositions(n, m, d):
         prod = 1
         for l in ells:
             prod *= math.factorial(l)
@@ -179,20 +178,3 @@ def min_product_factorials_check(
             extreme_only = extreme_only and all(l in (0, d) for l in ells)
     # min of prod 1/l! corresponds to max of prod l!
     return best == target and extreme_only
-
-
-def _capped_compositions(n: int, m: int, d: int):
-    if m == 1:
-        if 0 <= n <= d:
-            yield (n,)
-        return
-    for first in range(min(n, d), -1, -1):
-        for rest in _capped_compositions(n - first, m - 1, d):
-            yield (first,) + rest
-
-
-def replacement_ratio(u: int, n: int) -> Fraction:
-    """|S_n| / |K_n| = C(u,n) / C(u+n-1,n): sets versus multisets of size n."""
-    if not 1 <= n <= u:
-        raise ValueError("need 1 <= n <= u")
-    return Fraction(binom(u, n), binom(u + n - 1, n))

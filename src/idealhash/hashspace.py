@@ -1,4 +1,4 @@
-"""Core domain model: universes, hash functions, key sets, loads, and families.
+"""Core domain model: universes, hash functions, key sets, and families.
 
 Keys are dense 1-based integers 1..u, cells are 1..m.  The ideality factor c
 is an exact rational throughout; a function is c-ideal for a key set when its
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -32,18 +32,15 @@ def _as_fraction(c) -> Fraction:
 class Params:
     """Problem parameters: universe size u, table size m, key-set size n, factor c.
 
-    Standing assumptions: n >= m >= 1 and u >= n.  Pass strict_universe=True
-    to additionally require u >= n**2 (the regime where an adversarial key
-    set inside one fiber always exists).
+    Standing assumptions: n >= m >= 1 and u >= n.
     """
 
     u: int
     m: int
     n: int
     c: Fraction = Fraction(1)
-    strict_universe: InitVar[bool] = False
 
-    def __post_init__(self, strict_universe: bool) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "c", _as_fraction(self.c))
         if self.m < 1:
             raise ValueError("need m >= 1")
@@ -53,8 +50,6 @@ class Params:
             raise ValueError("need u >= n")
         if self.c < 1:
             raise ValueError("need c >= 1")
-        if strict_universe and self.u < self.n * self.n:
-            raise ValueError("strict mode requires u >= n**2")
 
     @property
     def alpha(self) -> Fraction:
@@ -89,10 +84,6 @@ class Decomposition:
     def m(self) -> int:
         return len(self.betas)
 
-    @property
-    def is_balanced(self) -> bool:
-        return max(self.betas) - min(self.betas) <= 1
-
 
 @dataclass(frozen=True)
 class HashFunction:
@@ -111,25 +102,12 @@ class HashFunction:
     def u(self) -> int:
         return len(self.cells)
 
-    def apply(self, key: int) -> int:
-        return self.cells[key - 1]
-
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """Keys per cell, 1-based, ascending within each fiber."""
         parts: list[list[int]] = [[] for _ in range(self.m)]
         for key, cell in enumerate(self.cells, start=1):
             parts[cell - 1].append(key)
         return tuple(tuple(p) for p in parts)
-
-    def decomposition(self) -> Decomposition:
-        betas = [0] * self.m
-        for cell in self.cells:
-            betas[cell - 1] += 1
-        return Decomposition(tuple(betas))
-
-    @property
-    def is_balanced(self) -> bool:
-        return self.decomposition().is_balanced
 
     def partition_signature(self) -> tuple[tuple[int, ...], ...]:
         """Cell-label-free identity: the sorted tuple of non-empty fibers.
@@ -152,25 +130,6 @@ class KeySet:
         if any(a >= b for a, b in zip(self.keys, self.keys[1:])):
             raise ValueError("keys must be strictly increasing")
 
-    @property
-    def n(self) -> int:
-        return len(self.keys)
-
-
-@dataclass(frozen=True)
-class LoadProfile:
-    """Per-cell loads of one key set under one hash function."""
-
-    loads: tuple[int, ...]
-
-    @property
-    def max_load(self) -> int:
-        return max(self.loads)
-
-    @property
-    def n(self) -> int:
-        return sum(self.loads)
-
 
 @dataclass(frozen=True)
 class Family:
@@ -190,51 +149,6 @@ class Family:
     @property
     def size(self) -> int:
         return len(self.functions)
-
-
-def load_profile(h: HashFunction, s: KeySet) -> LoadProfile:
-    """Count how many keys of s land in each cell of h."""
-    if s.keys and s.keys[-1] > h.u:
-        raise DimensionMismatchError("key set exceeds the function's universe")
-    loads = [0] * h.m
-    for key in s.keys:
-        loads[h.cells[key - 1] - 1] += 1
-    return LoadProfile(tuple(loads))
-
-
-def is_c_ideal(h: HashFunction, s: KeySet, p: Params) -> bool:
-    """True iff max load <= c*alpha, compared as exact rationals."""
-    if h.u != p.u or h.m != p.m or s.n != p.n:
-        raise DimensionMismatchError("function/key-set dimensions do not match params")
-    return load_profile(h, s).max_load <= p.c * p.alpha
-
-
-def all_key_sets(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[KeySet]:
-    """All n-subsets of 1..u in lexicographic order; guarded by an enumeration budget."""
-    total = binom(p.u, p.n)
-    if total > budget:
-        raise BudgetExceededError(
-            f"C({p.u},{p.n}) = {total} exceeds enumeration budget {budget}"
-        )
-    for combo in itertools.combinations(range(1, p.u + 1), p.n):
-        yield KeySet(combo)
-
-
-def family_cost(
-    f: Family,
-    p: Params,
-    sets: Iterable[KeySet] | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> int:
-    """Exact max over key sets of the min over family members of the max load."""
-    if sets is None:
-        sets = all_key_sets(p, budget)
-    worst = 0
-    for s in sets:
-        best = min(load_profile(h, s).max_load for h in f.functions)
-        if best > worst:
-            worst = best
-    return worst
 
 
 def balanced_fiber_sizes(u: int, m: int) -> tuple[int, ...]:

@@ -14,11 +14,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .combinatorics import binom
+from .combinatorics import binom, compositions
 from .errors import BudgetExceededError, DimensionMismatchError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
@@ -101,20 +101,6 @@ def exact_ideal_probability(p: Params) -> IdealCount:
     return IdealCount(m_c=m_c, total=binom(p.u, p.n))
 
 
-def _partitions_desc(total: int, parts: int, bound: int | None = None) -> Iterable[tuple[int, ...]]:
-    """Partitions of `total` into exactly `parts` non-negative non-increasing parts."""
-    if bound is None:
-        bound = total
-    if parts == 1:
-        if total <= bound:
-            yield (total,)
-        return
-    lo = -(-total // parts)  # first part at least the ceiling of the average
-    for first in range(min(total, bound), lo - 1, -1):
-        for rest in _partitions_desc(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def cap_binds(u: int, m: int, n: int, c: Fraction | int) -> bool:
     """True when the load cap genuinely constrains the balanced decomposition.
 
@@ -138,9 +124,11 @@ def balance_extremality_check(u: int, m: int, n: int, c: Fraction | int) -> bool
     c = Fraction(c)
     cap = math.floor(c * Fraction(n, m))
     balanced = tuple(sorted(balanced_fiber_sizes(u, m), reverse=True))
-    counts: dict[tuple[int, ...], int] = {}
-    for part in _partitions_desc(u, m):
-        counts[part] = count_ideal_sets(part, n, cap)
+    counts = {
+        part: count_ideal_sets(part, n, cap)
+        for part in compositions(u, m, u)
+        if all(a >= b for a, b in zip(part, part[1:]))
+    }
     best = max(counts.values())
     argmax = {part for part, v in counts.items() if v == best}
     if not cap_binds(u, m, n, c):
@@ -315,9 +303,7 @@ def min_family_size_exact(
     sets = ranked_key_sets(p, budget)
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
-    candidates, _ = partition_classes(
-        all_functions(p.u, p.m, budget=max(budget, p.m**p.u)), budget=pool_budget
-    )
+    candidates, _ = partition_classes(all_functions(p.u, p.m, budget), budget=pool_budget)
     full = (1 << len(sets)) - 1
     exceed = exceed_masks(cell_matrix(candidates, p), sets, p.load_cap)
     scored = sorted(

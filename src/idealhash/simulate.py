@@ -1,9 +1,11 @@
-"""Monte Carlo behavior beyond exact enumeration: max-load means, ideality
-probability estimates, and the adversarial single-fiber key set.
+"""Monte Carlo behavior beyond exact enumeration: max-load means and
+ideality probability estimates.
 
 RNG contract: numpy PCG64 seeded through SeedSequence(seed, spawn_key=(worker,)),
 so every (seed, workers) pair reproduces bit-identically on any platform.
-Trials partition across workers; results merge by count-weighted pooling.
+`workers` is the number of RNG streams the trials are split across; the
+streams run one after another in this process, not in parallel.  Results
+merge by count-weighted pooling.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashspace import HashFunction, KeySet, Params, blocked_function
+from .hashspace import Params, blocked_function
 
 
 @dataclass(frozen=True)
@@ -128,18 +130,3 @@ def _wilson_halfwidth(successes: int, trials: int, z: float = 1.96) -> float:
     )
     return spread
 
-
-def adversarial_set(h: HashFunction, n: int) -> KeySet:
-    """n keys from the largest fiber of h (lowest cell index on ties).
-
-    Every key lands in one cell, so the resulting max load is exactly n.
-    Raises when no fiber holds n keys (cannot happen once u >= n*m).
-    """
-    fibers = h.fibers()
-    sizes = [len(f) for f in fibers]
-    best_cell = max(range(h.m), key=lambda i: (sizes[i], -i))
-    if sizes[best_cell] < n:
-        raise ValueError(
-            f"largest fiber holds {sizes[best_cell]} keys; need {n}"
-        )
-    return KeySet(tuple(fibers[best_cell][:n]))

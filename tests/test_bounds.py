@@ -11,7 +11,6 @@ from idealhash.bounds import (
     comparison_bounds,
     ln_binom,
     lower_main,
-    lower_main_exact_variant,
     lower_universe,
     probability_upper,
     upper_base_constant_check,
@@ -55,13 +54,6 @@ class TestLowerMain:
             inv_p = -ln_fraction(exact_ideal_probability(p).probability)
             gaps.append(inv_p - lower_main(m, p.alpha, p.c, 0).log_value)
         assert len(gaps) == 3  # comparison ran; no hard assertion by design
-
-    def test_exact_variant_hard_inequality_at_large_n(self):
-        # with (1 - alpha/n)^n in place of the limit the chain is exact
-        for n, m in ((64, 8), (64, 16), (128, 8)):
-            p = Params(n * n, m, n, 1)
-            inv_p = -ln_fraction(exact_ideal_probability(p).probability)
-            assert lower_main_exact_variant(n, m, Fraction(1)).log_value <= inv_p
 
 
 class TestLowerUniverse:
@@ -132,6 +124,11 @@ class TestUpperYao:
         with pytest.raises(ValueError):
             upper_yao(8, 4, 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_t(self, t):
+        with pytest.raises(ValueError):
+            upper_yao(8, 4, t)
+
     def test_ln_binom_huge_universe(self):
         # term-sum path agrees with the exact path where both run
         exact = math.log(binom(10**4, 12))
@@ -170,12 +167,6 @@ class TestProbabilityUpper:
 
 
 class TestComparisonBounds:
-    def test_exact_volume_form_anchor(self):
-        entries = {e.name: e for e in comparison_bounds(8, 4, 2, 1)}
-        vol = entries["lower.volume"]
-        assert vol.valid
-        assert vol.value.to_float() == pytest.approx(70 / 36, rel=1e-12)
-
     def test_fk_flags_track_the_perfect_hashing_regime(self):
         entries = {e.name: e for e in comparison_bounds(16, 4, 2, 1)}
         assert not entries["lower.fk"].valid  # n > m
@@ -277,6 +268,10 @@ class TestBoundReport:
         assert vol.valid
         assert vol.value.to_float() == pytest.approx(70 / 36, rel=1e-12)
         assert vol.ceiling == 2
+
+    def test_volume_entry_appears_once(self):
+        for p in (Params(8, 2, 4, 1), Params(16, 4, 8, 1), Params(64, 4, 8, Fraction(3, 2))):
+            assert bound_report(p).names().count("lower.volume") == 1
 
     def test_infeasible_cap_flags_counting_entries(self):
         rep = bound_report(Params(6, 2, 3, 1))  # cap 1 < ceil(3/2)

@@ -224,6 +224,21 @@ class TestErrorsAndExitCodes:
         assert rc == 1
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--method", "yao", "--u", "6", "--m", "2", "--n", "2"],
+            ["bounds", "--u", "6", "--m", "2", "--n", "2"],
+        ],
+        ids=["construct-yao", "bounds"],
+    )
+    def test_non_finite_t_exits_one_with_record(self, capsys, argv, t):
+        rc, out, err = run_capture(capsys, [*argv, "--t", t])
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "need 1 < t < inf"}
+
     def test_check_lemmas_passes(self, capsys):
         rc, out, _ = run_capture(capsys, ["check-lemmas", "--format", "json"])
         assert rc == 0
@@ -268,6 +283,8 @@ class TestEnvOverrides:
             ("IDEALHASH_WORKERS", "two", ["simulate", "--kind", "max-load", "--m", "2", "--n", "4"]),
             ("IDEALHASH_T", "fast", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
             ("IDEALHASH_C", "1/0", ["report", "--u", "8", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_FORMAT", "xml", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_POOL", "foo", ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"]),
         ],
     )
     def test_malformed_override_is_a_usage_error(self, capsys, monkeypatch, name, value, argv):

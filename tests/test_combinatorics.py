@@ -10,8 +10,8 @@ from idealhash.combinatorics import (
     LogReal,
     binom,
     composition_count,
+    compositions,
     ln_fraction,
-    stirling_bracket,
 )
 
 
@@ -35,33 +35,6 @@ class TestBinom:
                 assert binom(a, b) == binom(a, a - b)
                 if 0 < b:
                     assert binom(a, b) == binom(a - 1, b - 1) + binom(a - 1, b)
-
-
-class TestStirlingBracket:
-    def test_contains_exact_ln_factorial_up_to_200(self):
-        for k in range(1, 201):
-            br = stirling_bracket(k)
-            ln_fact = math.log(math.factorial(k))
-            assert br.lower.log_value <= ln_fact <= br.upper.log_value
-
-    def test_k1_brackets_zero(self):
-        br = stirling_bracket(1)
-        base = math.log(math.sqrt(2 * math.pi) / math.e)
-        assert br.lower.log_value == pytest.approx(base + 1 / 13)
-        assert br.upper.log_value == pytest.approx(base + 1 / 12)
-        assert br.lower.log_value <= 0.0 <= br.upper.log_value
-
-    def test_k10_brackets_ln_3628800(self):
-        br = stirling_bracket(10)
-        assert br.lower.log_value <= math.log(3628800) <= br.upper.log_value
-
-    def test_width_is_difference_of_corrections(self):
-        br = stirling_bracket(100)
-        assert br.width == pytest.approx(1 / 1200 - 1 / 1201, rel=1e-12)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            stirling_bracket(0)
 
 
 class TestCompositionCount:
@@ -107,6 +80,21 @@ class TestCompositionCount:
                     n = m * alpha
                     crude = (alpha + 1) ** (m * (1 - 1 / c))
                     assert composition_count(n, m, c * alpha) >= crude
+
+
+class TestCompositions:
+    def test_count_matches_composition_count(self):
+        for n, m, d in product(range(1, 9), range(1, 5), range(0, 10)):
+            assert sum(1 for _ in compositions(n, m, d)) == composition_count(n, m, d)
+
+    @pytest.mark.parametrize("n,m,d", [(4, 3, 2), (6, 3, 6), (5, 1, 5), (5, 1, 4), (0, 3, 1), (7, 4, 3)])
+    def test_matches_brute_force_in_lexicographic_order(self, n, m, d):
+        brute = [tup for tup in product(range(d + 1), repeat=m) if sum(tup) == n]
+        assert list(compositions(n, m, d)) == brute
+
+    def test_rejects_no_parts(self):
+        with pytest.raises(ValueError):
+            list(compositions(2, 0, 2))
 
 
 class TestLogReal:

@@ -78,7 +78,7 @@ class TestRandomBalanced:
         rng = _random.Random(42)
         for _ in range(50):
             h = sample_balanced_function(rng, 7, 3)
-            assert sorted(h.decomposition().betas) == [2, 2, 3]
+            assert sorted(len(f) for f in h.fibers()) == [2, 2, 3]
 
 
 class TestGreedy:
@@ -142,6 +142,12 @@ class TestYao:
         log = yao_family(p, t=1.5, pool=balanced_functions(p), load_target=2)
         assert log.verified
         assert log.rounds <= math.floor(math.log(total) / math.log(1.5)) + 1
+
+    @pytest.mark.parametrize("t", [1.0, math.inf, math.nan])
+    def test_rejects_t_outside_one_to_infinity(self, t):
+        p = Params(6, 2, 2, 1)
+        with pytest.raises(ValueError):
+            yao_family(p, t=t, pool=balanced_functions(p), load_target=1)
 
     def test_load_target_below_ceil_alpha_rejected(self):
         with pytest.raises(ValueError):

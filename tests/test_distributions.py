@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idealhash.combinatorics import ln_fraction
+from idealhash.combinatorics import compositions, ln_fraction
 from idealhash.distributions import (
     binomial_marginal_le,
     binomial_tail_lb,
@@ -15,18 +15,8 @@ from idealhash.distributions import (
     min_product_factorials_check,
     multinomial_pmf,
     p_tmax_le,
-    replacement_ratio,
     tmax_lower_bound,
 )
-
-
-def compositions(n, m):
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, m - 1):
-            yield (first,) + rest
 
 
 class TestHypergeometricMarginal:
@@ -63,7 +53,7 @@ class TestMultinomial:
         m=st.integers(min_value=1, max_value=4),
     )
     def test_normalization(self, n, m):
-        total = sum(multinomial_pmf(lv, n, m) for lv in compositions(n, m))
+        total = sum(multinomial_pmf(lv, n, m) for lv in compositions(n, m, n))
         assert total == 1
 
 
@@ -71,7 +61,7 @@ class TestConditionedPoisson:
     def test_equals_multinomial_on_small_grid(self):
         for m in range(1, 5):
             for n in range(1, 9):
-                for lv in compositions(n, m):
+                for lv in compositions(n, m, n):
                     assert conditioned_poisson_pmf(lv, n, m) == multinomial_pmf(
                         lv, n, m
                     )
@@ -81,6 +71,13 @@ class TestConditionedPoisson:
 
     def test_double_hit(self):
         assert conditioned_poisson_pmf((2, 0), 2, 2) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("pmf", [multinomial_pmf, conditioned_poisson_pmf])
+@pytest.mark.parametrize("lv", [(1, 1, 0), (3, -1), (1, 2)], ids=["length", "negative", "sum"])
+def test_pmfs_reject_malformed_load_vectors(pmf, lv):
+    with pytest.raises(ValueError):
+        pmf(lv, 2, 2)
 
 
 class TestPTmax:
@@ -102,7 +99,7 @@ class TestPTmax:
             for cap in range(1, n + 1):
                 summed = sum(
                     multinomial_pmf(lv, n, m)
-                    for lv in compositions(n, m)
+                    for lv in compositions(n, m, n)
                     if max(lv) <= cap
                 )
                 assert p_tmax_le(n, m, cap) == summed
@@ -192,20 +189,6 @@ class TestNegativeDependence:
 
 
 class TestReplacement:
-    def test_sets_to_multisets_ratio(self):
-        assert replacement_ratio(4, 2) == Fraction(3, 5)
-
-    def test_product_form(self):
-        expected = Fraction(1)
-        for k in range(10):
-            expected *= Fraction(100 - k, 109 - k)
-        assert replacement_ratio(100, 10) == expected
-
-    def test_monotone_toward_one_along_cubic_universe(self):
-        ratios = [replacement_ratio(n**3, n) for n in (5, 10, 20, 40)]
-        assert all(r < 1 for r in ratios)
-        assert all(a < b for a, b in zip(ratios, ratios[1:]))
-
     def test_throw_probability_lower_bounds_exact(self):
         from idealhash.hashspace import Params
         from idealhash.oracle import exact_ideal_probability

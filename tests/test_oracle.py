@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from idealhash.combinatorics import binom
+from idealhash import hashspace
+from idealhash.combinatorics import binom, compositions
 from idealhash.errors import BudgetExceededError
 from idealhash.hashspace import (
     Family,
@@ -20,7 +21,6 @@ from idealhash.oracle import (
     exact_ideal_probability,
     min_family_size_exact,
     verify_family,
-    _partitions_desc,
 )
 
 
@@ -111,7 +111,7 @@ class TestExactIdealProbability:
 class TestBalanceExtremality:
     def test_square_anchor_with_strict_ordering(self):
         counts = {
-            part: count_ideal_sets(part, 4, 2) for part in _partitions_desc(8, 2)
+            part: count_ideal_sets(part, 4, 2) for part in compositions(8, 2, 8)
         }
         assert counts[(4, 4)] == 36
         for part in ((5, 3), (6, 2), (7, 1), (8, 0)):
@@ -182,6 +182,14 @@ class TestMinFamilySize:
         # alpha = 3/2, cap = 1 < ceil(alpha): nothing is ever ideal
         assert min_family_size_exact(Params(6, 2, 3, 1)) is None
 
+    def test_function_budget_checked_before_enumeration(self, monkeypatch):
+        # C(12,2) = 66 key sets fit the budget; 2**12 = 4096 functions do not
+        built = []
+        monkeypatch.setattr(hashspace, "HashFunction", lambda *args: built.append(args))
+        with pytest.raises(BudgetExceededError):
+            min_family_size_exact(Params(12, 2, 2, 1), budget=1000)
+        assert built == []
+
     def test_volume_bound_respected_on_tiny_grid(self):
         for u in range(2, 7):
             for m in (2, 3):
@@ -199,7 +207,7 @@ class TestMinFamilySize:
         for u, m, n, c in ((8, 2, 4, 1), (6, 3, 3, 1), (9, 3, 4, Fraction(3, 2))):
             cap = Params(u, m, n, c).load_cap
             best = max(
-                count_ideal_sets(part, n, cap) for part in _partitions_desc(u, m)
+                count_ideal_sets(part, n, cap) for part in compositions(u, m, u)
             )
             assert best == count_ideal_sets(balanced_fiber_sizes(u, m), n, cap)
 

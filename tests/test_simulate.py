@@ -1,13 +1,10 @@
 import math
 from fractions import Fraction
 
-import pytest
-
-from idealhash.hashspace import HashFunction, KeySet, Params, blocked_function
-from idealhash.oracle import exact_ideal_probability
+from idealhash.hashspace import Family, HashFunction, KeySet, Params, all_functions, blocked_function
+from idealhash.oracle import exact_ideal_probability, verify_family
 from idealhash.simulate import (
     Estimate,
-    adversarial_set,
     estimate_ideal_probability,
     estimate_max_load,
     _floyd_sample,
@@ -95,35 +92,28 @@ class TestFloydSampling:
 
 
 class TestAdversarialSet:
+    """Every function loses some key set whose n keys share one cell."""
+
+    @staticmethod
+    def _below_n(u, m, n):
+        """Params whose load cap is n - 1."""
+        return Params(u, m, n, Fraction((n - 1) * m, n))
+
     def test_identity_block_universe(self):
         h = HashFunction(tuple([1] * 8 + [2] * 8), 2)
-        s = adversarial_set(h, 4)
-        assert s == KeySet((1, 2, 3, 4))
+        rep = verify_family(Family((h,)), self._below_n(16, 2, 4))
+        assert rep.uncovered_witness == KeySet((1, 2, 3, 4))
 
     def test_achieves_cost_n(self):
-        from idealhash.hashspace import load_profile
-
         for u, m, n in ((16, 2, 4), (12, 3, 4), (9, 3, 3)):
             h = blocked_function(Params(u, m, n))
-            s = adversarial_set(h, n)
-            assert load_profile(h, s).max_load == n
+            witness = verify_family(Family((h,)), self._below_n(u, m, n)).uncovered_witness
+            assert len({h.cells[k - 1] for k in witness.keys}) == 1
 
     def test_every_function_is_beatable_once_u_covers_nm(self):
-        from idealhash.hashspace import all_functions, load_profile
-
-        n, m = 2, 2
-        for h in all_functions(6, m):  # u = 6 >= n*m
-            s = adversarial_set(h, n)
-            assert load_profile(h, s).max_load == n
-
-    def test_tie_breaks_to_lowest_cell(self):
-        h = HashFunction((2, 2, 1, 1), 2)
-        assert adversarial_set(h, 2) == KeySet((3, 4))
-
-    def test_rejects_small_fibers(self):
-        h = HashFunction((1, 2, 3, 4), 4)
-        with pytest.raises(ValueError):
-            adversarial_set(h, 2)
+        p = self._below_n(6, 2, 2)  # u = 6 >= n*m
+        for h in all_functions(6, 2):
+            assert not verify_family(Family((h,)), p).is_ideal_family
 
 
 def test_estimate_is_a_plain_record():
