@@ -167,6 +167,14 @@ class TestProbabilityUpper:
 
 
 class TestComparisonBounds:
+    def test_exact_volume_form_anchor(self):
+        # the volume bound comes from exact counts in bound_report only
+        names = {e.name for e in comparison_bounds(8, 4, 2, 1)}
+        assert "lower.volume" not in names
+        vol = bound_report(Params(8, 2, 4, 1)).entry("lower.volume")
+        assert vol.valid
+        assert vol.value.to_float() == pytest.approx(70 / 36, rel=1e-12)
+
     def test_fk_flags_track_the_perfect_hashing_regime(self):
         entries = {e.name: e for e in comparison_bounds(16, 4, 2, 1)}
         assert not entries["lower.fk"].valid  # n > m

@@ -19,7 +19,13 @@ from idealhash.hashspace import (
     function_from_text,
     function_to_text,
 )
-from idealhash.oracle import cover_mask, exceed_masks, verify_family
+from idealhash.oracle import (
+    cell_matrix,
+    cover_mask,
+    exceed_masks,
+    ranked_key_sets,
+    verify_family,
+)
 
 
 def max_load(h, keys):
@@ -67,12 +73,24 @@ class TestLoadProfile:
         h = blocked_function(p)
         assert max_load(h, (1, 2, 5, 6)) == 2  # ceil(4/2)
 
+    def test_dimension_mismatch(self):
+        h = HashFunction((1, 2), 2)
+        with pytest.raises(DimensionMismatchError):
+            cell_matrix([h], Params(4, 2, 2))
+
 
 class TestIsCIdeal:
     def test_c_at_least_m_accepts_everything(self):
         p = Params(4, 2, 2, Fraction(2))
         for cells in itertools.product((1, 2), repeat=4):
             assert cover_mask(HashFunction(cells, 2), p) == (1 << p.total_sets) - 1
+
+    def test_colliding_pair_rejected_at_c1(self):
+        p = Params(4, 2, 2, Fraction(1))
+        h = HashFunction((1, 1, 2, 2), 2)
+        mask = cover_mask(h, p)
+        assert not mask >> 0 & 1  # rank 0 is (1, 2), both in cell 1
+        assert mask >> 1 & 1  # rank 1 is (1, 3), split
 
     def test_monotone_in_c(self):
         h = HashFunction((1, 1, 2, 2), 2)
@@ -84,12 +102,34 @@ class TestIsCIdeal:
         assert all(lo & ~hi == 0 for lo, hi in zip(masks, masks[1:]))
         assert masks[0] != masks[-1]
 
+    def test_dimension_checks(self):
+        p = Params(4, 2, 2)
+        with pytest.raises(DimensionMismatchError):
+            cover_mask(HashFunction((1, 2), 2), p)
+
 
 class TestFamilyCost:
     def test_singleton_constant_costs_n(self):
         fam = Family((HashFunction((1, 1, 1, 1), 2),))
         assert not verify_family(fam, Params(4, 2, 2, 1)).is_ideal_family  # cap 1
         assert verify_family(fam, Params(4, 2, 2, 2)).is_ideal_family  # cap 2 = n
+
+    def test_two_function_family_splits_every_pair(self):
+        p = Params(4, 2, 2)
+        fam = Family((HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2)))
+        rep = verify_family(fam, p)
+        assert rep.covered == 6
+        assert rep.uncovered_witness is None
+
+    def test_never_above_n(self):
+        p = Params(5, 2, 3, Fraction(2))  # cap 3 = n
+        for h in balanced_functions(p):
+            assert verify_family(Family((h,)), p).is_ideal_family
+
+    def test_budget_guard(self):
+        p = Params(30, 2, 15)
+        with pytest.raises(BudgetExceededError):
+            verify_family(Family((HashFunction((1,) * 30, 2),)), p, budget=1000)
 
 
 class TestBalancedFunctions:
@@ -127,6 +167,12 @@ class TestAllFunctions:
 
 
 class TestKeySets:
+    def test_enumeration_is_lexicographic_and_complete(self):
+        sets = ranked_key_sets(Params(4, 2, 2)) + 1
+        assert [tuple(int(k) for k in row) for row in sets] == list(
+            itertools.combinations(range(1, 5), 2)
+        )
+
     def test_keyset_validation(self):
         with pytest.raises(ValueError):
             KeySet((2, 2))
