@@ -7,7 +7,6 @@ and the advice-bit consequences, behind one CLI (`idealhash`).
 
 from .combinatorics import LogReal, binom, composition_count, compositions
 from .hashspace import (
-    Decomposition,
     Family,
     HashFunction,
     KeySet,
@@ -31,7 +30,6 @@ __all__ = [
     "binom",
     "composition_count",
     "compositions",
-    "Decomposition",
     "Family",
     "HashFunction",
     "KeySet",

@@ -24,6 +24,11 @@ from .oracle import count_ideal_sets
 # perfect-hashing corner; reproduced numerically rather than assumed.
 UPPER_BASE_CLAIMED_FLOOR = 1.002
 
+# Desk scale of exact big-integer work: terms * log2(u) up to this many bits.
+# Past it ln C(u,n) is summed term by term and the counting DP is skipped,
+# since its coefficients grow with n * log2(u).
+DESK_SCALE_BITS = 200_000
+
 
 @dataclass(frozen=True)
 class BoundEntry:
@@ -49,9 +54,6 @@ class BoundReport:
             if e.name == name:
                 return e
         raise KeyError(name)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ def ln_binom(u: int, n: int) -> float:
     if n < 0 or n > u:
         raise ValueError("need 0 <= n <= u")
     k = min(n, u - n)
-    if k * max(1, u.bit_length()) <= 200_000:
+    if k * max(1, u.bit_length()) <= DESK_SCALE_BITS:
         return math.log(binom(u, n))
     return sum(math.log(u - i) - math.log(i + 1) for i in range(k))
 
@@ -156,20 +158,49 @@ def upper_yao(u: int, n: int, t: float) -> int:
     return math.floor(ln_binom(u, n) / math.log(t)) + 1
 
 
+def _neg_ln1m(q: Fraction) -> float:
+    """-ln(1-q) for a rational 0 < q < 1."""
+    return -ln_fraction(1 - q)
+
+
+def _prob_entries(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntry, BoundEntry]:
+    """upper.prob.tight and upper.prob.loose for p = M_c / C(u,n), 0 < M_c <= C(u,n).
+
+    Tight: 1 + ln C(u,n) / -ln(1-p) before ceiling, 1 + floor(ln C(u,n) / -ln(1-p))
+    functions after.  Loose: (C(u,n)/M_c) * n * ln u.
+    """
+    p = Fraction(m_c, total)
+    raw = 0.0 if p == 1 else math.log(total) / _neg_ln1m(p)
+    ratio = Fraction(total, m_c)
+    return (
+        BoundEntry(
+            name="upper.prob.tight",
+            kind="upper",
+            value=LogReal.from_value(max(1.0, 1.0 + raw)),
+            valid=True,
+            validity_note="exact p",
+            ceiling=1 + math.floor(raw),
+        ),
+        BoundEntry(
+            name="upper.prob.loose",
+            kind="upper",
+            value=LogReal.from_value(ratio * n) * LogReal.from_value(math.log(u)),
+            valid=True,
+            validity_note="exact p",
+            ceiling=math.ceil(float(ratio) * n * math.log(u)),
+        ),
+    )
+
+
 def probability_upper(u: int, n: int, m_c: int) -> tuple[int, int]:
-    """Both probabilistic covers: tight 1 + floor(-ln|S|/ln(1-p)), loose ceil((|S|/M)*n*ln u)."""
+    """Ceilings of both probabilistic covers: tight 1 + floor(-ln|S|/ln(1-p)), loose ceil((|S|/M)*n*ln u)."""
     if m_c <= 0:
         raise ValueError("need m_c > 0")
     total = binom(u, n)
     if m_c > total:
         raise ValueError("m_c cannot exceed C(u,n)")
-    p = Fraction(m_c, total)
-    if p == 1:
-        tight = 1
-    else:
-        tight = 1 + math.floor(-math.log(total) / ln_fraction(1 - p))
-    loose = math.ceil(float(Fraction(total, m_c)) * n * math.log(u))
-    return tight, loose
+    tight, loose = _prob_entries(u, n, total, m_c)
+    return tight.ceiling, loose.ceiling
 
 
 def _naor_form(u: int, n: int, m: int) -> LogReal:
@@ -212,9 +243,7 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
         )
         q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)
         if q < 1:
-            upper_ln = math.log(n) + math.log(math.log(u)) - math.log(
-                -ln_fraction(1 - q)
-            )
+            upper_ln = math.log(n) + math.log(math.log(u)) - math.log(_neg_ln1m(q))
             entries.append(
                 BoundEntry(
                     name="upper.fk",
@@ -355,6 +384,33 @@ def upper_base_constant_check() -> dict:
     }
 
 
+def _counting_entries(p: Params) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
+    """lower.volume, upper.prob.tight and upper.prob.loose from the exact count M_c."""
+    if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS:
+        volume_note = prob_note = "counting skipped: n * log2(u) beyond desk scale"
+    else:
+        m_c = count_ideal_sets(balanced_fiber_sizes(p.u, p.m), p.n, p.load_cap)
+        if m_c > 0:
+            total = p.total_sets
+            ratio = Fraction(total, m_c)
+            volume = BoundEntry(
+                name="lower.volume",
+                kind="lower",
+                value=LogReal.from_value(ratio),
+                valid=True,
+                validity_note="exact counting",
+                ceiling=-(-ratio.numerator // ratio.denominator),
+            )
+            return (volume, *_prob_entries(p.u, p.n, total, m_c))
+        volume_note = "cap below ceil(alpha): no function is ideal for any set"
+        prob_note = "cap below ceil(alpha): no ideal family exists"
+    return (
+        BoundEntry("lower.volume", "lower", None, False, volume_note),
+        BoundEntry("upper.prob.tight", "upper", None, False, prob_note),
+        BoundEntry("upper.prob.loose", "upper", None, False, prob_note),
+    )
+
+
 def bound_report(
     p: Params,
     eps: Fraction | float = 0,
@@ -365,40 +421,10 @@ def bound_report(
     The volume and probabilistic entries use the exact counting core (cheap
     at any u: a polynomial convolution, never subset enumeration).
     """
-    entries: list[BoundEntry] = []
     alpha = p.alpha
     eps_f = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**9)
-
-    # the counting DP is exact at any size but its big-int coefficients grow
-    # with n * log2(u); skip the counting-backed entries past desk scale
-    countable = p.n * max(1, p.u.bit_length()) <= 200_000
-    m_c = (
-        count_ideal_sets(balanced_fiber_sizes(p.u, p.m), p.n, p.load_cap)
-        if countable
-        else 0
-    )
-    total = p.total_sets if countable else 0
-    feasible = countable and m_c > 0
-
-    if feasible:
-        ratio = Fraction(total, m_c)
-        entries.append(
-            BoundEntry(
-                name="lower.volume",
-                kind="lower",
-                value=LogReal.from_value(ratio),
-                valid=True,
-                validity_note="exact counting",
-                ceiling=-(-ratio.numerator // ratio.denominator),
-            )
-        )
-    else:
-        note = (
-            "counting skipped: n * log2(u) beyond desk scale"
-            if not countable
-            else "cap below ceil(alpha): no function is ideal for any set"
-        )
-        entries.append(BoundEntry("lower.volume", "lower", None, False, note))
+    volume, tight, loose = _counting_entries(p)
+    entries: list[BoundEntry] = [volume]
 
     entries.append(
         BoundEntry(
@@ -425,41 +451,7 @@ def bound_report(
     except BoundNotApplicableError as exc:
         entries.append(BoundEntry("lower.universe", "lower", None, False, str(exc)))
 
-    if feasible:
-        tight, loose = probability_upper(p.u, p.n, m_c)
-        p_exact = Fraction(m_c, total)
-        raw_tight = (
-            0.0 if p_exact == 1 else -math.log(total) / ln_fraction(1 - p_exact)
-        )
-        entries.append(
-            BoundEntry(
-                name="upper.prob.tight",
-                kind="upper",
-                value=LogReal.from_value(max(1.0, 1.0 + raw_tight)),
-                valid=True,
-                validity_note="exact p",
-                ceiling=tight,
-            )
-        )
-        entries.append(
-            BoundEntry(
-                name="upper.prob.loose",
-                kind="upper",
-                value=LogReal.from_value(Fraction(total, m_c) * p.n)
-                * LogReal.from_value(math.log(p.u)),
-                valid=True,
-                validity_note="exact p",
-                ceiling=loose,
-            )
-        )
-    else:
-        note = (
-            "counting skipped: n * log2(u) beyond desk scale"
-            if not countable
-            else "cap below ceil(alpha): no ideal family exists"
-        )
-        entries.append(BoundEntry("upper.prob.tight", "upper", None, False, note))
-        entries.append(BoundEntry("upper.prob.loose", "upper", None, False, note))
+    entries.extend((tight, loose))
 
     non_integral = (p.c * alpha).denominator != 1
     try:

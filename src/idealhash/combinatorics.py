@@ -37,8 +37,8 @@ def ln_fraction(q: Fraction) -> float:
 class LogReal:
     """A non-negative real r carried as ln(r); log_value == -inf encodes r = 0.
 
-    Ordering, multiplication, division, and powers all act on the log scale,
-    so values like exp(m) for m in the hundreds stay representable.
+    Ordering and multiplication act on the log scale, so values like exp(m)
+    for m in the hundreds stay representable.
     """
 
     log_value: float
@@ -51,10 +51,6 @@ class LogReal:
     @classmethod
     def zero(cls) -> "LogReal":
         return cls(-math.inf)
-
-    @classmethod
-    def one(cls) -> "LogReal":
-        return cls(0.0)
 
     @classmethod
     def from_ln(cls, log_value: float) -> "LogReal":
@@ -91,10 +87,6 @@ class LogReal:
         except OverflowError:
             return math.inf
 
-    @property
-    def overflows_float(self) -> bool:
-        return self.log_value != -math.inf and math.isinf(self.to_float())
-
     def log2(self) -> float:
         """log2 of the represented value (-inf for zero)."""
         return self.log_value / _LN2
@@ -110,21 +102,6 @@ class LogReal:
         if self.sign == 0 or other.sign == 0:
             return LogReal.zero()
         return LogReal(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogReal division by zero")
-        if self.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.log_value - other.log_value)
-
-    def __pow__(self, exponent) -> "LogReal":
-        e = float(exponent)
-        if self.sign == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 ** non-positive power")
-            return LogReal.zero()
-        return LogReal(self.log_value * e)
 
 
 def composition_count(n: int, m: int, d: int) -> int:

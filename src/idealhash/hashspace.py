@@ -67,25 +67,6 @@ class Params:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """Fiber sizes (beta_1..beta_m) of a hash function; sums to u."""
-
-    betas: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b < 0 for b in self.betas):
-            raise ValueError("fiber sizes must be non-negative")
-
-    @property
-    def u(self) -> int:
-        return sum(self.betas)
-
-    @property
-    def m(self) -> int:
-        return len(self.betas)
-
-
-@dataclass(frozen=True)
 class HashFunction:
     """Total map from keys 1..u to cells 1..m, stored as the cell of each key."""
 

@@ -22,7 +22,6 @@ from .combinatorics import binom, compositions
 from .errors import BudgetExceededError, DimensionMismatchError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
-    Decomposition,
     Family,
     HashFunction,
     KeySet,
@@ -63,18 +62,12 @@ class CoverageReport:
         return self.uncovered_witness is None
 
 
-def _betas_of(d: Decomposition | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(d, Decomposition):
-        return d.betas
-    return tuple(d)
-
-
-def count_ideal_sets(d: Decomposition | Sequence[int], n: int, cap: int) -> int:
-    """Exact number of n-subsets whose per-fiber intersections all stay <= cap.
+def count_ideal_sets(betas: Sequence[int], n: int, cap: int) -> int:
+    """Exact number of n-subsets whose per-fiber intersections all stay <= cap,
+    for fiber sizes betas.
 
     Convolves the capped per-cell polynomials and reads the x^n coefficient.
     """
-    betas = _betas_of(d)
     if n < 0 or cap < 0:
         raise ValueError("need n >= 0 and cap >= 0")
     acc = [1]

