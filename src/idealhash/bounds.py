@@ -12,6 +12,7 @@ mixed-domain grids stay total.  Stable entry names:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -158,28 +159,45 @@ def upper_yao(u: int, n: int, t: float) -> int:
     return math.floor(ln_binom(u, n) / math.log(t)) + 1
 
 
-def _neg_ln1m(q: Fraction) -> float:
-    """-ln(1-q) for a rational 0 < q < 1."""
-    return -ln_fraction(1 - q)
+def _ln_neg_ln1m(q: Fraction) -> float:
+    """ln(-ln(1-q)) for a rational 0 < q < 1, free of cancellation.
+
+    log1p takes q while float(q) is a normal float.  Below that -ln(1-q) is
+    q within a relative error of q/2, so ln q stands in.  Above 1/2, where
+    float(q) may round to 1, -ln(1-q) = ln(b/(b-a)) for q = a/b exactly.
+    """
+    a, b = q.numerator, q.denominator
+    if 2 * a > b:
+        return math.log(ln_fraction(Fraction(b, b - a)))
+    qf = float(q)
+    if qf >= sys.float_info.min:
+        return math.log(-math.log1p(-qf))
+    return ln_fraction(q)
 
 
 def _prob_entries(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntry, BoundEntry]:
     """upper.prob.tight and upper.prob.loose for p = M_c / C(u,n), 0 < M_c <= C(u,n).
 
-    Tight: 1 + ln C(u,n) / -ln(1-p) before ceiling, 1 + floor(ln C(u,n) / -ln(1-p))
-    functions after.  Loose: (C(u,n)/M_c) * n * ln u.
+    Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
+    r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) * n * ln u.  Both values
+    are carried in log space; a ceiling past the float range is None.
     """
     p = Fraction(m_c, total)
-    raw = 0.0 if p == 1 else math.log(total) / _neg_ln1m(p)
+    ln_r = -math.inf if p == 1 else math.log(math.log(total)) - _ln_neg_ln1m(p)
+    r = LogReal.from_ln(ln_r).to_float()
     ratio = Fraction(total, m_c)
+    try:
+        loose_ceiling = math.ceil(float(ratio) * n * math.log(u))
+    except OverflowError:
+        loose_ceiling = None
     return (
         BoundEntry(
             name="upper.prob.tight",
             kind="upper",
-            value=LogReal.from_value(max(1.0, 1.0 + raw)),
+            value=LogReal.from_ln(max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r)))),
             valid=True,
             validity_note="exact p",
-            ceiling=1 + math.floor(raw),
+            ceiling=None if math.isinf(r) else 1 + math.floor(r),
         ),
         BoundEntry(
             name="upper.prob.loose",
@@ -187,19 +205,24 @@ def _prob_entries(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntry, Bou
             value=LogReal.from_value(ratio * n) * LogReal.from_value(math.log(u)),
             valid=True,
             validity_note="exact p",
-            ceiling=math.ceil(float(ratio) * n * math.log(u)),
+            ceiling=loose_ceiling,
         ),
     )
 
 
 def probability_upper(u: int, n: int, m_c: int) -> tuple[int, int]:
-    """Ceilings of both probabilistic covers: tight 1 + floor(-ln|S|/ln(1-p)), loose ceil((|S|/M)*n*ln u)."""
+    """Ceilings of both probabilistic covers: tight 1 + floor(-ln|S|/ln(1-p)), loose ceil((|S|/M)*n*ln u).
+
+    Raises ValueError when a ceiling lies beyond the float range.
+    """
     if m_c <= 0:
         raise ValueError("need m_c > 0")
     total = binom(u, n)
     if m_c > total:
         raise ValueError("m_c cannot exceed C(u,n)")
     tight, loose = _prob_entries(u, n, total, m_c)
+    if tight.ceiling is None or loose.ceiling is None:
+        raise ValueError("probabilistic cover beyond the float range")
     return tight.ceiling, loose.ceiling
 
 
@@ -243,7 +266,7 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
         )
         q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)
         if q < 1:
-            upper_ln = math.log(n) + math.log(math.log(u)) - math.log(_neg_ln1m(q))
+            upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(q)
             entries.append(
                 BoundEntry(
                     name="upper.fk",

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -21,8 +22,37 @@ from idealhash.bounds import (
 )
 from idealhash.combinatorics import binom, ln_fraction
 from idealhash.errors import BoundNotApplicableError
-from idealhash.hashspace import Params
-from idealhash.oracle import exact_ideal_probability, min_family_size_exact
+from idealhash.hashspace import Params, balanced_fiber_sizes
+from idealhash.oracle import count_ideal_sets, exact_ideal_probability, min_family_size_exact
+
+
+def decimal_neg_ln1m(q: Fraction) -> Decimal:
+    """-ln(1-q) to 50 digits: 1-q is formed at a working precision 50 digits
+    beyond q's denominator, so no digit of q is lost to cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = 50 + len(str(q.denominator))
+        return -(Decimal(q.denominator - q.numerator) / Decimal(q.denominator)).ln()
+
+
+def decimal_ln_tight(u: int, m: int, n: int, c: Fraction) -> Decimal:
+    """ln(1 + ln C(u,n) / -ln(1-p)) at 50 digits, p = M_c / C(u,n)."""
+    total = binom(u, n)
+    m_c = count_ideal_sets(balanced_fiber_sizes(u, m), n, math.floor(c * Fraction(n, m)))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (1 + Decimal(total).ln() / decimal_neg_ln1m(Fraction(m_c, total))).ln()
+
+
+def decimal_ln_upper_fk(u: int, m: int, n: int) -> Decimal:
+    """ln(n ln u / -ln(1-q)) at 50 digits, q = m! / ((m-n)! m^n)."""
+    q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (n * Decimal(u).ln() / decimal_neg_ln1m(q)).ln()
+
+
+# A gap of 1e-9 in ln is a relative error of 1e-9 in the bound.
+LN_TOL = 1e-9
 
 
 class TestLowerMain:
@@ -165,6 +195,36 @@ class TestProbabilityUpper:
         with pytest.raises(ValueError):
             probability_upper(4, 2, 0)
 
+    @pytest.mark.parametrize(
+        "u,m,n,c",
+        [
+            (8, 2, 4, 1),
+            (64, 4, 8, Fraction(3, 2)),
+            (256, 8, 16, 1),
+            (10**6, 16, 128, 1),  # p = 5.9e-13
+            (10**6, 16, 256, 1),  # p = 1.5e-18
+            (10**6, 16, 16, 15),  # p = 1 - 8.7e-19 rounds to 1.0 as a float
+            (2400, 1200, 1200, 1),  # p = e^-828, below the float range
+        ],
+    )
+    def test_tight_matches_decimal_reference(self, u, m, n, c):
+        want = decimal_ln_tight(u, m, n, Fraction(c))
+        tight = bound_report(Params(u, m, n, c)).entry("upper.prob.tight")
+        assert tight.valid
+        assert abs(tight.value.log_value - float(want)) <= LN_TOL
+        r = float(want.exp()) - 1
+        if math.isinf(r):
+            assert tight.ceiling is None
+        else:
+            assert tight.ceiling == pytest.approx(1 + math.floor(r), rel=1e-12)
+
+    def test_past_float_range_ceilings_are_none(self):
+        rep = bound_report(Params(2400, 1200, 1200, 1))
+        assert rep.entry("upper.prob.tight").ceiling is None
+        assert rep.entry("upper.prob.loose").ceiling is None
+        with pytest.raises(ValueError):
+            probability_upper(2400, 1200, 1)
+
 
 class TestComparisonBounds:
     def test_exact_volume_form_anchor(self):
@@ -186,6 +246,13 @@ class TestComparisonBounds:
         # m^(n-1) ln(u) (m-n+1)! / (m! ln(m-n+2)) at u=4, m=2, n=2 evaluates to 2
         entries = {e.name: e for e in comparison_bounds(4, 2, 2, 1)}
         assert entries["lower.fk"].value.to_float() == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("u,m,n", [(16, 4, 2), (10**6, 20, 20), (10**6, 30, 30), (10**6, 40, 40), (10**6, 60, 60)])
+    def test_upper_fk_matches_decimal_reference(self, u, m, n):
+        entries = {e.name: e for e in comparison_bounds(u, n, m, 1)}
+        fk = entries["upper.fk"]
+        assert fk.valid
+        assert abs(fk.value.log_value - float(decimal_ln_upper_fk(u, m, n))) <= LN_TOL
 
     def test_mehlhorn_requires_c_one(self):
         entries = {e.name: e for e in comparison_bounds(8, 4, 2, Fraction(3, 2))}

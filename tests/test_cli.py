@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -79,6 +81,21 @@ class TestBounds:
         assert rc == 0
         assert out == ""
         assert json.loads(path.read_text())["command"] == "bounds"
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--u", "1000000", "--m", "16", "--n", "256", "--c", "1"],
+            ["--u", "2400", "--m", "1200", "--n", "1200"],
+        ],
+    )
+    def test_tiny_ideal_probability_stays_total(self, capsys, argv):
+        rc, out, err = run_capture(capsys, ["bounds"] + argv)
+        assert rc == 0
+        assert "Traceback" not in err
+        tight = {e["name"]: e for e in json.loads(out)["bounds"]}["upper.prob.tight"]
+        assert tight["valid"] and tight["ln"] > 0
 
 
 class TestConstructAndVerify:
@@ -329,6 +346,18 @@ class TestReport:
             assert name in header
         # 2 u-values x 2 n-values x 2 c-values
         assert len(out.strip().splitlines()) == 1 + 8
+
+    def test_roadmap_sweep_has_one_row_per_grid_point(self, capsys):
+        rc, out, err = run_capture(
+            capsys,
+            ["report", "--u", "64,256,4096,1048576", "--m", "4,8,16", "--n", "16,64,256", "--c", "1,3/2,2"],
+        )
+        assert rc == 0
+        assert "Traceback" not in err
+        header, *rows = csv.reader(io.StringIO(out))
+        # n >= m always holds; u >= n drops n = 256 at u = 64
+        assert len(rows) == 4 * 3 * 3 * 3 - 3 * 3
+        assert all(len(row) == len(header) for row in rows)
 
     def test_skips_invalid_combinations(self, capsys):
         rc, out, _ = run_capture(

@@ -25,7 +25,7 @@ CASES = {
     ),
     "bounds-json": (
         ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
-        "6aeba066b9a98ff7d9f3eb3d06ae4f306394d53956fc46e15ada61a4c7d4d619",
+        "17cb6464415e877194d565c04b4f00c75bc578b1fed27b379bb3b4250f7987ee",
     ),
     "bounds-table": (
         ["bounds", "--u", "16", "--m", "4", "--n", "4", "--format", "table"],
@@ -75,4 +75,5 @@ def test_stdout_digest(name, capsys, tmp_path, clean_env):
     rc = run([str(family) if a == "{family}" else a for a in argv])
     out = capsys.readouterr().out
     assert rc == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    got = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert got == digest, f"{name}: stdout sha256 is {got}"
