@@ -41,9 +41,6 @@ class BoundEntry:
     epsilon: Fraction = Fraction(0)
     ceiling: int | None = None  # integer form, where one is meaningful and finite
 
-    def log2(self) -> float | None:
-        return None if self.value is None else self.value.log2()
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -175,22 +172,31 @@ def _ln_neg_ln1m(q: Fraction) -> float:
     return ln_fraction(q)
 
 
-def _prob_entries(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntry, BoundEntry]:
-    """upper.prob.tight and upper.prob.loose for p = M_c / C(u,n), 0 < M_c <= C(u,n).
+def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
+    """lower.volume, upper.prob.tight and upper.prob.loose from M_c of the
+    C(u,n) key sets, 0 < M_c <= C(u,n), p = M_c / C(u,n).
 
-    Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
-    r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) * n * ln u.  Both values
-    are carried in log space; a ceiling past the float range is None.
+    Volume: C(u,n)/M_c.  Tight: 1 + r before ceiling and 1 + floor(r)
+    functions after, with r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) *
+    n * ln u.  Values are carried in log space; a ceiling past the float
+    range is None.
     """
-    p = Fraction(m_c, total)
-    ln_r = -math.inf if p == 1 else math.log(math.log(total)) - _ln_neg_ln1m(p)
-    r = LogReal.from_ln(ln_r).to_float()
     ratio = Fraction(total, m_c)
+    ln_r = -math.inf if m_c == total else math.log(math.log(total)) - _ln_neg_ln1m(1 / ratio)
+    r = LogReal.from_ln(ln_r).to_float()
     try:
         loose_ceiling = math.ceil(float(ratio) * n * math.log(u))
     except OverflowError:
         loose_ceiling = None
     return (
+        BoundEntry(
+            name="lower.volume",
+            kind="lower",
+            value=LogReal.from_value(ratio),
+            valid=True,
+            validity_note="exact counting",
+            ceiling=math.ceil(ratio),
+        ),
         BoundEntry(
             name="upper.prob.tight",
             kind="upper",
@@ -220,7 +226,7 @@ def probability_upper(u: int, n: int, m_c: int) -> tuple[int, int]:
     total = binom(u, n)
     if m_c > total:
         raise ValueError("m_c cannot exceed C(u,n)")
-    tight, loose = _prob_entries(u, n, total, m_c)
+    _, tight, loose = _entries_from_count(u, n, total, m_c)
     if tight.ceiling is None or loose.ceiling is None:
         raise ValueError("probabilistic cover beyond the float range")
     return tight.ceiling, loose.ceiling
@@ -277,15 +283,8 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
                 )
             )
         else:
-            entries.append(
-                BoundEntry(
-                    name="upper.fk",
-                    kind="upper",
-                    value=None,
-                    valid=False,
-                    validity_note="collision-free probability is 1 (m too small)",
-                )
-            )
+            note = "collision-free probability is 1 (m too small)"
+            entries.append(BoundEntry("upper.fk", "upper", None, False, note))
     else:
         note = "requires n <= m, c = 1, m >= 2"
         entries.append(BoundEntry("lower.fk", "lower", None, False, note))
@@ -350,12 +349,8 @@ def advice_report(
         )
     ca = c * alpha
     inner = math.log(u) - ln_fraction(ca)
-    if inner > 0 and m >= 2 and math.log(m) > 0:
-        try:
-            lower_easy = math.log(inner) - math.log(math.log(m))
-        except ValueError:
-            lower_easy = 0.0
-            notes.append("easy lower bound undefined at these parameters")
+    if inner > 0 and m >= 2:
+        lower_easy = math.log(inner) - math.log(math.log(m))
     else:
         lower_easy = 0.0
         notes.append("easy lower bound not applicable (u <= c*alpha or m < 2)")
@@ -414,17 +409,7 @@ def _counting_entries(p: Params) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
     else:
         m_c = count_ideal_sets(balanced_fiber_sizes(p.u, p.m), p.n, p.load_cap)
         if m_c > 0:
-            total = p.total_sets
-            ratio = Fraction(total, m_c)
-            volume = BoundEntry(
-                name="lower.volume",
-                kind="lower",
-                value=LogReal.from_value(ratio),
-                valid=True,
-                validity_note="exact counting",
-                ceiling=-(-ratio.numerator // ratio.denominator),
-            )
-            return (volume, *_prob_entries(p.u, p.n, total, m_c))
+            return _entries_from_count(p.u, p.n, p.total_sets, m_c)
         volume_note = "cap below ceil(alpha): no function is ideal for any set"
         prob_note = "cap below ceil(alpha): no ideal family exists"
     return (
