@@ -13,7 +13,6 @@ from .hashspace import (
     Params,
     balanced_fiber_sizes,
     balanced_functions,
-    blocked_function,
 )
 from .oracle import (
     CoverageReport,
@@ -36,7 +35,6 @@ __all__ = [
     "Params",
     "balanced_fiber_sizes",
     "balanced_functions",
-    "blocked_function",
     "CoverageReport",
     "IdealCount",
     "balance_extremality_check",

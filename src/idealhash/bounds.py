@@ -11,6 +11,7 @@ mixed-domain grids stay total.  Stable entry names:
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass, field
@@ -172,6 +173,26 @@ def _ln_neg_ln1m(q: Fraction) -> float:
     return ln_fraction(q)
 
 
+def _tight_ceiling(total: int, m_c: int, ln_r: float) -> int | None:
+    """1 + floor(r), r = ln C(u,n) / -ln(1-p), p = M_c / C(u,n); None past the float range.
+
+    r is evaluated in decimal with -ln(1-p) = ln(C / (C - M_c)), whose
+    argument lies about p above 1, so the digits carried are those of r and
+    of 1/p plus 30 guard digits.  r is an integer j exactly when C / (C - M_c)
+    is an integer b with b^j = C, which integers decide.
+    """
+    if m_c == total:
+        return 1
+    if ln_r > math.log(sys.float_info.max):
+        return None
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30 + math.ceil(max(ln_r, 0.0) / math.log(10) + (total.bit_length() - m_c.bit_length()) * math.log10(2))
+        c = ctx.create_decimal(total)
+        r = c.ln() / (c / ctx.create_decimal(total - m_c)).ln()
+    b, rem = divmod(total, total - m_c)
+    return 1 + (round(r) if rem == 0 and b ** round(r) == total else math.floor(r))
+
+
 def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
     """lower.volume, upper.prob.tight and upper.prob.loose from M_c of the
     C(u,n) key sets, 0 < M_c <= C(u,n), p = M_c / C(u,n).
@@ -183,7 +204,6 @@ def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntr
     """
     ratio = Fraction(total, m_c)
     ln_r = -math.inf if m_c == total else math.log(math.log(total)) - _ln_neg_ln1m(1 / ratio)
-    r = LogReal.from_ln(ln_r).to_float()
     try:
         loose_ceiling = math.ceil(float(ratio) * n * math.log(u))
     except OverflowError:
@@ -203,7 +223,7 @@ def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntr
             value=LogReal.from_ln(max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r)))),
             valid=True,
             validity_note="exact p",
-            ceiling=None if math.isinf(r) else 1 + math.floor(r),
+            ceiling=_tight_ceiling(total, m_c, ln_r),
         ),
         BoundEntry(
             name="upper.prob.loose",
@@ -252,7 +272,7 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
     entries: list[BoundEntry] = []
 
     # perfect-hashing counting pair; the proofs do not generalize to n > m
-    fk_ok = n <= m and c == 1 and m >= 2
+    fk_ok = 2 <= n <= m and c == 1
     if fk_ok:
         lower_ln = (
             (n - 1) * math.log(m)
@@ -270,21 +290,17 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
                 validity_note="asymptotic order, natural logs",
             )
         )
-        q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)
-        if q < 1:
-            upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(q)
-            entries.append(
-                BoundEntry(
-                    name="upper.fk",
-                    kind="upper",
-                    value=LogReal.from_ln(upper_ln),
-                    valid=True,
-                    validity_note="asymptotic order, natural logs",
-                )
+        q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)  # < 1 at n >= 2
+        upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(q)
+        entries.append(
+            BoundEntry(
+                name="upper.fk",
+                kind="upper",
+                value=LogReal.from_ln(upper_ln),
+                valid=True,
+                validity_note="asymptotic order, natural logs",
             )
-        else:
-            note = "collision-free probability is 1 (m too small)"
-            entries.append(BoundEntry("upper.fk", "upper", None, False, note))
+        )
     else:
         note = "requires n <= m, c = 1, m >= 2"
         entries.append(BoundEntry("lower.fk", "lower", None, False, note))

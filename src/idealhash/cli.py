@@ -253,6 +253,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_exact(args) -> int:
     p = Params(args.u, args.m, args.n, args.c)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
+    if limit and p.total_sets >= 10**limit:  # checked before counting: the count could not be printed
+        raise ValueError(f"C({p.u},{p.n}) has more than {limit} decimal digits, Python's int-to-str limit")
     count = oracle_mod.exact_ideal_probability(p)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -59,24 +59,13 @@ class LogReal:
     @classmethod
     def from_value(cls, x) -> "LogReal":
         """Build from an int, Fraction, or float; ints/Fractions of any size work."""
-        if isinstance(x, Fraction):
-            if x < 0:
-                raise ValueError("LogReal represents non-negative reals only")
-            if x == 0:
-                return cls.zero()
-            return cls(ln_fraction(x))
-        if isinstance(x, int):
-            if x < 0:
-                raise ValueError("LogReal represents non-negative reals only")
-            if x == 0:
-                return cls.zero()
-            return cls(math.log(x))
-        xf = float(x)
-        if xf < 0:
+        if x < 0:
             raise ValueError("LogReal represents non-negative reals only")
-        if xf == 0.0:
+        if x == 0:
             return cls.zero()
-        return cls(math.log(xf))
+        if isinstance(x, (int, Fraction)):
+            return cls(ln_fraction(Fraction(x)))
+        return cls(math.log(float(x)))
 
     def to_float(self) -> float:
         """exp(log_value); math.inf flags overflow past the float range."""

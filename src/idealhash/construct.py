@@ -23,7 +23,7 @@ from .hashspace import (
     function_to_text,
     partition_classes,
 )
-from .oracle import cell_matrix, cover_mask, exceed_masks, pool_exceed_masks, ranked_key_sets
+from .oracle import cell_matrix, cover_mask, exceed_masks, ranked_key_sets
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,17 @@ class ConstructionLog:
             "load_target": self.load_target,
             "fallback_rounds": list(self.fallback_rounds),
         }
+
+
+def _log(method: str, chosen: list[HashFunction], trail: list[int], **fields) -> ConstructionLog:
+    """The log of a run that chose `chosen`, one member per round."""
+    return ConstructionLog(
+        method=method,
+        rounds=len(chosen),
+        uncovered_per_round=tuple(trail),
+        family=Family(tuple(chosen), provenance=method),
+        **fields,
+    )
 
 
 def sample_balanced_function(rng: random.Random, u: int, m: int) -> HashFunction:
@@ -102,15 +113,48 @@ def random_balanced_family(
         trail.append(uncovered.bit_count())
         if uncovered == 0:
             break
-    return ConstructionLog(
-        method="random-seeded",
-        seed=seed,
-        rounds=len(chosen),
-        pool_size=None,
-        uncovered_per_round=tuple(trail),
-        family=Family(tuple(chosen), provenance="random-seeded"),
-        verified=uncovered == 0,
-    )
+    return _log("random-seeded", chosen, trail, seed=seed, pool_size=None, verified=uncovered == 0)
+
+
+def _select(
+    p: Params, candidates: tuple[HashFunction, ...], cap: int, budget: int, key=None
+) -> tuple[list[HashFunction], list[int], int]:
+    """Pick pool members while live key sets remain.
+
+    Every set starts live; a pick keeps live only the sets it hashes with a
+    max load above cap.  Each round takes the member that keeps the fewest,
+    the first on ties in pool order (or in order of `key`, when given), and
+    the run stops when nothing is live or no member shrinks the live set.
+    Only the first member of each partition class competes: a repeat has the
+    same exceed bitset and a later place in either order, so it never wins.
+    Returns the picks, the live count after each, and the live bitset; a run
+    where no member shrinks the live set picks the first member in order.
+    """
+    if not candidates:
+        raise ValueError("pool must be non-empty")
+    sets = ranked_key_sets(p, budget)
+    reps, _ = partition_classes(candidates)
+    exceed = list(exceed_masks(cell_matrix(reps, p), sets, cap))
+    order = sorted(range(len(reps)), key=lambda i: key(reps[i])) if key else list(range(len(reps)))
+    live = (1 << len(sets)) - 1
+    picks: list[HashFunction] = []
+    trail: list[int] = []
+    while live:
+        best, kept = None, live.bit_count()
+        for i in order:
+            cnt = (exceed[i] & live).bit_count()
+            if cnt < kept:
+                best, kept = i, cnt
+        if best is None:
+            break
+        order.remove(best)
+        picks.append(reps[best])
+        live &= exceed[best]
+        trail.append(kept)
+    if not picks:  # nothing shrinks the live set; a log still holds one member
+        picks.append(reps[order[0]])
+        trail.append(live.bit_count())
+    return picks, trail, live
 
 
 def greedy_cover(
@@ -124,48 +168,8 @@ def greedy_cover(
     when no pool function adds coverage (unverified log).
     """
     candidates = tuple(pool)
-    if not candidates:
-        raise ValueError("pool must be non-empty")
-    sets = ranked_key_sets(p, budget)
-    # A repeat of a partition class has its first member's mask and a later
-    # place in the order, so it never wins a round: only first members compete.
-    reps, _ = partition_classes(candidates)
-    full = (1 << len(sets)) - 1
-    masks = [full ^ mk for mk in exceed_masks(cell_matrix(reps, p), sets, p.load_cap)]
-    order = sorted(range(len(reps)), key=lambda i: reps[i].partition_signature())
-    uncovered = full
-    chosen: list[HashFunction] = []
-    trail: list[int] = []
-    available = set(order)
-    while uncovered:
-        best_i = None
-        best_gain = 0
-        for i in order:
-            if i not in available:
-                continue
-            gain = (masks[i] & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        if best_i is None:
-            break  # pool exhausted: nothing adds coverage
-        available.discard(best_i)
-        chosen.append(reps[best_i])
-        uncovered &= ~masks[best_i]
-        trail.append(uncovered.bit_count())
-    if not chosen:
-        # nothing helped at all; keep the log shape with the best-signature candidate
-        chosen.append(reps[order[0]])
-        trail.append(uncovered.bit_count())
-    return ConstructionLog(
-        method="greedy",
-        seed=None,
-        rounds=len(chosen),
-        pool_size=len(candidates),
-        uncovered_per_round=tuple(trail),
-        family=Family(tuple(chosen), provenance="greedy"),
-        verified=uncovered == 0,
-    )
+    chosen, trail, uncovered = _select(p, candidates, p.load_cap, budget, HashFunction.partition_signature)
+    return _log("greedy", chosen, trail, seed=None, pool_size=len(candidates), verified=uncovered == 0)
 
 
 def yao_family(
@@ -181,50 +185,29 @@ def yao_family(
     load_target.  Each admissible round shrinks the live set by at least the
     factor 1/t; rounds where no pool member meets the threshold fall back to
     the minimum exceed-fraction and are recorded.  Raises PoolExhaustedError
-    if the pool empties with live sets remaining.
+    if no pool member shrinks the live set while live sets remain.
     """
     if not 1 < t < math.inf:
         raise ValueError("need 1 < t < inf")
     if load_target < math.ceil(p.alpha):
         raise ValueError("load_target below ceil(alpha) is unsatisfiable")
-    candidates = list(pool)
-    if not candidates:
-        raise ValueError("pool must be non-empty")
-    exceed = pool_exceed_masks(candidates, p, load_target, budget)
-    live = (1 << p.total_sets) - 1
-    chosen: list[HashFunction] = []
-    trail: list[int] = []
-    fallbacks: list[int] = []
+    candidates = tuple(pool)
+    chosen, trail, live = _select(p, candidates, load_target, budget)
+    if live:
+        raise PoolExhaustedError(f"pool exhausted with {live.bit_count()} live sets remaining")
     threshold = Fraction(1) / Fraction(t).limit_denominator(10**9)
-    while live:
-        if not candidates:
-            raise PoolExhaustedError(
-                f"pool exhausted with {live.bit_count()} live sets remaining"
-            )
-        live_count = live.bit_count()
-        best_i = 0
-        best_cnt = (exceed[0] & live).bit_count()
-        for i in range(1, len(candidates)):
-            cnt = (exceed[i] & live).bit_count()
-            if cnt < best_cnt:
-                best_cnt = cnt
-                best_i = i
-        if Fraction(best_cnt, live_count) > threshold:
-            fallbacks.append(len(chosen) + 1)
-        chosen.append(candidates.pop(best_i))
-        live &= exceed.pop(best_i)
-        trail.append(live.bit_count())
-    return ConstructionLog(
-        method="yao",
+    before = [p.total_sets] + trail
+    fallbacks = tuple(r for r, after in enumerate(trail, 1) if Fraction(after, before[r - 1]) > threshold)
+    return _log(
+        "yao",
+        chosen,
+        trail,
         seed=None,
-        rounds=len(chosen),
-        pool_size=len(chosen) + len(candidates),
-        uncovered_per_round=tuple(trail),
-        family=Family(tuple(chosen), provenance="yao"),
+        pool_size=len(candidates),
         verified=True,
         t=t,
         load_target=load_target,
-        fallback_rounds=tuple(fallbacks),
+        fallback_rounds=fallbacks,
     )
 
 

@@ -169,15 +169,6 @@ def balanced_functions(p: Params) -> Iterator[HashFunction]:
         yield HashFunction(tuple(cells), p.m)
 
 
-def blocked_function(p: Params) -> HashFunction:
-    """The lexicographic blocked balanced function: 1..s1 -> 1, next s2 -> 2, ..."""
-    sizes = balanced_fiber_sizes(p.u, p.m)
-    cells: list[int] = []
-    for cell_index, size in enumerate(sizes, start=1):
-        cells.extend([cell_index] * size)
-    return HashFunction(tuple(cells), p.m)
-
-
 def all_functions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
     """Every function from 1..u to 1..m (m**u of them); budget-guarded."""
     if m**u > budget:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashspace import Params, blocked_function
+from .hashspace import Params, balanced_fiber_sizes
 
 
 @dataclass(frozen=True)
@@ -54,63 +54,44 @@ def estimate_max_load(
     if m == 1:
         return Estimate(float(n), 0.0, trials, seed, workers)
     maxima = []
+    batch = 1 + (2**22 // max(1, n))  # cap scratch memory around 32 MB
     for w, share in enumerate(shares):
-        if share == 0:
-            continue
         rng = _worker_rng(seed, w)
-        batch = 1 + (2**22 // max(1, n))  # cap scratch memory around 32 MB
-        done = 0
-        while done < share:
+        for done in range(0, share, batch):
             b = min(batch, share - done)
             throws = rng.integers(0, m, size=(b, n))
             flat = throws + (np.arange(b) * m)[:, None]
             counts = np.bincount(flat.ravel(), minlength=b * m).reshape(b, m)
             maxima.append(counts.max(axis=1))
-            done += b
     values = np.concatenate(maxima).astype(np.float64)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if trials > 1 else 0.0
     return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed, workers)
 
 
-def _floyd_sample(rng: np.random.Generator, u: int, n: int) -> set[int]:
-    """Floyd's uniform sampling of n distinct keys from 1..u."""
-    chosen: set[int] = set()
-    for j in range(u - n + 1, u + 1):
-        pick = int(rng.integers(1, j + 1))
-        chosen.add(j if pick in chosen else pick)
-    return chosen
-
-
 def estimate_ideal_probability(
     p: Params, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
-    """Fraction of uniform n-subsets the blocked balanced function hashes within cap.
+    """Fraction of uniform n-subsets a balanced function hashes within cap.
+
+    Under a fixed function with fiber sizes beta, the cell loads of a uniform
+    n-subset follow the multivariate hypergeometric law, so each trial draws
+    one load vector (numpy's sampler needs u < 10^9).
 
     Interval: normal approximation, switching to Wilson when successes < 10
     (estimates near zero are exactly the ones compared against tail bounds).
     """
     shares = _split_trials(trials, workers)
-    h = blocked_function(p)
-    cell_of = h.cells
-    cap = p.load_cap
-    m = p.m
+    if p.u >= 10**9:
+        raise ValueError("ideal-prob sampling needs u < 10^9")
+    betas = balanced_fiber_sizes(p.u, p.m)
+    batch = 1 + 2**22 // p.m  # cap scratch memory around 32 MB
     successes = 0
     for w, share in enumerate(shares):
-        if share == 0:
-            continue
         rng = _worker_rng(seed, w)
-        for _ in range(share):
-            loads = [0] * m
-            ok = True
-            for key in _floyd_sample(rng, p.u, p.n):
-                cell = cell_of[key - 1] - 1
-                loads[cell] += 1
-                if loads[cell] > cap:
-                    ok = False
-                    break
-            if ok:
-                successes += 1
+        for done in range(0, share, batch):
+            loads = rng.multivariate_hypergeometric(betas, p.n, size=min(batch, share - done))
+            successes += int((loads.max(axis=1) <= p.load_cap).sum())
     p_hat = successes / trials
     if successes < 10:
         halfwidth, method = _wilson_halfwidth(successes, trials), "wilson"

@@ -218,6 +218,35 @@ class TestProbabilityUpper:
         else:
             assert tight.ceiling == pytest.approx(1 + math.floor(r), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "u,m,n,want",
+        [
+            (10**6, 16, 128, 2155691341095195),  # 1 + r = 2155691341095195.730...
+            (10**6, 16, 256, 668425885221742476),  # 1 + r = 668425885221742476.931...
+            (10**6, 30, 30, 263645592772275),  # 1 + r = 263645592772275.402...
+        ],
+    )
+    def test_tight_ceiling_is_exact_beyond_float_precision(self, u, m, n, want):
+        assert bound_report(Params(u, m, n, 1)).entry("upper.prob.tight").ceiling == want
+
+    def test_tight_ceiling_is_one_plus_floor_r_on_grid(self):
+        # K = 1 + floor(r) is the integer with K - 1 <= r < K, r = ln T / ln(T/S),
+        # T = C(u,n), S = T - M_c; in integers, (T/S)^(K-1) <= T < (T/S)^K
+        for u in range(3, 13):
+            for m in (2, 3, 4):
+                for n in range(m, min(u, 6) + 1):
+                    for c in (Fraction(1), Fraction(3, 2)):
+                        p = Params(u, m, n, c)
+                        ic = exact_ideal_probability(p)
+                        if ic.m_c == 0:
+                            continue
+                        k = bound_report(p).entry("upper.prob.tight").ceiling
+                        t, s = ic.total, ic.total - ic.m_c
+                        if s == 0:
+                            assert k == 1
+                        else:
+                            assert t ** (k - 1) <= t * s ** (k - 1) and t**k > t * s**k, (u, m, n, c)
+
     def test_past_float_range_ceilings_are_none(self):
         rep = bound_report(Params(2400, 1200, 1200, 1))
         assert rep.entry("upper.prob.tight").ceiling is None
@@ -241,6 +270,13 @@ class TestComparisonBounds:
         entries = {e.name: e for e in comparison_bounds(16, 2, 4, 1)}
         assert entries["lower.fk"].valid
         assert entries["upper.fk"].valid
+
+    def test_fk_needs_two_keys(self):
+        # one key cannot collide, so neither bound applies at n = 1, whatever m is
+        entries = {e.name: e for e in comparison_bounds(16, 1, 4, 1)}
+        assert not entries["lower.fk"].valid
+        assert not entries["upper.fk"].valid
+        assert "m too small" not in entries["upper.fk"].validity_note
 
     def test_fk_anchor_value(self):
         # m^(n-1) ln(u) (m-n+1)! / (m! ln(m-n+2)) at u=4, m=2, n=2 evaluates to 2

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import idealhash
+from idealhash import oracle
 from idealhash.cli import run
 
 
@@ -40,6 +41,32 @@ class TestExact:
         rc2, out2, _ = run_capture(capsys, ["exact", "--u", "8", "--m", "2", "--n", "4", "--c", "1.5"])
         assert rc1 == rc2 == 0
         assert json.loads(out1)["m_c"] == json.loads(out2)["m_c"]
+
+
+    def test_refuses_an_unprintable_count_before_counting(self, capsys, monkeypatch):
+        # C(10^6, 1500) has more decimal digits than Python prints by default
+        def fail(*args):
+            raise AssertionError("counted")
+
+        monkeypatch.setattr(oracle, "count_ideal_sets", fail)
+        rc, out, err = run_capture(capsys, ["exact", "--u", "1000000", "--m", "16", "--n", "1500", "--c", "3/2"])
+        assert rc == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "u,n,limit,rc",
+        [(2000, 1000, 640, 0), (2200, 1100, 640, 1), (2200, 1100, 0, 0)],
+        ids=["601-digits", "661-digits", "no-limit"],
+    )
+    def test_size_guard_follows_the_int_str_limit(self, capsys, monkeypatch, u, n, limit, rc):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+        monkeypatch.setattr(oracle, "count_ideal_sets", lambda *args: 0)
+        got, out, _ = run_capture(capsys, ["exact", "--u", str(u), "--m", "2", "--n", str(n)])
+        assert got == rc
+        if rc == 0:
+            assert json.loads(out)["m_c"] == 0
 
 
 class TestBounds:

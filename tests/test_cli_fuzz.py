@@ -1,0 +1,81 @@
+"""The CLI over fuzzed argv: every input ends in a documented exit code.
+
+`run(argv)` either returns or raises `SystemExit` (argparse) with a code in
+{0, 1, 2, 3}; a code of 1 comes with exactly one JSON record on stderr; no
+other exception escapes.  Sizes stay small so each call is quick.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from idealhash.cli import run
+
+MALFORMED = ["", "x", "1.5", "1e3", "0x10", "--", "-", "nan", "1/0"]
+
+
+def _mostly(valid: range):
+    """Integers of `valid` as tokens, each three times as likely as a malformed one."""
+    return st.sampled_from([str(i) for i in valid] * 3 + MALFORMED)
+
+
+SIZE = _mostly(range(-1, 8))
+SIZES = st.lists(SIZE, min_size=1, max_size=3).map(",".join)
+FACTOR = st.sampled_from(["1", "3/2", "2", "5/4", "7", "1", "3/2", "0", "-1", "1/0", "nan", "inf", "abc", "1.5"])
+SHRINK = st.sampled_from(["2", "1.5", "8", "2", "1.5", "1", "0.5", "-3", "inf", "nan", "1e400", "x"])
+COUNT = _mostly(range(-1, 41))
+BUDGET = st.sampled_from(["5000", "5000", "100", "0", "-1", "x"])
+EXTRA = st.one_of(st.just([]), st.just([]), st.just([]), st.lists(st.sampled_from(["--bogus", "--u", "3", "--format", "table", "xml", "--help"]), max_size=2))
+
+
+def _flags(required=None, **optional):
+    """`--name value` pairs: every `required` flag, and any of the `optional` ones."""
+    return st.fixed_dictionaries(required or {}, optional=optional).map(
+        lambda d: [tok for name, value in d.items() for tok in (f"--{name.replace('_', '-')}", value)]
+    )
+
+
+# u, m, n: half the time 1 <= m <= n <= u <= 7, else fuzzed one by one
+SHAPE = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)).map(lambda t: (sum(t), t[0], t[0] + t[1])),
+    st.tuples(SIZE, SIZE, SIZE),
+)
+PARAMS = st.tuples(
+    SHAPE.map(lambda umn: ["--u", str(umn[0]), "--m", str(umn[1]), "--n", str(umn[2])]), _flags(c=FACTOR)
+).map(lambda parts: parts[0] + parts[1])
+
+ARGV = st.one_of(
+    st.tuples(st.just(["bounds"]), PARAMS, _flags(t=SHRINK, eps=FACTOR, format=st.sampled_from(["json", "table", "csv"]))),
+    st.tuples(st.just(["exact"]), PARAMS, _flags(budget=BUDGET, size_limit=COUNT), st.sampled_from([[], ["--with-hc"]])),
+    st.tuples(
+        st.sampled_from([["construct", "--method", m] for m in ("random", "greedy", "yao", "bogus")]),
+        PARAMS,
+        _flags(budget=BUDGET, t=SHRINK, seed=COUNT, max_rounds=COUNT, load_target=SIZE, pool=st.sampled_from(["balanced", "all", "x"])),
+    ),
+    st.tuples(st.just(["verify"]), PARAMS, _flags({"family": st.sampled_from(["no-such-family.txt", "."])}, budget=BUDGET)),
+    st.tuples(
+        st.sampled_from([["simulate", "--kind", k] for k in ("max-load", "ideal-prob", "bogus")]),
+        PARAMS,
+        _flags(trials=COUNT, workers=_mostly(range(-1, 5)), seed=COUNT),
+    ),
+    st.tuples(st.just(["report"]), _flags({"u": SIZES, "m": SIZES, "n": SIZES}, c=st.sampled_from(["1,3/2", "2", "1/0", "x,1"]), t=SHRINK)),
+).map(lambda parts: [tok for part in parts for tok in part])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=ARGV, extra=EXTRA)
+def test_every_argv_ends_in_a_documented_exit(argv, extra):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = run(argv + extra)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv + extra, rc)
+    if rc == 1:
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
+

@@ -43,6 +43,18 @@ CASES = {
         ["construct", "--method", "random", "--u", "10", "--m", "2", "--n", "4", "--c", "3/2", "--seed", "3"],
         "2bdbf02549913813492972e106f0be5b251f52509b5694204ff2bbe8d852589b",
     ),
+    "construct-yao-fallback": (  # fallback rounds [1, 2, 3]
+        ["construct", "--method", "yao", "--u", "9", "--m", "3", "--n", "3", "--t", "8"],
+        "82b914fa9cf606585f3722cdbba906c876a2060cfd6e11fcf539b0027f850635",
+    ),
+    "construct-greedy-pool-all": (
+        ["construct", "--method", "greedy", "--u", "6", "--m", "2", "--n", "2", "--pool", "all"],
+        "2878848547d5c0a1e7394b0f3f58e1be5ec56bdd8ef8702b7a78854a3732ffb4",
+    ),
+    "construct-greedy-unverified": (  # cap 1 < ceil(4/3): all 35 sets stay uncovered
+        ["construct", "--method", "greedy", "--u", "7", "--m", "3", "--n", "4"],
+        "9dedaa19ed813425017cb7350e8ac976104cf45dd831c77e86fe3283a422b8f6",
+    ),
     "verify-greedy": (
         ["verify", "--u", "8", "--m", "2", "--n", "4", "--family", "{family}"],
         "ce2e5923376efa2debf6fba7dbff1bb5df2674b0766052d23cb390fba9495f94",

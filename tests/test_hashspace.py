@@ -13,7 +13,6 @@ from idealhash.hashspace import (
     all_functions,
     balanced_fiber_sizes,
     balanced_functions,
-    blocked_function,
     family_from_text,
     family_to_text,
     function_from_text,
@@ -69,8 +68,7 @@ class TestLoadProfile:
         assert max_load(h, (1, 3)) == 1
 
     def test_even_spread_reaches_ceil_alpha(self):
-        p = Params(8, 2, 4)
-        h = blocked_function(p)
+        h = HashFunction((1, 1, 1, 1, 2, 2, 2, 2), 2)  # blocked balanced, u=8, m=2
         assert max_load(h, (1, 2, 5, 6)) == 2  # ceil(4/2)
 
     def test_dimension_mismatch(self):
@@ -149,7 +147,7 @@ class TestBalancedFunctions:
 
     def test_first_yield_is_blocked(self):
         p = Params(5, 2, 2)
-        assert next(iter(balanced_functions(p))) == blocked_function(p)
+        assert next(iter(balanced_functions(p))) == HashFunction((1, 1, 1, 2, 2), 2)
 
     def test_sizes_vector(self):
         assert balanced_fiber_sizes(7, 3) == (3, 2, 2)

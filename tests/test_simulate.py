@@ -1,13 +1,14 @@
+import json
 import math
 from fractions import Fraction
 
-from idealhash.hashspace import Family, HashFunction, KeySet, Params, all_functions, blocked_function
+from idealhash.cli import run
+from idealhash.hashspace import Family, HashFunction, KeySet, Params, all_functions, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
 from idealhash.simulate import (
     Estimate,
     estimate_ideal_probability,
     estimate_max_load,
-    _floyd_sample,
     _worker_rng,
 )
 
@@ -78,17 +79,33 @@ class TestIdealProbability:
             assert abs(est.mean - exact) <= max(3 * sigma, 1e-9)
 
 
-class TestFloydSampling:
-    def test_samples_are_valid_subsets(self):
-        rng = _worker_rng(0, 0)
-        for _ in range(200):
-            s = _floyd_sample(rng, 10, 4)
-            assert len(s) == 4
-            assert all(1 <= k <= 10 for k in s)
+class TestLoadVectorSampling:
+    def test_streams_reproduce_with_an_empty_share(self):
+        # 2 trials over 3 streams: shares 1, 1 and 0
+        p = Params(8, 2, 4, 1)
+        a = estimate_ideal_probability(p, trials=2, seed=5, workers=3)
+        assert a == estimate_ideal_probability(p, trials=2, seed=5, workers=3)
+        hits = sum(
+            int(_worker_rng(5, w).multivariate_hypergeometric([4, 4], 4, size=1).max() <= 2)
+            for w in (0, 1)
+        )
+        assert (a.mean, a.trials, a.workers) == (hits / 2, 2, 3)
 
-    def test_full_draw(self):
-        rng = _worker_rng(1, 0)
-        assert _floyd_sample(rng, 5, 5) == {1, 2, 3, 4, 5}
+    def test_four_sigma_agreement_at_large_universe(self):
+        p = Params(10**6, 16, 256, Fraction(3, 2))
+        exact = float(exact_ideal_probability(p).probability)
+        assert abs(exact - 0.72463) < 1e-5
+        trials = 20_000
+        est = estimate_ideal_probability(p, trials=trials, seed=11)
+        assert abs(est.mean - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_universe_past_sampler_range_exits_one(self, capsys):
+        argv = ["simulate", "--kind", "ideal-prob", "--u", "1000000000", "--m", "16", "--n", "256", "--trials", "10"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "ValueError"
 
 
 class TestAdversarialSet:
@@ -106,7 +123,7 @@ class TestAdversarialSet:
 
     def test_achieves_cost_n(self):
         for u, m, n in ((16, 2, 4), (12, 3, 4), (9, 3, 3)):
-            h = blocked_function(Params(u, m, n))
+            h = next(balanced_functions(Params(u, m, n)))  # the blocked function
             witness = verify_family(Family((h,)), self._below_n(u, m, n)).uncovered_witness
             assert len({h.cells[k - 1] for k in witness.keys}) == 1
 
