@@ -31,6 +31,22 @@ CASES = {
         ["bounds", "--u", "16", "--m", "4", "--n", "4", "--format", "table"],
         "daf678c5a37796ecc1120933178b1455bb994433c4ec18720cea22234a65359b",
     ),
+    "bounds-ceilings-past-float-range": (  # upper.main and upper.prob.* ceilings are null
+        ["bounds", "--u", "2400", "--m", "1200", "--n", "1200"],
+        "f5ff667b3a0b7964685e061d3f27f9d29c90218975660d43b82919bd9b7373ab",
+    ),
+    "bounds-fk-table": (  # lower.fk and upper.fk valid, log2 column printed
+        ["bounds", "--u", "1000000", "--m", "30", "--n", "30", "--format", "table"],
+        "eb379ca6a72546475eb64e58b96fb0597c9d0278f325b33def9f792408aa02b0",
+    ),
+    "bounds-eps-t": (  # nonzero epsilon and the t note
+        ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3", "--t", "3.5"],
+        "83db73b17562e0b58942288b608bcff525e98c225c740372c150cf7094d0fac2",
+    ),
+    "bounds-counting-skipped": (  # n * log2(u) beyond desk scale
+        ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
+        "0cd15e0fc7fe9dfc9c879158c1fcda927bacf82f76791e684a42aada9c21233f",
+    ),
     "construct-greedy": (
         GREEDY,
         "63dd0aa046c38e6e149586aaddbef96770c78c0262f653568a3ed7a41ef89ded",
