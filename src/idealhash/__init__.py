@@ -5,7 +5,7 @@ ideal-family sizes, verified family constructions, Monte Carlo estimates,
 and the advice-bit consequences, behind one CLI (`idealhash`).
 """
 
-from .combinatorics import LogReal, binom, composition_count, compositions
+from .combinatorics import binom, composition_count, compositions
 from .hashspace import (
     Family,
     HashFunction,
@@ -25,7 +25,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "LogReal",
     "binom",
     "composition_count",
     "compositions",

@@ -1,8 +1,10 @@
 """Closed-form bounds on the minimal ideal-family size and on advice bits.
 
-Every evaluator is a pure function of its parameters.  Report assembly pairs
-each named bound with a validity flag instead of raising, so sweeps over
-mixed-domain grids stay total.  Stable entry names:
+Every evaluator is a pure function of its parameters.  Family sizes are
+exp(Theta(m)), so each bound is carried as its natural log, a float with
+-inf standing for zero.  Report assembly gives each named bound either that
+ln or None with a note saying why the bound does not apply, instead of
+raising, so sweeps over mixed-domain grids stay total.  Stable entry names:
 
     lower.volume  lower.main  lower.universe  lower.fk  lower.mehlhorn
     upper.prob.tight  upper.prob.loose  upper.main  upper.naor  upper.yao
@@ -17,10 +19,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import LogReal, binom, ln_fraction
+from .combinatorics import binom, ln_fraction
 from .errors import BoundNotApplicableError
-from .hashspace import Params, balanced_fiber_sizes
-from .oracle import count_ideal_sets
+from .hashspace import Params
+from .oracle import exact_ideal_probability
 
 # Printed floor for the per-cell coefficient of the main upper bound at the
 # perfect-hashing corner; reproduced numerically rather than assumed.
@@ -34,13 +36,24 @@ DESK_SCALE_BITS = 200_000
 
 @dataclass(frozen=True)
 class BoundEntry:
+    """One named bound: ln is its natural log (-inf for zero) when the bound
+    applies at the parameter point, None when it does not, and validity_note
+    then says why."""
+
     name: str
-    kind: str  # "lower" | "upper"
-    value: LogReal | None
-    valid: bool
+    ln: float | None
     validity_note: str = ""
     epsilon: Fraction = Fraction(0)
     ceiling: int | None = None  # integer form, where one is meaningful and finite
+
+    @property
+    def kind(self) -> str:
+        """The name's prefix: "lower" or "upper"."""
+        return self.name.partition(".")[0]
+
+    @property
+    def valid(self) -> bool:
+        return self.ln is not None
 
 
 @dataclass(frozen=True)
@@ -74,8 +87,8 @@ class AdviceReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def lower_main(m: int, alpha: Fraction, c: Fraction, eps: Fraction | float = 0) -> LogReal:
-    """(1-eps) * exp(m * e^-alpha * (1-eps) * (alpha/(c*alpha+1))^(c*alpha+1))."""
+def lower_main(m: int, alpha: Fraction, c: Fraction, eps: Fraction | float = 0) -> float:
+    """ln of (1-eps) * exp(m * e^-alpha * (1-eps) * (alpha/(c*alpha+1))^(c*alpha+1))."""
     alpha = Fraction(alpha)
     c = Fraction(c)
     epsf = float(eps)
@@ -83,8 +96,7 @@ def lower_main(m: int, alpha: Fraction, c: Fraction, eps: Fraction | float = 0) 
         raise ValueError("need eps in [0, 1)")
     ca1 = c * alpha + 1
     term = math.exp(-float(alpha)) * (1.0 - epsf) * float(alpha / ca1) ** float(ca1)
-    log_value = math.log1p(-epsf) + m * term
-    return LogReal.from_ln(log_value)
+    return math.log1p(-epsf) + m * term
 
 
 def lower_universe(u: int, m: int, n: int, c: Fraction | int) -> float:
@@ -117,8 +129,8 @@ def upper_main_base_nats(alpha: Fraction, c: Fraction) -> float:
     )
 
 
-def upper_main(u: int, n: int, m: int, c: Fraction | int) -> LogReal:
-    """Pre-ceiling value of the main upper bound, log scale.
+def upper_main(u: int, n: int, m: int, c: Fraction | int) -> float:
+    """ln of the pre-ceiling value of the main upper bound.
 
     (sqrt(2*pi*c*alpha)^(1/c) * c^alpha * e^(1/(12c^2 alpha)) / (alpha+1)^(1-1/c))^m
     * sqrt(n/(2*pi)) * ln u.
@@ -129,12 +141,11 @@ def upper_main(u: int, n: int, m: int, c: Fraction | int) -> LogReal:
         raise BoundNotApplicableError("main upper bound needs alpha >= 1")
     if c < 1:
         raise ValueError("need c >= 1")
-    log_value = (
+    return (
         m * upper_main_base_nats(alpha, c)
         + 0.5 * math.log(n / (2.0 * math.pi))
         + math.log(math.log(u))
     )
-    return LogReal.from_ln(log_value)
 
 
 def ln_binom(u: int, n: int) -> float:
@@ -199,11 +210,11 @@ def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntr
 
     Volume: C(u,n)/M_c.  Tight: 1 + r before ceiling and 1 + floor(r)
     functions after, with r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) *
-    n * ln u.  Values are carried in log space; a ceiling past the float
-    range is None.
+    n * ln u, zero at u = 1.  A ceiling past the float range is None.
     """
     ratio = Fraction(total, m_c)
     ln_r = -math.inf if m_c == total else math.log(math.log(total)) - _ln_neg_ln1m(1 / ratio)
+    ln_loose = ln_fraction(ratio * n) + math.log(math.log(u)) if u > 1 else -math.inf
     try:
         loose_ceiling = math.ceil(float(ratio) * n * math.log(u))
     except OverflowError:
@@ -211,25 +222,19 @@ def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntr
     return (
         BoundEntry(
             name="lower.volume",
-            kind="lower",
-            value=LogReal.from_value(ratio),
-            valid=True,
+            ln=ln_fraction(ratio),
             validity_note="exact counting",
             ceiling=math.ceil(ratio),
         ),
         BoundEntry(
             name="upper.prob.tight",
-            kind="upper",
-            value=LogReal.from_ln(max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r)))),
-            valid=True,
+            ln=max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r))),
             validity_note="exact p",
             ceiling=_tight_ceiling(total, m_c, ln_r),
         ),
         BoundEntry(
             name="upper.prob.loose",
-            kind="upper",
-            value=LogReal.from_value(ratio * n) * LogReal.from_value(math.log(u)),
-            valid=True,
+            ln=ln_loose,
             validity_note="exact p",
             ceiling=loose_ceiling,
         ),
@@ -252,17 +257,15 @@ def probability_upper(u: int, n: int, m_c: int) -> tuple[int, int]:
     return tight.ceiling, loose.ceiling
 
 
-def _naor_form(u: int, n: int, m: int) -> LogReal:
-    """Perfect-splitter upper bound, normalized to the c = 1 specialization.
+def _naor_form(u: int, n: int, m: int) -> float:
+    """ln of the perfect-splitter upper bound, normalized to the c = 1 specialization.
 
     sqrt(2*pi*alpha)^m * e^(m/(12*alpha)) * sqrt(n/(2*pi)) * ln u; the
     classical display carries sqrt(n) in place of sqrt(n/(2*pi)).
     """
     af = n / m
     per_cell = 0.5 * math.log(2.0 * math.pi * af) + 1.0 / (12.0 * af)
-    return LogReal.from_ln(
-        m * per_cell + 0.5 * math.log(n / (2.0 * math.pi)) + math.log(math.log(u))
-    )
+    return m * per_cell + 0.5 * math.log(n / (2.0 * math.pi)) + math.log(math.log(u))
 
 
 def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundEntry, ...]:
@@ -284,9 +287,7 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
         entries.append(
             BoundEntry(
                 name="lower.fk",
-                kind="lower",
-                value=LogReal.from_ln(lower_ln),
-                valid=True,
+                ln=lower_ln,
                 validity_note="asymptotic order, natural logs",
             )
         )
@@ -295,32 +296,26 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
         entries.append(
             BoundEntry(
                 name="upper.fk",
-                kind="upper",
-                value=LogReal.from_ln(upper_ln),
-                valid=True,
+                ln=upper_ln,
                 validity_note="asymptotic order, natural logs",
             )
         )
     else:
         note = "requires n <= m, c = 1, m >= 2"
-        entries.append(BoundEntry("lower.fk", "lower", None, False, note))
-        entries.append(BoundEntry("upper.fk", "upper", None, False, note))
+        entries.append(BoundEntry("lower.fk", None, note))
+        entries.append(BoundEntry("upper.fk", None, note))
 
     # splitter upper bound, normalized to the c = 1 specialization
     if alpha >= 1:
         entries.append(
             BoundEntry(
                 name="upper.naor",
-                kind="upper",
-                value=_naor_form(u, n, m),
-                valid=True,
+                ln=_naor_form(u, n, m),
                 validity_note="normalized sqrt(n/2pi); classical display uses sqrt(n)",
             )
         )
     else:
-        entries.append(
-            BoundEntry("upper.naor", "upper", None, False, "requires alpha >= 1")
-        )
+        entries.append(BoundEntry("upper.naor", None, "requires alpha >= 1"))
 
     # straightforward Stirling lower estimate for c = 1
     if c == 1 and alpha >= 1:
@@ -328,16 +323,12 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
         entries.append(
             BoundEntry(
                 name="lower.mehlhorn",
-                kind="lower",
-                value=LogReal.from_ln(mehl_ln),
-                valid=True,
+                ln=mehl_ln,
                 validity_note="Stirling approximation, c = 1 only",
             )
         )
     else:
-        entries.append(
-            BoundEntry("lower.mehlhorn", "lower", None, False, "requires c = 1, alpha >= 1")
-        )
+        entries.append(BoundEntry("lower.mehlhorn", None, "requires c = 1, alpha >= 1"))
 
     return tuple(entries)
 
@@ -374,8 +365,8 @@ def advice_report(
         lower_easy_bits = max(0.0, math.log2(lower_universe(u, m, n, c)))
     except (BoundNotApplicableError, ValueError):
         lower_easy_bits = 0.0
-    lower_main_bits = max(0.0, lower_main(m, alpha, c, eps).log2())
-    upper_main_bits = max(0.0, upper_main(u, n, m, c).log2())
+    lower_main_bits = max(0.0, lower_main(m, alpha, c, eps) / math.log(2.0))
+    upper_main_bits = max(0.0, upper_main(u, n, m, c) / math.log(2.0))
     upper_yao_bits = max(0.0, math.log2(upper_yao(u, n, t)))
     return AdviceReport(
         lower_easy=max(0.0, lower_easy),
@@ -423,15 +414,15 @@ def _counting_entries(p: Params) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
     if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS:
         volume_note = prob_note = "counting skipped: n * log2(u) beyond desk scale"
     else:
-        m_c = count_ideal_sets(balanced_fiber_sizes(p.u, p.m), p.n, p.load_cap)
-        if m_c > 0:
-            return _entries_from_count(p.u, p.n, p.total_sets, m_c)
+        ic = exact_ideal_probability(p)
+        if ic.m_c > 0:
+            return _entries_from_count(p.u, p.n, ic.total, ic.m_c)
         volume_note = "cap below ceil(alpha): no function is ideal for any set"
         prob_note = "cap below ceil(alpha): no ideal family exists"
     return (
-        BoundEntry("lower.volume", "lower", None, False, volume_note),
-        BoundEntry("upper.prob.tight", "upper", None, False, prob_note),
-        BoundEntry("upper.prob.loose", "upper", None, False, prob_note),
+        BoundEntry("lower.volume", None, volume_note),
+        BoundEntry("upper.prob.tight", None, prob_note),
+        BoundEntry("upper.prob.loose", None, prob_note),
     )
 
 
@@ -453,9 +444,7 @@ def bound_report(
     entries.append(
         BoundEntry(
             name="lower.main",
-            kind="lower",
-            value=lower_main(p.m, alpha, p.c, eps_f),
-            valid=True,
+            ln=lower_main(p.m, alpha, p.c, eps_f),
             validity_note="asymptotic in n" if eps_f == 0 else "",
             epsilon=eps_f,
         )
@@ -466,42 +455,41 @@ def bound_report(
         entries.append(
             BoundEntry(
                 name="lower.universe",
-                kind="lower",
-                value=LogReal.from_value(lu) if lu > 0 else LogReal.zero(),
-                valid=True,
+                ln=math.log(lu) if lu > 0 else -math.inf,
                 ceiling=max(0, math.ceil(lu)),
             )
         )
     except BoundNotApplicableError as exc:
-        entries.append(BoundEntry("lower.universe", "lower", None, False, str(exc)))
+        entries.append(BoundEntry("lower.universe", None, str(exc)))
 
     entries.extend((tight, loose))
 
     non_integral = (p.c * alpha).denominator != 1
     try:
         um = upper_main(p.u, p.n, p.m, p.c)
+    except BoundNotApplicableError as exc:
+        entries.append(BoundEntry("upper.main", None, str(exc)))
+    else:
+        try:
+            um_ceiling = math.ceil(math.exp(um))
+        except OverflowError:
+            um_ceiling = None
         entries.append(
             BoundEntry(
                 name="upper.main",
-                kind="upper",
-                value=um,
-                valid=True,
+                ln=um,
                 validity_note="cap floor(c*alpha) substituted (c*alpha not integral)"
                 if non_integral
                 else "",
-                ceiling=um.ceil_int(),
+                ceiling=um_ceiling,
             )
         )
-    except BoundNotApplicableError as exc:
-        entries.append(BoundEntry("upper.main", "upper", None, False, str(exc)))
 
     yao = upper_yao(p.u, p.n, t)
     entries.append(
         BoundEntry(
             name="upper.yao",
-            kind="upper",
-            value=LogReal.from_value(yao),
-            valid=True,
+            ln=math.log(yao),
             validity_note=f"t = {t}",
             ceiling=yao,
         )

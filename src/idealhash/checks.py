@@ -129,7 +129,7 @@ def check_tmax_sandwich() -> CheckResult:
                 instances += 1
                 exact = p_tmax_le(n, m, d)
                 lower = tmax_lower_bound(n, m, c)
-                if lower.log_value > ln_fraction(exact) + LOG_TOL:
+                if lower > ln_fraction(exact) + LOG_TOL:
                     failures += 1
                     continue
                 marg = binomial_marginal_le(n, m, d) ** m
@@ -151,7 +151,7 @@ def check_tail_lower_bound() -> CheckResult:
                 instances += 1
                 lb = binomial_tail_lb(n, m, c)
                 exact = binomial_tail_tail_exact(n, m, math.floor(ca))
-                if lb.log_value > ln_fraction(exact) + LOG_TOL:
+                if lb > ln_fraction(exact) + LOG_TOL:
                     failures += 1
     return CheckResult("binomial-tail-lb", instances, failures, f"log tolerance {LOG_TOL}")
 

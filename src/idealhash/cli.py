@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -167,8 +168,8 @@ def _entry_dict(e: bounds_mod.BoundEntry) -> dict:
     return {
         "name": e.name,
         "kind": e.kind,
-        "ln": None if e.value is None else e.value.log_value,
-        "log2": None if e.value is None else e.value.log2(),
+        "ln": e.ln,
+        "log2": None if e.ln is None else e.ln / math.log(2.0),
         "ceiling": e.ceiling,
         "valid": e.valid,
         "note": e.validity_note,
@@ -234,8 +235,8 @@ def _cmd_bounds(args) -> int:
             [
                 e.name,
                 e.kind,
-                None if e.value is None else f"{e.value.log_value:.6f}",
-                None if e.value is None else f"{e.value.log2():.6f}",
+                None if e.ln is None else f"{e.ln:.6f}",
+                None if e.ln is None else f"{e.ln / math.log(2.0):.6f}",
                 e.ceiling,
                 e.valid,
                 e.validity_note,
@@ -422,7 +423,7 @@ def _cmd_report(args) -> int:
                     row = [u, m, n, str(c), str(p.alpha), p.load_cap]
                     for name in _REPORT_BOUND_COLUMNS:
                         e = rep.entry(name)
-                        row.append("" if e.value is None else f"{e.value.log_value:.9g}")
+                        row.append("" if e.ln is None else f"{e.ln:.9g}")
                     row.extend(
                         [
                             f"{adv.lower_easy:.9g}",

@@ -1,20 +1,17 @@
-"""Exact counting primitives and log-scale carriers used by every other module.
+"""Exact counting primitives used by every other module.
 
 Counts are plain Python integers (already arbitrary precision) and exact
 probabilities are `fractions.Fraction`.  Quantities on the Stirling scale,
 which overflow floats long before the interesting parameter ranges end,
-travel as `LogReal`.
+travel as their natural log, a float (-inf for zero).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator
-
-_LN2 = math.log(2.0)
 
 
 def binom(a: int, b: int) -> int:
@@ -31,66 +28,6 @@ def ln_fraction(q: Fraction) -> float:
     if q <= 0:
         raise ValueError("ln_fraction needs a positive rational")
     return math.log(q.numerator) - math.log(q.denominator)
-
-
-@dataclass(frozen=True, order=True)
-class LogReal:
-    """A non-negative real r carried as ln(r); log_value == -inf encodes r = 0.
-
-    Ordering and multiplication act on the log scale, so values like exp(m)
-    for m in the hundreds stay representable.
-    """
-
-    log_value: float
-
-    @property
-    def sign(self) -> int:
-        """1 for positive values, 0 for exact zero."""
-        return 0 if self.log_value == -math.inf else 1
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(-math.inf)
-
-    @classmethod
-    def from_ln(cls, log_value: float) -> "LogReal":
-        return cls(float(log_value))
-
-    @classmethod
-    def from_value(cls, x) -> "LogReal":
-        """Build from an int, Fraction, or float; ints/Fractions of any size work."""
-        if x < 0:
-            raise ValueError("LogReal represents non-negative reals only")
-        if x == 0:
-            return cls.zero()
-        if isinstance(x, (int, Fraction)):
-            return cls(ln_fraction(Fraction(x)))
-        return cls(math.log(float(x)))
-
-    def to_float(self) -> float:
-        """exp(log_value); math.inf flags overflow past the float range."""
-        if self.log_value == -math.inf:
-            return 0.0
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
-    def log2(self) -> float:
-        """log2 of the represented value (-inf for zero)."""
-        return self.log_value / _LN2
-
-    def ceil_int(self) -> int | None:
-        """Ceiling of the represented value, or None when it overflows floats."""
-        f = self.to_float()
-        if math.isinf(f):
-            return None
-        return math.ceil(f)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0 or other.sign == 0:
-            return LogReal.zero()
-        return LogReal(self.log_value + other.log_value)
 
 
 def composition_count(n: int, m: int, d: int) -> int:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import LogReal, binom, composition_count, compositions, ln_fraction
+from .combinatorics import binom, composition_count, compositions, ln_fraction
 from .errors import BudgetExceededError
 
 LoadVector = Sequence[int]
@@ -104,8 +104,8 @@ def binomial_tail_tail_exact(n: int, m: int, cap: int) -> Fraction:
     return 1 - binomial_marginal_le(n, m, cap)
 
 
-def binomial_tail_lb(n: int, m: int, c: Fraction | int) -> LogReal:
-    """Closed-form lower bound on P(Bin(n, 1/m) > c*alpha), log scale.
+def binomial_tail_lb(n: int, m: int, c: Fraction | int) -> float:
+    """Natural log of a closed-form lower bound on P(Bin(n, 1/m) > c*alpha).
 
     Value: (1 - alpha/n)^n * (alpha / (c*alpha + 1))^(c*alpha + 1), keeping
     only the first term of the tail.  Requires c*alpha + 1 <= n so the tail
@@ -119,14 +119,11 @@ def binomial_tail_lb(n: int, m: int, c: Fraction | int) -> LogReal:
     # 1 - alpha/n == 1 - 1/m exactly
     if m == 1:
         raise ValueError("m == 1 leaves no tail")
-    log_value = n * ln_fraction(Fraction(m - 1, m)) + float(ca1) * ln_fraction(
-        alpha / ca1
-    )
-    return LogReal.from_ln(log_value)
+    return n * ln_fraction(Fraction(m - 1, m)) + float(ca1) * ln_fraction(alpha / ca1)
 
 
-def tmax_lower_bound(n: int, m: int, c: Fraction | int) -> LogReal:
-    """Closed-form lower bound on P(max load <= c*alpha) under uniform throws.
+def tmax_lower_bound(n: int, m: int, c: Fraction | int) -> float:
+    """Natural log of a closed-form lower bound on P(max load <= c*alpha) under uniform throws.
 
     With d = floor(c*alpha):
         sqrt(2*pi*n) * (alpha/d)^n * (alpha+1)^(m*(1-1/c))
@@ -142,14 +139,13 @@ def tmax_lower_bound(n: int, m: int, c: Fraction | int) -> LogReal:
     if d < 1:
         raise ValueError("need floor(c*alpha) >= 1")
     n_over_d = n / d
-    log_value = (
+    return (
         0.5 * math.log(2.0 * math.pi * n)
         - (n_over_d / 2.0) * math.log(2.0 * math.pi * d)
         + n * ln_fraction(alpha / d)
         - n_over_d / (12.0 * d)
         + float(m * (1 - 1 / c)) * ln_fraction(alpha + 1)
     )
-    return LogReal.from_ln(log_value)
 
 
 def min_product_factorials_check(

@@ -14,9 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .combinatorics import binom, compositions
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -30,6 +28,9 @@ from .hashspace import (
     balanced_fiber_sizes,
     partition_classes,
 )
+
+if TYPE_CHECKING:  # numpy is imported where the kernel runs, so counting starts without it
+    import numpy as np
 
 DEFAULT_POOL_BUDGET = 10**4
 
@@ -156,6 +157,8 @@ def ranked_key_sets(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _ranked_sets(u: int, n: int) -> np.ndarray:
+    import numpy as np
+
     flat = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(u), n)),
         dtype=np.min_scalar_type(u - 1),
@@ -172,6 +175,8 @@ def cell_matrix(functions: Sequence[HashFunction], p: Params) -> np.ndarray:
         raise DimensionMismatchError(
             f"every function must map keys 1..{p.u} into cells 1..{p.m}"
         )
+    import numpy as np
+
     cells = np.array([h.cells for h in functions], dtype=np.min_scalar_type(p.m))
     return cells.reshape(len(functions), p.u) - 1
 
@@ -188,6 +193,8 @@ def exceed_masks(cells: np.ndarray, sets: np.ndarray, cap: int) -> Iterator[int]
     stays flat whatever the number of functions and sets; results are yielded
     one function at a time, as blocks complete.
     """
+    import numpy as np
+
     k = cells.shape[0]
     total, n = sets.shape
     if k == 0:

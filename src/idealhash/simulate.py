@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hashspace import Params, balanced_fiber_sizes
+
+if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands start without it
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,8 @@ class Estimate:
 
 
 def _worker_rng(seed: int, worker: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(worker,))))
 
 
@@ -48,6 +52,8 @@ def estimate_max_load(
     n: int, m: int, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Mean maximum cell load of n uniform throws into m cells."""
+    import numpy as np
+
     shares = _split_trials(trials, workers)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")

@@ -60,17 +60,17 @@ class TestLowerMain:
         got = lower_main(10, Fraction(1), Fraction(1), 0)
         with mpmath.workdps(50):
             want = mpmath.exp(10 * mpmath.e**-1 * mpmath.mpf(1) / 4)
-        assert got.to_float() == pytest.approx(float(want), rel=1e-12)
-        assert got.to_float() == pytest.approx(2.5086, rel=1e-4)
+        assert math.exp(got) == pytest.approx(float(want), rel=1e-12)
+        assert math.exp(got) == pytest.approx(2.5086, rel=1e-4)
 
     def test_strictly_increasing_in_m(self):
-        values = [lower_main(m, Fraction(2), Fraction(1), 0).log_value for m in range(1, 30)]
+        values = [lower_main(m, Fraction(2), Fraction(1), 0) for m in range(1, 30)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_eps_shrinks_the_bound(self):
         base = lower_main(10, Fraction(1), Fraction(1), 0)
         shrunk = lower_main(10, Fraction(1), Fraction(1), Fraction(1, 10))
-        assert shrunk.log_value < base.log_value
+        assert shrunk < base
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestLowerMain:
         for u, m, n in ((8, 2, 4), (12, 3, 6), (10, 2, 4)):
             p = Params(u, m, n, 1)
             inv_p = -ln_fraction(exact_ideal_probability(p).probability)
-            gaps.append(inv_p - lower_main(m, p.alpha, p.c, 0).log_value)
+            gaps.append(inv_p - lower_main(m, p.alpha, p.c, 0))
         assert len(gaps) == 3  # comparison ran; no hard assertion by design
 
 
@@ -106,16 +106,16 @@ class TestLowerUniverse:
 class TestUpperMain:
     def test_anchor_value_and_ceiling(self):
         um = upper_main(16, 2, 2, 1)
-        assert um.to_float() == pytest.approx(11.611, rel=1e-3)
-        assert um.ceil_int() == 12
+        assert math.exp(um) == pytest.approx(11.611, rel=1e-3)
+        assert math.ceil(math.exp(um)) == 12
 
     def test_coincides_with_splitter_form_at_c_one(self):
         for m in range(2, 51):
             for alpha in range(1, 9):
                 n = m * alpha
                 u = max(n * n, 4)
-                a = upper_main(u, n, m, 1).log_value
-                b = _naor_form(u, n, m).log_value
+                a = upper_main(u, n, m, 1)
+                b = _naor_form(u, n, m)
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
     def test_dominates_lower_main_on_grid(self):
@@ -125,8 +125,8 @@ class TestUpperMain:
                     n = m * alpha
                     u = max(n * n, 4)
                     assert (
-                        upper_main(u, n, m, c).log_value
-                        >= lower_main(m, Fraction(alpha), c, 0).log_value
+                        upper_main(u, n, m, c)
+                        >= lower_main(m, Fraction(alpha), c, 0)
                     )
 
     def test_rejects_sublinear_load(self):
@@ -211,7 +211,7 @@ class TestProbabilityUpper:
         want = decimal_ln_tight(u, m, n, Fraction(c))
         tight = bound_report(Params(u, m, n, c)).entry("upper.prob.tight")
         assert tight.valid
-        assert abs(tight.value.log_value - float(want)) <= LN_TOL
+        assert abs(tight.ln - float(want)) <= LN_TOL
         r = float(want.exp()) - 1
         if math.isinf(r):
             assert tight.ceiling is None
@@ -251,6 +251,7 @@ class TestProbabilityUpper:
         rep = bound_report(Params(2400, 1200, 1200, 1))
         assert rep.entry("upper.prob.tight").ceiling is None
         assert rep.entry("upper.prob.loose").ceiling is None
+        assert rep.entry("upper.main").ceiling is None
         with pytest.raises(ValueError):
             probability_upper(2400, 1200, 1)
 
@@ -262,7 +263,7 @@ class TestComparisonBounds:
         assert "lower.volume" not in names
         vol = bound_report(Params(8, 2, 4, 1)).entry("lower.volume")
         assert vol.valid
-        assert vol.value.to_float() == pytest.approx(70 / 36, rel=1e-12)
+        assert math.exp(vol.ln) == pytest.approx(70 / 36, rel=1e-12)
 
     def test_fk_flags_track_the_perfect_hashing_regime(self):
         entries = {e.name: e for e in comparison_bounds(16, 4, 2, 1)}
@@ -281,14 +282,14 @@ class TestComparisonBounds:
     def test_fk_anchor_value(self):
         # m^(n-1) ln(u) (m-n+1)! / (m! ln(m-n+2)) at u=4, m=2, n=2 evaluates to 2
         entries = {e.name: e for e in comparison_bounds(4, 2, 2, 1)}
-        assert entries["lower.fk"].value.to_float() == pytest.approx(2.0, rel=1e-12)
+        assert math.exp(entries["lower.fk"].ln) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("u,m,n", [(16, 4, 2), (10**6, 20, 20), (10**6, 30, 30), (10**6, 40, 40), (10**6, 60, 60)])
     def test_upper_fk_matches_decimal_reference(self, u, m, n):
         entries = {e.name: e for e in comparison_bounds(u, n, m, 1)}
         fk = entries["upper.fk"]
         assert fk.valid
-        assert abs(fk.value.log_value - float(decimal_ln_upper_fk(u, m, n))) <= LN_TOL
+        assert abs(fk.ln - float(decimal_ln_upper_fk(u, m, n))) <= LN_TOL
 
     def test_mehlhorn_requires_c_one(self):
         entries = {e.name: e for e in comparison_bounds(8, 4, 2, Fraction(3, 2))}
@@ -297,7 +298,7 @@ class TestComparisonBounds:
     def test_mehlhorn_value(self):
         entries = {e.name: e for e in comparison_bounds(8, 4, 2, 1)}
         want = math.sqrt(2 * math.pi * 2) ** 1 / math.sqrt(2)
-        assert entries["lower.mehlhorn"].value.to_float() == pytest.approx(want, rel=1e-12)
+        assert math.exp(entries["lower.mehlhorn"].ln) == pytest.approx(want, rel=1e-12)
 
 
 class TestAdviceReport:
@@ -322,8 +323,8 @@ class TestAdviceReport:
     def test_values_are_log2_of_the_bounds(self):
         u, n, m, c, t = 2**20, 64, 16, Fraction(1), 2.0
         adv = advice_report(u, n, m, c, t=t)
-        assert adv.lower_main == lower_main(m, Fraction(n, m), c, 0).log2()
-        assert adv.upper_main == upper_main(u, n, m, c).log2()
+        assert adv.lower_main == lower_main(m, Fraction(n, m), c, 0) / math.log(2.0)
+        assert adv.upper_main == upper_main(u, n, m, c) / math.log(2.0)
         assert adv.upper_yao == math.log2(upper_yao(u, n, t))
         assert adv.lower_easy_bits == math.log2(lower_universe(u, m, n, c))
 
@@ -377,7 +378,7 @@ class TestBoundReport:
         rep = bound_report(Params(8, 2, 4, 1))
         vol = rep.entry("lower.volume")
         assert vol.valid
-        assert vol.value.to_float() == pytest.approx(70 / 36, rel=1e-12)
+        assert math.exp(vol.ln) == pytest.approx(70 / 36, rel=1e-12)
         assert vol.ceiling == 2
 
     def test_volume_entry_appears_once(self):

@@ -361,6 +361,29 @@ def test_python_dash_m_runs_the_cli(module):
     assert b"Traceback" not in done.stderr
 
 
+def test_commands_off_the_kernel_do_not_load_numpy():
+    # numpy costs most of the CLI's import time; only the coverage kernel and
+    # the samplers need it, so the counting and bound commands must not load it
+    script = """
+import contextlib, io, sys
+from idealhash.cli import run
+calls = [
+    ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
+    ["exact", "--u", "8", "--m", "2", "--n", "4"],
+    ["report", "--u", "8,16", "--m", "2", "--n", "4", "--format", "csv"],
+    ["check-lemmas"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv) for argv in calls]
+assert codes == [0, 0, 0, 0], codes
+assert "numpy" not in sys.modules
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("IDEALHASH_")}
+    env["PYTHONPATH"] = str(Path(idealhash.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 class TestReport:
     def test_csv_sweep_has_vocabulary_columns(self, capsys):
         rc, out, _ = run_capture(

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idealhash.combinatorics import (
-    LogReal,
     binom,
     composition_count,
     compositions,
@@ -95,48 +94,6 @@ class TestCompositions:
     def test_rejects_no_parts(self):
         with pytest.raises(ValueError):
             list(compositions(2, 0, 2))
-
-
-class TestLogReal:
-    def test_from_int_and_fraction_agree(self):
-        a = LogReal.from_value(70)
-        b = LogReal.from_value(Fraction(140, 2))
-        assert a.log_value == pytest.approx(b.log_value)
-        assert a.to_float() == pytest.approx(70.0)
-
-    def test_huge_int_does_not_overflow(self):
-        big = math.factorial(500)
-        lr = LogReal.from_value(big)
-        assert lr.log_value == pytest.approx(math.log(big))
-
-    def test_zero_sign_and_arithmetic(self):
-        z = LogReal.zero()
-        assert z.sign == 0
-        assert z.to_float() == 0.0
-        assert (z * LogReal.from_value(3)).sign == 0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            LogReal.from_value(-1)
-        with pytest.raises(ValueError):
-            LogReal.from_value(Fraction(-1, 2))
-
-    def test_mul_div_pow(self):
-        a = LogReal.from_value(6)
-        b = LogReal.from_value(2)
-        assert (a * b).to_float() == pytest.approx(12.0)
-
-    def test_ordering_follows_values(self):
-        assert LogReal.from_value(2) < LogReal.from_value(3)
-        assert LogReal.zero() < LogReal.from_value(Fraction(1, 10**6))
-
-    def test_overflow_is_flagged_not_raised(self):
-        lr = LogReal.from_ln(1000.0)
-        assert lr.to_float() == math.inf
-        assert lr.ceil_int() is None
-
-    def test_log2_conversion(self):
-        assert LogReal.from_value(1024).log2() == pytest.approx(10.0)
 
 
 def test_ln_fraction_handles_huge_terms():
