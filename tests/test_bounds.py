@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -132,6 +133,15 @@ class TestUpperMain:
     def test_rejects_sublinear_load(self):
         with pytest.raises(BoundNotApplicableError):
             upper_main(16, 2, 4, 1)
+
+    def test_overflow_is_flagged_not_raised(self):
+        # ln stays finite and is reported; only the integer ceiling is dropped
+        p = Params(2400, 1200, 1200, 1)
+        um = upper_main(p.u, p.n, p.m, p.c)
+        assert math.isfinite(um) and um > math.log(sys.float_info.max)
+        entry = bound_report(p).entry("upper.main")
+        assert entry.ln == um
+        assert entry.ceiling is None
 
 
 class TestUpperYao:
