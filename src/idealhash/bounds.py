@@ -139,6 +139,8 @@ def upper_main(u: int, n: int, m: int, c: Fraction | int) -> float:
     alpha = Fraction(n, m)
     if alpha < 1:
         raise BoundNotApplicableError("main upper bound needs alpha >= 1")
+    if u < 2:
+        raise BoundNotApplicableError("main upper bound needs u >= 2 (it carries ln ln u)")
     if c < 1:
         raise ValueError("need c >= 1")
     return (
@@ -306,7 +308,7 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
         entries.append(BoundEntry("upper.fk", None, note))
 
     # splitter upper bound, normalized to the c = 1 specialization
-    if alpha >= 1:
+    if alpha >= 1 and u >= 2:
         entries.append(
             BoundEntry(
                 name="upper.naor",
@@ -314,6 +316,8 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
                 validity_note="normalized sqrt(n/2pi); classical display uses sqrt(n)",
             )
         )
+    elif u < 2:
+        entries.append(BoundEntry("upper.naor", None, "needs u >= 2 (it carries ln ln u)"))
     else:
         entries.append(BoundEntry("upper.naor", None, "requires alpha >= 1"))
 
@@ -434,7 +438,8 @@ def bound_report(
     """Assemble every named bound for one parameter point.
 
     The volume and probabilistic entries use the exact counting core (cheap
-    at any u: a polynomial convolution, never subset enumeration).
+    at any u: one power-series recurrence per fiber size, never subset
+    enumeration).
     """
     alpha = p.alpha
     eps_f = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**9)

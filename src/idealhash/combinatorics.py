@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 def binom(a: int, b: int) -> int:
@@ -28,6 +28,31 @@ def ln_fraction(q: Fraction) -> float:
     if q <= 0:
         raise ValueError("ln_fraction needs a positive rational")
     return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _power_coeffs(p: Sequence[int], k: int, n: int) -> list[int]:
+    """Coefficients 0..min(n, k*deg p) of the polynomial p^k; the rest are zero.
+
+    J.C.P. Miller's recurrence for the power of a power series (Knuth, TAOCP
+    Vol. 2, 4.7): with Q = p^k and d = deg p,
+        j * p_0 * Q_j = sum_{i=1..min(j,d)} ((k+1)*i - j) * p_i * Q_{j-i},
+    O(n*d) integer steps whatever k is.  The division is exact because Q has
+    integer coefficients; it needs p_0 != 0.
+    """
+    if not p or p[0] == 0:
+        raise ValueError("_power_coeffs needs a nonzero constant term")
+    if k < 0 or n < 0:
+        raise ValueError("_power_coeffs needs k >= 0 and n >= 0")
+    d = len(p) - 1
+    p0 = p[0]
+    top = min(n, k * d)
+    q = [p0**k] + [0] * top
+    for j in range(1, top + 1):
+        s = 0
+        for i in range(1, min(j, d) + 1):
+            s += ((k + 1) * i - j) * p[i] * q[j - i]
+        q[j] = s // (j * p0)
+    return q
 
 
 def composition_count(n: int, m: int, d: int) -> int:

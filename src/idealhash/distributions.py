@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import binom, composition_count, compositions, ln_fraction
+from .combinatorics import _power_coeffs, binom, composition_count, compositions, ln_fraction
 from .errors import BudgetExceededError
 
 LoadVector = Sequence[int]
@@ -71,24 +71,21 @@ def conditioned_poisson_pmf(lv: LoadVector, n: int, m: int) -> Fraction:
 def p_tmax_le(n: int, m: int, cap: int) -> Fraction:
     """P(max cell load <= cap) for n independent uniform throws into m cells.
 
-    Counts admissible sequences by the DP W(j, s) = sum_{l<=cap} C(s, l) *
-    W(j-1, s-l) over cells, then divides by m^n.
+    The admissible throw sequences number n! [x^n] (sum_{l<=cap} x^l/l!)^m.
+    With d = min(cap, n) the power is taken of E = sum_{l<=d} (d!/l!) x^l,
+    which has integer coefficients, by the power-series recurrence; the
+    count is then n! [x^n] E^m / (d!)^m, an exact division, over m^n.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if cap < 0:
         raise ValueError("need cap >= 0")
-    # row[s] = number of ways to place s distinguished balls into the cells so far
-    row = [1] + [0] * n
-    for _ in range(m):
-        nxt = [0] * (n + 1)
-        for s in range(n + 1):
-            if row[s] == 0:
-                continue
-            for l in range(0, min(cap, n - s) + 1):
-                nxt[s + l] += row[s] * binom(s + l, l)
-        row = nxt
-    return Fraction(row[n], m**n)
+    d = min(cap, n)
+    top = math.factorial(d)
+    q = _power_coeffs([top // math.factorial(l) for l in range(d + 1)], m, n)
+    if len(q) <= n:  # m * cap < n: no sequence fits
+        return Fraction(0)
+    return Fraction(q[n] * math.factorial(n) // top**m, m**n)
 
 
 def binomial_marginal_le(n: int, m: int, cap: int) -> Fraction:

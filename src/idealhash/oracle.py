@@ -1,9 +1,11 @@
 """Exact brute-force ground truth: ideality counts, coverage, minimal family sizes.
 
 Everything here is exact integer/rational arithmetic.  The counting core is a
-polynomial convolution: cell i with fiber size beta_i contributes the capped
+product of polynomials: cell i with fiber size beta_i contributes the capped
 polynomial sum_{l<=cap} C(beta_i, l) x^l, and the number of key sets hashed
-with every load at most cap is the coefficient of x^n in the product.
+with every load at most cap is the coefficient of x^n in the product.  Equal
+fibers share one polynomial, raised to its power by the power-series
+recurrence (`combinatorics._power_coeffs`).
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .combinatorics import binom, compositions
+from .combinatorics import _power_coeffs, binom, compositions
 from .errors import BudgetExceededError, DimensionMismatchError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
@@ -67,25 +70,29 @@ def count_ideal_sets(betas: Sequence[int], n: int, cap: int) -> int:
     """Exact number of n-subsets whose per-fiber intersections all stay <= cap,
     for fiber sizes betas.
 
-    Convolves the capped per-cell polynomials and reads the x^n coefficient.
+    The x^n coefficient of the product of the capped cell polynomials
+    sum_{l<=cap} C(beta, l) x^l.  Cells of one size share a polynomial, so
+    each group of k > 1 equal fibers is raised to its power by the
+    power-series recurrence, O(n*cap) whatever k is; a balanced
+    decomposition has at most two groups.  Groups are multiplied truncated
+    at degree n, the last product read as one dot product.
     """
     if n < 0 or cap < 0:
         raise ValueError("need n >= 0 and cap >= 0")
+    polys = []
+    for beta, k in Counter(betas).items():
+        cell = [binom(beta, l) for l in range(min(cap, beta, n) + 1)]
+        polys.append(cell if k == 1 else _power_coeffs(cell, k, n))
+    *head, last = polys or [[1]]
     acc = [1]
-    for beta in betas:
-        top = min(cap, beta, n)
-        cell = [binom(beta, l) for l in range(top + 1)]
-        limit = min(n, len(acc) + top)
-        nxt = [0] * (limit + 1)
+    for poly in head:
+        nxt = [0] * min(n + 1, len(acc) + len(poly) - 1)
         for i, a in enumerate(acc):
-            if a == 0:
-                continue
-            for l, w in enumerate(cell):
-                if i + l > limit:
-                    break
+            for l, w in enumerate(poly[: len(nxt) - i]):
                 nxt[i + l] += a * w
         acc = nxt
-    return acc[n] if n < len(acc) else 0
+    lo = max(0, n - len(last) + 1)
+    return sum(acc[i] * last[n - i] for i in range(lo, min(n, len(acc) - 1) + 1))
 
 
 def exact_ideal_probability(p: Params) -> IdealCount:

@@ -20,6 +20,12 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
     import numpy as np
 
 
+# Throws drawn per numpy call: bounds max-load scratch memory around 32 MB.
+# The int64 draw stream does not depend on how it is split into calls, so
+# neither does any seeded estimate.
+_SLICE = 2**22
+
+
 @dataclass(frozen=True)
 class Estimate:
     """Sample mean with a 95% interval half-width and replay metadata."""
@@ -60,15 +66,20 @@ def estimate_max_load(
     if m == 1:
         return Estimate(float(n), 0.0, trials, seed, workers)
     maxima = []
-    batch = 1 + (2**22 // max(1, n))  # cap scratch memory around 32 MB
+    batch = 1 + _SLICE // max(n, m)  # b*n throws and b*m counters stay near _SLICE
     for w, share in enumerate(shares):
         rng = _worker_rng(seed, w)
         for done in range(0, share, batch):
             b = min(batch, share - done)
-            throws = rng.integers(0, m, size=(b, n))
-            flat = throws + (np.arange(b) * m)[:, None]
-            counts = np.bincount(flat.ravel(), minlength=b * m).reshape(b, m)
-            maxima.append(counts.max(axis=1))
+            if n <= _SLICE:
+                flat = rng.integers(0, m, size=(b, n))
+                flat += (np.arange(b) * m)[:, None]
+                counts = np.bincount(flat.ravel(), minlength=b * m)
+            else:  # b == 1: the trial's throws are drawn a slice at a time
+                counts = np.zeros(m, dtype=np.intp)
+                for lo in range(0, n, _SLICE):
+                    counts += np.bincount(rng.integers(0, m, size=min(_SLICE, n - lo)), minlength=m)
+            maxima.append(counts.reshape(b, m).max(axis=1))
     values = np.concatenate(maxima).astype(np.float64)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if trials > 1 else 0.0

@@ -125,6 +125,16 @@ class TestBounds:
         assert tight["valid"] and tight["ln"] > 0
 
 
+    def test_single_key_universe_marks_ln_ln_u_bounds_invalid(self, capsys):
+        rc, out, err = run_capture(capsys, ["bounds", "--u", "1", "--m", "1", "--n", "1"])
+        assert (rc, err) == (0, "")
+        entries = {e["name"]: e for e in json.loads(out)["bounds"]}
+        for name in ("upper.main", "upper.naor"):
+            assert not entries[name]["valid"]
+            assert "u >= 2" in entries[name]["note"]
+        assert entries["lower.volume"]["ceiling"] == 1
+
+
 class TestConstructAndVerify:
     def test_greedy_anchor(self, capsys):
         rc, out, _ = run_capture(
@@ -408,6 +418,15 @@ class TestReport:
         # n >= m always holds; u >= n drops n = 256 at u = 64
         assert len(rows) == 4 * 3 * 3 * 3 - 3 * 3
         assert all(len(row) == len(header) for row in rows)
+
+    def test_single_key_universe_keeps_its_row(self, capsys):
+        rc, out, err = run_capture(capsys, ["report", "--u", "1,8", "--m", "1,2", "--n", "1,4"])
+        assert (rc, err) == (0, "")
+        header, *rows = csv.reader(io.StringIO(out))
+        # valid points: (1,1,1), (8,1,1), (8,1,4), (8,2,4)
+        assert [row[:3] for row in rows] == [["1", "1", "1"], ["8", "1", "1"], ["8", "1", "4"], ["8", "2", "4"]]
+        first = dict(zip(header, rows[0]))
+        assert first["upper.main"] == first["upper.naor"] == ""
 
     def test_skips_invalid_combinations(self, capsys):
         rc, out, _ = run_capture(

@@ -19,6 +19,10 @@ CASES = {
         ["exact", "--u", "8", "--m", "2", "--n", "4"],
         "3d90affd3d5b48c9adb17507dff5bd4954a2d61917252956bc6fee18f49e04cb",
     ),
+    "exact-two-sizes": (  # fibers 62501 x5 and 62500 x11: two groups meet in the last product
+        ["exact", "--u", "1000005", "--m", "16", "--n", "300", "--c", "3/2"],
+        "795b84757bfeed42fbdab070694213444257f7507051e30ffa639e0efadcefd2",
+    ),
     "exact-with-hc": (
         ["exact", "--u", "8", "--m", "2", "--n", "4", "--c", "3/2", "--with-hc"],
         "3c2a064913092ecbd40f717592930085e2b72fa2bab771e9eba1fb95250d31e9",

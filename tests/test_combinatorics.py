@@ -3,10 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealhash.combinatorics import (
+    _power_coeffs,
     binom,
     composition_count,
     compositions,
@@ -94,6 +95,37 @@ class TestCompositions:
     def test_rejects_no_parts(self):
         with pytest.raises(ValueError):
             list(compositions(2, 0, 2))
+
+
+def truncated_power(p, k, n):
+    """Coefficients 0..n of p^k by k truncated convolutions."""
+    acc = [1] + [0] * n
+    for _ in range(k):
+        nxt = [0] * (n + 1)
+        for i, a in enumerate(acc):
+            for l, w in enumerate(p[: n + 1 - i]):
+                nxt[i + l] += a * w
+        acc = nxt
+    return acc
+
+
+class TestPowerCoeffs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.lists(st.integers(-50, 50), min_size=1, max_size=8).filter(lambda p: p[0] != 0),
+        k=st.integers(0, 6),
+        n=st.integers(0, 30),
+    )
+    def test_matches_repeated_convolution(self, p, k, n):
+        q = _power_coeffs(p, k, n)
+        assert len(q) == min(n, k * (len(p) - 1)) + 1
+        assert q + [0] * (n + 1 - len(q)) == truncated_power(p, k, n)
+
+    def test_rejects_zero_constant_term(self):
+        with pytest.raises(ValueError):
+            _power_coeffs([0, 1], 2, 4)
+        with pytest.raises(ValueError):
+            _power_coeffs([], 2, 4)
 
 
 def test_ln_fraction_handles_huge_terms():

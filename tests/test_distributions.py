@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealhash.combinatorics import compositions, ln_fraction
+from idealhash.combinatorics import binom, compositions, ln_fraction
 from idealhash.distributions import (
     binomial_marginal_le,
     binomial_tail_lb,
@@ -80,7 +80,27 @@ def test_pmfs_reject_malformed_load_vectors(pmf, lv):
         pmf(lv, 2, 2)
 
 
+def reference_p_tmax_le(n, m, cap):
+    """The row DP over cells that computed the throw probability before the
+    power-series recurrence."""
+    row = [1] + [0] * n
+    for _ in range(m):
+        nxt = [0] * (n + 1)
+        for s in range(n + 1):
+            if row[s] == 0:
+                continue
+            for l in range(0, min(cap, n - s) + 1):
+                nxt[s + l] += row[s] * binom(s + l, l)
+        row = nxt
+    return Fraction(row[n], m**n)
+
+
 class TestPTmax:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 5), cap=st.integers(0, 8))
+    def test_matches_row_dp(self, n, m, cap):
+        assert p_tmax_le(n, m, cap) == reference_p_tmax_le(n, m, cap)
+
     def test_two_balls_two_cells(self):
         assert p_tmax_le(2, 2, 1) == Fraction(1, 2)
 

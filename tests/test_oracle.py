@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealhash import hashspace
 from idealhash.combinatorics import binom, compositions
@@ -40,7 +42,43 @@ def naive_count(betas, n, cap):
     return hits
 
 
+def reference_count(betas, n, cap):
+    """The per-cell convolution that counted before the power-series recurrence."""
+    if n < 0 or cap < 0:
+        raise ValueError("need n >= 0 and cap >= 0")
+    acc = [1]
+    for beta in betas:
+        top = min(cap, beta, n)
+        cell = [binom(beta, l) for l in range(top + 1)]
+        limit = min(n, len(acc) + top)
+        nxt = [0] * (limit + 1)
+        for i, a in enumerate(acc):
+            if a == 0:
+                continue
+            for l, w in enumerate(cell):
+                if i + l > limit:
+                    break
+                nxt[i + l] += a * w
+        acc = nxt
+    return acc[n] if n < len(acc) else 0
+
+
 class TestCountIdealSets:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        betas=st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, 13]), max_size=9),
+        n=st.integers(0, 40),
+        cap_step=st.integers(0, 41),
+    )
+    def test_matches_per_cell_convolution(self, betas, n, cap_step):
+        cap = cap_step % (n + 2)  # 0..n+1
+        assert count_ideal_sets(betas, n, cap) == reference_count(betas, n, cap)
+
+    def test_two_fiber_sizes_at_scale_match_per_cell_convolution(self):
+        betas = balanced_fiber_sizes(10**4 + 3, 8)  # three fibers of 1251, five of 1250
+        for n, cap in ((40, 7), (40, 5), (41, 40)):
+            assert count_ideal_sets(betas, n, cap) == reference_count(betas, n, cap)
+
     def test_balanced_square_case(self):
         assert count_ideal_sets((4, 4), 4, 2) == 36  # C(4,2)^2
 

@@ -1,7 +1,11 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
+import pytest
+
+from idealhash import simulate
 from idealhash.cli import run
 from idealhash.hashspace import Family, HashFunction, KeySet, Params, all_functions, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
@@ -38,6 +42,23 @@ class TestMaxLoad:
     def test_mean_between_optimal_and_worst(self):
         est = estimate_max_load(128, 16, trials=300, seed=5)
         assert 128 / 16 <= est.mean <= 128
+
+
+    @pytest.mark.parametrize("n,m,trials", [(1000, 7, 30), (40, 2, 25), (300, 16384, 4), (64, 64, 50)])
+    def test_estimate_does_not_depend_on_the_draw_slice(self, monkeypatch, n, m, trials):
+        whole = estimate_max_load(n, m, trials, seed=5, workers=2)
+        monkeypatch.setattr(simulate, "_SLICE", 37)  # n > 37 draws one trial in slices
+        assert estimate_max_load(n, m, trials, seed=5, workers=2) == whole
+
+    def test_many_cells_keep_scratch_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            est = estimate_max_load(10, 10**6, 200, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 200
+        assert peak < 100 * 2**20
 
 
 class TestIdealProbability:
