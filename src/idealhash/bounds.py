@@ -24,10 +24,6 @@ from .errors import BoundNotApplicableError
 from .hashspace import Params
 from .oracle import exact_ideal_probability
 
-# Printed floor for the per-cell coefficient of the main upper bound at the
-# perfect-hashing corner; reproduced numerically rather than assumed.
-UPPER_BASE_CLAIMED_FLOOR = 1.002
-
 # Desk scale of exact big-integer work: terms * log2(u) up to this many bits.
 # Past it ln C(u,n) is summed term by term and the counting DP is skipped,
 # since its coefficients grow with n * log2(u).
@@ -243,22 +239,6 @@ def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntr
     )
 
 
-def probability_upper(u: int, n: int, m_c: int) -> tuple[int, int]:
-    """Ceilings of both probabilistic covers: tight 1 + floor(-ln|S|/ln(1-p)), loose ceil((|S|/M)*n*ln u).
-
-    Raises ValueError when a ceiling lies beyond the float range.
-    """
-    if m_c <= 0:
-        raise ValueError("need m_c > 0")
-    total = binom(u, n)
-    if m_c > total:
-        raise ValueError("m_c cannot exceed C(u,n)")
-    _, tight, loose = _entries_from_count(u, n, total, m_c)
-    if tight.ceiling is None or loose.ceiling is None:
-        raise ValueError("probabilistic cover beyond the float range")
-    return tight.ceiling, loose.ceiling
-
-
 def _naor_form(u: int, n: int, m: int) -> float:
     """ln of the perfect-splitter upper bound, normalized to the c = 1 specialization.
 
@@ -337,19 +317,10 @@ def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundE
     return tuple(entries)
 
 
-def advice_report(
-    u: int,
-    n: int,
-    m: int,
-    c: Fraction | int,
-    eps: Fraction | float = 0,
-    t: float = 2.0,
-) -> AdviceReport:
-    """Advice-bit forms of the family-size bounds, clamped at zero."""
-    c = Fraction(c)
-    alpha = Fraction(n, m)
-    notes: list[str] = []
-    if c >= m:
+def advice_report(report: BoundReport) -> AdviceReport:
+    """Advice-bit forms of the report's family-size bounds, clamped at zero."""
+    p = report.params
+    if p.c >= p.m:
         return AdviceReport(
             lower_easy=0.0,
             lower_easy_bits=0.0,
@@ -358,59 +329,16 @@ def advice_report(
             upper_yao=0.0,
             notes=("c >= m: a single function suffices, zero advice bits",),
         )
-    ca = c * alpha
-    inner = math.log(u) - ln_fraction(ca)
-    if inner > 0 and m >= 2:
-        lower_easy = math.log(inner) - math.log(math.log(m))
-    else:
-        lower_easy = 0.0
-        notes.append("easy lower bound not applicable (u <= c*alpha or m < 2)")
-    try:
-        lower_easy_bits = max(0.0, math.log2(lower_universe(u, m, n, c)))
-    except (BoundNotApplicableError, ValueError):
-        lower_easy_bits = 0.0
-    lower_main_bits = max(0.0, lower_main(m, alpha, c, eps) / math.log(2.0))
-    upper_main_bits = max(0.0, upper_main(u, n, m, c) / math.log(2.0))
-    upper_yao_bits = max(0.0, math.log2(upper_yao(u, n, t)))
+    # c < m gives m >= 2 and c*alpha < n <= u, so both easy forms apply
+    inner = math.log(p.u) - ln_fraction(p.c * p.alpha)
+    lower_easy = math.log(inner) - math.log(math.log(p.m))
     return AdviceReport(
         lower_easy=max(0.0, lower_easy),
-        lower_easy_bits=lower_easy_bits,
-        lower_main=lower_main_bits,
-        upper_main=upper_main_bits,
-        upper_yao=upper_yao_bits,
-        notes=tuple(notes),
+        lower_easy_bits=max(0.0, math.log2(lower_universe(p.u, p.m, p.n, p.c))),
+        lower_main=max(0.0, report.entry("lower.main").ln / math.log(2.0)),
+        upper_main=max(0.0, report.entry("upper.main").ln / math.log(2.0)),
+        upper_yao=max(0.0, math.log2(report.entry("upper.yao").ceiling)),
     )
-
-
-def upper_base_constant_check() -> dict:
-    """Reproduce the printed floor for the per-cell upper-bound coefficient.
-
-    Evaluates the coefficient at the perfect-hashing corner (c = alpha = 1)
-    and searches a small integer-compatible grid for anything smaller.  The
-    corner value is reported next to the printed floor; a smaller grid point
-    is flagged rather than asserted away.
-    """
-    corner = upper_main_base_nats(Fraction(1), Fraction(1))
-    best = corner
-    best_at = (Fraction(1), Fraction(1))
-    for alpha_int in range(1, 9):
-        for c_num in range(1, 9):
-            a = Fraction(alpha_int)
-            cc = Fraction(c_num)
-            if (cc * a).denominator != 1:
-                continue
-            val = upper_main_base_nats(a, cc)
-            if val < best:
-                best = val
-                best_at = (a, cc)
-    return {
-        "corner_value_nats": corner,
-        "claimed_floor": UPPER_BASE_CLAIMED_FLOOR,
-        "corner_above_floor": corner > UPPER_BASE_CLAIMED_FLOOR,
-        "grid_min_nats": best,
-        "grid_min_at": (str(best_at[0]), str(best_at[1])),
-        "grid_min_matches_corner": best == corner,
-    }
 
 
 def _counting_entries(p: Params) -> tuple[BoundEntry, BoundEntry, BoundEntry]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .bounds import upper_base_constant_check
+from .bounds import upper_main_base_nats
 from .combinatorics import composition_count, compositions, ln_fraction
 from .distributions import (
     binomial_marginal_le,
@@ -30,6 +30,10 @@ from .hashspace import Params, balanced_fiber_sizes
 from .oracle import balance_extremality_check, cap_binds, exact_ideal_probability
 
 LOG_TOL = 1e-9
+
+# Printed floor for the per-cell coefficient of the main upper bound at the
+# perfect-hashing corner; reproduced numerically rather than assumed.
+UPPER_BASE_CLAIMED_FLOOR = 1.002
 
 C_GRID = (Fraction(1), Fraction(3, 2), Fraction(2))
 
@@ -199,17 +203,25 @@ def check_min_product_factorials() -> CheckResult:
 def check_upper_base_constant() -> CheckResult:
     """Reproduce the printed floor of the per-cell upper-bound coefficient.
 
+    Evaluates the coefficient at the perfect-hashing corner (c = alpha = 1)
+    and searches the integer grid 1 <= alpha, c <= 8 for anything smaller.
     Informational: the corner value is asserted above the printed floor; a
     smaller grid point elsewhere is reported in the note, not failed.
     """
-    info = upper_base_constant_check()
-    failures = 0 if info["corner_above_floor"] else 1
-    note = (
-        f"corner {info['corner_value_nats']:.6f} vs printed floor "
-        f"{info['claimed_floor']}; grid min {info['grid_min_nats']:.6f} at "
-        f"(alpha={info['grid_min_at'][0]}, c={info['grid_min_at'][1]})"
+    corner = upper_main_base_nats(Fraction(1), Fraction(1))
+    # ties go to the first grid point in (alpha, c) order, the corner included
+    best, best_alpha, best_c = min(
+        (upper_main_base_nats(Fraction(alpha), Fraction(c)), alpha, c)
+        for alpha in range(1, 9)
+        for c in range(1, 9)
     )
-    if not info["grid_min_matches_corner"]:
+    failures = 0 if corner > UPPER_BASE_CLAIMED_FLOOR else 1
+    note = (
+        f"corner {corner:.6f} vs printed floor "
+        f"{UPPER_BASE_CLAIMED_FLOOR}; grid min {best:.6f} at "
+        f"(alpha={best_alpha}, c={best_c})"
+    )
+    if best != corner:
         note += " [smaller than the corner: minimality claim not reproduced]"
     return CheckResult("upper-base-constant", 1, failures, note)
 

@@ -23,12 +23,7 @@ from . import construct as construct_mod
 from . import oracle as oracle_mod
 from . import simulate as simulate_mod
 from .checks import run_all_checks
-from .errors import (
-    BoundNotApplicableError,
-    BudgetExceededError,
-    DimensionMismatchError,
-    PoolExhaustedError,
-)
+from .errors import BudgetExceededError, PoolExhaustedError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
     Params,
@@ -210,7 +205,7 @@ def _rows_to_table(header: list[str], rows: list[list]) -> str:
 def _cmd_bounds(args) -> int:
     p = Params(args.u, args.m, args.n, args.c)
     report = bounds_mod.bound_report(p, eps=args.eps, t=args.t)
-    advice = bounds_mod.advice_report(p.u, p.n, p.m, p.c, eps=args.eps, t=args.t)
+    advice = bounds_mod.advice_report(report)
     if args.format == "json":
         _emit_json(
             {
@@ -419,7 +414,7 @@ def _cmd_report(args) -> int:
                         continue
                     p = Params(u, m, n, c)
                     rep = bounds_mod.bound_report(p, eps=args.eps, t=args.t)
-                    adv = bounds_mod.advice_report(u, n, m, c, eps=args.eps, t=args.t)
+                    adv = bounds_mod.advice_report(rep)
                     row = [u, m, n, str(c), str(p.alpha), p.load_cap]
                     for name in _REPORT_BOUND_COLUMNS:
                         e = rep.entry(name)
@@ -455,8 +450,6 @@ def run(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.subcommand](args)
     except (
         BudgetExceededError,
-        BoundNotApplicableError,
-        DimensionMismatchError,
         PoolExhaustedError,
         ValueError,
         OSError,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 
@@ -58,8 +57,7 @@ def _power_coeffs(p: Sequence[int], k: int, n: int) -> list[int]:
 def composition_count(n: int, m: int, d: int) -> int:
     """Number of tuples (l_1..l_m) with 0 <= l_i <= d and sum n, exactly.
 
-    Dynamic program over parts with a prefix-sum window, O(n*m): the row for
-    j parts at sum s is the window sum of the previous row over [s-d, s].
+    [x^n] (1 + x + ... + x^d)^m by the power-series recurrence, O(n*d).
     """
     if n < 1 or m < 1:
         raise ValueError("composition_count needs n >= 1 and m >= 1")
@@ -67,14 +65,7 @@ def composition_count(n: int, m: int, d: int) -> int:
         raise ValueError("composition_count needs d >= 0")
     if n > m * d:
         return 0
-    row = [1] + [0] * n
-    for _ in range(m):
-        prefix = list(accumulate(row))
-        row = [
-            prefix[s] - (prefix[s - d - 1] if s - d - 1 >= 0 else 0)
-            for s in range(n + 1)
-        ]
-    return row[n]
+    return _power_coeffs([1] * (d + 1), m, n)[n]
 
 
 def compositions(n: int, m: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -210,7 +210,3 @@ def yao_family(
         fallback_rounds=fallbacks,
     )
 
-
-def yao_effective_params(p: Params, load_target: int) -> Params:
-    """Params whose ideality cap equals load_target (c = load_target*m/n)."""
-    return Params(p.u, p.m, p.n, Fraction(load_target * p.m, p.n))

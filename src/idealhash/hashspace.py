@@ -225,6 +225,6 @@ def family_to_text(f: Family) -> str:
     return "\n".join(function_to_text(h) for h in f.functions) + "\n"
 
 
-def family_from_text(text: str, m: int, provenance: str = "explicit") -> Family:
+def family_from_text(text: str, m: int) -> Family:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    return Family(tuple(function_from_text(ln, m) for ln in lines), provenance)
+    return Family(tuple(function_from_text(ln, m) for ln in lines))

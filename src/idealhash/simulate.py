@@ -118,7 +118,8 @@ def estimate_ideal_probability(
     return Estimate(p_hat, halfwidth, trials, seed, workers, method)
 
 
-def _wilson_halfwidth(successes: int, trials: int, z: float = 1.96) -> float:
+def _wilson_halfwidth(successes: int, trials: int) -> float:
+    z = 1.96
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     spread = (

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from idealhash.bounds import (
     advice_report,
+    bound_report,
     lower_main,
     lower_universe,
-    probability_upper,
     upper_main,
     upper_yao,
     _naor_form,
@@ -32,7 +32,6 @@ from idealhash.combinatorics import binom, ln_fraction
 from idealhash.construct import (
     greedy_cover,
     random_balanced_family,
-    yao_effective_params,
     yao_family,
 )
 from idealhash.distributions import p_tmax_le, tmax_lower_bound
@@ -132,7 +131,7 @@ def test_criterion_05_exact_minimum_anchor():
     p = Params(4, 2, 2, 1)
     h_exact = min_family_size_exact(p)
     universe = lower_universe(4, 2, 2, 1)
-    tight, _ = probability_upper(4, 2, exact_ideal_probability(p).m_c)
+    tight = bound_report(p).entry("upper.prob.tight").ceiling
     anchor_ok = h_exact == 2 and universe == 2.0 and tight == 2
     singleton_ok = True
     for u in range(2, 7):
@@ -160,7 +159,9 @@ def test_criterion_06_sandwich_audit():
             continue
         instances += 1
         volume = -(-ic.total // ic.m_c)
-        tight, loose = probability_upper(p.u, p.n, ic.m_c)
+        rep = bound_report(p)
+        tight = rep.entry("upper.prob.tight").ceiling
+        loose = rep.entry("upper.prob.loose").ceiling
         if not (volume <= h <= tight <= loose):
             violations.append((p, (volume, h, tight, loose)))
         try:
@@ -204,15 +205,14 @@ def test_criterion_07_constructors():
         for r, residual in enumerate(log.uncovered_per_round, start=1):
             if residual > total / t**r:
                 yao_ok = False
-        if not verify_family(log.family, yao_effective_params(p, target)).is_ideal_family:
+        if not verify_family(log.family, Params(p.u, p.m, p.n, Fraction(target * p.m, p.n))).is_ideal_family:
             yao_ok = False
 
     # instances chosen so the union bound itself promises <= 2.5% failure
     # per seed at the loose size; the 19-of-20 bar then reflects the bound
     random_ok = True
     for p in (Params(4, 2, 2, 1), Params(6, 3, 3, 1), Params(6, 2, 4, 1)):
-        ic = exact_ideal_probability(p)
-        _, loose = probability_upper(p.u, p.n, ic.m_c)
+        loose = bound_report(p).entry("upper.prob.loose").ceiling
         verified = sum(
             random_balanced_family(p, seed=seed, max_rounds=loose).verified
             for seed in range(20)
@@ -268,7 +268,7 @@ def test_criterion_09_bound_evaluators():
                 naor_ok = False
 
     u, n, m, c, t = 2**20, 64, 16, Fraction(1), 2.0
-    adv = advice_report(u, n, m, c, t=t)
+    adv = advice_report(bound_report(Params(u, m, n, c), t=t))
     advice_ok = (
         adv.lower_main == lower_main(m, Fraction(n, m), c, 0) / math.log(2.0)
         and adv.upper_main == upper_main(u, n, m, c) / math.log(2.0)

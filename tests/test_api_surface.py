@@ -1,0 +1,49 @@
+"""Nothing in `src/idealhash` is public without a caller.
+
+A top-level `def` or `class` whose name has no leading underscore must be
+referenced by some module of the package outside its own definition: a
+name, an attribute or an imported name.  A public wrapper that only tests
+call fails here; it either earns a caller in the package or goes.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "idealhash"
+
+
+def _public_definitions(tree: ast.Module) -> list[ast.stmt]:
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in tree.body if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    # references per (module, top-level statement); a definition's own body does not count for it
+    refs = [
+        (module, getattr(stmt, "name", None), _referenced_names(stmt))
+        for module, tree in trees.items()
+        for stmt in tree.body
+    ]
+    uncalled = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in _public_definitions(tree)
+        if not any(
+            node.name in names and (where, owner) != (module, node.name)
+            for where, owner, names in refs
+        )
+    ]
+    assert uncalled == []

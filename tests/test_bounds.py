@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealhash.bounds import (
     AdviceReport,
@@ -14,13 +16,12 @@ from idealhash.bounds import (
     ln_binom,
     lower_main,
     lower_universe,
-    probability_upper,
-    upper_base_constant_check,
     upper_main,
     upper_main_base_nats,
     upper_yao,
     _naor_form,
 )
+from idealhash.checks import check_upper_base_constant
 from idealhash.combinatorics import binom, ln_fraction
 from idealhash.errors import BoundNotApplicableError
 from idealhash.hashspace import Params, balanced_fiber_sizes
@@ -181,8 +182,9 @@ class TestUpperYao:
 
 class TestProbabilityUpper:
     def test_anchor_tight_equals_exact_minimum(self):
-        ic = exact_ideal_probability(Params(4, 2, 2, 1))
-        tight, loose = probability_upper(4, 2, ic.m_c)
+        rep = bound_report(Params(4, 2, 2, 1))
+        tight = rep.entry("upper.prob.tight").ceiling
+        loose = rep.entry("upper.prob.loose").ceiling
         assert tight == 2
         assert loose == 5
         assert min_family_size_exact(Params(4, 2, 2, 1)) == tight
@@ -191,19 +193,18 @@ class TestProbabilityUpper:
         for u in range(3, 9):
             for m in (2, 3):
                 for n in range(m, min(u, 5) + 1):
-                    ic = exact_ideal_probability(Params(u, m, n, 1))
-                    if ic.m_c == 0:
-                        continue
-                    tight, loose = probability_upper(u, n, ic.m_c)
+                    rep = bound_report(Params(u, m, n, 1))
+                    if not rep.entry("upper.prob.tight").valid:
+                        continue  # M_c = 0
+                    tight = rep.entry("upper.prob.tight").ceiling
+                    loose = rep.entry("upper.prob.loose").ceiling
                     assert tight <= loose
 
     def test_certain_probability_needs_one_function(self):
-        tight, _ = probability_upper(4, 2, binom(4, 2))
+        p = Params(4, 2, 2, 2)  # c = m: every one of the C(4,2) sets is ideal
+        assert exact_ideal_probability(p).m_c == binom(4, 2)
+        tight = bound_report(p).entry("upper.prob.tight").ceiling
         assert tight == 1
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValueError):
-            probability_upper(4, 2, 0)
 
     @pytest.mark.parametrize(
         "u,m,n,c",
@@ -262,8 +263,6 @@ class TestProbabilityUpper:
         assert rep.entry("upper.prob.tight").ceiling is None
         assert rep.entry("upper.prob.loose").ceiling is None
         assert rep.entry("upper.main").ceiling is None
-        with pytest.raises(ValueError):
-            probability_upper(2400, 1200, 1)
 
 
 class TestComparisonBounds:
@@ -311,28 +310,78 @@ class TestComparisonBounds:
         assert math.exp(entries["lower.mehlhorn"].ln) == pytest.approx(want, rel=1e-12)
 
 
+def reference_advice(u, n, m, c, eps=0, t=2.0):
+    """The advice evaluator as it was before it read the bound report."""
+    c = Fraction(c)
+    alpha = Fraction(n, m)
+    notes: list[str] = []
+    if c >= m:
+        return AdviceReport(
+            lower_easy=0.0,
+            lower_easy_bits=0.0,
+            lower_main=0.0,
+            upper_main=0.0,
+            upper_yao=0.0,
+            notes=("c >= m: a single function suffices, zero advice bits",),
+        )
+    ca = c * alpha
+    inner = math.log(u) - ln_fraction(ca)
+    if inner > 0 and m >= 2:
+        lower_easy = math.log(inner) - math.log(math.log(m))
+    else:
+        lower_easy = 0.0
+        notes.append("easy lower bound not applicable (u <= c*alpha or m < 2)")
+    try:
+        lower_easy_bits = max(0.0, math.log2(lower_universe(u, m, n, c)))
+    except (BoundNotApplicableError, ValueError):
+        lower_easy_bits = 0.0
+    lower_main_bits = max(0.0, lower_main(m, alpha, c, eps) / math.log(2.0))
+    upper_main_bits = max(0.0, upper_main(u, n, m, c) / math.log(2.0))
+    upper_yao_bits = max(0.0, math.log2(upper_yao(u, n, t)))
+    return AdviceReport(
+        lower_easy=max(0.0, lower_easy),
+        lower_easy_bits=lower_easy_bits,
+        lower_main=lower_main_bits,
+        upper_main=upper_main_bits,
+        upper_yao=upper_yao_bits,
+        notes=tuple(notes),
+    )
+
+
+@st.composite
+def advice_points(draw):
+    """A valid Params (m <= 64, n <= 512, u <= 2^40) with eps and t."""
+    m = draw(st.integers(1, 64))
+    n = draw(st.integers(m, 512))
+    u = draw(st.one_of(st.integers(n, 4 * n), st.integers(n, 2**40)))
+    c = draw(st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(m), Fraction(7)]))
+    eps = draw(st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 3)]))
+    t = draw(st.sampled_from([2.0, 1.5, 3.0, 3.5]))
+    return Params(u, m, n, c), eps, t
+
+
 class TestAdviceReport:
     def test_easy_lower_anchor(self):
-        adv = advice_report(2**256, 2**16, 2**16, 1)
+        adv = advice_report(bound_report(Params(2**256, 2**16, 2**16, 1)))
         want = math.log(256 * math.log(2)) - math.log(16 * math.log(2))
         assert adv.lower_easy == pytest.approx(want)
         assert adv.lower_easy == pytest.approx(2.77, abs=5e-3)
 
     def test_lower_main_grows_linearly_in_m(self):
-        b1 = advice_report(2**20, 64, 64, 1).lower_main
-        b2 = advice_report(2**20, 128, 128, 1).lower_main
-        b4 = advice_report(2**20, 256, 256, 1).lower_main
+        b1 = advice_report(bound_report(Params(2**20, 64, 64, 1))).lower_main
+        b2 = advice_report(bound_report(Params(2**20, 128, 128, 1))).lower_main
+        b4 = advice_report(bound_report(Params(2**20, 256, 256, 1))).lower_main
         assert b2 / b1 == pytest.approx(2.0, rel=0.05)
         assert b4 / b2 == pytest.approx(2.0, rel=0.05)
 
     def test_c_at_least_m_collapses_to_zero_bits(self):
-        adv = advice_report(64, 4, 2, 2)
+        adv = advice_report(bound_report(Params(64, 2, 4, 2)))
         assert adv == AdviceReport(0.0, 0.0, 0.0, 0.0, 0.0, adv.notes)
         assert adv.notes
 
     def test_values_are_log2_of_the_bounds(self):
         u, n, m, c, t = 2**20, 64, 16, Fraction(1), 2.0
-        adv = advice_report(u, n, m, c, t=t)
+        adv = advice_report(bound_report(Params(u, m, n, c), t=t))
         assert adv.lower_main == lower_main(m, Fraction(n, m), c, 0) / math.log(2.0)
         assert adv.upper_main == upper_main(u, n, m, c) / math.log(2.0)
         assert adv.upper_yao == math.log2(upper_yao(u, n, t))
@@ -342,27 +391,34 @@ class TestAdviceReport:
         for m in (4, 16, 64):
             for alpha in (1, 2, 4):
                 n = m * alpha
-                adv = advice_report(max(n * n, 16), n, m, 1)
+                adv = advice_report(bound_report(Params(max(n * n, 16), m, n, 1)))
                 assert adv.lower_main <= adv.upper_main
                 assert adv.lower_easy_bits <= adv.upper_main + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(advice_points())
+    def test_matches_the_evaluator_it_replaced(self, point):
+        p, eps, t = point
+        got = advice_report(bound_report(p, eps, t))
+        assert got == reference_advice(p.u, p.n, p.m, p.c, eps, t)
 
 
 class TestUpperBaseConstant:
     def test_corner_value_reproduces(self):
-        info = upper_base_constant_check()
-        assert info["corner_value_nats"] == pytest.approx(
+        assert upper_main_base_nats(Fraction(1), Fraction(1)) == pytest.approx(
             0.5 * math.log(2 * math.pi) + 1 / 12, rel=1e-12
         )
-        assert info["corner_above_floor"]
+        assert check_upper_base_constant().ok  # the corner lies above the printed floor
 
     def test_minimality_claim_is_flagged_not_asserted(self):
         # the integer grid holds a smaller coefficient at (alpha=1, c=2);
-        # the report exposes it instead of hiding the discrepancy
-        info = upper_base_constant_check()
-        assert not info["grid_min_matches_corner"]
-        assert info["grid_min_at"] == ("1", "2")
-        assert info["grid_min_nats"] == pytest.approx(
-            upper_main_base_nats(Fraction(1), Fraction(2)), rel=1e-12
+        # the check's note exposes it instead of hiding the discrepancy
+        result = check_upper_base_constant()
+        corner = upper_main_base_nats(Fraction(1), Fraction(1))
+        grid_min = upper_main_base_nats(Fraction(1), Fraction(2))
+        assert result.note == (
+            f"corner {corner:.6f} vs printed floor 1.002; grid min {grid_min:.6f} at (alpha=1, c=2)"
+            " [smaller than the corner: minimality claim not reproduced]"
         )
 
 
@@ -405,11 +461,3 @@ class TestBoundReport:
         assert not rep.entry("lower.volume").valid  # counting skipped
         assert rep.entry("upper.main").valid
         assert rep.entry("lower.main").valid
-
-    def test_prob_entries_match_probability_upper(self):
-        p = Params(8, 2, 4, 1)
-        rep = bound_report(p)
-        ic = exact_ideal_probability(p)
-        tight, loose = probability_upper(p.u, p.n, ic.m_c)
-        assert rep.entry("upper.prob.tight").ceiling == tight
-        assert rep.entry("upper.prob.loose").ceiling == loose

@@ -47,6 +47,10 @@ CASES = {
         ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3", "--t", "3.5"],
         "83db73b17562e0b58942288b608bcff525e98c225c740372c150cf7094d0fac2",
     ),
+    "bounds-zero-advice": (  # c >= m: every advice field is 0 with the one note
+        ["bounds", "--u", "16", "--m", "2", "--n", "4", "--c", "2"],
+        "b0115c4f84f18457b64785504c2e07f9f4e9eaf4716c9a570d2fb954128e415c",
+    ),
     "bounds-counting-skipped": (  # n * log2(u) beyond desk scale
         ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
         "0cd15e0fc7fe9dfc9c879158c1fcda927bacf82f76791e684a42aada9c21233f",

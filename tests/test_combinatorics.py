@@ -1,9 +1,9 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealhash.combinatorics import (
@@ -35,6 +35,24 @@ class TestBinom:
                 assert binom(a, b) == binom(a, a - b)
                 if 0 < b:
                     assert binom(a, b) == binom(a - 1, b - 1) + binom(a - 1, b)
+
+
+def reference_composition_count(n, m, d):
+    """The prefix-sum window that counted before the power-series recurrence."""
+    if n < 1 or m < 1:
+        raise ValueError("composition_count needs n >= 1 and m >= 1")
+    if d < 0:
+        raise ValueError("composition_count needs d >= 0")
+    if n > m * d:
+        return 0
+    row = [1] + [0] * n
+    for _ in range(m):
+        prefix = list(accumulate(row))
+        row = [
+            prefix[s] - (prefix[s - d - 1] if s - d - 1 >= 0 else 0)
+            for s in range(n + 1)
+        ]
+    return row[n]
 
 
 class TestCompositionCount:
@@ -71,6 +89,20 @@ class TestCompositionCount:
             1 for tup in product(range(d + 1), repeat=m) if sum(tup) == n
         )
         assert composition_count(n, m, d) == brute
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        m=st.integers(min_value=1, max_value=10),
+        d=st.integers(min_value=0, max_value=15),
+    )
+    @example(n=1, m=1, d=0)  # d = 0 counts nothing at n >= 1
+    @example(n=60, m=10, d=0)
+    @example(n=31, m=2, d=15)  # n > m*d
+    @example(n=30, m=2, d=15)  # n = m*d: the one all-d tuple
+    @example(n=60, m=10, d=15)
+    def test_matches_prefix_sum_window(self, n, m, d):
+        assert composition_count(n, m, d) == reference_composition_count(n, m, d)
 
     def test_dominates_crude_power_lower_bound(self):
         # d = c*alpha with integer alpha: count >= (alpha+1)^(m*(1-1/c))

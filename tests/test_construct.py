@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from idealhash.combinatorics import binom
-from idealhash.bounds import lower_universe, probability_upper
+from idealhash.bounds import bound_report, lower_universe
 from idealhash.construct import (
     greedy_cover,
     random_balanced_family,
     sample_balanced_function,
-    yao_effective_params,
     yao_family,
 )
 from idealhash.errors import BoundNotApplicableError, PoolExhaustedError
@@ -37,8 +36,7 @@ def oracle_grid():
 
 class TestRandomBalanced:
     def test_verifies_within_loose_bound_on_twenty_seeds(self):
-        ic = exact_ideal_probability(P422)
-        _, loose = probability_upper(4, 2, ic.m_c)
+        loose = bound_report(P422).entry("upper.prob.loose").ceiling
         assert loose == 5
         verified = 0
         for seed in range(20):
@@ -132,7 +130,7 @@ class TestYao:
     def test_verifies_at_effective_ideality_factor(self):
         p = Params(8, 2, 4, 1)
         log = yao_family(p, t=2.0, pool=balanced_functions(p), load_target=3)
-        eff = yao_effective_params(p, 3)
+        eff = Params(p.u, p.m, p.n, Fraction(3 * p.m, p.n))  # cap = load target 3
         assert eff.load_cap == 3
         assert verify_family(log.family, eff).is_ideal_family
 
