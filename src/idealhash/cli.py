@@ -2,9 +2,10 @@
 check-lemmas, report.
 
 Exact rationals serialize as "numerator/denominator" strings, never floats.
-Any flag default can be overridden by an IDEALHASH_<FLAG> environment
-variable (e.g. IDEALHASH_BUDGET=500000).  Exit codes: 0 success, 1 budget or
-domain error, 2 usage error, 3 lemma-check failure.
+IDEALHASH_<FLAG> (e.g. IDEALHASH_BUDGET=500000) sets the default of --c,
+--eps, --t, --format, --out, --budget, --size-limit, --pool-budget, --seed,
+--max-rounds, --pool, --trials and --workers.  Exit codes: 0 success, 1
+budget or domain error, 2 usage error, 3 lemma-check failure.
 """
 
 from __future__ import annotations
@@ -82,11 +83,13 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--c", type=_fraction, default=_env("c", "1"), help="ideality factor (rational, e.g. 3/2 or 1.5)")
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    formats = ("json", "csv", "table")
-    sp.add_argument("--format", choices=formats, type=_one_of(formats), default=_env("format", "json"))
+def _add_output_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...] = (), budget: bool = False) -> None:
+    """--out; --format over `formats` (the first is the default) if any; --budget if asked."""
+    if formats:
+        sp.add_argument("--format", choices=formats, type=_one_of(formats), default=_env("format", formats[0]))
     sp.add_argument("--out", type=str, default=_env("out", None), help="write the report here instead of stdout")
-    sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n), and on m**u for all-function pools")
+    if budget:
+        sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n), and on m**u for all-function pools")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,25 +98,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="evaluate every named bound and the advice report")
     _add_param_flags(sp)
-    _add_common_flags(sp)
+    _add_output_flags(sp, ("json", "csv", "table"))
     sp.add_argument("--eps", type=_fraction, default=_env("eps", "0"))
     sp.add_argument("--t", type=float, default=_env("t", 2.0))
 
     sp = sub.add_parser("exact", help="exact ideality count and probability")
     _add_param_flags(sp)
-    _add_common_flags(sp)
+    _add_output_flags(sp, budget=True)
     sp.add_argument("--with-hc", action="store_true", help="also search the exact minimal family size")
     sp.add_argument("--size-limit", type=int, default=_env("size_limit", 8))
     sp.add_argument("--pool-budget", type=int, default=_env("pool_budget", oracle_mod.DEFAULT_POOL_BUDGET))
 
     sp = sub.add_parser("verify", help="check a family file against every key set")
     _add_param_flags(sp)
-    _add_common_flags(sp)
+    _add_output_flags(sp, budget=True)
     sp.add_argument("--family", type=str, required=True, help="file with one function per line")
 
     sp = sub.add_parser("construct", help="build a verified family")
     _add_param_flags(sp)
-    _add_common_flags(sp)
+    _add_output_flags(sp, budget=True)
     sp.add_argument("--method", choices=("random", "greedy", "yao"), required=True)
     sp.add_argument("--seed", type=int, default=_env("seed", 0))
     sp.add_argument("--max-rounds", type=int, default=_env("max_rounds", 64))
@@ -132,10 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=_env("trials", 10000))
     sp.add_argument("--seed", type=int, default=_env("seed", 0))
     sp.add_argument("--workers", type=int, default=_env("workers", 1), help="RNG streams to split the trials across (run serially)")
-    _add_common_flags(sp)
+    _add_output_flags(sp)
 
     sp = sub.add_parser("check-lemmas", help="run the exact inequality battery")
-    _add_common_flags(sp)
+    _add_output_flags(sp, ("json", "csv", "table"))
 
     sp = sub.add_parser("report", help="sweep a parameter grid into a plot-ready table")
     sp.add_argument("--u", type=_int_list, required=True, help="comma-separated list")
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=_fraction_list, default=_env("c", "1"))
     sp.add_argument("--eps", type=_fraction, default=_env("eps", "0"))
     sp.add_argument("--t", type=float, default=_env("t", 2.0))
-    _add_common_flags(sp)
+    _add_output_flags(sp, ("csv", "table"))
     return ap
 
 
@@ -303,7 +306,7 @@ def _cmd_construct(args) -> int:
         if args.pool == "balanced":
             pool = list(balanced_functions(p))
         else:
-            pool, _ = partition_classes(all_functions(p.u, p.m, budget=args.budget))
+            pool = partition_classes(all_functions(p.u, p.m, budget=args.budget))
         if args.method == "greedy":
             log = construct_mod.greedy_cover(p, pool, budget=args.budget)
         else:

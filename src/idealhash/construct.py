@@ -21,9 +21,8 @@ from .hashspace import (
     HashFunction,
     Params,
     function_to_text,
-    partition_classes,
 )
-from .oracle import cell_matrix, cover_mask, exceed_masks, ranked_key_sets
+from .oracle import class_exceed_masks, cover_mask, ranked_key_sets
 
 
 @dataclass(frozen=True)
@@ -132,11 +131,9 @@ def _select(
     """
     if not candidates:
         raise ValueError("pool must be non-empty")
-    sets = ranked_key_sets(p, budget)
-    reps, _ = partition_classes(candidates)
-    exceed = list(exceed_masks(cell_matrix(reps, p), sets, cap))
+    reps, exceed = class_exceed_masks(candidates, p, cap, budget)
     order = sorted(range(len(reps)), key=lambda i: key(reps[i])) if key else list(range(len(reps)))
-    live = (1 << len(sets)) - 1
+    live = (1 << p.total_sets) - 1
     picks: list[HashFunction] = []
     trail: list[int] = []
     while live:

@@ -179,29 +179,22 @@ def all_functions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
 
 def partition_classes(
     functions: Iterable[HashFunction], budget: int | None = None
-) -> tuple[list[HashFunction], list[int]]:
-    """Group functions by partition signature.
+) -> list[HashFunction]:
+    """The first function of each partition-signature class, in order of appearance.
 
-    Returns the first function of each class in order of appearance, and the
-    class index of every input.  Max load is invariant under relabeling
-    cells, so coverage needs one member per class.  Two functions share a
-    signature exactly when numbering their cells in order of first
-    appearance gives the same sequence, which is the cheaper key used here.
-    Raises once more than `budget` classes have appeared.
+    Max load is invariant under relabeling cells, so coverage needs one
+    member per class.  Two functions share a signature exactly when
+    numbering their cells in order of first appearance gives the same
+    sequence, which is the cheaper key used here.  Raises once more than
+    `budget` classes have appeared.
     """
-    reps: list[HashFunction] = []
-    index: list[int] = []
-    seen: dict[tuple[int, ...], int] = {}
+    reps: dict[tuple[int, ...], HashFunction] = {}
     for h in functions:
         labels: dict[int, int] = {}
-        key = tuple([labels.setdefault(c, len(labels)) for c in h.cells])
-        i = seen.setdefault(key, len(reps))
-        if i == len(reps):
-            reps.append(h)
-            if budget is not None and len(reps) > budget:
-                raise BudgetExceededError(f"candidate pool exceeds budget {budget}")
-        index.append(i)
-    return reps, index
+        reps.setdefault(tuple([labels.setdefault(c, len(labels)) for c in h.cells]), h)
+        if budget is not None and len(reps) > budget:
+            raise BudgetExceededError(f"candidate pool exceeds budget {budget}")
+    return list(reps.values())
 
 
 # --- text serialization -----------------------------------------------------

@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .combinatorics import _power_coeffs, binom, compositions
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -242,23 +242,24 @@ def exceed_masks(cells: np.ndarray, sets: np.ndarray, cap: int) -> Iterator[int]
             yield int.from_bytes(row.tobytes(), "little")
 
 
-def pool_exceed_masks(
-    functions: Sequence[HashFunction], p: Params, cap: int, budget: int
-) -> list[int]:
-    """Exceed bitsets of every function, in order, computed once per partition class."""
+def class_exceed_masks(
+    functions: Iterable[HashFunction], p: Params, cap: int, budget: int, pool_budget: int | None = None
+) -> tuple[list[HashFunction], list[int]]:
+    """The first function of each partition class, in order, and its exceed bitset.
+
+    Checks the C(u,n) budget first; at most `pool_budget` classes may appear.
+    """
     sets = ranked_key_sets(p, budget)
-    reps, index = partition_classes(functions)
-    masks = list(exceed_masks(cell_matrix(reps, p), sets, cap))
-    return [masks[i] for i in index]
+    reps = partition_classes(functions, budget=pool_budget)
+    return reps, list(exceed_masks(cell_matrix(reps, p), sets, cap))
 
 
 def verify_family(
     f: Family, p: Params, budget: int = DEFAULT_ENUM_BUDGET
 ) -> CoverageReport:
     """Count the key sets covered by some family member; witness the first miss."""
-    uncovered = functools.reduce(
-        operator.and_, pool_exceed_masks(f.functions, p, p.load_cap, budget)
-    )
+    _, masks = class_exceed_masks(f.functions, p, p.load_cap, budget)
+    uncovered = functools.reduce(operator.and_, masks)
     witness = None
     if uncovered:
         rank = (uncovered & -uncovered).bit_length() - 1
@@ -268,7 +269,7 @@ def verify_family(
 
 def cover_mask(h: HashFunction, p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Bitmask over lexicographically ranked key sets that h hashes within cap."""
-    (exceed,) = pool_exceed_masks([h], p, p.load_cap, budget)
+    _, (exceed,) = class_exceed_masks([h], p, p.load_cap, budget)
     return ((1 << p.total_sets) - 1) ^ exceed
 
 
@@ -307,12 +308,13 @@ def min_family_size_exact(
     """
     if p.c >= p.m or p.m == 1:
         return 1
-    sets = ranked_key_sets(p, budget)
+    ranked_key_sets(p, budget)  # the budget check comes before the early exit
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
-    candidates, _ = partition_classes(all_functions(p.u, p.m, budget), budget=pool_budget)
-    full = (1 << len(sets)) - 1
-    exceed = exceed_masks(cell_matrix(candidates, p), sets, p.load_cap)
+    candidates, exceed = class_exceed_masks(
+        all_functions(p.u, p.m, budget), p, p.load_cap, budget, pool_budget
+    )
+    full = (1 << p.total_sets) - 1
     scored = sorted(
         ((full ^ mk, h.partition_signature()) for mk, h in zip(exceed, candidates)),
         key=lambda pair: (-pair[0].bit_count(), pair[1]),

@@ -20,9 +20,9 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
     import numpy as np
 
 
-# Throws drawn per numpy call: bounds max-load scratch memory around 32 MB.
-# The int64 draw stream does not depend on how it is split into calls, so
-# neither does any seeded estimate.
+# Elements per numpy call, max-load throws or ideal-prob load cells: keeps
+# scratch memory around 32 MB.  The int64 throw stream does not depend on
+# how it is split into calls, so neither does a seeded max-load estimate.
 _SLICE = 2**22
 
 
@@ -102,7 +102,7 @@ def estimate_ideal_probability(
     if p.u >= 10**9:
         raise ValueError("ideal-prob sampling needs u < 10^9")
     betas = balanced_fiber_sizes(p.u, p.m)
-    batch = 1 + 2**22 // p.m  # cap scratch memory around 32 MB
+    batch = 1 + _SLICE // p.m  # b*m load cells stay near _SLICE
     successes = 0
     for w, share in enumerate(shares):
         rng = _worker_rng(seed, w)

@@ -4,10 +4,18 @@ A top-level `def` or `class` whose name has no leading underscore must be
 referenced by some module of the package outside its own definition: a
 name, an attribute or an imported name.  A public wrapper that only tests
 call fails here; it either earns a caller in the package or goes.
+
+The same holds for CLI flags: every flag a subcommand declares must be read
+by that subcommand's handler.
 """
 
+import argparse
 import ast
+import inspect
+import textwrap
 from pathlib import Path
+
+from idealhash import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "idealhash"
 
@@ -47,3 +55,22 @@ def test_every_public_name_has_a_caller_in_the_package():
         )
     ]
     assert uncalled == []
+
+
+def _unread_flags() -> list[str]:
+    """`subcommand.dest` for each declared flag its handler never reads as `args.<dest>`."""
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = []
+    for name, sp in subparsers.choices.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cli._DISPATCH[name])))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        unread += [f"{name}.{a.dest}" for a in sp._actions if a.dest != "help" and a.dest not in read]
+    return unread
+
+
+def test_every_flag_is_read_by_its_handler():
+    assert _unread_flags() == []

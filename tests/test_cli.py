@@ -332,13 +332,14 @@ class TestEnvOverrides:
         "name, value, argv",
         [
             ("IDEALHASH_BUDGET", "abc", ["exact", "--u", "8", "--m", "2", "--n", "4"]),
-            ("IDEALHASH_BUDGET", "1e6", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_BUDGET", "1e6", ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"]),
             ("IDEALHASH_SEED", "1.5", ["construct", "--method", "random", "--u", "4", "--m", "2", "--n", "2"]),
             ("IDEALHASH_WORKERS", "two", ["simulate", "--kind", "max-load", "--m", "2", "--n", "4"]),
             ("IDEALHASH_T", "fast", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
             ("IDEALHASH_C", "1/0", ["report", "--u", "8", "--m", "2", "--n", "4"]),
             ("IDEALHASH_FORMAT", "xml", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
             ("IDEALHASH_POOL", "foo", ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"]),
+            ("IDEALHASH_FORMAT", "json", ["report", "--u", "8", "--m", "2", "--n", "4"]),
         ],
     )
     def test_malformed_override_is_a_usage_error(self, capsys, monkeypatch, name, value, argv):
@@ -347,6 +348,41 @@ class TestEnvOverrides:
             run(argv)
         assert exc.value.code == 2
         assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--u", "8", "--m", "2", "--n", "4"],
+            ["report", "--u", "8", "--m", "2", "--n", "4"],
+            ["check-lemmas"],
+            ["simulate", "--kind", "max-load", "--m", "2", "--n", "4", "--trials", "50"],
+        ],
+    )
+    def test_budget_override_leaves_commands_without_budget_alone(self, capsys, monkeypatch, argv):
+        for name in list(os.environ):
+            if name.startswith("IDEALHASH_"):
+                monkeypatch.delenv(name)
+        clean = run_capture(capsys, argv)
+        monkeypatch.setenv("IDEALHASH_BUDGET", "abc")
+        assert run_capture(capsys, argv) == clean
+        assert clean[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exact", "--u", "8", "--m", "2", "--n", "4"],
+            ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", "{family}"],
+            ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"],
+            ["simulate", "--kind", "max-load", "--m", "2", "--n", "4", "--trials", "50"],
+        ],
+    )
+    def test_format_override_leaves_json_only_commands_alone(self, capsys, monkeypatch, tmp_path, argv):
+        family = tmp_path / "family.txt"
+        family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
+        monkeypatch.setenv("IDEALHASH_FORMAT", "xml")
+        rc, out, _ = run_capture(capsys, [str(family) if a == "{family}" else a for a in argv])
+        assert rc == 0
+        assert json.loads(out)["command"] == argv[0]
 
     def test_flag_wins_over_malformed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("IDEALHASH_BUDGET", "abc")

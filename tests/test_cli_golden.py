@@ -13,6 +13,7 @@ import pytest
 from idealhash.cli import run
 
 GREEDY = ["construct", "--method", "greedy", "--u", "8", "--m", "2", "--n", "4"]
+REPORT = ["report", "--u", "8,16,256", "--m", "2,4", "--n", "4,8", "--c", "1,3/2"]
 
 CASES = {
     "exact": (
@@ -87,9 +88,21 @@ CASES = {
         ["check-lemmas"],
         "2fed0f76f14fd2994c0b0ad441655128fc655b769ab21b8c1a2e3e59be35af83",
     ),
+    "check-lemmas-table": (
+        ["check-lemmas", "--format", "table"],
+        "9aa4d4636b5ecd9405354e8ea474a372e69322056d12abc3e87548b9dfa35c0d",
+    ),
     "report-csv": (
-        ["report", "--u", "8,16,256", "--m", "2,4", "--n", "4,8", "--c", "1,3/2", "--format", "csv"],
+        REPORT + ["--format", "csv"],
         "a435fb8295ec14c683eed4941499f50b3f7a1e0e8297f5fb83ad02a50ef337b0",
+    ),
+    "report-default": (  # no --format: the same bytes as report-csv
+        REPORT,
+        "a435fb8295ec14c683eed4941499f50b3f7a1e0e8297f5fb83ad02a50ef337b0",
+    ),
+    "report-table": (
+        REPORT + ["--format", "table"],
+        "1a732b3c02d399a43d75939e6f170b4d49d78e91213052b10ee91e50f0a5bc07",
     ),
 }
 

@@ -23,10 +23,10 @@ from idealhash.hashspace import (
 )
 from idealhash.oracle import (
     cell_matrix,
+    class_exceed_masks,
     cover_mask,
     exceed_masks,
     min_family_size_exact,
-    pool_exceed_masks,
     ranked_key_sets,
     verify_family,
 )
@@ -96,12 +96,14 @@ class TestExceedMasks:
             got = list(exceed_masks(cells, sets, cap))
             assert got == [direct_exceed_mask(row, combos, cap) for row in rows]
 
-    def test_pool_masks_follow_pool_order_through_duplicates(self):
+    def test_class_masks_follow_first_members_in_pool_order(self):
         p = Params(6, 3, 3)
         pool = list(balanced_functions(p))  # every partition class appears 3! times
         combos = list(itertools.combinations(range(6), 3))
-        got = pool_exceed_masks(pool, p, p.load_cap, budget=10**6)
-        want = [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in pool]
+        reps, got = class_exceed_masks(pool, p, p.load_cap, budget=10**6)
+        sigs = [h.partition_signature() for h in pool]
+        assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
+        want = [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in reps]
         assert got == want
 
     def test_ranked_key_sets_are_lexicographic_and_read_only(self):
@@ -177,9 +179,8 @@ def test_partition_classes_group_by_partition_signature(u, m, data):
     pool = data.draw(
         st.lists(st.sampled_from(list(all_functions(u, m))), min_size=1, max_size=12)
     )
-    reps, index = partition_classes(pool)
+    reps = partition_classes(pool)
     sigs = [h.partition_signature() for h in pool]
-    assert [reps[i] for i in index] == [pool[sigs.index(s)] for s in sigs]
-    assert len(reps) == len(set(sigs))
+    assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
     with pytest.raises(BudgetExceededError):
         partition_classes(pool, budget=len(reps) - 1)
