@@ -22,7 +22,7 @@ from .hashspace import (
     Params,
     function_to_text,
 )
-from .oracle import class_exceed_masks, cover_mask, ranked_key_sets
+from .oracle import check_set_budget, class_exceed_masks, cover_mask
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,9 @@ def random_balanced_family(
     """
     if max_rounds < 1:
         raise ValueError("need max_rounds >= 1")
+    check_set_budget(p, budget)
     rng = random.Random(seed)
-    uncovered = (1 << len(ranked_key_sets(p, budget))) - 1
+    uncovered = (1 << p.total_sets) - 1
     chosen: list[HashFunction] = []
     trail: list[int] = []
     for _ in range(max_rounds):

@@ -76,7 +76,7 @@ class HashFunction:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("need m >= 1")
-        if any(c < 1 or c > self.m for c in self.cells):
+        if self.cells and (min(self.cells) < 1 or max(self.cells) > self.m):
             raise DimensionMismatchError(f"cell indices must lie in 1..{self.m}")
 
     @property

@@ -11,13 +11,12 @@ recurrence (`combinatorics._power_coeffs`).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .combinatorics import _power_coeffs, binom, compositions
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -31,9 +30,6 @@ from .hashspace import (
     balanced_fiber_sizes,
     partition_classes,
 )
-
-if TYPE_CHECKING:  # numpy is imported where the kernel runs, so counting starts without it
-    import numpy as np
 
 DEFAULT_POOL_BUDGET = 10**4
 
@@ -141,105 +137,78 @@ def balance_extremality_check(u: int, m: int, n: int, c: Fraction | int) -> bool
 #
 # Every coverage question (verify a family, score a construction pool, search
 # the minimal family) asks, per function, which ranked key sets it hashes with
-# a max load above the cap.  One numpy kernel answers it as a Python-int
-# bitset per function: bit i stands for the key set of lexicographic rank i.
+# a max load above the cap.  The answer is a Python-int bitset per function:
+# bit i stands for the n-subset of keys 0..u-1 of lexicographic rank i.
+#
+# The sets whose smallest key is a hold consecutive ranks, C(u-a-1, n-1) of
+# them, and their other keys run over the last that many ranks of the
+# (n-1)-subsets of 1..u-1 (the combinatorial number system, Knuth TAOCP Vol.
+# 4A 7.2.1.3).  So one table, per key, of the (n-1)-subsets holding it gives
+# every block of every function's bitset by a right shift.
 
-BLOCK_ELEMENTS = 1 << 16  # functions x sets x n keys gathered per kernel block
 
-
-def ranked_key_sets(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """All C(u,n) key sets as a (T x n) array of 0-based keys, row i of rank i.
-
-    Checks the enumeration budget before anything is built.  The array is
-    cached, read-only, and column-major, so the kernel reads one key position
-    of many sets contiguously.
-    """
-    total = binom(p.u, p.n)
-    if total > budget:
+def check_set_budget(p: Params, budget: int) -> None:
+    """Raise before any work when the C(u,n) key sets exceed the enumeration budget."""
+    if p.total_sets > budget:
         raise BudgetExceededError(
-            f"C({p.u},{p.n}) = {total} exceeds enumeration budget {budget}"
+            f"C({p.u},{p.n}) = {p.total_sets} exceeds enumeration budget {budget}"
         )
-    return _ranked_sets(p.u, p.n)
 
 
 @functools.lru_cache(maxsize=4)
-def _ranked_sets(u: int, n: int) -> np.ndarray:
-    import numpy as np
+def _key_table(u: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per key 0..u-1, the bitset of lex-ranked (n-1)-subsets of 1..u-1 holding it;
+    and per least key a = 0..u-n, the number of n-subsets of 0..u-1 in its block.
 
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(u), n)),
-        dtype=np.min_scalar_type(u - 1),
-        count=binom(u, n) * n,
-    )
-    sets = np.asfortranarray(flat.reshape(-1, n))
-    sets.flags.writeable = False
-    return sets
-
-
-def cell_matrix(functions: Sequence[HashFunction], p: Params) -> np.ndarray:
-    """(k x u) matrix of 0-based cells, one row per function, dtype sized to m."""
-    if any(h.u != p.u or h.m != p.m for h in functions):
-        raise DimensionMismatchError(
-            f"every function must map keys 1..{p.u} into cells 1..{p.m}"
-        )
-    import numpy as np
-
-    cells = np.array([h.cells for h in functions], dtype=np.min_scalar_type(p.m))
-    return cells.reshape(len(functions), p.u) - 1
-
-
-def exceed_masks(cells: np.ndarray, sets: np.ndarray, cap: int) -> Iterator[int]:
-    """Per row of `cells`, the bitset of the rows of `sets` whose max load exceeds cap.
-
-    Loads are counted as W-bit fields packed into unsigned words, one field
-    per cell: summing one word per key of a set adds up every cell's load at
-    once, and adding 2^(W-1) - 1 - cap to each field sets its top bit exactly
-    when that load exceeds cap (W is wide enough that no field carries).
-    Cells beyond one word's worth of fields go to further words.  The work
-    runs in blocks of at most BLOCK_ELEMENTS gathered keys, so scratch memory
-    stays flat whatever the number of functions and sets; results are yielded
-    one function at a time, as blocks complete.
+    About n*C(u,n) bits in all.  The (n-1)-subsets of 1..u-1 are the table
+    one level down, for u-1 keys and subsets of n-1: the block rule the
+    kernel uses builds each level from the next smaller, down to the
+    1-subsets, where key k's bitset is 1 << k.
     """
-    import numpy as np
+    if n == 1:
+        return (0,) * u, (1,) * u  # one empty subset, holding no key
+    keys = [1 << k for k in range(u - n + 1)]
+    for r in range(2, n):  # level r: r-subsets of 0..v-1
+        v = u - n + r
+        lengths = [binom(v - b - 1, r - 1) for b in range(v - r + 1)]
+        ones = (1 << lengths[0]) - 1
+        keys = [_join_tails([keys[k - 1]] * k + [ones], lengths, lengths[0]) for k in range(v)]
+    return (0, *keys), tuple(binom(u - a - 1, n - 1) for a in range(u - n + 1))
 
-    k = cells.shape[0]
-    total, n = sets.shape
-    if k == 0:
-        return
-    if cap >= n:  # no set can overflow
-        yield from itertools.repeat(0, k)
-        return
-    width = n.bit_length() + 1  # 2^(width-1) > n >= every load: no field carries
-    per_word = 64 // width
-    m = int(cells.max()) + 1
-    fields = min(m, per_word)
-    word = np.dtype(f"uint{max(8, 1 << (fields * width - 1).bit_length())}")
-    ones = sum(1 << (c * width) for c in range(fields))  # a 1 in every field
-    offset = word.type(((1 << (width - 1)) - 1 - cap) * ones)
-    high = word.type((1 << (width - 1)) * ones)
-    if total * n <= BLOCK_ELEMENTS:
-        rows, chunk = BLOCK_ELEMENTS // (total * n), total
-    else:
-        rows, chunk = 1, max(8, BLOCK_ELEMENTS // n // 8 * 8)
-    for lo in range(0, k, rows):
-        block = cells[lo : lo + rows]
-        weight = np.left_shift(word.type(1), (block % per_word).astype(word) * word.type(width))
-        weights = [  # one word per group of per_word cells
-            np.where(block // per_word == g, weight, word.type(0))
-            for g in range(-(-m // per_word))
-        ]
-        packed = []
-        for start in range(0, total, chunk):
-            cols = sets[start : start + chunk]
-            hit = np.zeros((block.shape[0], cols.shape[0]), dtype=bool)
-            for w in weights:
-                acc = w[:, cols[:, 0]]
-                for j in range(1, n):
-                    acc += w[:, cols[:, j]]
-                hit |= (acc + offset) & high != 0
-            packed.append(np.packbits(hit, axis=1, bitorder="little"))
-        for row in np.concatenate(packed, axis=1):
-            yield int.from_bytes(row.tobytes(), "little")
+
+def _join_tails(blocks: Iterable[int], lengths: Sequence[int], top: int) -> int:
+    """Concatenate, lowest ranks first, the last lengths[i] ranks of each `top`-rank bitset blocks[i]."""
+    acc = shift = 0
+    for x, length in zip(blocks, lengths):
+        acc |= (x >> (top - length)) << shift
+        shift += length
+    return acc
+
+
+def _exceed_mask(
+    cells: Sequence[int], m: int, cap: int, table: tuple[tuple[int, ...], tuple[int, ...]]
+) -> int:
+    """Bitset of the ranked n-subsets that `cells` (cell 1..m of each key) loads above cap.
+
+    Per cell, at[j] collects the (n-1)-subsets of 1..u-1 with more than j-1
+    keys in its fiber (key 0 is in none of them).  The block with least key
+    a exceeds where some fiber holds more than cap of the other keys, or the
+    fiber of a holds more than cap-1.  Right for any cap >= 0, but costs
+    O(cap) per key, so callers skip cap >= n, where nothing exceeds.
+    """
+    keys, lengths = table
+    top = lengths[0]
+    counters = [[(1 << top) - 1] + [0] * (cap + 1) for _ in range(m + 1)]
+    levels = range(cap + 1, 0, -1)
+    for c, b in zip(cells, keys):
+        at = counters[c]
+        for j in levels:
+            at[j] |= at[j - 1] & b
+    over = 0
+    for at in counters:
+        over |= at[cap + 1]
+    by_cell = [over | at[cap] for at in counters]
+    return _join_tails([by_cell[c] for c in cells], lengths, top)
 
 
 def class_exceed_masks(
@@ -249,9 +218,29 @@ def class_exceed_masks(
 
     Checks the C(u,n) budget first; at most `pool_budget` classes may appear.
     """
-    sets = ranked_key_sets(p, budget)
+    check_set_budget(p, budget)
     reps = partition_classes(functions, budget=pool_budget)
-    return reps, list(exceed_masks(cell_matrix(reps, p), sets, cap))
+    if any(h.u != p.u or h.m != p.m for h in reps):
+        raise DimensionMismatchError(
+            f"every function must map keys 1..{p.u} into cells 1..{p.m}"
+        )
+    if cap >= p.n:  # no set can overflow
+        return reps, [0] * len(reps)
+    table = _key_table(p.u, p.n)
+    return reps, [_exceed_mask(h.cells, p.m, cap, table) for h in reps]
+
+
+def _unrank(rank: int, u: int, n: int) -> tuple[int, ...]:
+    """The 1-based keys of the n-subset of 1..u of lexicographic rank `rank`."""
+    keys = []
+    key = 0
+    for left in range(n, 0, -1):
+        while rank >= (size := binom(u - key - 1, left - 1)):
+            rank -= size
+            key += 1
+        key += 1
+        keys.append(key)
+    return tuple(keys)
 
 
 def verify_family(
@@ -262,8 +251,7 @@ def verify_family(
     uncovered = functools.reduce(operator.and_, masks)
     witness = None
     if uncovered:
-        rank = (uncovered & -uncovered).bit_length() - 1
-        witness = KeySet(tuple(int(key) + 1 for key in _ranked_sets(p.u, p.n)[rank]))
+        witness = KeySet(_unrank((uncovered & -uncovered).bit_length() - 1, p.u, p.n))
     return CoverageReport(covered=p.total_sets - uncovered.bit_count(), uncovered_witness=witness)
 
 
@@ -308,7 +296,7 @@ def min_family_size_exact(
     """
     if p.c >= p.m or p.m == 1:
         return 1
-    ranked_key_sets(p, budget)  # the budget check comes before the early exit
+    check_set_budget(p, budget)  # the budget check comes before the early exit
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
     candidates, exceed = class_exceed_masks(

@@ -407,22 +407,33 @@ def test_python_dash_m_runs_the_cli(module):
     assert b"Traceback" not in done.stderr
 
 
-def test_commands_off_the_kernel_do_not_load_numpy():
-    # numpy costs most of the CLI's import time; only the coverage kernel and
-    # the samplers need it, so the counting and bound commands must not load it
-    script = """
+def test_commands_off_the_kernel_do_not_load_numpy(tmp_path):
+    # numpy costs most of the CLI's import time and only the samplers need it:
+    # counting, bounds and the coverage kernel (construct, verify, exact
+    # --with-hc) must not load it, while simulate does
+    family = tmp_path / "family.txt"
+    family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
+    script = f"""
 import contextlib, io, sys
 from idealhash.cli import run
 calls = [
     ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
     ["exact", "--u", "8", "--m", "2", "--n", "4"],
+    ["exact", "--u", "6", "--m", "2", "--n", "2", "--with-hc"],
     ["report", "--u", "8,16", "--m", "2", "--n", "4", "--format", "csv"],
     ["check-lemmas"],
+    ["construct", "--method", "greedy", "--u", "6", "--m", "2", "--n", "2"],
+    ["construct", "--method", "greedy", "--u", "6", "--m", "2", "--n", "2", "--pool", "all"],
+    ["construct", "--method", "yao", "--u", "6", "--m", "2", "--n", "2", "--t", "2.0"],
+    ["construct", "--method", "random", "--u", "6", "--m", "2", "--n", "2", "--seed", "1"],
+    ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", {str(family)!r}],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv) for argv in calls]
-assert codes == [0, 0, 0, 0], codes
-assert "numpy" not in sys.modules
+    assert codes == [0] * len(calls), codes
+    assert "numpy" not in sys.modules
+    assert run(["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"]) == 0
+assert "numpy" in sys.modules
 """
     env = {k: v for k, v in os.environ.items() if not k.startswith("IDEALHASH_")}
     env["PYTHONPATH"] = str(Path(idealhash.__file__).resolve().parents[1])

@@ -1,9 +1,9 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from idealhash import oracle
 from idealhash.errors import BudgetExceededError, DimensionMismatchError
 from idealhash.hashspace import (
     Family,
@@ -18,20 +18,17 @@ from idealhash.hashspace import (
     function_from_text,
     function_to_text,
 )
-from idealhash.oracle import (
-    cell_matrix,
-    cover_mask,
-    exceed_masks,
-    ranked_key_sets,
-    verify_family,
-)
+from idealhash.oracle import class_exceed_masks, cover_mask, verify_family
 
 
 def max_load(h, keys):
-    """Max cell load of one key set under h, read off the coverage kernel cap by cap."""
-    cells = np.array([h.cells]) - 1
-    sets = np.array([keys]) - 1
-    return sum(next(exceed_masks(cells, sets, cap)) for cap in range(len(keys)))
+    """Max cell load of one key set under h, read off the coverage kernel cap by cap.
+
+    Restricted to the set's own keys, h sees one n-subset of n keys, rank 0.
+    """
+    cells = [h.cells[key - 1] for key in keys]
+    table = oracle._key_table(len(keys), len(keys))
+    return sum(oracle._exceed_mask(cells, h.m, cap, table) for cap in range(len(keys)))
 
 
 class TestParams:
@@ -74,7 +71,7 @@ class TestLoadProfile:
     def test_dimension_mismatch(self):
         h = HashFunction((1, 2), 2)
         with pytest.raises(DimensionMismatchError):
-            cell_matrix([h], Params(4, 2, 2))
+            class_exceed_masks([h], Params(4, 2, 2), 1, budget=10**6)
 
 
 class TestIsCIdeal:
@@ -166,8 +163,7 @@ class TestAllFunctions:
 
 class TestKeySets:
     def test_enumeration_is_lexicographic_and_complete(self):
-        sets = ranked_key_sets(Params(4, 2, 2)) + 1
-        assert [tuple(int(k) for k in row) for row in sets] == list(
+        assert [oracle._unrank(r, 4, 2) for r in range(Params(4, 2, 2).total_sets)] == list(
             itertools.combinations(range(1, 5), 2)
         )
 

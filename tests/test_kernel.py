@@ -1,10 +1,9 @@
 """The coverage kernel against direct per-set load loops that live only here."""
 
 import itertools
+import math
 import random
-from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,12 +21,9 @@ from idealhash.hashspace import (
     partition_classes,
 )
 from idealhash.oracle import (
-    cell_matrix,
     class_exceed_masks,
     cover_mask,
-    exceed_masks,
     min_family_size_exact,
-    ranked_key_sets,
     verify_family,
 )
 
@@ -44,9 +40,10 @@ def direct_exceed_mask(cells, combos, cap):
     return mask
 
 
-def combo_array(u, n):
-    combos = list(itertools.combinations(range(u), n))
-    return combos, np.array(combos, dtype=np.min_scalar_type(u - 1)).reshape(len(combos), n)
+def kernel_masks(rows, m, u, n, cap):
+    """The kernel's bitset per row of 0-based cells."""
+    table = oracle._key_table(u, n)
+    return [oracle._exceed_mask([c + 1 for c in row], m, cap, table) for row in rows]
 
 
 @st.composite
@@ -62,39 +59,32 @@ def kernel_cases(draw):
         )
     )
     cap = draw(st.integers(min_value=0, max_value=n + 1))
-    block = draw(st.sampled_from([8, 24, 100, oracle.BLOCK_ELEMENTS]))
-    return u, n, m, rows, cap, block
+    return u, n, m, rows, cap
 
 
 class TestExceedMasks:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_every_row_matches_the_direct_loop(self, case):
-        # rows are arbitrary maps: unbalanced, and non-surjective when a cell is never drawn;
-        # small blocks force the split over functions and over sets
-        u, n, m, rows, cap, block = case
-        combos, sets = combo_array(u, n)
-        cells = np.array(rows, dtype=np.min_scalar_type(m - 1))
-        with mock.patch.object(oracle, "BLOCK_ELEMENTS", block):
-            got = list(exceed_masks(cells, sets, cap))
-        assert got == [direct_exceed_mask(row, combos, cap) for row in rows]
+        # rows are arbitrary maps: unbalanced, and non-surjective when a cell is never drawn
+        u, n, m, rows, cap = case
+        combos = list(itertools.combinations(range(u), n))
+        assert kernel_masks(rows, m, u, n, cap) == [direct_exceed_mask(row, combos, cap) for row in rows]
 
     @pytest.mark.parametrize(
         "u, n, m",
         [
-            (20, 18, 16),  # 6-bit fields, ten per word: two words
-            (42, 40, 40),  # 7-bit fields, nine per word: five words
-            (257, 2, 2),  # keys past 255 and more sets than one block holds
+            (20, 18, 16),  # n near u: the table is built through 17 levels
+            (42, 40, 40),  # past C(41, 20) keys per level if built by subset size at fixed u
+            (257, 2, 2),  # 256 blocks of one to 256 ranks
         ],
     )
     def test_wide_tables_and_universes(self, u, n, m):
         rng = random.Random(u)
-        combos, sets = combo_array(u, n)
+        combos = list(itertools.combinations(range(u), n))
         rows = [[rng.randrange(m) for _ in range(u)] for _ in range(3)]
-        cells = np.array(rows, dtype=np.min_scalar_type(m - 1))
         for cap in (1, 2, n // 2):
-            got = list(exceed_masks(cells, sets, cap))
-            assert got == [direct_exceed_mask(row, combos, cap) for row in rows]
+            assert kernel_masks(rows, m, u, n, cap) == [direct_exceed_mask(row, combos, cap) for row in rows]
 
     def test_class_masks_follow_first_members_in_pool_order(self):
         p = Params(6, 3, 3)
@@ -106,13 +96,16 @@ class TestExceedMasks:
         want = [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in reps]
         assert got == want
 
-    def test_ranked_key_sets_are_lexicographic_and_read_only(self):
+    def test_unranking_follows_the_kernel_bit_order(self):
+        # the witness of verify is unranked directly; the cached table is immutable
         for u, n in ((1, 1), (5, 2), (9, 4)):
-            sets = ranked_key_sets(Params(u, 1, n))
-            assert [tuple(int(k) for k in row) for row in sets] == list(
-                itertools.combinations(range(u), n)
+            total = len(list(itertools.combinations(range(u), n)))
+            assert [oracle._unrank(r, u, n) for r in range(total)] == list(
+                itertools.combinations(range(1, u + 1), n)
             )
-            assert not sets.flags.writeable
+            keys, lengths = oracle._key_table(u, n)
+            assert isinstance(keys, tuple) and isinstance(lengths, tuple)
+            assert sum(lengths) == total
 
 
 class TestCallers:
@@ -143,9 +136,9 @@ class TestCallers:
 
     def test_budget_is_checked_before_any_set_array_is_built(self, monkeypatch):
         def forbidden(u, n):
-            raise AssertionError("ranked key sets built past the budget")
+            raise AssertionError("key table built past the budget")
 
-        monkeypatch.setattr(oracle, "_ranked_sets", forbidden)
+        monkeypatch.setattr(oracle, "_key_table", forbidden)
         p = Params(30, 2, 15)
         h = HashFunction((1, 2) * 15, 2)
         calls = [
@@ -160,13 +153,28 @@ class TestCallers:
             with pytest.raises(BudgetExceededError):
                 call()
 
+    @pytest.mark.parametrize("u, m", [(1414, 2), (100, 3)])
+    def test_large_universes_match_closed_forms(self, u, m):
+        # at n = m and c = 1 a set is covered when it puts one key in each cell: prod(beta)
+        # sets; at n = 2 that is every pair but those inside one fiber
+        rng = random.Random(u)
+        h = HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m)
+        betas = [len(fiber) for fiber in h.fibers()]
+        p = Params(u, m, m)
+        rep = verify_family(Family((h,)), p)
+        assert rep.covered == math.prod(betas)
+        if m == 2:
+            assert rep.covered == math.comb(u, 2) - sum(math.comb(b, 2) for b in betas)
+        cells = [h.cells[key - 1] for key in rep.uncovered_witness.keys]
+        assert len(set(cells)) < m
+
     def test_functions_must_match_params(self):
         p = Params(4, 2, 2)
         for cells in ((1, 2, 1), (1, 2, 1, 2, 1)):
             with pytest.raises(DimensionMismatchError):
                 verify_family(Family((HashFunction(cells, 2),)), p)
         with pytest.raises(DimensionMismatchError):
-            cell_matrix([HashFunction((1, 2, 1, 2), 3)], p)
+            class_exceed_masks([HashFunction((1, 2, 1, 2), 3)], p, p.load_cap, budget=10**6)
 
 
 @settings(max_examples=100, deadline=None)
