@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -35,7 +36,6 @@ from .hashspace import (
     partition_classes,
 )
 
-SCHEMA_VERSION = 1
 ENV_PREFIX = "IDEALHASH_"
 
 
@@ -175,78 +175,61 @@ def _entry_dict(e: bounds_mod.BoundEntry) -> dict:
     }
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(obj: dict, out_path: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+def _emit_json(out: str | None, command: str, record: dict) -> None:
+    """Write `record` as the `command` report, stamped with the schema version."""
+    stamped = {"schema_version": 1, "command": command, **record}
+    _write(out, json.dumps(stamped, sort_keys=True, indent=2) + "\n")
 
 
-def _rows_to_csv(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _rows_to_table(header: list[str], rows: list[list]) -> str:
+def _emit_rows(out: str | None, fmt: str, header: list[str], rows: list[list]) -> None:
+    """Write `rows` under `header` as csv, or as a column-aligned table (None prints empty)."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        _write(out, buf.getvalue())
+        return
     cells = [header] + [[("" if v is None else str(v)) for v in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    lines = [
-        "  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip()
-        for row in cells
-    ]
-    return "\n".join(lines) + "\n"
+    lines = ("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in cells)
+    _write(out, "".join(line + "\n" for line in lines))
 
 
 def _cmd_bounds(args) -> int:
     p = Params(args.u, args.m, args.n, args.c)
     report = bounds_mod.bound_report(p, eps=args.eps, t=args.t)
     advice = bounds_mod.advice_report(report)
+    entries = [_entry_dict(e) for e in report.entries]
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "bounds",
-                "params": _params_dict(p),
-                "bounds": [_entry_dict(e) for e in report.entries],
-                "advice": {
-                    "lower_easy_nats": advice.lower_easy,
-                    "lower_easy_bits": advice.lower_easy_bits,
-                    "lower_main_bits": advice.lower_main,
-                    "upper_main_bits": advice.upper_main,
-                    "upper_yao_bits": advice.upper_yao,
-                    "notes": list(advice.notes),
-                },
+        _emit_json(args.out, "bounds", {
+            "params": _params_dict(p),
+            "bounds": entries,
+            "advice": {
+                "lower_easy_nats": advice.lower_easy,
+                "lower_easy_bits": advice.lower_easy_bits,
+                "lower_main_bits": advice.lower_main,
+                "upper_main_bits": advice.upper_main,
+                "upper_yao_bits": advice.upper_yao,
+                "notes": list(advice.notes),
             },
-            args.out,
-        )
-    else:
-        header = ["name", "kind", "ln", "log2", "ceiling", "valid", "note"]
-        rows = [
-            [
-                e.name,
-                e.kind,
-                None if e.ln is None else f"{e.ln:.6f}",
-                None if e.ln is None else f"{e.ln / math.log(2.0):.6f}",
-                e.ceiling,
-                e.valid,
-                e.validity_note,
-            ]
-            for e in report.entries
-        ]
-        rows.append(["advice.lower_easy", "lower", f"{advice.lower_easy:.6f}", "", "", True, "nats, as printed"])
-        rows.append(["advice.lower_main", "lower", "", f"{advice.lower_main:.6f}", "", True, "bits"])
-        rows.append(["advice.upper_main", "upper", "", f"{advice.upper_main:.6f}", "", True, "bits"])
-        rows.append(["advice.upper_yao", "upper", "", f"{advice.upper_yao:.6f}", "", True, "bits"])
-        render = _rows_to_csv if args.format == "csv" else _rows_to_table
-        _emit(render(header, rows), args.out)
+        })
+        return 0
+    header = ["name", "kind", "ln", "log2", "ceiling", "valid", "note"]
+    rows = [
+        [None if d[k] is None else f"{d[k]:.6f}" if k in ("ln", "log2") else d[k] for k in header]
+        for d in entries
+    ]
+    rows.append(["advice.lower_easy", "lower", f"{advice.lower_easy:.6f}", "", "", True, "nats, as printed"])
+    for name in ("lower_main", "upper_main", "upper_yao"):
+        rows.append([f"advice.{name}", name.partition("_")[0], "", f"{getattr(advice, name):.6f}", "", True, "bits"])
+    _emit_rows(args.out, args.format, header, rows)
     return 0
 
 
@@ -256,20 +239,18 @@ def _cmd_exact(args) -> int:
     if limit and p.total_sets >= 10**limit:  # checked before counting: the count could not be printed
         raise ValueError(f"C({p.u},{p.n}) has more than {limit} decimal digits, Python's int-to-str limit")
     count = oracle_mod.exact_ideal_probability(p)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "exact",
+    record = {
         "params": _params_dict(p),
         "m_c": count.m_c,
         "total": count.total,
         "probability": f"{count.m_c}/{count.total}",
     }
     if args.with_hc:
-        payload["h_c_exact"] = oracle_mod.min_family_size_exact(
+        record["h_c_exact"] = oracle_mod.min_family_size_exact(
             p, size_limit=args.size_limit, budget=args.budget, pool_budget=args.pool_budget
         )
-        payload["size_limit"] = args.size_limit
-    _emit_json(payload, args.out)
+        record["size_limit"] = args.size_limit
+    _emit_json(args.out, "exact", record)
     return 0
 
 
@@ -278,21 +259,15 @@ def _cmd_verify(args) -> int:
     with open(args.family, "r", encoding="utf-8") as fh:
         fam = family_from_text(fh.read(), p.m)
     report = oracle_mod.verify_family(fam, p, budget=args.budget)
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "params": _params_dict(p),
-            "family_size": fam.size,
-            "covered": report.covered,
-            "total": p.total_sets,
-            "is_ideal_family": report.is_ideal_family,
-            "uncovered_witness": None
-            if report.uncovered_witness is None
-            else list(report.uncovered_witness.keys),
-        },
-        args.out,
-    )
+    witness = report.uncovered_witness
+    _emit_json(args.out, "verify", {
+        "params": _params_dict(p),
+        "family_size": fam.size,
+        "covered": report.covered,
+        "total": p.total_sets,
+        "is_ideal_family": report.is_ideal_family,
+        "uncovered_witness": None if witness is None else list(witness.keys),
+    })
     return 0
 
 
@@ -316,14 +291,11 @@ def _cmd_construct(args) -> int:
             log = construct_mod.yao_family(
                 p, t=args.t, pool=pool, load_target=load_target, budget=args.budget
             )
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "construct",
+    _emit_json(args.out, "construct", {
         "params": _params_dict(p),
         "advice_bits": (log.family.size - 1).bit_length(),
         **log.to_json_dict(),
-    }
-    _emit_json(payload, args.out)
+    })
     if args.family_out:
         with open(args.family_out, "w", encoding="utf-8") as fh:
             fh.write(family_to_text(log.family))
@@ -342,50 +314,21 @@ def _cmd_simulate(args) -> int:
         est = simulate_mod.estimate_ideal_probability(
             p, trials=args.trials, seed=args.seed, workers=args.workers
         )
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "kind": args.kind,
-            "mean": est.mean,
-            "ci95_halfwidth": est.ci95_halfwidth,
-            "trials": est.trials,
-            "seed": est.seed,
-            "workers": est.workers,
-            "method": est.method,
-        },
-        args.out,
-    )
+    _emit_json(args.out, "simulate", {"kind": args.kind, **dataclasses.asdict(est)})
     return 0
 
 
 def _cmd_check_lemmas(args) -> int:
     results = run_all_checks()
+    all_ok = all(r.ok for r in results)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "check-lemmas",
-                "checks": [
-                    {
-                        "name": r.name,
-                        "instances": r.instances,
-                        "failures": r.failures,
-                        "ok": r.ok,
-                        "note": r.note,
-                    }
-                    for r in results
-                ],
-                "all_ok": all(r.ok for r in results),
-            },
-            args.out,
-        )
+        checks = [{**dataclasses.asdict(r), "ok": r.ok} for r in results]
+        _emit_json(args.out, "check-lemmas", {"checks": checks, "all_ok": all_ok})
     else:
         header = ["name", "instances", "failures", "ok", "note"]
         rows = [[r.name, r.instances, r.failures, "pass" if r.ok else "FAIL", r.note] for r in results]
-        render = _rows_to_csv if args.format == "csv" else _rows_to_table
-        _emit(render(header, rows), args.out)
-    return 0 if all(r.ok for r in results) else 3
+        _emit_rows(args.out, args.format, header, rows)
+    return 0 if all_ok else 3
 
 
 _REPORT_BOUND_COLUMNS = (
@@ -431,8 +374,7 @@ def _cmd_report(args) -> int:
                         ]
                     )
                     rows.append(row)
-    render = _rows_to_table if args.format == "table" else _rows_to_csv
-    _emit(render(header, rows), args.out)
+    _emit_rows(args.out, args.format, header, rows)
     return 0
 
 

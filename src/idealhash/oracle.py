@@ -177,12 +177,15 @@ def _key_table(u: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _join_tails(blocks: Iterable[int], lengths: Sequence[int], top: int) -> int:
-    """Concatenate, lowest ranks first, the last lengths[i] ranks of each `top`-rank bitset blocks[i]."""
-    acc = shift = 0
-    for x, length in zip(blocks, lengths):
-        acc |= (x >> (top - length)) << shift
-        shift += length
-    return acc
+    """Concatenate, lowest ranks first, the last lengths[i] ranks of each `top`-rank bitset blocks[i].
+
+    Neighbours merge pairwise, so each bit is shifted O(log(blocks)) times, not once per block.
+    """
+    parts = [(x >> (top - length), length) for x, length in zip(blocks, lengths)]
+    while len(parts) > 1:
+        pairs = [(a | b << wa, wa + wb) for (a, wa), (b, wb) in zip(parts[::2], parts[1::2])]
+        parts = pairs + parts[2 * len(pairs):]
+    return parts[0][0] if parts else 0
 
 
 def _exceed_mask(

@@ -36,6 +36,16 @@ class TestExact:
         assert rc == 0
         assert json.loads(out)["h_c_exact"] == 2
 
+    def test_no_family_within_the_size_limit_prints_null(self, capsys):
+        # H = 3 at (8, 2, 4, 1), so no family of size <= 2 covers every set
+        rc, out, _ = run_capture(
+            capsys, ["exact", "--u", "8", "--m", "2", "--n", "4", "--with-hc", "--size-limit", "2"]
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["h_c_exact"] is None
+        assert payload["size_limit"] == 2
+
     def test_fraction_flag_parses_both_notations(self, capsys):
         rc1, out1, _ = run_capture(capsys, ["exact", "--u", "8", "--m", "2", "--n", "4", "--c", "3/2"])
         rc2, out2, _ = run_capture(capsys, ["exact", "--u", "8", "--m", "2", "--n", "4", "--c", "1.5"])
@@ -234,11 +244,19 @@ class TestSimulate:
         assert out1 == out2
 
     def test_ideal_prob_requires_u(self, capsys):
-        rc, _, err = run_capture(
+        rc, out, err = run_capture(
             capsys, ["simulate", "--kind", "ideal-prob", "--m", "2", "--n", "4", "--trials", "10"]
         )
         assert rc == 1
-        assert json.loads(err)["error"] == "ValueError"
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "ideal-prob needs --u"}
+
+    @pytest.mark.parametrize("kind", [["--kind", "max-load"], ["--kind", "ideal-prob", "--u", "8"]])
+    def test_zero_trials_exits_one(self, capsys, kind):
+        rc, out, err = run_capture(capsys, ["simulate", *kind, "--m", "2", "--n", "4", "--trials", "0"])
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "need trials >= 1"}
 
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -251,6 +269,35 @@ class TestSimulate:
             assert rc == 1
             assert out == ""
             assert json.loads(err) == {"error": "ValueError", "message": "need workers >= 1"}
+
+
+OUT_CASES = {
+    "bounds-json": ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2", "--format", "json"],
+    "bounds-csv": ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2", "--format", "csv"],
+    "bounds-table": ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2", "--format", "table"],
+    "exact": ["exact", "--u", "8", "--m", "2", "--n", "4", "--c", "3/2", "--with-hc"],
+    "verify": ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", "{family}"],
+    "construct": ["construct", "--method", "yao", "--u", "8", "--m", "2", "--n", "4"],
+    "simulate-max-load": ["simulate", "--kind", "max-load", "--m", "4", "--n", "8", "--trials", "20", "--seed", "1"],
+    "simulate-ideal-prob": ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--trials", "20"],
+    "check-lemmas-json": ["check-lemmas", "--format", "json"],
+    "check-lemmas-csv": ["check-lemmas", "--format", "csv"],
+    "check-lemmas-table": ["check-lemmas", "--format", "table"],
+    "report-csv": ["report", "--u", "8,16", "--m", "2,4", "--n", "4", "--c", "1,3/2", "--format", "csv"],
+    "report-table": ["report", "--u", "8,16", "--m", "2,4", "--n", "4", "--c", "1,3/2", "--format", "table"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_out_file_carries_the_stdout_bytes(name, capsys, tmp_path):
+    family = tmp_path / "family.txt"
+    family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
+    argv = [str(family) if a == "{family}" else a for a in OUT_CASES[name]]
+    rc, out, _ = run_capture(capsys, argv)
+    assert rc == 0 and out
+    path = tmp_path / "report.out"
+    assert run_capture(capsys, [*argv, "--out", str(path)]) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 class TestErrorsAndExitCodes:

@@ -192,3 +192,17 @@ def test_partition_classes_group_by_partition_signature(u, m, data):
     assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
     with pytest.raises(BudgetExceededError):
         partition_classes(pool, budget=len(reps) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_join_tails_matches_one_block_at_a_time(data):
+    top = data.draw(st.integers(min_value=1, max_value=80))
+    blocks = data.draw(
+        st.lists(st.tuples(st.integers(0, 2**top - 1), st.integers(0, top)), max_size=33)
+    )
+    acc = shift = 0
+    for x, length in blocks:
+        acc |= (x >> (top - length)) << shift
+        shift += length
+    assert oracle._join_tails([x for x, _ in blocks], [length for _, length in blocks], top) == acc
