@@ -366,7 +366,7 @@ def bound_report(
     """Assemble every named bound for one parameter point.
 
     The volume and probabilistic entries use the exact counting core (cheap
-    at any u: one power-series recurrence per fiber size, never subset
+    at any u: one `_power_coeffs` power per fiber size, never subset
     enumeration).
     """
     alpha = p.alpha

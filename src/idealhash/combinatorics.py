@@ -29,22 +29,44 @@ def ln_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _power_coeffs(p: Sequence[int], k: int, n: int) -> list[int]:
-    """Coefficients 0..min(n, k*deg p) of the polynomial p^k; the rest are zero.
+def _power_coeffs(p0: int, a: int, b: int, d: int, k: int, n: int) -> list[int]:
+    """Coefficients 0..min(n, k*d) of p^k; the rest are zero.
 
-    J.C.P. Miller's recurrence for the power of a power series (Knuth, TAOCP
-    Vol. 2, 4.7): with Q = p^k and d = deg p,
-        j * p_0 * Q_j = sum_{i=1..min(j,d)} ((k+1)*i - j) * p_i * Q_{j-i},
-    O(n*d) integer steps whatever k is.  The division is exact because Q has
-    integer coefficients; it needs p_0 != 0.
+    p is the degree-d polynomial with p_0 = p0 and (l+1) p_{l+1} = (a + b*l) p_l
+    for l < d, whose coefficients the caller guarantees are integers: the
+    binomial cell (1, beta, -1, d), the exponential cell (d!, 1, 0, d) and the
+    all-ones cell (1, 1, 1, d).  Two exact evaluation orders give the same
+    list; this one picks the cheaper by their step counts, which depend on
+    (d, k, n) alone.  Miller's order does min(j, d) big products per
+    coefficient; the chain does one, but over about top/(d+1) levels.  On a
+    2-core VM (Python 3.11) the two took equal time where Miller's steps were
+    1.6-1.9 times the chain's, so the chain runs below half Miller's count.
     """
-    if not p or p[0] == 0:
+    if p0 == 0:
         raise ValueError("_power_coeffs needs a nonzero constant term")
-    if k < 0 or n < 0:
-        raise ValueError("_power_coeffs needs k >= 0 and n >= 0")
+    if d < 0 or k < 0 or n < 0:
+        raise ValueError("_power_coeffs needs d, k and n >= 0")
+    p = [p0]
+    for l in range(d):
+        p.append(p[l] * (a + b * l) // (l + 1))
+    top = min(n, k * d)
+    short = min(top, d)
+    miller_steps = short * (short + 1) // 2 + (top - short) * d
+    chain_steps = sum(top - i * (d + 1) + 1 for i in range(top // (d + 1) + 1))
+    if 2 * chain_steps < miller_steps:
+        return _chain_power(p, a, b, k, top)
+    return _miller_power(p, k, top)
+
+
+def _miller_power(p: Sequence[int], k: int, top: int) -> list[int]:
+    """Coefficients 0..top of p^k by J.C.P. Miller's recurrence.
+
+    Knuth, TAOCP Vol. 2, 4.7: with Q = p^k and d = deg p,
+        j * p_0 * Q_j = sum_{i=1..min(j,d)} ((k+1)*i - j) * p_i * Q_{j-i}.
+    The division is exact because Q has integer coefficients.
+    """
     d = len(p) - 1
     p0 = p[0]
-    top = min(n, k * d)
     q = [p0**k] + [0] * top
     for j in range(1, top + 1):
         s = 0
@@ -54,10 +76,40 @@ def _power_coeffs(p: Sequence[int], k: int, n: int) -> list[int]:
     return q
 
 
+def _chain_power(p: Sequence[int], a: int, b: int, k: int, top: int) -> list[int]:
+    """Coefficients 0..top of p^k by the chain of powers p^r, r <= k.
+
+    p is hypergeometric as in `_power_coeffs`, so (1 - b*x) p' = a*p - E*x^d
+    with E = (a + b*d) p_d, and Q_r = p^r satisfies
+        (j+1) Q_{r,j+1} = (r*a + b*j) Q_{r,j} - r*E*Q_{r-1,j-d}:
+    one small and one big product and an exact division per coefficient.
+    Level r is needed only up to degree top - (k-r)(d+1), and only two levels
+    are held at a time.
+    """
+    d = len(p) - 1
+    e = (a + b * d) * p[d]
+    prev: list[int] = []
+    first = k - top // (d + 1)
+    c0 = p[0] ** first
+    for r in range(first, k + 1):
+        ra, re = r * a, r * e
+        cur = [c0]
+        c = c0
+        for j in range(top - (k - r) * (d + 1)):
+            c = (ra + b * j) * c
+            if j >= d:
+                c -= re * prev[j - d]
+            c //= j + 1
+            cur.append(c)
+        prev = cur
+        c0 *= p[0]
+    return prev
+
+
 def composition_count(n: int, m: int, d: int) -> int:
     """Number of tuples (l_1..l_m) with 0 <= l_i <= d and sum n, exactly.
 
-    [x^n] (1 + x + ... + x^d)^m by the power-series recurrence, O(n*d).
+    [x^n] (1 + x + ... + x^d)^m, the all-ones cell raised by `_power_coeffs`.
     """
     if n < 1 or m < 1:
         raise ValueError("composition_count needs n >= 1 and m >= 1")
@@ -65,7 +117,7 @@ def composition_count(n: int, m: int, d: int) -> int:
         raise ValueError("composition_count needs d >= 0")
     if n > m * d:
         return 0
-    return _power_coeffs([1] * (d + 1), m, n)[n]
+    return _power_coeffs(1, 1, 1, d, m, n)[n]
 
 
 def compositions(n: int, m: int, cap: int) -> Iterator[tuple[int, ...]]:

@@ -73,8 +73,9 @@ def p_tmax_le(n: int, m: int, cap: int) -> Fraction:
 
     The admissible throw sequences number n! [x^n] (sum_{l<=cap} x^l/l!)^m.
     With d = min(cap, n) the power is taken of E = sum_{l<=d} (d!/l!) x^l,
-    which has integer coefficients, by the power-series recurrence; the
-    count is then n! [x^n] E^m / (d!)^m, an exact division, over m^n.
+    which has integer coefficients, by `_power_coeffs` (the exponential cell
+    (d!, 1, 0, d)); the count is then n! [x^n] E^m / (d!)^m, an exact
+    division, over m^n.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
@@ -82,7 +83,7 @@ def p_tmax_le(n: int, m: int, cap: int) -> Fraction:
         raise ValueError("need cap >= 0")
     d = min(cap, n)
     top = math.factorial(d)
-    q = _power_coeffs([top // math.factorial(l) for l in range(d + 1)], m, n)
+    q = _power_coeffs(top, 1, 0, d, m, n)
     if len(q) <= n:  # m * cap < n: no sequence fits
         return Fraction(0)
     return Fraction(q[n] * math.factorial(n) // top**m, m**n)

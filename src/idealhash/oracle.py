@@ -4,8 +4,9 @@ Everything here is exact integer/rational arithmetic.  The counting core is a
 product of polynomials: cell i with fiber size beta_i contributes the capped
 polynomial sum_{l<=cap} C(beta_i, l) x^l, and the number of key sets hashed
 with every load at most cap is the coefficient of x^n in the product.  Equal
-fibers share one polynomial, raised to its power by the power-series
-recurrence (`combinatorics._power_coeffs`).
+fibers share one polynomial, raised to its power by
+`combinatorics._power_coeffs` (hypergeometric cell, so one big product per
+coefficient where that is cheaper than Miller's recurrence).
 """
 
 from __future__ import annotations
@@ -68,17 +69,15 @@ def count_ideal_sets(betas: Sequence[int], n: int, cap: int) -> int:
 
     The x^n coefficient of the product of the capped cell polynomials
     sum_{l<=cap} C(beta, l) x^l.  Cells of one size share a polynomial, so
-    each group of k > 1 equal fibers is raised to its power by the
-    power-series recurrence, O(n*cap) whatever k is; a balanced
-    decomposition has at most two groups.  Groups are multiplied truncated
-    at degree n, the last product read as one dot product.
+    each group of k equal fibers is raised to its power by `_power_coeffs`,
+    the binomial cell (1, beta, -1, d) with d = min(cap, beta, n), in about
+    min(n*d, n*n/(2d)) big products whatever k is; a balanced decomposition
+    has at most two groups.  Groups are multiplied truncated at degree n,
+    the last product read as one dot product.
     """
     if n < 0 or cap < 0:
         raise ValueError("need n >= 0 and cap >= 0")
-    polys = []
-    for beta, k in Counter(betas).items():
-        cell = [binom(beta, l) for l in range(min(cap, beta, n) + 1)]
-        polys.append(cell if k == 1 else _power_coeffs(cell, k, n))
+    polys = [_power_coeffs(1, beta, -1, min(cap, beta, n), k, n) for beta, k in Counter(betas).items()]
     *head, last = polys or [[1]]
     acc = [1]
     for poly in head:

@@ -71,7 +71,9 @@ def estimate_max_load(
         rng = _worker_rng(seed, w)
         for done in range(0, share, batch):
             b = min(batch, share - done)
-            if n <= _SLICE:
+            if m > _SLICE >= n:  # b == 1: count the trial's n throws by sorting, not in m cells
+                counts = np.unique(rng.integers(0, m, size=n), return_counts=True)[1]
+            elif n <= _SLICE:
                 flat = rng.integers(0, m, size=(b, n))
                 flat += (np.arange(b) * m)[:, None]
                 counts = np.bincount(flat.ravel(), minlength=b * m)
@@ -79,7 +81,7 @@ def estimate_max_load(
                 counts = np.zeros(m, dtype=np.intp)
                 for lo in range(0, n, _SLICE):
                     counts += np.bincount(rng.integers(0, m, size=min(_SLICE, n - lo)), minlength=m)
-            maxima.append(counts.reshape(b, m).max(axis=1))
+            maxima.append(counts.reshape(b, -1).max(axis=1))
     values = np.concatenate(maxima).astype(np.float64)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if trials > 1 else 0.0

@@ -318,6 +318,24 @@ class TestErrorsAndExitCodes:
         record = json.loads(err)
         assert record["error"] == "BudgetExceededError"
 
+    @pytest.mark.parametrize("method", ["greedy", "yao"])
+    def test_balanced_pool_past_budget_exits_one_before_enumerating(self, capsys, method):
+        # C(40,20) ~ 1.4e11 balanced functions: enumerating them runs out of memory
+        rc, out, err = run_capture(
+            capsys,
+            ["construct", "--method", method, "--u", "40", "--m", "2", "--n", "20", "--budget", "100"],
+        )
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "BudgetExceededError",
+            "message": "u!/prod(beta_i!) balanced functions exceed budget 100",
+        }
+
+    def test_balanced_pool_at_budget_is_enumerated(self, capsys):
+        argv = ["construct", "--method", "greedy", "--u", "6", "--m", "2", "--n", "2", "--budget"]
+        assert run_capture(capsys, argv + ["20"])[0] == 0  # 6!/(3!3!) = 20 functions, C(6,2) = 15 sets
+        assert run_capture(capsys, argv + ["19"])[0] == 1
+
     def test_domain_error_exits_one(self, capsys):
         rc, _, err = run_capture(
             capsys, ["exact", "--u", "2", "--m", "2", "--n", "4", "--c", "1"]

@@ -52,6 +52,10 @@ CASES = {
         ["bounds", "--u", "16", "--m", "2", "--n", "4", "--c", "2"],
         "b0115c4f84f18457b64785504c2e07f9f4e9eaf4716c9a570d2fb954128e415c",
     ),
+    "bounds-large-count": (  # a 6,264-digit M_c, past the exact command's int->str limit
+        ["bounds", "--u", "1000000", "--m", "16", "--n", "2000", "--c", "3/2"],
+        "f8a7c8f9167726f9f968b897e61a8813032ae89169459a2f15a0f9857ea097df",
+    ),
     "bounds-counting-skipped": (  # n * log2(u) beyond desk scale
         ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
         "0cd15e0fc7fe9dfc9c879158c1fcda927bacf82f76791e684a42aada9c21233f",

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from idealhash import combinatorics
 from idealhash.combinatorics import (
+    _chain_power,
+    _miller_power,
     _power_coeffs,
     binom,
     composition_count,
@@ -141,23 +144,95 @@ def truncated_power(p, k, n):
     return acc
 
 
+def hypergeometric_cell(p0, a, b, d):
+    """p_0 = p0, (l+1) p_{l+1} = (a + b*l) p_l for l < d, checked to be integers."""
+    p = [Fraction(p0)]
+    for l in range(d):
+        p.append(p[l] * (a + b * l) / (l + 1))
+    assert all(c.denominator == 1 for c in p)
+    return [int(c) for c in p]
+
+
+@st.composite
+def shaped_cells(draw):
+    """(p0, a, b, d) of the three cells the package raises, p0 scaled by s."""
+    s = draw(st.integers(-50, 50).filter(bool))
+    d = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["binomial", "exponential", "ones"]))
+    if shape == "binomial":
+        beta = draw(st.integers(0, 12))
+        return s, beta, -1, min(d, beta)
+    if shape == "exponential":
+        return s * math.factorial(d), 1, 0, d
+    return s, 1, 1, d
+
+
 class TestPowerCoeffs:
     @settings(max_examples=300, deadline=None)
     @given(
-        p=st.lists(st.integers(-50, 50), min_size=1, max_size=8).filter(lambda p: p[0] != 0),
+        d=st.integers(0, 7),
+        s=st.integers(-50, 50).filter(bool),
+        a=st.integers(-12, 12),
+        b=st.integers(-3, 3),
         k=st.integers(0, 6),
         n=st.integers(0, 30),
     )
-    def test_matches_repeated_convolution(self, p, k, n):
-        q = _power_coeffs(p, k, n)
+    @example(d=5, s=1, a=9, b=-1, k=4, n=30)  # binomial cell
+    @example(d=5, s=1, a=1, b=0, k=4, n=30)  # exponential cell, p0 = d!
+    @example(d=5, s=1, a=1, b=1, k=6, n=30)  # all-ones cell, scaled by d!
+    def test_matches_repeated_convolution(self, d, s, a, b, k, n):
+        p0 = s * math.factorial(d)  # keeps every coefficient an integer
+        p = hypergeometric_cell(p0, a, b, d)
+        q = _power_coeffs(p0, a, b, d, k, n)
         assert len(q) == min(n, k * (len(p) - 1)) + 1
         assert q + [0] * (n + 1 - len(q)) == truncated_power(p, k, n)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cell=shaped_cells(), k=st.integers(0, 12), n=st.integers(0, 60))
+    @example(cell=(3, 1, 1, 0), k=5, n=10)  # d = 0
+    @example(cell=(1, 4, -1, 4), k=6, n=30)  # cap >= beta: E = 0
+    @example(cell=(7 * 120, 1, 0, 5), k=3, n=4)  # n < d
+    @example(cell=(2, 9, -1, 3), k=4, n=40)  # n > k*d
+    @example(cell=(5, 1, 1, 4), k=0, n=9)
+    @example(cell=(-6, 1, 0, 3), k=1, n=9)
+    def test_both_orders_match_repeated_convolution(self, cell, k, n):
+        p0, a, b, d = cell
+        p = hypergeometric_cell(p0, a, b, d)
+        top = min(n, k * d)
+        want = truncated_power(p, k, n)[: top + 1]
+        assert _miller_power(p, k, top) == want
+        assert _chain_power(p, a, b, k, top) == want
+
+    @pytest.mark.parametrize(
+        "d,k,n,order",
+        [
+            (93, 16, 1000, "chain"),  # u=10^6 m=16 c=3/2: 5,841 chain steps against 88,722
+            (1, 4096, 4096, "miller"),  # m=n=4096 cap=1: 4,096 Miller steps against 4.2M
+            (0, 5, 10, "miller"),
+        ],
+    )
+    def test_order_follows_the_step_counts(self, monkeypatch, d, k, n, order):
+        taken = []
+
+        def spy(name):
+            real = getattr(combinatorics, name)
+
+            def call(*args):
+                taken.append(name)
+                return real(*args)
+
+            return call
+
+        for name in ("_miller_power", "_chain_power"):
+            monkeypatch.setattr(combinatorics, name, spy(name))
+        _power_coeffs(1, 62500, -1, d, k, n)
+        assert taken == [f"_{order}_power"]
+
     def test_rejects_zero_constant_term(self):
         with pytest.raises(ValueError):
-            _power_coeffs([0, 1], 2, 4)
+            _power_coeffs(0, 1, 1, 2, 2, 4)
         with pytest.raises(ValueError):
-            _power_coeffs([], 2, 4)
+            _power_coeffs(1, 1, 1, -1, 2, 4)
 
 
 def test_ln_fraction_handles_huge_terms():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealhash import hashspace
+from idealhash import combinatorics, hashspace
 from idealhash.combinatorics import binom, compositions
 from idealhash.errors import BudgetExceededError
 from idealhash.hashspace import (
@@ -78,6 +78,19 @@ class TestCountIdealSets:
         betas = balanced_fiber_sizes(10**4 + 3, 8)  # three fibers of 1251, five of 1250
         for n, cap in ((40, 7), (40, 5), (41, 40)):
             assert count_ideal_sets(betas, n, cap) == reference_count(betas, n, cap)
+
+    def test_two_fiber_sizes_through_the_chain_match_per_cell_convolution(self, monkeypatch):
+        chained = []
+        chain = combinatorics._chain_power
+
+        def spy(p, a, b, k, top):
+            chained.append(k)
+            return chain(p, a, b, k, top)
+
+        monkeypatch.setattr(combinatorics, "_chain_power", spy)
+        betas = balanced_fiber_sizes(10**4 + 3, 8)  # three fibers of 1251, five of 1250
+        assert count_ideal_sets(betas, 60, 11) == reference_count(betas, 60, 11)
+        assert sorted(chained) == [3, 5]  # both group powers took the chain
 
     def test_balanced_square_case(self):
         assert count_ideal_sets((4, 4), 4, 2) == 36  # C(4,2)^2

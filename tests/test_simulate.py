@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -44,10 +45,10 @@ class TestMaxLoad:
         assert 128 / 16 <= est.mean <= 128
 
 
-    @pytest.mark.parametrize("n,m,trials", [(1000, 7, 30), (40, 2, 25), (300, 16384, 4), (64, 64, 50)])
+    @pytest.mark.parametrize("n,m,trials", [(1000, 7, 30), (40, 2, 25), (300, 16384, 4), (64, 64, 50), (10, 100, 30)])
     def test_estimate_does_not_depend_on_the_draw_slice(self, monkeypatch, n, m, trials):
         whole = estimate_max_load(n, m, trials, seed=5, workers=2)
-        monkeypatch.setattr(simulate, "_SLICE", 37)  # n > 37 draws one trial in slices
+        monkeypatch.setattr(simulate, "_SLICE", 37)  # n > 37 draws one trial in slices; m > 37 >= n sorts them
         assert estimate_max_load(n, m, trials, seed=5, workers=2) == whole
 
     def test_many_cells_keep_scratch_memory_bounded(self):
@@ -59,6 +60,14 @@ class TestMaxLoad:
             tracemalloc.stop()
         assert est.trials == 200
         assert peak < 100 * 2**20
+
+
+    def test_billion_cells_count_the_throws_not_the_cells(self, capsys):
+        start = time.perf_counter()
+        rc = run(["simulate", "--kind", "max-load", "--m", "1000000000", "--n", "10", "--trials", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        assert 1 <= json.loads(capsys.readouterr().out)["mean"] <= 10
 
 
 class TestIdealProbability:
