@@ -300,6 +300,15 @@ class TestComparisonBounds:
         assert fk.valid
         assert abs(fk.ln - float(decimal_ln_upper_fk(u, m, n))) <= LN_TOL
 
+    def test_naor_requires_alpha_at_least_one(self):
+        # n < m: only library callers reach it, since Params needs n >= m
+        entries = {e.name: e for e in comparison_bounds(16, 2, 4, 1)}
+        assert entries["upper.naor"].ln is None
+        assert entries["upper.naor"].validity_note == "requires alpha >= 1"
+        # u = 1 is named first even when alpha < 1 as well
+        entries = {e.name: e for e in comparison_bounds(1, 1, 2, 1)}
+        assert entries["upper.naor"].validity_note == "needs u >= 2 (it carries ln ln u)"
+
     def test_mehlhorn_requires_c_one(self):
         entries = {e.name: e for e in comparison_bounds(8, 4, 2, Fraction(3, 2))}
         assert not entries["lower.mehlhorn"].valid

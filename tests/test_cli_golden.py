@@ -60,6 +60,18 @@ CASES = {
         ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
         "0cd15e0fc7fe9dfc9c879158c1fcda927bacf82f76791e684a42aada9c21233f",
     ),
+    "bounds-u-one": (  # m < 2 universe note; the u >= 2 notes of upper.main and upper.naor
+        ["bounds", "--u", "1", "--m", "1", "--n", "1"],
+        "566977feb0355082a39ec7901e0a06ad6e1514974ade47a2aca2180511fe07ea",
+    ),
+    "bounds-c-covers-universe": (  # u <= c*alpha universe note; mehlhorn needs c = 1
+        ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", "2"],
+        "5af1528fe91daa2e091d1bdb446f75069a6d337a557523a7343fee4b102af863",
+    ),
+    "bounds-infeasible-cap": (  # both cap-below-ceil(alpha) notes; non-integral upper.main note
+        ["bounds", "--u", "6", "--m", "2", "--n", "3"],
+        "2e6e860367030b958fd4d64823a3e4d66bca6ae10af2b7ae18defc7842668bc4",
+    ),
     "construct-greedy": (
         GREEDY,
         "63dd0aa046c38e6e149586aaddbef96770c78c0262f653568a3ed7a41ef89ded",
