@@ -2,9 +2,10 @@
 
 Every evaluator is a pure function of its parameters.  Family sizes are
 exp(Theta(m)), so each bound is carried as its natural log, a float with
--inf standing for zero.  Report assembly gives each named bound either that
-ln or None with a note saying why the bound does not apply, instead of
-raising, so sweeps over mixed-domain grids stay total.  Stable entry names:
+-inf standing for zero.  Each `_eval_*` builds the entries of one bound, or
+raises BoundNotApplicableError with a note saying why the bound does not
+apply; report assembly (`_entries`) turns that note into an entry whose ln
+is None, so sweeps over mixed-domain grids stay total.  Stable entry names:
 
     lower.volume  lower.main  lower.universe  lower.fk  lower.mehlhorn
     upper.prob.tight  upper.prob.loose  upper.main  upper.naor  upper.yao
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .combinatorics import binom, ln_fraction
 from .errors import BoundNotApplicableError
 from .hashspace import Params
-from .oracle import exact_ideal_probability
+from .oracle import IdealCount, exact_ideal_probability
 
 # Desk scale of exact big-integer work: terms * log2(u) up to this many bits.
 # Past it ln C(u,n) is summed term by term and the counting DP is skipped,
@@ -202,15 +203,41 @@ def _tight_ceiling(total: int, m_c: int, ln_r: float) -> int | None:
     return 1 + (round(r) if rem == 0 and b ** round(r) == total else math.floor(r))
 
 
-def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
-    """lower.volume, upper.prob.tight and upper.prob.loose from M_c of the
-    C(u,n) key sets, 0 < M_c <= C(u,n), p = M_c / C(u,n).
+def _entries(names: tuple[str, ...], build, *args) -> tuple[BoundEntry, ...]:
+    """The entries `build(*args)` returns, or one null entry per name carrying
+    the note of the BoundNotApplicableError it raised."""
+    try:
+        return build(*args)
+    except BoundNotApplicableError as exc:
+        return tuple(BoundEntry(name, None, str(exc)) for name in names)
 
-    Volume: C(u,n)/M_c.  Tight: 1 + r before ceiling and 1 + floor(r)
-    functions after, with r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) *
-    n * ln u, zero at u = 1.  A ceiling past the float range is None.
+
+def _count_ratio(count: IdealCount | None, infeasible: str) -> Fraction:
+    """C(u,n) / M_c; not applicable when counting was skipped (count is None)
+    or no function is ideal for any set (M_c = 0), `infeasible` saying why
+    the latter voids the bound."""
+    if count is None:
+        raise BoundNotApplicableError("counting skipped: n * log2(u) beyond desk scale")
+    if count.m_c == 0:
+        raise BoundNotApplicableError(f"cap below ceil(alpha): {infeasible}")
+    return Fraction(count.total, count.m_c)
+
+
+def _eval_volume(count: IdealCount | None) -> tuple[BoundEntry]:
+    """lower.volume: C(u,n)/M_c, since one function is ideal for M_c sets."""
+    ratio = _count_ratio(count, "no function is ideal for any set")
+    return (BoundEntry("lower.volume", ln_fraction(ratio), "exact counting", ceiling=math.ceil(ratio)),)
+
+
+def _eval_prob(u: int, n: int, count: IdealCount | None) -> tuple[BoundEntry, BoundEntry]:
+    """upper.prob.tight and upper.prob.loose from p = M_c / C(u,n).
+
+    Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
+    r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) * n * ln u, zero at
+    u = 1.  A ceiling past the float range is None.
     """
-    ratio = Fraction(total, m_c)
+    ratio = _count_ratio(count, "no ideal family exists")
+    total, m_c = count.total, count.m_c
     ln_r = -math.inf if m_c == total else math.log(math.log(total)) - _ln_neg_ln1m(1 / ratio)
     ln_loose = ln_fraction(ratio * n) + math.log(math.log(u)) if u > 1 else -math.inf
     try:
@@ -219,24 +246,57 @@ def _entries_from_count(u: int, n: int, total: int, m_c: int) -> tuple[BoundEntr
         loose_ceiling = None
     return (
         BoundEntry(
-            name="lower.volume",
-            ln=ln_fraction(ratio),
-            validity_note="exact counting",
-            ceiling=math.ceil(ratio),
-        ),
-        BoundEntry(
             name="upper.prob.tight",
             ln=max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r))),
             validity_note="exact p",
             ceiling=_tight_ceiling(total, m_c, ln_r),
         ),
-        BoundEntry(
-            name="upper.prob.loose",
-            ln=ln_loose,
-            validity_note="exact p",
-            ceiling=loose_ceiling,
-        ),
+        BoundEntry("upper.prob.loose", ln_loose, "exact p", ceiling=loose_ceiling),
     )
+
+
+def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
+    ln = lower_main(p.m, p.alpha, p.c, eps)
+    return (BoundEntry("lower.main", ln, "asymptotic in n" if eps == 0 else "", epsilon=eps),)
+
+
+def _eval_universe(p: Params) -> tuple[BoundEntry]:
+    lu = lower_universe(p.u, p.m, p.n, p.c)
+    return (BoundEntry("lower.universe", math.log(lu) if lu > 0 else -math.inf, ceiling=max(0, math.ceil(lu))),)
+
+
+def _eval_upper_main(p: Params) -> tuple[BoundEntry]:
+    um = upper_main(p.u, p.n, p.m, p.c)
+    try:
+        ceiling = math.ceil(math.exp(um))
+    except OverflowError:
+        ceiling = None
+    integral = (p.c * p.alpha).denominator == 1
+    note = "" if integral else "cap floor(c*alpha) substituted (c*alpha not integral)"
+    return (BoundEntry("upper.main", um, note, ceiling=ceiling),)
+
+
+def _eval_yao(p: Params, t: float) -> tuple[BoundEntry]:
+    yao = upper_yao(p.u, p.n, t)
+    return (BoundEntry("upper.yao", math.log(yao), f"t = {t}", ceiling=yao),)
+
+
+def _eval_fk(u: int, n: int, m: int, c: Fraction) -> tuple[BoundEntry, BoundEntry]:
+    """lower.fk and upper.fk, the perfect-hashing counting pair; the proofs
+    do not generalize to n > m."""
+    if not (2 <= n <= m and c == 1):
+        raise BoundNotApplicableError("requires n <= m, c = 1, m >= 2")
+    lower_ln = (
+        (n - 1) * math.log(m)
+        + math.log(math.log(u))
+        + math.lgamma(m - n + 2)
+        - math.lgamma(m + 1)
+        - math.log(math.log(m - n + 2))
+    )
+    q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)  # < 1 at n >= 2
+    upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(q)
+    note = "asymptotic order, natural logs"
+    return (BoundEntry("lower.fk", lower_ln, note), BoundEntry("upper.fk", upper_ln, note))
 
 
 def _naor_form(u: int, n: int, m: int) -> float:
@@ -250,71 +310,30 @@ def _naor_form(u: int, n: int, m: int) -> float:
     return m * per_cell + 0.5 * math.log(n / (2.0 * math.pi)) + math.log(math.log(u))
 
 
+def _eval_naor(u: int, n: int, m: int) -> tuple[BoundEntry]:
+    if u < 2:
+        raise BoundNotApplicableError("needs u >= 2 (it carries ln ln u)")
+    if n < m:
+        raise BoundNotApplicableError("requires alpha >= 1")
+    return (BoundEntry("upper.naor", _naor_form(u, n, m), "normalized sqrt(n/2pi); classical display uses sqrt(n)"),)
+
+
+def _eval_mehlhorn(m: int, alpha: Fraction, c: Fraction) -> tuple[BoundEntry]:
+    """Straightforward Stirling lower estimate for c = 1."""
+    if c != 1 or alpha < 1:
+        raise BoundNotApplicableError("requires c = 1, alpha >= 1")
+    ln = (m - 1) * 0.5 * math.log(2.0 * math.pi * float(alpha)) - 0.5 * math.log(m)
+    return (BoundEntry("lower.mehlhorn", ln, "Stirling approximation, c = 1 only"),)
+
+
 def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundEntry, ...]:
     """Literature comparison entries with per-entry domain guards."""
     c = Fraction(c)
-    alpha = Fraction(n, m)
-    entries: list[BoundEntry] = []
-
-    # perfect-hashing counting pair; the proofs do not generalize to n > m
-    fk_ok = 2 <= n <= m and c == 1
-    if fk_ok:
-        lower_ln = (
-            (n - 1) * math.log(m)
-            + math.log(math.log(u))
-            + math.lgamma(m - n + 2)
-            - math.lgamma(m + 1)
-            - math.log(math.log(m - n + 2))
-        )
-        entries.append(
-            BoundEntry(
-                name="lower.fk",
-                ln=lower_ln,
-                validity_note="asymptotic order, natural logs",
-            )
-        )
-        q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)  # < 1 at n >= 2
-        upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(q)
-        entries.append(
-            BoundEntry(
-                name="upper.fk",
-                ln=upper_ln,
-                validity_note="asymptotic order, natural logs",
-            )
-        )
-    else:
-        note = "requires n <= m, c = 1, m >= 2"
-        entries.append(BoundEntry("lower.fk", None, note))
-        entries.append(BoundEntry("upper.fk", None, note))
-
-    # splitter upper bound, normalized to the c = 1 specialization
-    if alpha >= 1 and u >= 2:
-        entries.append(
-            BoundEntry(
-                name="upper.naor",
-                ln=_naor_form(u, n, m),
-                validity_note="normalized sqrt(n/2pi); classical display uses sqrt(n)",
-            )
-        )
-    elif u < 2:
-        entries.append(BoundEntry("upper.naor", None, "needs u >= 2 (it carries ln ln u)"))
-    else:
-        entries.append(BoundEntry("upper.naor", None, "requires alpha >= 1"))
-
-    # straightforward Stirling lower estimate for c = 1
-    if c == 1 and alpha >= 1:
-        mehl_ln = (m - 1) * 0.5 * math.log(2.0 * math.pi * float(alpha)) - 0.5 * math.log(m)
-        entries.append(
-            BoundEntry(
-                name="lower.mehlhorn",
-                ln=mehl_ln,
-                validity_note="Stirling approximation, c = 1 only",
-            )
-        )
-    else:
-        entries.append(BoundEntry("lower.mehlhorn", None, "requires c = 1, alpha >= 1"))
-
-    return tuple(entries)
+    return (
+        *_entries(("lower.fk", "upper.fk"), _eval_fk, u, n, m, c),
+        *_entries(("upper.naor",), _eval_naor, u, n, m),
+        *_entries(("lower.mehlhorn",), _eval_mehlhorn, m, Fraction(n, m), c),
+    )
 
 
 def advice_report(report: BoundReport) -> AdviceReport:
@@ -341,23 +360,6 @@ def advice_report(report: BoundReport) -> AdviceReport:
     )
 
 
-def _counting_entries(p: Params) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
-    """lower.volume, upper.prob.tight and upper.prob.loose from the exact count M_c."""
-    if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS:
-        volume_note = prob_note = "counting skipped: n * log2(u) beyond desk scale"
-    else:
-        ic = exact_ideal_probability(p)
-        if ic.m_c > 0:
-            return _entries_from_count(p.u, p.n, ic.total, ic.m_c)
-        volume_note = "cap below ceil(alpha): no function is ideal for any set"
-        prob_note = "cap below ceil(alpha): no ideal family exists"
-    return (
-        BoundEntry("lower.volume", None, volume_note),
-        BoundEntry("upper.prob.tight", None, prob_note),
-        BoundEntry("upper.prob.loose", None, prob_note),
-    )
-
-
 def bound_report(
     p: Params,
     eps: Fraction | float = 0,
@@ -365,69 +367,19 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every named bound for one parameter point.
 
-    The volume and probabilistic entries use the exact counting core (cheap
-    at any u: one `_power_coeffs` power per fiber size, never subset
-    enumeration).
+    The volume and probabilistic entries share one exact count (cheap at any
+    u: one `_power_coeffs` power per fiber size, never subset enumeration),
+    skipped past desk scale.
     """
-    alpha = p.alpha
     eps_f = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**9)
-    volume, tight, loose = _counting_entries(p)
-    entries: list[BoundEntry] = [volume]
-
-    entries.append(
-        BoundEntry(
-            name="lower.main",
-            ln=lower_main(p.m, alpha, p.c, eps_f),
-            validity_note="asymptotic in n" if eps_f == 0 else "",
-            epsilon=eps_f,
-        )
+    count = None if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS else exact_ideal_probability(p)
+    entries = (
+        *_entries(("lower.volume",), _eval_volume, count),
+        *_entries(("lower.main",), _eval_lower_main, p, eps_f),
+        *_entries(("lower.universe",), _eval_universe, p),
+        *_entries(("upper.prob.tight", "upper.prob.loose"), _eval_prob, p.u, p.n, count),
+        *_entries(("upper.main",), _eval_upper_main, p),
+        *_entries(("upper.yao",), _eval_yao, p, t),
+        *comparison_bounds(p.u, p.n, p.m, p.c),
     )
-
-    try:
-        lu = lower_universe(p.u, p.m, p.n, p.c)
-        entries.append(
-            BoundEntry(
-                name="lower.universe",
-                ln=math.log(lu) if lu > 0 else -math.inf,
-                ceiling=max(0, math.ceil(lu)),
-            )
-        )
-    except BoundNotApplicableError as exc:
-        entries.append(BoundEntry("lower.universe", None, str(exc)))
-
-    entries.extend((tight, loose))
-
-    non_integral = (p.c * alpha).denominator != 1
-    try:
-        um = upper_main(p.u, p.n, p.m, p.c)
-    except BoundNotApplicableError as exc:
-        entries.append(BoundEntry("upper.main", None, str(exc)))
-    else:
-        try:
-            um_ceiling = math.ceil(math.exp(um))
-        except OverflowError:
-            um_ceiling = None
-        entries.append(
-            BoundEntry(
-                name="upper.main",
-                ln=um,
-                validity_note="cap floor(c*alpha) substituted (c*alpha not integral)"
-                if non_integral
-                else "",
-                ceiling=um_ceiling,
-            )
-        )
-
-    yao = upper_yao(p.u, p.n, t)
-    entries.append(
-        BoundEntry(
-            name="upper.yao",
-            ln=math.log(yao),
-            validity_note=f"t = {t}",
-            ceiling=yao,
-        )
-    )
-
-    entries.extend(comparison_bounds(p.u, p.n, p.m, p.c))
-
-    return BoundReport(params=p, entries=tuple(entries))
+    return BoundReport(params=p, entries=entries)

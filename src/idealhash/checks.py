@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from typing import Iterable
 
 from .bounds import upper_main_base_nats
 from .combinatorics import composition_count, compositions, ln_fraction
@@ -50,154 +51,137 @@ class CheckResult:
         return self.failures == 0
 
 
+def _tally(name: str, verdicts: Iterable[bool], note: str = "") -> CheckResult:
+    """The result over one verdict per instance, true where the relation held."""
+    verdicts = list(verdicts)
+    return CheckResult(name, len(verdicts), sum(not ok for ok in verdicts), note)
+
+
 def check_poissonization_identity(n_max: int = 12, m_max: int = 4) -> CheckResult:
     """Sum-conditioned Poisson mass equals the multinomial mass, exactly."""
-    instances = failures = 0
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            for lv in compositions(n, m, n):
-                instances += 1
-                if conditioned_poisson_pmf(lv, n, m) != multinomial_pmf(lv, n, m):
-                    failures += 1
-    return CheckResult("poissonization-identity", instances, failures)
+    return _tally("poissonization-identity", (
+        not (conditioned_poisson_pmf(lv, n, m) != multinomial_pmf(lv, n, m))
+        for m in range(1, m_max + 1)
+        for n in range(1, n_max + 1)
+        for lv in compositions(n, m, n)
+    ))
+
+
+def _mass_by_max_load(n: int, m: int) -> list[Fraction]:
+    """Conditioned Poisson mass of the load vectors of n keys in m cells,
+    bucketed by their max load 1..n."""
+    by_max = [Fraction(0)] * n
+    for lv in compositions(n, m, n):
+        by_max[max(lv) - 1] += conditioned_poisson_pmf(lv, n, m)
+    return by_max
 
 
 def check_conditioned_indicator(n_max: int = 10, m_max: int = 4) -> CheckResult:
-    """Conditioned expectation of the cap indicator matches the throw DP."""
-    instances = failures = 0
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            for cap in range(1, n + 1):
-                instances += 1
-                total = sum(
-                    conditioned_poisson_pmf(lv, n, m)
-                    for lv in compositions(n, m, n)
-                    if max(lv) <= cap
-                )
-                if total != p_tmax_le(n, m, cap):
-                    failures += 1
-    return CheckResult("conditioned-indicator", instances, failures)
+    """Conditioned expectation of the cap indicator matches the throw DP.
+
+    The expectation at cap d is the mass of the load vectors with max load
+    at most d, a prefix sum of the buckets, so each vector is weighed once.
+    """
+    return _tally("conditioned-indicator", (
+        not (total != p_tmax_le(n, m, cap))
+        for m in range(1, m_max + 1)
+        for n in range(1, n_max + 1)
+        for cap, total in enumerate(accumulate(_mass_by_max_load(n, m)), start=1)
+    ))
 
 
 def _hyper_grid():
     for u, m, c in product((6, 8, 10, 12), (2, 3), C_GRID):
         for n in range(m, min(u, 8) + 1):
-            yield u, m, n, c
+            yield Params(u, m, n, c)
 
 
 def check_negdep_hypergeometric() -> CheckResult:
     """Exact joint ideality probability <= product of hypergeometric marginals."""
-    instances = failures = 0
-    for u, m, n, c in _hyper_grid():
-        instances += 1
-        p = Params(u, m, n, c)
-        joint = exact_ideal_probability(p).probability
-        prod_marg = Fraction(1)
-        for beta in balanced_fiber_sizes(u, m):
-            prod_marg *= hypergeometric_marginal_le(u, beta, n, p.load_cap)
-        if joint > prod_marg:
-            failures += 1
-    return CheckResult("negdep-hypergeometric", instances, failures)
+    return _tally("negdep-hypergeometric", (
+        not (
+            exact_ideal_probability(p).probability
+            > math.prod(hypergeometric_marginal_le(p.u, beta, p.n, p.load_cap) for beta in balanced_fiber_sizes(p.u, p.m))
+        )
+        for p in _hyper_grid()
+    ))
 
 
 def check_negdep_binomial() -> CheckResult:
     """Joint throw probability <= product of binomial marginals."""
-    instances = failures = 0
-    for u, m, n, c in _hyper_grid():
-        instances += 1
-        cap = math.floor(c * Fraction(n, m))
-        if p_tmax_le(n, m, cap) > binomial_marginal_le(n, m, cap) ** m:
-            failures += 1
-    return CheckResult("negdep-binomial", instances, failures)
+    return _tally("negdep-binomial", (
+        not (p_tmax_le(p.n, p.m, p.load_cap) > binomial_marginal_le(p.n, p.m, p.load_cap) ** p.m)
+        for p in _hyper_grid()
+    ))
 
 
 def check_replacement_direction() -> CheckResult:
     """Throw probability lower-bounds the exact ideality probability."""
-    instances = failures = 0
-    for u, m, n, c in _hyper_grid():
-        instances += 1
-        p = Params(u, m, n, c)
-        if p_tmax_le(n, m, p.load_cap) > exact_ideal_probability(p).probability:
-            failures += 1
-    return CheckResult("replacement-direction", instances, failures)
+    return _tally("replacement-direction", (
+        not (p_tmax_le(p.n, p.m, p.load_cap) > exact_ideal_probability(p).probability)
+        for p in _hyper_grid()
+    ))
+
+
+def _sandwich_holds(n: int, m: int, c: Fraction) -> bool:
+    d = math.floor(c * Fraction(n, m))
+    exact = p_tmax_le(n, m, d)
+    # the upper side is evaluated only where the lower side held
+    return not (
+        tmax_lower_bound(n, m, c) > ln_fraction(exact) + LOG_TOL
+        or exact > min(Fraction(1), binomial_marginal_le(n, m, d) ** m)
+    )
 
 
 def check_tmax_sandwich() -> CheckResult:
     """Closed-form lower bound <= throw probability <= min(1, marginal product)."""
-    instances = failures = 0
-    for m in range(2, 6):
-        for alpha in range(1, 4):
-            for c in (Fraction(1), Fraction(2)):
-                n = m * alpha
-                d = math.floor(c * Fraction(n, m))
-                instances += 1
-                exact = p_tmax_le(n, m, d)
-                lower = tmax_lower_bound(n, m, c)
-                if lower > ln_fraction(exact) + LOG_TOL:
-                    failures += 1
-                    continue
-                marg = binomial_marginal_le(n, m, d) ** m
-                if exact > min(Fraction(1), marg):
-                    failures += 1
-    return CheckResult("tmax-sandwich", instances, failures, f"log tolerance {LOG_TOL}")
+    return _tally("tmax-sandwich", (
+        _sandwich_holds(m * alpha, m, c)
+        for m in range(2, 6)
+        for alpha in range(1, 4)
+        for c in (Fraction(1), Fraction(2))
+    ), f"log tolerance {LOG_TOL}")
 
 
 def check_tail_lower_bound() -> CheckResult:
     """First-term tail estimate stays below the exact binomial tail."""
-    instances = failures = 0
-    for m in range(2, 6):
-        for alpha in range(1, 4):
-            for c in (Fraction(1), Fraction(3, 2), Fraction(2)):
-                n = m * alpha
-                ca = c * Fraction(n, m)
-                if ca + 1 > n:
-                    continue
-                instances += 1
-                lb = binomial_tail_lb(n, m, c)
-                exact = binomial_tail_tail_exact(n, m, math.floor(ca))
-                if lb > ln_fraction(exact) + LOG_TOL:
-                    failures += 1
-    return CheckResult("binomial-tail-lb", instances, failures, f"log tolerance {LOG_TOL}")
+    return _tally("binomial-tail-lb", (
+        not (binomial_tail_lb(m * alpha, m, c) > ln_fraction(binomial_tail_tail_exact(m * alpha, m, math.floor(c * alpha))) + LOG_TOL)
+        for m in range(2, 6)
+        for alpha in range(1, 4)
+        for c in C_GRID
+        if c * alpha + 1 <= m * alpha
+    ), f"log tolerance {LOG_TOL}")
 
 
 def check_balance_extremality(u_max: int = 14) -> CheckResult:
     """Balanced decompositions are exactly the ideal-count maximizers when the cap binds."""
-    instances = failures = 0
-    for m in (2, 3):
-        for n in range(m, 7):
-            for u in range(n, u_max + 1):
-                for c in C_GRID:
-                    if not cap_binds(u, m, n, c):
-                        continue  # degenerate tie regime
-                    instances += 1
-                    if not balance_extremality_check(u, m, n, c):
-                        failures += 1
-    return CheckResult("balance-extremality", instances, failures)
+    return _tally("balance-extremality", (
+        balance_extremality_check(u, m, n, c)
+        for m in (2, 3)
+        for n in range(m, 7)
+        for u in range(n, u_max + 1)
+        for c in C_GRID
+        if cap_binds(u, m, n, c)  # elsewhere the degenerate tie regime
+    ))
 
 
 def check_composition_crude_lower() -> CheckResult:
     """Bounded-composition count dominates (alpha+1)^(m(1-1/c)) at d = c*alpha."""
-    instances = failures = 0
-    for m in range(2, 7):
-        for alpha in range(1, 5):
-            for c in (1, 2):
-                n = m * alpha
-                d = c * alpha
-                instances += 1
-                crude = (alpha + 1) ** (m * (1 - 1 / c))
-                if composition_count(n, m, d) < crude:
-                    failures += 1
-    return CheckResult("composition-crude-lower", instances, failures)
+    return _tally("composition-crude-lower", (
+        not (composition_count(m * alpha, m, c * alpha) < (alpha + 1) ** (m * (1 - 1 / c)))
+        for m in range(2, 7)
+        for alpha in range(1, 5)
+        for c in (1, 2)
+    ))
 
 
 def check_min_product_factorials() -> CheckResult:
     """Capped-composition factorial products bottom out at the {0, d} patterns."""
-    instances = failures = 0
-    for n, m, d in ((2, 2, 1), (4, 2, 2), (4, 4, 2), (6, 3, 2), (6, 4, 3), (8, 4, 2)):
-        instances += 1
-        if not min_product_factorials_check(n, m, d):
-            failures += 1
-    return CheckResult("min-product-factorials", instances, failures)
+    return _tally("min-product-factorials", (
+        min_product_factorials_check(n, m, d)
+        for n, m, d in ((2, 2, 1), (4, 2, 2), (4, 4, 2), (6, 3, 2), (6, 4, 3), (8, 4, 2))
+    ))
 
 
 def check_upper_base_constant() -> CheckResult:
@@ -215,7 +199,6 @@ def check_upper_base_constant() -> CheckResult:
         for alpha in range(1, 9)
         for c in range(1, 9)
     )
-    failures = 0 if corner > UPPER_BASE_CLAIMED_FLOOR else 1
     note = (
         f"corner {corner:.6f} vs printed floor "
         f"{UPPER_BASE_CLAIMED_FLOOR}; grid min {best:.6f} at "
@@ -223,7 +206,7 @@ def check_upper_base_constant() -> CheckResult:
     )
     if best != corner:
         note += " [smaller than the corner: minimality claim not reproduced]"
-    return CheckResult("upper-base-constant", 1, failures, note)
+    return _tally("upper-base-constant", [corner > UPPER_BASE_CLAIMED_FLOOR], note)
 
 
 ALL_CHECKS = (

@@ -271,25 +271,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _check_balanced_pool(p: Params, budget: int) -> None:
-    """Refuse before enumerating when the u!/prod(beta_i!) balanced functions exceed budget.
-
-    The count is the product over cells of C(rest + beta, beta), rest being the
-    keys left for later cells.  Each binomial is built term by term from its
-    smaller side, where every term is at least 1, so the running product is
-    exact and non-decreasing and stops as soon as it passes the budget.
-    """
-    q, r = divmod(p.u, p.m)
-    size, rest = 1, p.u
-    for cell in range(p.m):
-        beta = q + (cell < r)
-        rest -= beta
-        for t in range(min(beta, rest)):
-            size = size * (rest + beta - t) // (t + 1)
-            if size > budget:
-                raise BudgetExceededError(f"u!/prod(beta_i!) balanced functions exceed budget {budget}")
-
-
 def _cmd_construct(args) -> int:
     p = Params(args.u, args.m, args.n, args.c)
     if args.method == "random":
@@ -298,8 +279,7 @@ def _cmd_construct(args) -> int:
         )
     else:
         if args.pool == "balanced":
-            _check_balanced_pool(p, args.budget)
-            pool = list(balanced_functions(p))
+            pool = list(balanced_functions(p, budget=args.budget))
         else:
             pool = partition_classes(all_functions(p.u, p.m, budget=args.budget))
         if args.method == "greedy":

@@ -152,14 +152,26 @@ def _ordered_partitions(
             yield (head,) + tail
 
 
-def balanced_functions(p: Params) -> Iterator[HashFunction]:
-    """All functions whose fibers carry the canonical balanced size vector.
+def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
+    """All functions whose fibers carry the canonical balanced size vector; budget-guarded.
 
     One function per ordered partition of 1..u into fibers of those sizes;
     the first yielded is the lexicographic blocked function (cell 1 gets the
-    lowest keys, and so on).
+    lowest keys, and so on).  Their number u!/prod(beta_i!) is checked against
+    the budget before the first is built: it is the product over cells of
+    C(rest + beta, beta), rest being the keys left for later cells, and each
+    binomial is built term by term from its smaller side, where every term
+    is at least 1, so the running product is exact and non-decreasing and
+    stops as soon as it passes the budget.
     """
     sizes = balanced_fiber_sizes(p.u, p.m)
+    size, rest = 1, p.u
+    for beta in sizes:
+        rest -= beta
+        for t in range(min(beta, rest)):
+            size = size * (rest + beta - t) // (t + 1)
+            if size > budget:
+                raise BudgetExceededError(f"u!/prod(beta_i!) balanced functions exceed budget {budget}")
     keys = tuple(range(1, p.u + 1))
     for parts in _ordered_partitions(keys, sizes):
         cells = [0] * p.u

@@ -12,7 +12,7 @@ from idealhash.construct import (
     sample_balanced_function,
     yao_family,
 )
-from idealhash.errors import BoundNotApplicableError, PoolExhaustedError
+from idealhash.errors import BoundNotApplicableError, BudgetExceededError, PoolExhaustedError
 from idealhash.hashspace import HashFunction, Params, balanced_functions
 from idealhash.oracle import (
     exact_ideal_probability,
@@ -109,6 +109,12 @@ class TestGreedy:
         log = greedy_cover(P422, [HashFunction((1, 1, 1, 1), 2)])
         assert not log.verified
         assert verify_family(log.family, P422).uncovered_witness is not None
+
+    def test_balanced_pool_past_budget_raises_before_enumerating(self):
+        # C(40,20) ~ 1.4e11 balanced functions: refused at the first draw, not after building them
+        p = Params(40, 2, 20)
+        with pytest.raises(BudgetExceededError, match=r"^u!/prod\(beta_i!\) balanced functions exceed budget 100$"):
+            greedy_cover(p, balanced_functions(p, budget=100))
 
     def test_deterministic(self):
         a = greedy_cover(P422, balanced_functions(P422))

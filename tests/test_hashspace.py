@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,15 @@ class TestFamilyCost:
 class TestBalancedFunctions:
     def test_count_at_4_2_is_six(self):
         assert sum(1 for _ in balanced_functions(Params(4, 2, 2))) == 6
+
+    @pytest.mark.parametrize("u,m", [(4, 2), (5, 2), (7, 3), (9, 4), (6, 6)])
+    def test_budget_is_the_exact_count(self, u, m):
+        p = Params(u, m, m)
+        count = sum(1 for _ in balanced_functions(p))
+        assert count == math.factorial(u) // math.prod(math.factorial(b) for b in balanced_fiber_sizes(u, m))
+        assert sum(1 for _ in balanced_functions(p, budget=count)) == count
+        with pytest.raises(BudgetExceededError):
+            next(balanced_functions(p, budget=count - 1))
 
     def test_ragged_fibers_stay_within_one(self):
         p = Params(5, 2, 2)
