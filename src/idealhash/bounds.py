@@ -369,17 +369,20 @@ def bound_report(
 
     The volume and probabilistic entries share one exact count (cheap at any
     u: one `_power_coeffs` power per fiber size, never subset enumeration),
-    skipped past desk scale.
+    skipped past desk scale.  The eps and t entries are built first, so an
+    invalid eps or t is refused before the counting work.
     """
     eps_f = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**9)
+    main = _entries(("lower.main",), _eval_lower_main, p, eps_f)
+    yao = _entries(("upper.yao",), _eval_yao, p, t)
     count = None if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS else exact_ideal_probability(p)
     entries = (
         *_entries(("lower.volume",), _eval_volume, count),
-        *_entries(("lower.main",), _eval_lower_main, p, eps_f),
+        *main,
         *_entries(("lower.universe",), _eval_universe, p),
         *_entries(("upper.prob.tight", "upper.prob.loose"), _eval_prob, p.u, p.n, count),
         *_entries(("upper.main",), _eval_upper_main, p),
-        *_entries(("upper.yao",), _eval_yao, p, t),
+        *yao,
         *comparison_bounds(p.u, p.n, p.m, p.c),
     )
     return BoundReport(params=p, entries=entries)

@@ -19,7 +19,6 @@ from .combinatorics import composition_count, compositions, ln_fraction
 from .distributions import (
     binomial_marginal_le,
     binomial_tail_lb,
-    binomial_tail_tail_exact,
     conditioned_poisson_pmf,
     hypergeometric_marginal_le,
     min_product_factorials_check,
@@ -146,7 +145,7 @@ def check_tmax_sandwich() -> CheckResult:
 def check_tail_lower_bound() -> CheckResult:
     """First-term tail estimate stays below the exact binomial tail."""
     return _tally("binomial-tail-lb", (
-        not (binomial_tail_lb(m * alpha, m, c) > ln_fraction(binomial_tail_tail_exact(m * alpha, m, math.floor(c * alpha))) + LOG_TOL)
+        not (binomial_tail_lb(m * alpha, m, c) > ln_fraction(1 - binomial_marginal_le(m * alpha, m, math.floor(c * alpha))) + LOG_TOL)
         for m in range(2, 6)
         for alpha in range(1, 4)
         for c in C_GRID

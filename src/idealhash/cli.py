@@ -285,11 +285,8 @@ def _cmd_construct(args) -> int:
         if args.method == "greedy":
             log = construct_mod.greedy_cover(p, pool, budget=args.budget)
         else:
-            load_target = args.load_target
-            if load_target is None:
-                load_target = max(-(-p.n // p.m), p.load_cap)
             log = construct_mod.yao_family(
-                p, t=args.t, pool=pool, load_target=load_target, budget=args.budget
+                p, t=args.t, pool=pool, load_target=args.load_target, budget=args.budget
             )
     _emit_json(args.out, "construct", {
         "params": _params_dict(p),
@@ -397,6 +394,7 @@ def run(argv: list[str] | None = None) -> int:
         BudgetExceededError,
         PoolExhaustedError,
         ValueError,
+        OverflowError,
         OSError,
     ) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

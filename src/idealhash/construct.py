@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable
 
@@ -42,29 +42,21 @@ class ConstructionLog:
 
     def to_json_dict(self) -> dict:
         return {
-            "method": self.method,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "pool_size": self.pool_size,
-            "uncovered_per_round": list(self.uncovered_per_round),
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "family_size": self.family.size,
             "family": [function_to_text(h) for h in self.family.functions],
-            "provenance": self.family.provenance,
-            "verified": self.verified,
-            "t": self.t,
-            "load_target": self.load_target,
-            "fallback_rounds": list(self.fallback_rounds),
+            "provenance": self.method,
         }
 
 
-def _log(method: str, chosen: list[HashFunction], trail: list[int], **fields) -> ConstructionLog:
+def _log(method: str, chosen: list[HashFunction], trail: list[int], **rest) -> ConstructionLog:
     """The log of a run that chose `chosen`, one member per round."""
     return ConstructionLog(
         method=method,
         rounds=len(chosen),
         uncovered_per_round=tuple(trail),
-        family=Family(tuple(chosen), provenance=method),
-        **fields,
+        family=Family(tuple(chosen)),
+        **rest,
     )
 
 
@@ -174,19 +166,22 @@ def yao_family(
     p: Params,
     t: float,
     pool: Iterable[HashFunction],
-    load_target: int,
+    load_target: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> ConstructionLog:
     """Iteratively pick functions whose exceed-fraction over live sets is <= 1/t.
 
     A set is live while every chosen function drives its max load above
-    load_target.  Each admissible round shrinks the live set by at least the
+    load_target, by default the larger of ceil(alpha) and the c-ideal cap
+    floor(c*alpha).  Each admissible round shrinks the live set by at least the
     factor 1/t; rounds where no pool member meets the threshold fall back to
     the minimum exceed-fraction and are recorded.  Raises PoolExhaustedError
     if no pool member shrinks the live set while live sets remain.
     """
     if not 1 < t < math.inf:
         raise ValueError("need 1 < t < inf")
+    if load_target is None:
+        load_target = max(math.ceil(p.alpha), p.load_cap)
     if load_target < math.ceil(p.alpha):
         raise ValueError("load_target below ceil(alpha) is unsatisfiable")
     candidates = tuple(pool)

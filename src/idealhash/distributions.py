@@ -97,11 +97,6 @@ def binomial_marginal_le(n: int, m: int, cap: int) -> Fraction:
     return Fraction(hits, m**n)
 
 
-def binomial_tail_tail_exact(n: int, m: int, cap: int) -> Fraction:
-    """P(Bin(n, 1/m) > cap), exact; the quantity the closed-form tail bounds."""
-    return 1 - binomial_marginal_le(n, m, cap)
-
-
 def binomial_tail_lb(n: int, m: int, c: Fraction | int) -> float:
     """Natural log of a closed-form lower bound on P(Bin(n, 1/m) > c*alpha).
 

@@ -83,20 +83,17 @@ class HashFunction:
     def u(self) -> int:
         return len(self.cells)
 
-    def fibers(self) -> tuple[tuple[int, ...], ...]:
-        """Keys per cell, 1-based, ascending within each fiber."""
-        parts: list[list[int]] = [[] for _ in range(self.m)]
-        for key, cell in enumerate(self.cells, start=1):
-            parts[cell - 1].append(key)
-        return tuple(tuple(p) for p in parts)
-
     def partition_signature(self) -> tuple[tuple[int, ...], ...]:
-        """Cell-label-free identity: the sorted tuple of non-empty fibers.
+        """Cell-label-free identity: the non-empty fibers, ascending within
+        each, in order of their least key (the sorted tuple of fibers).
 
         Max load is invariant under relabeling cells, so exhaustive searches
         deduplicate candidates by this signature.
         """
-        return tuple(sorted(f for f in self.fibers() if f))
+        fibers: dict[int, list[int]] = {}
+        for key, cell in enumerate(self.cells, start=1):
+            fibers.setdefault(cell, []).append(key)
+        return tuple(map(tuple, fibers.values()))
 
 
 @dataclass(frozen=True)
@@ -114,10 +111,9 @@ class KeySet:
 
 @dataclass(frozen=True)
 class Family:
-    """An ordered family of hash functions with a provenance tag."""
+    """An ordered family of hash functions."""
 
     functions: tuple[HashFunction, ...]
-    provenance: str = "explicit"
 
     def __post_init__(self) -> None:
         if not self.functions:
@@ -136,20 +132,6 @@ def balanced_fiber_sizes(u: int, m: int) -> tuple[int, ...]:
     """Canonical balanced size vector: ceil(u/m) repeated (u mod m) times, then floor."""
     q, r = divmod(u, m)
     return tuple([q + 1] * r + [q] * (m - r))
-
-
-def _ordered_partitions(
-    keys: tuple[int, ...], sizes: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not sizes:
-        yield ()
-        return
-    head_size, rest = sizes[0], sizes[1:]
-    for head in itertools.combinations(keys, head_size):
-        chosen = set(head)
-        remaining = tuple(k for k in keys if k not in chosen)
-        for tail in _ordered_partitions(remaining, rest):
-            yield (head,) + tail
 
 
 def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
@@ -172,13 +154,21 @@ def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
             size = size * (rest + beta - t) // (t + 1)
             if size > budget:
                 raise BudgetExceededError(f"u!/prod(beta_i!) balanced functions exceed budget {budget}")
-    keys = tuple(range(1, p.u + 1))
-    for parts in _ordered_partitions(keys, sizes):
-        cells = [0] * p.u
-        for cell_index, part in enumerate(parts, start=1):
-            for key in part:
-                cells[key - 1] = cell_index
-        yield HashFunction(tuple(cells), p.m)
+    cells = [0] * p.u
+
+    def fill(cell: int, free: tuple[int, ...]) -> Iterator[HashFunction]:
+        # keys in `free` go to cells cell..m; every one is rewritten before the next yield
+        if cell == p.m:
+            for key in free:
+                cells[key - 1] = cell
+            yield HashFunction(tuple(cells), p.m)
+            return
+        for head in itertools.combinations(free, sizes[cell - 1]):
+            for key in head:
+                cells[key - 1] = cell
+            yield from fill(cell + 1, tuple(k for k in free if k not in head))
+
+    yield from fill(1, tuple(range(1, p.u + 1)))
 
 
 def all_functions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
@@ -195,15 +185,11 @@ def partition_classes(
     """The first function of each partition-signature class, in order of appearance.
 
     Max load is invariant under relabeling cells, so coverage needs one
-    member per class.  Two functions share a signature exactly when
-    numbering their cells in order of first appearance gives the same
-    sequence, which is the cheaper key used here.  Raises once more than
-    `budget` classes have appeared.
+    member per class.  Raises once more than `budget` classes have appeared.
     """
-    reps: dict[tuple[int, ...], HashFunction] = {}
+    reps: dict[tuple[tuple[int, ...], ...], HashFunction] = {}
     for h in functions:
-        labels: dict[int, int] = {}
-        reps.setdefault(tuple([labels.setdefault(c, len(labels)) for c in h.cells]), h)
+        reps.setdefault(h.partition_signature(), h)
         if budget is not None and len(reps) > budget:
             raise BudgetExceededError(f"candidate pool exceeds budget {budget}")
     return list(reps.values())

@@ -20,9 +20,11 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
     import numpy as np
 
 
-# Elements per numpy call, max-load throws or ideal-prob load cells: keeps
-# scratch memory around 32 MB.  The int64 throw stream does not depend on
-# how it is split into calls, so neither does a seeded max-load estimate.
+# Elements per numpy call, max-load throws or ideal-prob load cells.  One
+# such int64 array is 32 MiB and a batch holds about three, so max-load at
+# m = n = 16384 peaks at 131 MB RSS (x86-64 Linux), 27 MB of it numpy's
+# import.  The int64 throw stream does not depend on how it is split into
+# calls, so neither does a seeded max-load estimate.
 _SLICE = 2**22
 
 
@@ -45,13 +47,14 @@ def _worker_rng(seed: int, worker: int) -> np.random.Generator:
 
 
 def _split_trials(trials: int, workers: int) -> list[int]:
-    """Trials per worker stream; validates both counts."""
+    """Trials per worker stream, for the first min(workers, trials) streams:
+    the others get none.  Validates both counts."""
     if trials < 1:
         raise ValueError("need trials >= 1")
     if workers < 1:
         raise ValueError("need workers >= 1")
     base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+    return [base + (1 if w < extra else 0) for w in range(min(workers, trials))]
 
 
 def estimate_max_load(

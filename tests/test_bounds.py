@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealhash import bounds
 from idealhash.bounds import (
     AdviceReport,
     advice_report,
@@ -459,6 +460,19 @@ class TestBoundReport:
     def test_volume_entry_appears_once(self):
         for p in (Params(8, 2, 4, 1), Params(16, 4, 8, 1), Params(64, 4, 8, Fraction(3, 2))):
             assert [e.name for e in bound_report(p).entries].count("lower.volume") == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"eps": 1}, "need eps in [0, 1)"), ({"t": 1.0}, "need 1 < t < inf"), ({"eps": 1, "t": 1.0}, "need eps in [0, 1)")],
+    )
+    def test_eps_and_t_are_refused_before_counting(self, monkeypatch, kwargs, message):
+        def forbidden(p):
+            raise AssertionError("counted before checking eps and t")
+
+        monkeypatch.setattr(bounds, "exact_ideal_probability", forbidden)
+        with pytest.raises(ValueError) as exc:
+            bound_report(Params(8, 2, 4, 1), **kwargs)
+        assert str(exc.value) == message
 
     def test_infeasible_cap_flags_counting_entries(self):
         rep = bound_report(Params(6, 2, 3, 1))  # cap 1 < ceil(3/2)

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ import pytest
 import idealhash
 from idealhash import oracle
 from idealhash.cli import run
+from idealhash.construct import yao_family
+from idealhash.hashspace import Params, balanced_functions
 
 
 def run_capture(capsys, argv):
@@ -45,6 +49,15 @@ class TestExact:
         payload = json.loads(out)
         assert payload["h_c_exact"] is None
         assert payload["size_limit"] == 2
+
+    def test_pool_budget_caps_the_candidate_classes(self, capsys):
+        argv = ["exact", "--u", "6", "--m", "2", "--n", "2", "--with-hc", "--pool-budget"]
+        rc, out, err = run_capture(capsys, argv + ["5"])
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {"error": "BudgetExceededError", "message": "candidate pool exceeds budget 5"}
+        rc, out, _ = run_capture(capsys, argv + ["32"])
+        assert rc == 0
+        assert json.loads(out)["h_c_exact"] == 3
 
     def test_fraction_flag_parses_both_notations(self, capsys):
         rc1, out1, _ = run_capture(capsys, ["exact", "--u", "8", "--m", "2", "--n", "4", "--c", "3/2"])
@@ -235,6 +248,21 @@ class TestConstructAndVerify:
         assert payload["load_target"] == 3
 
 
+    @pytest.mark.parametrize("u, m, n, c", [(8, 2, 4, "1"), (7, 2, 3, "1"), (7, 3, 4, "3/2"), (6, 2, 4, "2")])
+    def test_yao_default_load_target_is_the_cli_default(self, capsys, u, m, n, c):
+        p = Params(u, m, n, Fraction(c))
+        log = yao_family(p, t=2.0, pool=balanced_functions(p))
+        rc, out, _ = run_capture(
+            capsys, ["construct", "--method", "yao", "--u", str(u), "--m", str(m), "--n", str(n), "--c", c]
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        for key in ("schema_version", "command", "params", "advice_bits"):
+            del payload[key]
+        assert payload == json.loads(json.dumps(log.to_json_dict()))
+        assert log.load_target == max(math.ceil(p.alpha), p.load_cap)
+
+
 class TestSimulate:
     def test_max_load_seeded_bytes(self, capsys):
         argv = ["simulate", "--kind", "max-load", "--m", "16", "--n", "16", "--trials", "200", "--seed", "3"]
@@ -342,6 +370,17 @@ class TestErrorsAndExitCodes:
         )
         assert rc == 1
         assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--u", "10", "--m", "2", "--n", "4"], ["report", "--u", "10", "--m", "2", "--n", "4"]],
+        ids=["bounds", "report"],
+    )
+    def test_factor_past_the_float_range_exits_one_with_record(self, capsys, argv):
+        rc, out, err = run_capture(capsys, [*argv, "--c", "1e400"])
+        assert (rc, out) == (1, "")
+        (line,) = err.splitlines()
+        assert set(json.loads(line)) == {"error", "message"}
 
     @pytest.mark.parametrize("t", ["inf", "nan"])
     @pytest.mark.parametrize(

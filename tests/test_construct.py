@@ -76,7 +76,7 @@ class TestRandomBalanced:
         rng = _random.Random(42)
         for _ in range(50):
             h = sample_balanced_function(rng, 7, 3)
-            assert sorted(len(f) for f in h.fibers()) == [2, 2, 3]
+            assert sorted(h.cells.count(c) for c in range(1, h.m + 1)) == [2, 2, 3]
 
 
 class TestGreedy:

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealhash import oracle
 from idealhash.errors import BudgetExceededError, DimensionMismatchError
@@ -144,13 +146,34 @@ class TestBalancedFunctions:
     def test_ragged_fibers_stay_within_one(self):
         p = Params(5, 2, 2)
         for h in balanced_functions(p):
-            betas = sorted(len(f) for f in h.fibers())
+            betas = sorted(h.cells.count(c) for c in range(1, h.m + 1))
             assert betas == [2, 3]
 
     def test_every_yield_is_balanced(self):
         for h in balanced_functions(Params(7, 3, 3)):
-            sizes = [len(f) for f in h.fibers()]
+            sizes = [h.cells.count(c) for c in range(1, h.m + 1)]
             assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("u,m", [(1, 1), (6, 1), (5, 2), (8, 2), (7, 3), (8, 3), (9, 4), (5, 5)])
+    def test_order_is_the_ordered_partition_order(self, u, m):
+        def ordered_partitions(keys, sizes):
+            # head fiber in combinations order, then the rest of the keys recursively
+            if not sizes:
+                yield ()
+                return
+            for head in itertools.combinations(keys, sizes[0]):
+                rest = tuple(k for k in keys if k not in head)
+                for tail in ordered_partitions(rest, sizes[1:]):
+                    yield (head,) + tail
+
+        want = []
+        for parts in ordered_partitions(tuple(range(1, u + 1)), balanced_fiber_sizes(u, m)):
+            cells = [0] * u
+            for cell, part in enumerate(parts, start=1):
+                for key in part:
+                    cells[key - 1] = cell
+            want.append(tuple(cells))
+        assert [h.cells for h in balanced_functions(Params(u, m, m))] == want
 
     def test_first_yield_is_blocked(self):
         p = Params(5, 2, 2)
@@ -192,10 +215,7 @@ class TestSerialization:
         assert function_from_text(function_to_text(h), 2) == h
 
     def test_family_round_trip(self):
-        fam = Family(
-            (HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2)),
-            provenance="explicit",
-        )
+        fam = Family((HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2)))
         again = family_from_text(family_to_text(fam), 2)
         assert again.functions == fam.functions
 
@@ -213,6 +233,15 @@ def test_partition_signature_ignores_cell_labels():
     assert a.partition_signature() == b.partition_signature()
     c = HashFunction((1, 2, 1, 2), 2)
     assert a.partition_signature() != c.partition_signature()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_partition_signature_is_the_sorted_non_empty_fibers(data):
+    m = data.draw(st.integers(min_value=1, max_value=5))
+    cells = data.draw(st.lists(st.integers(min_value=1, max_value=m), min_size=1, max_size=12))
+    fibers = [tuple(key for key, c in enumerate(cells, start=1) if c == cell) for cell in range(1, m + 1)]
+    assert HashFunction(tuple(cells), m).partition_signature() == tuple(sorted(f for f in fibers if f))
 
 
 def test_family_requires_consistent_dimensions():

@@ -159,7 +159,7 @@ class TestCallers:
         # sets; at n = 2 that is every pair but those inside one fiber
         rng = random.Random(u)
         h = HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m)
-        betas = [len(fiber) for fiber in h.fibers()]
+        betas = [h.cells.count(c) for c in range(1, h.m + 1)]
         p = Params(u, m, m)
         rep = verify_family(Family((h,)), p)
         assert rep.covered == math.prod(betas)

@@ -138,6 +138,19 @@ class TestLoadVectorSampling:
         assert json.loads(line)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("estimate", ["max-load", "ideal-prob"])
+def test_workers_beyond_trials_add_only_empty_streams(estimate):
+    # streams past the third get no trial; a billion of them must not be visited
+    def run_with(workers):
+        if estimate == "max-load":
+            return estimate_max_load(5, 2, trials=3, seed=4, workers=workers)
+        return estimate_ideal_probability(Params(8, 2, 4, 1), trials=3, seed=4, workers=workers)
+
+    few, many = run_with(3), run_with(10**9)
+    assert (many.mean, many.ci95_halfwidth, many.trials) == (few.mean, few.ci95_halfwidth, few.trials)
+    assert many.workers == 10**9
+
+
 class TestAdversarialSet:
     """Every function loses some key set whose n keys share one cell."""
 
