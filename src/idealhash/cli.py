@@ -19,12 +19,9 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bounds as bounds_mod
-from . import construct as construct_mod
 from . import oracle as oracle_mod
-from . import simulate as simulate_mod
-from .checks import run_all_checks
 from .errors import BudgetExceededError, PoolExhaustedError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
@@ -35,6 +32,9 @@ from .hashspace import (
     family_to_text,
     partition_classes,
 )
+
+if TYPE_CHECKING:  # each handler imports the module it runs, so a call loads only its own
+    from .bounds import BoundEntry
 
 ENV_PREFIX = "IDEALHASH_"
 
@@ -162,7 +162,7 @@ def _params_dict(p: Params) -> dict:
     }
 
 
-def _entry_dict(e: bounds_mod.BoundEntry) -> dict:
+def _entry_dict(e: BoundEntry) -> dict:
     return {
         "name": e.name,
         "kind": e.kind,
@@ -203,6 +203,8 @@ def _emit_rows(out: str | None, fmt: str, header: list[str], rows: list[list]) -
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     p = Params(args.u, args.m, args.n, args.c)
     report = bounds_mod.bound_report(p, eps=args.eps, t=args.t)
     advice = bounds_mod.advice_report(report)
@@ -272,6 +274,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct as construct_mod
+
     p = Params(args.u, args.m, args.n, args.c)
     if args.method == "random":
         log = construct_mod.random_balanced_family(
@@ -281,7 +285,7 @@ def _cmd_construct(args) -> int:
         if args.pool == "balanced":
             pool = list(balanced_functions(p, budget=args.budget))
         else:
-            pool = partition_classes(all_functions(p.u, p.m, budget=args.budget))
+            pool = list(partition_classes(all_functions(p.u, p.m, budget=args.budget)).values())
         if args.method == "greedy":
             log = construct_mod.greedy_cover(p, pool, budget=args.budget)
         else:
@@ -300,6 +304,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulate as simulate_mod
+
     if args.kind == "max-load":
         est = simulate_mod.estimate_max_load(
             args.n, args.m, trials=args.trials, seed=args.seed, workers=args.workers
@@ -316,6 +322,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
+    from .checks import run_all_checks
+
     results = run_all_checks()
     all_ok = all(r.ok for r in results)
     if args.format == "json":
@@ -343,6 +351,8 @@ _REPORT_BOUND_COLUMNS = (
 
 
 def _cmd_report(args) -> int:
+    from . import bounds as bounds_mod
+
     header = (
         ["u", "m", "n", "c", "alpha", "load_cap"]
         + list(_REPORT_BOUND_COLUMNS)

@@ -109,14 +109,15 @@ def random_balanced_family(
 
 
 def _select(
-    p: Params, candidates: tuple[HashFunction, ...], cap: int, budget: int, key=None
+    p: Params, candidates: tuple[HashFunction, ...], cap: int, budget: int, by_signature: bool = False
 ) -> tuple[list[HashFunction], list[int], int]:
     """Pick pool members while live key sets remain.
 
     Every set starts live; a pick keeps live only the sets it hashes with a
     max load above cap.  Each round takes the member that keeps the fewest,
-    the first on ties in pool order (or in order of `key`, when given), and
-    the run stops when nothing is live or no member shrinks the live set.
+    the first on ties in pool order (or in partition-signature order, with
+    `by_signature`), and the run stops when nothing is live or no member
+    shrinks the live set.
     Only the first member of each partition class competes: a repeat has the
     same exceed bitset and a later place in either order, so it never wins.
     Returns the picks, the live count after each, and the live bitset; a run
@@ -124,8 +125,12 @@ def _select(
     """
     if not candidates:
         raise ValueError("pool must be non-empty")
-    reps, exceed = class_exceed_masks(candidates, p, cap, budget)
-    order = sorted(range(len(reps)), key=lambda i: key(reps[i])) if key else list(range(len(reps)))
+    classes, exceed = class_exceed_masks(candidates, p, cap, budget)
+    reps = list(classes.values())
+    order = list(range(len(reps)))
+    if by_signature:
+        sigs = list(classes)
+        order.sort(key=sigs.__getitem__)
     live = (1 << p.total_sets) - 1
     picks: list[HashFunction] = []
     trail: list[int] = []
@@ -158,7 +163,7 @@ def greedy_cover(
     when no pool function adds coverage (unverified log).
     """
     candidates = tuple(pool)
-    chosen, trail, uncovered = _select(p, candidates, p.load_cap, budget, HashFunction.partition_signature)
+    chosen, trail, uncovered = _select(p, candidates, p.load_cap, budget, by_signature=True)
     return _log("greedy", chosen, trail, seed=None, pool_size=len(candidates), verified=uncovered == 0)
 
 

@@ -181,18 +181,21 @@ def all_functions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
 
 def partition_classes(
     functions: Iterable[HashFunction], budget: int | None = None
-) -> list[HashFunction]:
-    """The first function of each partition-signature class, in order of appearance.
+) -> dict[tuple[tuple[int, ...], ...], HashFunction]:
+    """Each partition signature, in order of first appearance, with the first
+    function that has it.
 
     Max load is invariant under relabeling cells, so coverage needs one
-    member per class.  Raises once more than `budget` classes have appeared.
+    member per class; callers that order or group the classes read the
+    signatures here instead of computing them again.  Raises once more than
+    `budget` classes have appeared.
     """
     reps: dict[tuple[tuple[int, ...], ...], HashFunction] = {}
     for h in functions:
         reps.setdefault(h.partition_signature(), h)
         if budget is not None and len(reps) > budget:
             raise BudgetExceededError(f"candidate pool exceeds budget {budget}")
-    return list(reps.values())
+    return reps
 
 
 # --- text serialization -----------------------------------------------------

@@ -11,6 +11,7 @@ coefficient where that is cheaper than Miller's recurrence).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -215,21 +216,23 @@ def _exceed_mask(
 
 def class_exceed_masks(
     functions: Iterable[HashFunction], p: Params, cap: int, budget: int, pool_budget: int | None = None
-) -> tuple[list[HashFunction], list[int]]:
-    """The first function of each partition class, in order, and its exceed bitset.
+) -> tuple[dict[tuple[tuple[int, ...], ...], HashFunction], list[int]]:
+    """Each partition class's signature and first function, in order (see
+    `partition_classes`), and that function's exceed bitset.
 
     Checks the C(u,n) budget first; at most `pool_budget` classes may appear.
     """
     check_set_budget(p, budget)
-    reps = partition_classes(functions, budget=pool_budget)
+    classes = partition_classes(functions, budget=pool_budget)
+    reps = classes.values()
     if any(h.u != p.u or h.m != p.m for h in reps):
         raise DimensionMismatchError(
             f"every function must map keys 1..{p.u} into cells 1..{p.m}"
         )
     if cap >= p.n:  # no set can overflow
-        return reps, [0] * len(reps)
+        return classes, [0] * len(reps)
     table = _key_table(p.u, p.n)
-    return reps, [_exceed_mask(h.cells, p.m, cap, table) for h in reps]
+    return classes, [_exceed_mask(h.cells, p.m, cap, table) for h in reps]
 
 
 def _unrank(rank: int, u: int, n: int) -> tuple[int, ...]:
@@ -292,25 +295,43 @@ def min_family_size_exact(
     """Smallest family size covering every key set, by exhaustive search.
 
     Candidates are all functions deduplicated by fiber partition (max load is
-    relabeling-invariant), sorted by descending single-function coverage with
-    fiber-signature tie-breaks; the search branches on the lowest-ranked
-    uncovered set.  Returns None when no family of size <= size_limit exists.
+    relabeling-invariant), those covering no set dropped, sorted by
+    descending single-function coverage with fiber-signature tie-breaks; the
+    search branches on the lowest-ranked uncovered set.  Returns None when
+    no family of size <= size_limit exists.
+
+    The root branches once per symmetry orbit (orbital branching, Ostrowski,
+    Linderoth, Rossi & Smriglio, Math. Program. 2011).  The lowest-ranked
+    set is S0 = {1..n}.  A permutation s of the keys that fixes S0 as a set
+    (Stab(S0) = Sym(S0) x Sym(rest)) maps key sets to key sets, so it maps a
+    covering family to a covering family of the same size, and it maps the
+    candidate pool onto itself (coverage counts are invariant).  If F is a
+    minimal family and g is in the orbit of its member h covering S0, say
+    g = h o s^-1, then s(F) is a minimal family holding g.  So it suffices
+    to open the search with one member of each orbit that covers S0.  Two
+    partitions lie in one orbit exactly when they have the same multiset of
+    (|f & S0|, |f|) over their fibers f; the first of each in candidate
+    order stands for it.  Below the root the search is unchanged.
     """
     if p.c >= p.m or p.m == 1:
         return 1
     check_set_budget(p, budget)  # the budget check comes before the early exit
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
-    candidates, exceed = class_exceed_masks(
+    classes, exceed = class_exceed_masks(
         all_functions(p.u, p.m, budget), p, p.load_cap, budget, pool_budget
     )
     full = (1 << p.total_sets) - 1
     scored = sorted(
-        ((full ^ mk, h.partition_signature()) for mk, h in zip(exceed, candidates)),
+        ((full ^ mk, sig) for mk, sig in zip(exceed, classes) if full ^ mk),
         key=lambda pair: (-pair[0].bit_count(), pair[1]),
     )
-    masks = [mk for mk, _sig in scored if mk]
+    masks = [mk for mk, _sig in scored]
+    roots: dict[tuple[tuple[int, int], ...], int] = {}
+    for mk, sig in scored:
+        if mk & 1:  # covers S0, of rank 0; fibers are ascending, so bisect counts f & S0
+            roots.setdefault(tuple(sorted((bisect.bisect_right(f, p.n), len(f)) for f in sig)), mk)
     for k in range(1, size_limit + 1):
-        if _cover_dfs(full, masks, k):
+        if any(_cover_dfs(full & ~root, masks, k - 1) for root in roots.values()):
             return k
     return None

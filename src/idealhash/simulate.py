@@ -20,12 +20,17 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
     import numpy as np
 
 
-# Elements per numpy call, max-load throws or ideal-prob load cells.  One
-# such int64 array is 32 MiB and a batch holds about three, so max-load at
-# m = n = 16384 peaks at 131 MB RSS (x86-64 Linux), 27 MB of it numpy's
-# import.  The int64 throw stream does not depend on how it is split into
-# calls, so neither does a seeded max-load estimate.
-_SLICE = 2**22
+# Elements per numpy call: max-load throws or counters, ideal-prob load
+# cells.  One such int64 array is 2 MiB; max-load at m = n = 16384 peaks at
+# 42 MB RSS (x86-64 Linux), 27 MB of it numpy's import.  The int64 throw
+# stream does not depend on how it is split into calls, so neither does a
+# seeded max-load estimate.
+_SLICE = 2**18
+
+# A max-load trial with m > _SPARSE * n occupies few of its cells, so its
+# throws are sorted and counted in runs instead of counted in m cells: on a
+# 2-core x86-64 host the two cost the same near m = 16n to 32n.
+_SPARSE = 32
 
 
 @dataclass(frozen=True)
@@ -69,26 +74,46 @@ def estimate_max_load(
     if m == 1:
         return Estimate(float(n), 0.0, trials, seed, workers)
     maxima = []
-    batch = 1 + _SLICE // max(n, m)  # b*n throws and b*m counters stay near _SLICE
+    sparse = m > _SPARSE * n
+    batch = 1 + _SLICE // (n if sparse else max(n, m))  # b*n throws, and b*m counters unless sparse
     for w, share in enumerate(shares):
         rng = _worker_rng(seed, w)
         for done in range(0, share, batch):
             b = min(batch, share - done)
-            if m > _SLICE >= n:  # b == 1: count the trial's n throws by sorting, not in m cells
-                counts = np.unique(rng.integers(0, m, size=n), return_counts=True)[1]
+            if sparse:  # b == 1 when n > _SLICE: the trial's throws are drawn a slice at a time
+                slices = [rng.integers(0, m, size=(b, min(_SLICE, n - lo))) for lo in range(0, n, _SLICE)]
+                maxima.append(_longest_runs(np.sort(np.concatenate(slices, axis=1), axis=1)))
             elif n <= _SLICE:
                 flat = rng.integers(0, m, size=(b, n))
                 flat += (np.arange(b) * m)[:, None]
-                counts = np.bincount(flat.ravel(), minlength=b * m)
-            else:  # b == 1: the trial's throws are drawn a slice at a time
+                maxima.append(np.bincount(flat.ravel(), minlength=b * m).reshape(b, m).max(axis=1))
+            else:  # b == 1: the trial's throws are counted a slice at a time
                 counts = np.zeros(m, dtype=np.intp)
                 for lo in range(0, n, _SLICE):
                     counts += np.bincount(rng.integers(0, m, size=min(_SLICE, n - lo)), minlength=m)
-            maxima.append(counts.reshape(b, -1).max(axis=1))
+                maxima.append(counts.max(keepdims=True))
     values = np.concatenate(maxima).astype(np.float64)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if trials > 1 else 0.0
     return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed, workers)
+
+
+def _longest_runs(rows: np.ndarray) -> np.ndarray:
+    """The longest run of equal values in each sorted row: each trial's max load.
+
+    A row has a run longer than k exactly when some value equals the one k
+    places before it, so each pass over the rows adds one to those that
+    do; sparse trials have short runs, so there are few passes.
+    """
+    import numpy as np
+
+    longest = np.ones(len(rows), dtype=np.intp)
+    for k in range(1, rows.shape[1]):
+        longer = (rows[:, k:] == rows[:, :-k]).any(axis=1)
+        if not longer.any():
+            break
+        longest += longer
+    return longest
 
 
 def estimate_ideal_probability(

@@ -404,11 +404,11 @@ class TestErrorsAndExitCodes:
         assert payload["all_ok"] is True
 
     def test_check_lemmas_failure_exits_three(self, capsys, monkeypatch):
-        from idealhash import cli
+        from idealhash import checks
         from idealhash.checks import CheckResult
 
         monkeypatch.setattr(
-            cli, "run_all_checks", lambda: [CheckResult("broken", 1, 1, "forced")]
+            checks, "run_all_checks", lambda: [CheckResult("broken", 1, 1, "forced")]
         )
         rc, out, _ = run_capture(capsys, ["check-lemmas", "--format", "json"])
         assert rc == 3
@@ -542,6 +542,19 @@ assert "numpy" in sys.modules
     env = {k: v for k, v in os.environ.items() if not k.startswith("IDEALHASH_")}
     env["PYTHONPATH"] = str(Path(idealhash.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_cli_import_loads_no_command_module():
+    # each handler imports the module it runs, so startup pays for none of them
+    script = """
+import sys
+import idealhash.cli
+loaded = [m for m in ("bounds", "checks", "construct", "simulate", "distributions") if "idealhash." + m in sys.modules]
+assert loaded == [], loaded
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
 
 

@@ -90,9 +90,11 @@ class TestExceedMasks:
         p = Params(6, 3, 3)
         pool = list(balanced_functions(p))  # every partition class appears 3! times
         combos = list(itertools.combinations(range(6), 3))
-        reps, got = class_exceed_masks(pool, p, p.load_cap, budget=10**6)
+        classes, got = class_exceed_masks(pool, p, p.load_cap, budget=10**6)
+        reps = list(classes.values())
         sigs = [h.partition_signature() for h in pool]
         assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
+        assert list(classes) == [h.partition_signature() for h in reps]
         want = [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in reps]
         assert got == want
 
@@ -187,9 +189,11 @@ def test_partition_classes_group_by_partition_signature(u, m, data):
     pool = data.draw(
         st.lists(st.sampled_from(list(all_functions(u, m))), min_size=1, max_size=12)
     )
-    reps = partition_classes(pool)
+    classes = partition_classes(pool)
+    reps = list(classes.values())
     sigs = [h.partition_signature() for h in pool]
     assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
+    assert list(classes) == [h.partition_signature() for h in reps]
     with pytest.raises(BudgetExceededError):
         partition_classes(pool, budget=len(reps) - 1)
 

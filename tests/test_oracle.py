@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealhash import combinatorics, hashspace
+from idealhash import combinatorics, hashspace, oracle
 from idealhash.combinatorics import binom, compositions
 from idealhash.errors import BudgetExceededError
 from idealhash.hashspace import (
@@ -13,6 +13,7 @@ from idealhash.hashspace import (
     HashFunction,
     KeySet,
     Params,
+    all_functions,
     balanced_fiber_sizes,
 )
 from idealhash.oracle import (
@@ -256,6 +257,83 @@ class TestMinFamilySize:
                 count_ideal_sets(part, n, cap) for part in compositions(u, m, u)
             )
             assert best == count_ideal_sets(balanced_fiber_sizes(u, m), n, cap)
+
+
+def search_without_orbits(p, size_limit):
+    """The deepening loop before orbital branching: every root candidate is tried."""
+    if p.c >= p.m or p.m == 1:
+        return 1
+    if p.m * p.load_cap < p.n:
+        return None
+    _, exceed = oracle.class_exceed_masks(all_functions(p.u, p.m), p, p.load_cap, budget=10**6)
+    full = (1 << p.total_sets) - 1
+    masks = sorted((full ^ mk for mk in exceed if full ^ mk), key=lambda mk: -mk.bit_count())
+    for k in range(1, size_limit + 1):
+        if oracle._cover_dfs(full, masks, k):
+            return k
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from([2, 3]),
+    c=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+    data=st.data(),
+)
+def test_orbital_branching_matches_the_full_search(m, c, data):
+    u = data.draw(st.integers(min_value=m, max_value=8 if m == 2 else 7))  # m**u <= 4096
+    n = data.draw(st.integers(min_value=m, max_value=u))
+    size_limit = data.draw(st.integers(min_value=1, max_value=6))
+    p = Params(u, m, n, c)
+    assert min_family_size_exact(p, size_limit=size_limit) == search_without_orbits(p, size_limit)
+
+
+@pytest.mark.parametrize(
+    "p", [Params(7, 2, 3, Fraction(3, 2)), Params(7, 3, 4, Fraction(3, 2)), Params(7, 3, 5, Fraction(3, 2))]
+)
+def test_root_tries_one_candidate_per_orbit_of_the_first_set(monkeypatch, p):
+    # Orbits of Sym(S0) x Sym(rest), S0 = {1..n}, found here by applying every
+    # permutation.  Every covering mask's orbit must hold a root (else the
+    # pruning is unsound), and there are no more roots than partition orbits.
+    full = (1 << p.total_sets) - 1
+    inner, depth, roots = oracle._cover_dfs, [0], set()
+
+    def spy(uncovered, masks, slots):
+        if depth[0] == 0:
+            roots.add(full ^ uncovered)
+        depth[0] += 1
+        try:
+            return inner(uncovered, masks, slots)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "_cover_dfs", spy)
+    assert min_family_size_exact(p) >= 2  # so every root is tried at k = 1
+    perms = [
+        (0, *inside, *rest)
+        for inside in itertools.permutations(range(1, p.n + 1))
+        for rest in itertools.permutations(range(p.n + 1, p.u + 1))
+    ]
+    sets = list(itertools.combinations(range(1, p.u + 1), p.n))
+    rank = {s: i for i, s in enumerate(sets)}
+    moved = [[rank[tuple(sorted(perm[k] for k in s))] for s in sets] for perm in perms]
+
+    def mask_orbit(mask):
+        bits = [i for i in range(len(sets)) if mask >> i & 1]
+        return min(sum(1 << to[i] for i in bits) for to in moved)
+
+    def partition_orbit(sig):
+        return min(tuple(sorted(tuple(sorted(perm[k] for k in f)) for f in sig)) for perm in perms)
+
+    classes, exceed = oracle.class_exceed_masks(all_functions(p.u, p.m), p, p.load_cap, budget=10**6)
+    covering = {sig: full ^ mk for sig, mk in zip(classes, exceed) if (full ^ mk) & 1}
+    assert {mask_orbit(r) for r in roots} == {mask_orbit(mk) for mk in set(covering.values())}
+    assert len(roots) <= len({partition_orbit(sig) for sig in covering})
+
+
+def test_orbital_branching_returns_none_below_the_minimum():
+    p = Params(9, 2, 4, 1)  # H = 4
+    assert [min_family_size_exact(p, size_limit=k) for k in (3, 4)] == [None, 4]
 
 
 def test_cover_mask_bit_per_lexicographic_set():

@@ -48,8 +48,27 @@ class TestMaxLoad:
     @pytest.mark.parametrize("n,m,trials", [(1000, 7, 30), (40, 2, 25), (300, 16384, 4), (64, 64, 50), (10, 100, 30)])
     def test_estimate_does_not_depend_on_the_draw_slice(self, monkeypatch, n, m, trials):
         whole = estimate_max_load(n, m, trials, seed=5, workers=2)
-        monkeypatch.setattr(simulate, "_SLICE", 37)  # n > 37 draws one trial in slices; m > 37 >= n sorts them
+        monkeypatch.setattr(simulate, "_SLICE", 37)  # n > 37 draws one trial in slices
         assert estimate_max_load(n, m, trials, seed=5, workers=2) == whole
+
+    @pytest.mark.parametrize(
+        "n,m,trials",
+        [(64, 64, 300), (3000, 5000, 20), (40, 40 * simulate._SPARSE, 50), (40, 40 * simulate._SPARSE + 1, 50), (2000, 10**6, 6)],
+    )
+    def test_estimate_does_not_depend_on_the_slice_on_either_side_of_the_sort_rule(self, monkeypatch, n, m, trials):
+        seen = []
+        for size in (2**10, 2**18, 2**22):
+            monkeypatch.setattr(simulate, "_SLICE", size)
+            seen.append(estimate_max_load(n, m, trials, seed=11, workers=2))
+        assert seen[0] == seen[1] == seen[2]
+
+    @pytest.mark.parametrize("n,m,trials", [(1, 7, 20), (10, 100, 300), (64, 4096, 100), (500, 2000, 40)])
+    def test_sorting_and_counting_give_the_same_maxima(self, monkeypatch, n, m, trials):
+        seen = []
+        for sparse in (0, 10**9):  # every trial sorted, then every trial counted in m cells
+            monkeypatch.setattr(simulate, "_SPARSE", sparse)
+            seen.append(estimate_max_load(n, m, trials, seed=3, workers=2))
+        assert seen[0] == seen[1]
 
     def test_many_cells_keep_scratch_memory_bounded(self):
         tracemalloc.start()
@@ -98,6 +117,15 @@ class TestIdealProbability:
         a = estimate_ideal_probability(p, trials=1_000, seed=21)
         b = estimate_ideal_probability(p, trials=1_000, seed=21)
         assert a == b
+
+    @pytest.mark.parametrize("u,m,n", [(10**6, 16, 256), (4096, 64, 64), (5000, 2000, 2000)])
+    def test_estimate_does_not_depend_on_the_slice(self, monkeypatch, u, m, n):
+        p = Params(u, m, n, Fraction(3, 2))
+        seen = []
+        for size in (2**10, 2**18, 2**22):
+            monkeypatch.setattr(simulate, "_SLICE", size)
+            seen.append(estimate_ideal_probability(p, trials=700, seed=8, workers=2))
+        assert seen[0] == seen[1] == seen[2]
 
     def test_agreement_on_desk_grid(self):
         trials = 4_000
