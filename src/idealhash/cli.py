@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import oracle as oracle_mod
+from .combinatorics import binom_steps, exceeds
 from .errors import BudgetExceededError, PoolExhaustedError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
@@ -238,7 +239,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_exact(args) -> int:
     p = Params(args.u, args.m, args.n, args.c)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
-    if limit and p.total_sets >= 10**limit:  # checked before counting: the count could not be printed
+    if limit and exceeds(10**limit - 1, binom_steps(p.u, p.n)):  # checked before counting: the count could not be printed
         raise ValueError(f"C({p.u},{p.n}) has more than {limit} decimal digits, Python's int-to-str limit")
     count = oracle_mod.exact_ideal_probability(p)
     record = {

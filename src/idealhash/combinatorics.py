@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def binom(a: int, b: int) -> int:
@@ -20,6 +20,24 @@ def binom(a: int, b: int) -> int:
     if b > a:
         return 0
     return math.comb(a, b)
+
+
+def binom_steps(a: int, b: int) -> Iterator[tuple[int, int]]:
+    """Steps (num, den) whose running products are C(a, 1), C(a, 2), ..., C(a, k)
+    with k = min(b, a - b), so every step is >= 1 and their product is C(a, b)."""
+    return ((a - t, t + 1) for t in range(min(b, a - b)))
+
+
+def exceeds(bound: int, steps: Iterable[tuple[int, int]]) -> bool:
+    """Whether the product of the steps num/den, taken from 1 as acc * num // den,
+    is larger than bound.  The caller guarantees each partial is an exact integer
+    no smaller than the last, so a count is never built far past the bound."""
+    acc = 1
+    for num, den in steps:
+        if acc > bound:
+            return True
+        acc = acc * num // den
+    return acc > bound
 
 
 def ln_fraction(q: Fraction) -> float:

@@ -13,8 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import _power_coeffs, binom, composition_count, compositions, ln_fraction
-from .errors import BudgetExceededError
+from .combinatorics import _power_coeffs, binom, compositions, ln_fraction
 
 LoadVector = Sequence[int]
 
@@ -141,9 +140,7 @@ def tmax_lower_bound(n: int, m: int, c: Fraction | int) -> float:
     )
 
 
-def min_product_factorials_check(
-    n: int, m: int, d: int, budget: int = 10**6
-) -> bool:
+def min_product_factorials_check(n: int, m: int, d: int) -> bool:
     """Brute-force check that min of prod 1/l_i! over capped compositions is
     1/(d!)^(n/d), attained exactly at vectors with entries in {0, d}.
 
@@ -151,19 +148,9 @@ def min_product_factorials_check(
     """
     if d < 1 or n % d != 0:
         raise ValueError("need d >= 1 and d | n")
-    if composition_count(n, m, d) > budget:
-        raise BudgetExceededError("composition grid exceeds budget")
-    target = math.factorial(d) ** (n // d)
-    best = None
-    extreme_only = True
-    for ells in compositions(n, m, d):
-        prod = 1
-        for l in ells:
-            prod *= math.factorial(l)
-        if best is None or prod > best:
-            best = prod
-            extreme_only = all(l in (0, d) for l in ells)
-        elif prod == best:
-            extreme_only = extreme_only and all(l in (0, d) for l in ells)
+    prods = {ells: math.prod(map(math.factorial, ells)) for ells in compositions(n, m, d)}
+    best = max(prods.values(), default=0)
     # min of prod 1/l! corresponds to max of prod l!
-    return best == target and extreme_only
+    return best == math.factorial(d) ** (n // d) and all(
+        l in (0, d) for ells, prod in prods.items() if prod == best for l in ells
+    )

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .combinatorics import binom
+from .combinatorics import binom, binom_steps, exceeds
 from .errors import BudgetExceededError, DimensionMismatchError
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -141,19 +142,12 @@ def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
     the first yielded is the lexicographic blocked function (cell 1 gets the
     lowest keys, and so on).  Their number u!/prod(beta_i!) is checked against
     the budget before the first is built: it is the product over cells of
-    C(rest + beta, beta), rest being the keys left for later cells, and each
-    binomial is built term by term from its smaller side, where every term
-    is at least 1, so the running product is exact and non-decreasing and
-    stops as soon as it passes the budget.
+    C(left, beta), left being the keys no earlier cell took.
     """
     sizes = balanced_fiber_sizes(p.u, p.m)
-    size, rest = 1, p.u
-    for beta in sizes:
-        rest -= beta
-        for t in range(min(beta, rest)):
-            size = size * (rest + beta - t) // (t + 1)
-            if size > budget:
-                raise BudgetExceededError(f"u!/prod(beta_i!) balanced functions exceed budget {budget}")
+    left = itertools.accumulate(sizes, operator.sub, initial=p.u)
+    if exceeds(budget, itertools.chain.from_iterable(map(binom_steps, left, sizes))):
+        raise BudgetExceededError(f"u!/prod(beta_i!) balanced functions exceed budget {budget}")
     cells = [0] * p.u
 
     def fill(cell: int, free: tuple[int, ...]) -> Iterator[HashFunction]:
@@ -173,8 +167,8 @@ def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
 
 def all_functions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
     """Every function from 1..u to 1..m (m**u of them); budget-guarded."""
-    if m**u > budget:
-        raise BudgetExceededError(f"m**u = {m**u} exceeds budget {budget}")
+    if exceeds(budget, itertools.repeat((m, 1), u if m > 1 else 0)):  # 1**u = 1: no steps
+        raise BudgetExceededError(f"m**u = {m}**{u} exceeds budget {budget}")
     for cells in itertools.product(range(1, m + 1), repeat=u):
         yield HashFunction(cells, m)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .combinatorics import _power_coeffs, binom, compositions
+from .combinatorics import _power_coeffs, binom, binom_steps, compositions, exceeds
 from .errors import BudgetExceededError, DimensionMismatchError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
@@ -149,10 +149,8 @@ def balance_extremality_check(u: int, m: int, n: int, c: Fraction | int) -> bool
 
 def check_set_budget(p: Params, budget: int) -> None:
     """Raise before any work when the C(u,n) key sets exceed the enumeration budget."""
-    if p.total_sets > budget:
-        raise BudgetExceededError(
-            f"C({p.u},{p.n}) = {p.total_sets} exceeds enumeration budget {budget}"
-        )
+    if exceeds(budget, binom_steps(p.u, p.n)):
+        raise BudgetExceededError(f"C({p.u},{p.n}) exceeds enumeration budget {budget}")
 
 
 @functools.lru_cache(maxsize=4)
