@@ -14,15 +14,27 @@ from .hashspace import (
     balanced_fiber_sizes,
     balanced_functions,
 )
-from .oracle import (
-    CoverageReport,
-    IdealCount,
-    balance_extremality_check,
-    count_ideal_sets,
-    exact_ideal_probability,
-    min_family_size_exact,
-    verify_family,
+
+# The oracle names load on first use (PEP 562), so a command that neither
+# counts nor verifies, such as simulate, starts without the oracle.
+_ORACLE_NAMES = (
+    "CoverageReport",
+    "IdealCount",
+    "balance_extremality_check",
+    "count_ideal_sets",
+    "exact_ideal_probability",
+    "min_family_size_exact",
+    "verify_family",
 )
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "binom",
@@ -34,13 +46,7 @@ __all__ = [
     "Params",
     "balanced_fiber_sizes",
     "balanced_functions",
-    "CoverageReport",
-    "IdealCount",
-    "balance_extremality_check",
-    "count_ideal_sets",
-    "exact_ideal_probability",
-    "min_family_size_exact",
-    "verify_family",
+    *_ORACLE_NAMES,
 ]
 
 __version__ = "0.1.0"

@@ -285,7 +285,7 @@ def _eval_fk(u: int, n: int, m: int, c: Fraction) -> tuple[BoundEntry, BoundEntr
     """lower.fk and upper.fk, the perfect-hashing counting pair; the proofs
     do not generalize to n > m."""
     if not (2 <= n <= m and c == 1):
-        raise BoundNotApplicableError("requires n <= m, c = 1, m >= 2")
+        raise BoundNotApplicableError("requires 2 <= n <= m, c = 1")
     lower_ln = (
         (n - 1) * math.log(m)
         + math.log(math.log(u))

@@ -21,11 +21,11 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import oracle as oracle_mod
 from .combinatorics import binom_steps, exceeds
 from .errors import BudgetExceededError, PoolExhaustedError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
+    DEFAULT_POOL_BUDGET,
     Params,
     all_functions,
     balanced_functions,
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sp, budget=True)
     sp.add_argument("--with-hc", action="store_true", help="also search the exact minimal family size")
     sp.add_argument("--size-limit", type=int, default=_env("size_limit", 8))
-    sp.add_argument("--pool-budget", type=int, default=_env("pool_budget", oracle_mod.DEFAULT_POOL_BUDGET))
+    sp.add_argument("--pool-budget", type=int, default=_env("pool_budget", DEFAULT_POOL_BUDGET))
 
     sp = sub.add_parser("verify", help="check a family file against every key set")
     _add_param_flags(sp)
@@ -237,6 +237,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from . import oracle as oracle_mod
+
     p = Params(args.u, args.m, args.n, args.c)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
     if limit and exceeds(10**limit - 1, binom_steps(p.u, p.n)):  # checked before counting: the count could not be printed
@@ -258,6 +260,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle as oracle_mod
+
     p = Params(args.u, args.m, args.n, args.c)
     with open(args.family, "r", encoding="utf-8") as fh:
         fam = family_from_text(fh.read(), p.m)

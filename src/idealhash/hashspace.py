@@ -19,6 +19,7 @@ from .combinatorics import binom, binom_steps, exceeds
 from .errors import BudgetExceededError, DimensionMismatchError
 
 DEFAULT_ENUM_BUDGET = 10**6
+DEFAULT_POOL_BUDGET = 10**4
 
 
 def _as_fraction(c) -> Fraction:

@@ -24,6 +24,7 @@ from .combinatorics import _power_coeffs, binom, binom_steps, compositions, exce
 from .errors import BudgetExceededError, DimensionMismatchError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
+    DEFAULT_POOL_BUDGET,
     Family,
     HashFunction,
     KeySet,
@@ -32,8 +33,6 @@ from .hashspace import (
     balanced_fiber_sizes,
     partition_classes,
 )
-
-DEFAULT_POOL_BUDGET = 10**4
 
 
 @dataclass(frozen=True)

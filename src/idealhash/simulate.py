@@ -5,11 +5,32 @@ RNG contract: numpy PCG64 seeded through SeedSequence(seed, spawn_key=(worker,))
 so every (seed, workers) pair reproduces bit-identically on any platform.
 `workers` is the number of RNG streams the trials are split across; the
 streams run one after another in this process, not in parallel.  Results
-merge by count-weighted pooling.
+merge by count-weighted pooling.  A seeded max-load estimate also depends on
+the fixed rule that sizes its batches, since each batch is one set of draws.
+
+Max load (Poissonization with an exact correction, Mitzenmacher & Upfal,
+Probability and Computing, ch. 5).  A trial draws independent Poisson(n/m)
+loads for the m cells, redrawing them while their total S exceeds n, and then
+throws only the n - S missing balls uniformly, about 0.8*sqrt(n) of them.
+Given S = s the Poisson loads are multinomial over s throws, so adding n - s
+uniform throws makes them multinomial over n: the law of n throws.  The
+rejection conditions on S alone and so adds no bias.  Cells are exchangeable,
+so the loads are drawn as an occupancy histogram, one multinomial row of how
+many cells hold each load j in the window where m times the Poisson mass of j
+is at least 2^-64; when that window is wider than m, the m loads are drawn
+one per cell instead.  The missing throws land on cells through the
+histogram's cumulative counts, one sort finds the cells they share, and the
+trial's maximum is the top occupied load or the new load of a hit cell.  The
+only departures from the exact law are the float rounding of the class
+probabilities and the cut below 2^-64, the precision of numpy's binomial and
+hypergeometric samplers.  A trial costs O(min(m, window) + sqrt(n)); a batch
+of trials holds about _SLICE/4 histogram cells and missing throws, so scratch
+memory does not grow with m (nor with n while sqrt(n) < _SLICE/4).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -20,17 +41,11 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
     import numpy as np
 
 
-# Elements per numpy call: max-load throws or counters, ideal-prob load
-# cells.  One such int64 array is 2 MiB; max-load at m = n = 16384 peaks at
-# 42 MB RSS (x86-64 Linux), 27 MB of it numpy's import.  The int64 throw
-# stream does not depend on how it is split into calls, so neither does a
-# seeded max-load estimate.
+# Elements per numpy call: ideal-prob load cells, and four times a max-load
+# batch's occupancy blocks plus missing throws.  One such int64 array is
+# 2 MiB; max-load at m = n = 16384 peaks at about 40 MB RSS (x86-64 Linux),
+# 27 MB of it numpy's import.
 _SLICE = 2**18
-
-# A max-load trial with m > _SPARSE * n occupies few of its cells, so its
-# throws are sorted and counted in runs instead of counted in m cells: on a
-# 2-core x86-64 host the two cost the same near m = 16n to 32n.
-_SPARSE = 32
 
 
 @dataclass(frozen=True)
@@ -66,54 +81,83 @@ def estimate_max_load(
     n: int, m: int, trials: int, seed: int, workers: int = 1
 ) -> Estimate:
     """Mean maximum cell load of n uniform throws into m cells."""
-    import numpy as np
-
-    shares = _split_trials(trials, workers)
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    if m == 1:
-        return Estimate(float(n), 0.0, trials, seed, workers)
-    maxima = []
-    sparse = m > _SPARSE * n
-    batch = 1 + _SLICE // (n if sparse else max(n, m))  # b*n throws, and b*m counters unless sparse
-    for w, share in enumerate(shares):
-        rng = _worker_rng(seed, w)
-        for done in range(0, share, batch):
-            b = min(batch, share - done)
-            if sparse:  # b == 1 when n > _SLICE: the trial's throws are drawn a slice at a time
-                slices = [rng.integers(0, m, size=(b, min(_SLICE, n - lo))) for lo in range(0, n, _SLICE)]
-                maxima.append(_longest_runs(np.sort(np.concatenate(slices, axis=1), axis=1)))
-            elif n <= _SLICE:
-                flat = rng.integers(0, m, size=(b, n))
-                flat += (np.arange(b) * m)[:, None]
-                maxima.append(np.bincount(flat.ravel(), minlength=b * m).reshape(b, m).max(axis=1))
-            else:  # b == 1: the trial's throws are counted a slice at a time
-                counts = np.zeros(m, dtype=np.intp)
-                for lo in range(0, n, _SLICE):
-                    counts += np.bincount(rng.integers(0, m, size=min(_SLICE, n - lo)), minlength=m)
-                maxima.append(counts.max(keepdims=True))
-    values = np.concatenate(maxima).astype(np.float64)
+    values = _max_loads(n, m, trials, seed, workers).astype(float)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if trials > 1 else 0.0
     return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed, workers)
 
 
-def _longest_runs(rows: np.ndarray) -> np.ndarray:
-    """The longest run of equal values in each sorted row: each trial's max load.
-
-    A row has a run longer than k exactly when some value equals the one k
-    places before it, so each pass over the rows adds one to those that
-    do; sparse trials have short runs, so there are few passes.
-    """
+def _max_loads(n: int, m: int, trials: int, seed: int, workers: int) -> np.ndarray:
+    """Each trial's maximum cell load, drawn as the module docstring describes."""
     import numpy as np
 
-    longest = np.ones(len(rows), dtype=np.intp)
-    for k in range(1, rows.shape[1]):
-        longer = (rows[:, k:] == rows[:, :-k]).any(axis=1)
-        if not longer.any():
-            break
-        longest += longer
-    return longest
+    shares = _split_trials(trials, workers)
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    lam = n / m
+    lo, hi = _poisson_window(lam, m)
+    per_cell = hi - lo + 1 > m
+    if not per_cell:
+        classes = np.arange(lo, hi + 1)
+        ln_pmf = np.array([j * math.log(lam) - math.lgamma(j + 1) for j in range(lo, hi + 1)])
+        pmf = np.exp(ln_pmf - ln_pmf.max())
+        pmf /= pmf.sum()
+    # rows of histogram cells or per-cell loads, plus missing throws, near _SLICE/4;
+    # and trial * m + cell stays below 2^63
+    batch = max(1, min((_SLICE // 4) // (min(m, hi - lo + 1) + math.isqrt(n)), (2**63 - 1) // m))
+    maxima = []
+    for w, share in enumerate(shares):
+        rng = _worker_rng(seed, w)
+        done = 0
+        while done < share:  # over half the rows have S <= n, so the last pass rarely repeats
+            rows = min(batch, 2 * (share - done) + 8)
+            if per_cell:
+                occ = rng.poisson(lam, size=(rows, m))
+                balls = occ.sum(axis=1)
+            else:
+                occ = rng.multinomial(m, pmf, size=rows)
+                balls = occ @ classes
+                occ = occ[:, : np.flatnonzero(occ.any(axis=0))[-1] + 1]  # up to the top occupied load
+            kept = np.flatnonzero(balls <= n)[: share - done]
+            occ, b = occ[kept], len(kept)
+            key = np.repeat(np.arange(b) * m, n - balls[kept])  # trial * m + cell
+            key += rng.integers(0, m, size=len(key))
+            key.sort()
+            if per_cell:
+                top, base = occ.max(axis=1), occ.ravel()[key]
+            else:
+                ends = occ.cumsum(axis=1)
+                top = lo + (ends < m).sum(axis=1)
+                ends += (np.arange(b) * m)[:, None]
+                base = lo + np.searchsorted(ends.ravel(), key, side="right") % occ.shape[1]
+            step = np.arange(len(key))
+            first = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, step, 0))
+            np.maximum.at(top, key // m, base + step - first + 1)  # a hit cell's new load
+            maxima.append(top)
+            done += b
+    return np.concatenate(maxima)
+
+
+def _poisson_window(lam: float, m: int) -> tuple[int, int]:
+    """The loads j whose Poisson(lam) mass times m is at least 2^-64, as (lo, hi).
+
+    The mass is unimodal with its mode at floor(lam) inside the window, so
+    each end is a bisection in log space.  Both ends lie within
+    sqrt(2 lam L) + L of lam, L = ln(2^64 m): Poisson tails are sub-gamma
+    (Boucheron, Lugosi & Massart, Concentration Inequalities, 2.2), so
+    P(|X - lam| >= sqrt(2 lam L) + L/3) <= 2 e^-L.
+    """
+    ln_floor = -64 * math.log(2) - math.log(m)
+    ln_lam = math.log(lam)
+
+    def inside(j: int) -> bool:
+        return j * ln_lam - lam - math.lgamma(j + 1) >= ln_floor
+
+    mode = int(lam)
+    reach = int(math.sqrt(-2 * lam * ln_floor) - ln_floor) + 2
+    lo = bisect.bisect_left(range(max(0, mode - reach), mode + 1), True, key=inside)
+    hi = bisect.bisect_left(range(mode, mode + reach), True, key=lambda j: not inside(j))
+    return max(0, mode - reach) + lo, mode + hi - 1
 
 
 def estimate_ideal_probability(

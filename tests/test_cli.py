@@ -550,10 +550,26 @@ def test_cli_import_loads_no_command_module():
     script = """
 import sys
 import idealhash.cli
-loaded = [m for m in ("bounds", "checks", "construct", "simulate", "distributions") if "idealhash." + m in sys.modules]
+loaded = [m for m in ("bounds", "checks", "construct", "simulate", "distributions", "oracle") if "idealhash." + m in sys.modules]
 assert loaded == [], loaded
 """
     env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_simulate_loads_no_oracle():
+    # the samplers need neither counting nor coverage, so a simulate run never imports the oracle
+    script = """
+import contextlib, io, sys
+from idealhash.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10"]) == 0
+    assert run(["simulate", "--kind", "ideal-prob", "--u", "8", "--m", "2", "--n", "4", "--trials", "10"]) == 0
+assert "idealhash.oracle" not in sys.modules
+"""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("IDEALHASH_")}
+    env["PYTHONPATH"] = str(Path(idealhash.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
 

@@ -30,7 +30,7 @@ CASES = {
     ),
     "bounds-json": (
         ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
-        "17cb6464415e877194d565c04b4f00c75bc578b1fed27b379bb3b4250f7987ee",
+        "22d3a792c8dcdd9696fb8b733941002f241c79fa92ce238cbd0298741d575e8b",
     ),
     "bounds-table": (
         ["bounds", "--u", "16", "--m", "4", "--n", "4", "--format", "table"],
@@ -46,31 +46,31 @@ CASES = {
     ),
     "bounds-eps-t": (  # nonzero epsilon and the t note
         ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3", "--t", "3.5"],
-        "83db73b17562e0b58942288b608bcff525e98c225c740372c150cf7094d0fac2",
+        "319232e40e2c6b0e34fd6ce81619c71d3e710dcbb1968b9a1526b586770350fb",
     ),
     "bounds-zero-advice": (  # c >= m: every advice field is 0 with the one note
         ["bounds", "--u", "16", "--m", "2", "--n", "4", "--c", "2"],
-        "b0115c4f84f18457b64785504c2e07f9f4e9eaf4716c9a570d2fb954128e415c",
+        "16fed5a849f5c871c8c57c939eff1a3cef50a1dc49c82d519ebdfbdf7d7b52d8",
     ),
     "bounds-large-count": (  # a 6,264-digit M_c, past the exact command's int->str limit
         ["bounds", "--u", "1000000", "--m", "16", "--n", "2000", "--c", "3/2"],
-        "f8a7c8f9167726f9f968b897e61a8813032ae89169459a2f15a0f9857ea097df",
+        "ab46ca15d6f4eccb2778e5fa0d74c53637018276676b634585617037e9b130cb",
     ),
     "bounds-counting-skipped": (  # n * log2(u) beyond desk scale
         ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
-        "0cd15e0fc7fe9dfc9c879158c1fcda927bacf82f76791e684a42aada9c21233f",
+        "3ecafe1762059accf33f8f33479e722f2b1dad3ba792f3fb3797a0017a2102ec",
     ),
     "bounds-u-one": (  # m < 2 universe note; the u >= 2 notes of upper.main and upper.naor
         ["bounds", "--u", "1", "--m", "1", "--n", "1"],
-        "566977feb0355082a39ec7901e0a06ad6e1514974ade47a2aca2180511fe07ea",
+        "16d0854ff9e9206119fcb0f44bc291b20787c871abcddbadb3388e103dee961a",
     ),
     "bounds-c-covers-universe": (  # u <= c*alpha universe note; mehlhorn needs c = 1
         ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", "2"],
-        "5af1528fe91daa2e091d1bdb446f75069a6d337a557523a7343fee4b102af863",
+        "84cdda30962d9ad08f0aeca7da0655a7fcac16ea63b28728d988d1626188a961",
     ),
     "bounds-infeasible-cap": (  # both cap-below-ceil(alpha) notes; non-integral upper.main note
         ["bounds", "--u", "6", "--m", "2", "--n", "3"],
-        "2e6e860367030b958fd4d64823a3e4d66bca6ae10af2b7ae18defc7842668bc4",
+        "f3fdd6d170bfc8c66363cea7f5ece694f1b2a1958569d4d4cf2a213b884f5a0b",
     ),
     "construct-greedy": (
         GREEDY,
@@ -99,6 +99,14 @@ CASES = {
     "verify-greedy": (
         ["verify", "--u", "8", "--m", "2", "--n", "4", "--family", "{family}"],
         "ce2e5923376efa2debf6fba7dbff1bb5df2674b0766052d23cb390fba9495f94",
+    ),
+    "simulate-max-load": (
+        ["simulate", "--kind", "max-load", "--m", "64", "--n", "64", "--trials", "500", "--seed", "7"],
+        "0f597287f3f6948d97193a028c23d98bd060a4384713d8a40036ed8a817ceeb0",
+    ),
+    "simulate-ideal-prob": (
+        ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2", "--trials", "2000", "--seed", "5"],
+        "38bc44f0d692857491ccea50410dd473a0d1ccf318fd207ed476c844f4016f3f",
     ),
     "check-lemmas": (
         ["check-lemmas"],

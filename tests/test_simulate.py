@@ -4,10 +4,12 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from idealhash import simulate
 from idealhash.cli import run
+from idealhash.distributions import p_tmax_le
 from idealhash.hashspace import Family, HashFunction, KeySet, Params, all_functions, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
 from idealhash.simulate import (
@@ -45,30 +47,40 @@ class TestMaxLoad:
         assert 128 / 16 <= est.mean <= 128
 
 
-    @pytest.mark.parametrize("n,m,trials", [(1000, 7, 30), (40, 2, 25), (300, 16384, 4), (64, 64, 50), (10, 100, 30)])
-    def test_estimate_does_not_depend_on_the_draw_slice(self, monkeypatch, n, m, trials):
-        whole = estimate_max_load(n, m, trials, seed=5, workers=2)
-        monkeypatch.setattr(simulate, "_SLICE", 37)  # n > 37 draws one trial in slices
-        assert estimate_max_load(n, m, trials, seed=5, workers=2) == whole
-
     @pytest.mark.parametrize(
-        "n,m,trials",
-        [(64, 64, 300), (3000, 5000, 20), (40, 40 * simulate._SPARSE, 50), (40, 40 * simulate._SPARSE + 1, 50), (2000, 10**6, 6)],
+        "n,m",
+        [
+            (30, 30), (100, 100),  # occupancy histogram
+            (1000, 7), (40, 2),  # one Poisson load per cell: the window is wider than m
+            (5, 40), (10, 1000),  # m >> n
+            (1, 7), (1, 1000),
+        ],
     )
-    def test_estimate_does_not_depend_on_the_slice_on_either_side_of_the_sort_rule(self, monkeypatch, n, m, trials):
-        seen = []
-        for size in (2**10, 2**18, 2**22):
-            monkeypatch.setattr(simulate, "_SLICE", size)
-            seen.append(estimate_max_load(n, m, trials, seed=11, workers=2))
-        assert seen[0] == seen[1] == seen[2]
-
-    @pytest.mark.parametrize("n,m,trials", [(1, 7, 20), (10, 100, 300), (64, 4096, 100), (500, 2000, 40)])
-    def test_sorting_and_counting_give_the_same_maxima(self, monkeypatch, n, m, trials):
-        seen = []
-        for sparse in (0, 10**9):  # every trial sorted, then every trial counted in m cells
-            monkeypatch.setattr(simulate, "_SPARSE", sparse)
-            seen.append(estimate_max_load(n, m, trials, seed=3, workers=2))
-        assert seen[0] == seen[1]
+    def test_maxima_follow_the_exact_law(self, n, m):
+        """Chi-square of 10^5 sampled maxima against p_tmax_le, at p = 0.001."""
+        trials = 100_000
+        loads = simulate._max_loads(n, m, trials, seed=17, workers=1)
+        lo, hi = int(loads.min()), int(loads.max())
+        assert -(-n // m) <= lo and hi <= n
+        cdf = [float(p_tmax_le(n, m, k)) for k in range(lo - 1, hi + 1)]
+        expected = [trials * (b - a) for a, b in zip(cdf, cdf[1:])]
+        expected[0] += trials * cdf[0]
+        expected[-1] += trials * (1 - cdf[-1])
+        bins = [[0, 0.0]]  # [observed, expected], each bin expecting at least 5
+        for seen, want in zip(np.bincount(loads - lo), expected):
+            if bins[-1][1] >= 5:
+                bins.append([0, 0.0])
+            bins[-1][0] += int(seen)
+            bins[-1][1] += want
+        if len(bins) > 1 and bins[-1][1] < 5:
+            seen, want = bins.pop()
+            bins[-1][0] += seen
+            bins[-1][1] += want
+        stat = sum((seen - want) ** 2 / want for seen, want in bins)
+        df = len(bins) - 1
+        # Wilson-Hilferty 0.999 quantile of chi-square with df degrees of freedom
+        crit = df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3 if df else 0.0
+        assert stat <= crit
 
     def test_many_cells_keep_scratch_memory_bounded(self):
         tracemalloc.start()
@@ -80,6 +92,15 @@ class TestMaxLoad:
         assert est.trials == 200
         assert peak < 100 * 2**20
 
+    def test_hundred_million_throws_keep_scratch_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            est = estimate_max_load(10**8, 10**8, 5, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 1 <= est.mean <= 10**8
+        assert peak < 64 * 2**20
 
     def test_billion_cells_count_the_throws_not_the_cells(self, capsys):
         start = time.perf_counter()
