@@ -27,11 +27,10 @@ from .hashspace import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_POOL_BUDGET,
     Params,
-    all_functions,
     balanced_functions,
     family_from_text,
     family_to_text,
-    partition_classes,
+    set_partitions,
 )
 
 if TYPE_CHECKING:  # each handler imports the module it runs, so a call loads only its own
@@ -90,7 +89,7 @@ def _add_output_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...] = ()
         sp.add_argument("--format", choices=formats, type=_one_of(formats), default=_env("format", formats[0]))
     sp.add_argument("--out", type=str, default=_env("out", None), help="write the report here instead of stdout")
     if budget:
-        sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n), on u!/prod(beta_i!) for balanced pools and on m**u for all-function pools")
+        sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n), on u!/prod(beta_i!) for balanced pools and on m**u, which bounds the set partitions of all-function pools")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +289,7 @@ def _cmd_construct(args) -> int:
         if args.pool == "balanced":
             pool = list(balanced_functions(p, budget=args.budget))
         else:
-            pool = list(partition_classes(all_functions(p.u, p.m, budget=args.budget)).values())
+            pool = list(set_partitions(p.u, p.m, budget=args.budget))
         if args.method == "greedy":
             log = construct_mod.greedy_cover(p, pool, budget=args.budget)
         else:

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .combinatorics import binom, binom_steps, exceeds
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -166,31 +166,25 @@ def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
     yield from fill(1, tuple(range(1, p.u + 1)))
 
 
-def all_functions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
-    """Every function from 1..u to 1..m (m**u of them); budget-guarded."""
+def set_partitions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
+    """One function per partition of 1..u into at most m fibers, cells numbered
+    by least key (restricted growth strings, Knuth, TAOCP Vol. 4A, 7.2.1.5), in
+    lexicographic order: the first member of each partition class among all
+    m**u functions.  m**u bounds their number and is checked against the
+    budget before the first is built.
+    """
     if exceeds(budget, itertools.repeat((m, 1), u if m > 1 else 0)):  # 1**u = 1: no steps
         raise BudgetExceededError(f"m**u = {m}**{u} exceeds budget {budget}")
-    for cells in itertools.product(range(1, m + 1), repeat=u):
-        yield HashFunction(cells, m)
 
+    def grow(prefix: tuple[int, ...], used: int) -> Iterator[HashFunction]:
+        if used == m or len(prefix) == u:  # every tail keeps the prefix's numbering
+            for tail in itertools.product(range(1, m + 1), repeat=u - len(prefix)):
+                yield HashFunction(prefix + tail, m)
+        else:
+            for cell in range(1, used + 2):
+                yield from grow(prefix + (cell,), max(used, cell))
 
-def partition_classes(
-    functions: Iterable[HashFunction], budget: int | None = None
-) -> dict[tuple[tuple[int, ...], ...], HashFunction]:
-    """Each partition signature, in order of first appearance, with the first
-    function that has it.
-
-    Max load is invariant under relabeling cells, so coverage needs one
-    member per class; callers that order or group the classes read the
-    signatures here instead of computing them again.  Raises once more than
-    `budget` classes have appeared.
-    """
-    reps: dict[tuple[tuple[int, ...], ...], HashFunction] = {}
-    for h in functions:
-        reps.setdefault(h.partition_signature(), h)
-        if budget is not None and len(reps) > budget:
-            raise BudgetExceededError(f"candidate pool exceeds budget {budget}")
-    return reps
+    yield from grow((), 0)
 
 
 # --- text serialization -----------------------------------------------------

@@ -29,9 +29,8 @@ from .hashspace import (
     HashFunction,
     KeySet,
     Params,
-    all_functions,
     balanced_fiber_sizes,
-    partition_classes,
+    set_partitions,
 )
 
 
@@ -214,13 +213,18 @@ def _exceed_mask(
 def class_exceed_masks(
     functions: Iterable[HashFunction], p: Params, cap: int, budget: int, pool_budget: int | None = None
 ) -> tuple[dict[tuple[tuple[int, ...], ...], HashFunction], list[int]]:
-    """Each partition class's signature and first function, in order (see
-    `partition_classes`), and that function's exceed bitset.
+    """Each partition signature, in order of first appearance, with the first
+    function that has it (max load is relabeling-invariant, so one member per
+    class suffices), and that function's exceed bitset.
 
     Checks the C(u,n) budget first; at most `pool_budget` classes may appear.
     """
     check_set_budget(p, budget)
-    classes = partition_classes(functions, budget=pool_budget)
+    classes: dict[tuple[tuple[int, ...], ...], HashFunction] = {}
+    for h in functions:
+        classes.setdefault(h.partition_signature(), h)
+        if pool_budget is not None and len(classes) > pool_budget:
+            raise BudgetExceededError(f"candidate pool exceeds budget {pool_budget}")
     reps = classes.values()
     if any(h.u != p.u or h.m != p.m for h in reps):
         raise DimensionMismatchError(
@@ -291,7 +295,7 @@ def min_family_size_exact(
 ) -> int | None:
     """Smallest family size covering every key set, by exhaustive search.
 
-    Candidates are all functions deduplicated by fiber partition (max load is
+    Candidates are one function per set partition (max load is
     relabeling-invariant), those covering no set dropped, sorted by
     descending single-function coverage with fiber-signature tie-breaks; the
     search branches on the lowest-ranked uncovered set.  Returns None when
@@ -315,9 +319,8 @@ def min_family_size_exact(
     check_set_budget(p, budget)  # the budget check comes before the early exit
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
-    classes, exceed = class_exceed_masks(
-        all_functions(p.u, p.m, budget), p, p.load_cap, budget, pool_budget
-    )
+    pool = set_partitions(p.u, p.m, budget)
+    classes, exceed = class_exceed_masks(pool, p, p.load_cap, budget, pool_budget)
     full = (1 << p.total_sets) - 1
     scored = sorted(
         ((full ^ mk, sig) for mk, sig in zip(exceed, classes) if full ^ mk),

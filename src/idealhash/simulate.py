@@ -25,7 +25,8 @@ only departures from the exact law are the float rounding of the class
 probabilities and the cut below 2^-64, the precision of numpy's binomial and
 hypergeometric samplers.  A trial costs O(min(m, window) + sqrt(n)); a batch
 of trials holds about _SLICE/4 histogram cells and missing throws, so scratch
-memory does not grow with m (nor with n while sqrt(n) < _SLICE/4).
+memory does not grow with m.  A trial holds all its missing throws at once,
+so n is capped at 2^40, where three trials peak below 100 MiB (tracemalloc).
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def _max_loads(n: int, m: int, trials: int, seed: int, workers: int) -> np.ndarr
     shares = _split_trials(trials, workers)
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
+    if n > 2**40:  # a trial holds its ~0.8 sqrt(n) missing throws at once
+        raise ValueError("max-load sampling needs n <= 2^40")
     lam = n / m
     lo, hi = _poisson_window(lam, m)
     per_cell = hi - lo + 1 > m

@@ -2,9 +2,9 @@
 building the count in full.
 
 The guards on C(u,n), on the u!/prod(beta_i!) balanced functions, on the m**u
-functions and on `exact`'s printable count all multiply exact steps through
-`combinatorics.exceeds`, which stops at the first partial product past the
-bound.
+functions that bound the set partitions and on `exact`'s printable count all
+multiply exact steps through `combinatorics.exceeds`, which stops at the first
+partial product past the bound.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from idealhash import combinatorics, hashspace, oracle
 from idealhash.cli import run
 from idealhash.errors import BudgetExceededError
-from idealhash.hashspace import Params, all_functions, balanced_fiber_sizes, balanced_functions
+from idealhash.hashspace import Params, balanced_fiber_sizes, balanced_functions, set_partitions
 
 # 1 <= m <= n <= u <= 40
 SHAPES = st.integers(1, 40).flatmap(
@@ -34,7 +34,7 @@ SITES = {
         lambda p: math.factorial(p.u) // math.prod(map(math.factorial, balanced_fiber_sizes(p.u, p.m))),
         lambda p, budget: next(balanced_functions(p, budget)),
     ),
-    "m**u": (lambda p: p.m**p.u, lambda p, budget: next(all_functions(p.u, p.m, budget))),
+    "m**u": (lambda p: p.m**p.u, lambda p, budget: next(set_partitions(p.u, p.m, budget))),
 }
 
 
@@ -99,7 +99,7 @@ def test_no_guard_builds_its_count(monkeypatch, tmp_path):
     with pytest.raises(BudgetExceededError):
         oracle.min_family_size_exact(Params(1000, 2, 500))
     with pytest.raises(BudgetExceededError):
-        next(all_functions(_NoPower(30_000_000), 3))
+        next(set_partitions(_NoPower(30_000_000), 3))
 
 
 @pytest.mark.parametrize(

@@ -13,13 +13,13 @@ from idealhash.hashspace import (
     HashFunction,
     KeySet,
     Params,
-    all_functions,
     balanced_fiber_sizes,
     balanced_functions,
     family_from_text,
     family_to_text,
     function_from_text,
     function_to_text,
+    set_partitions,
 )
 from idealhash.oracle import class_exceed_masks, cover_mask, verify_family
 
@@ -184,14 +184,43 @@ class TestBalancedFunctions:
         assert balanced_fiber_sizes(6, 3) == (2, 2, 2)
 
 
-class TestAllFunctions:
-    @pytest.mark.parametrize("u,m", [(3, 2), (4, 2), (8, 2), (4, 3), (8, 3)])
-    def test_counts_m_to_the_u(self, u, m):
-        assert sum(1 for _ in all_functions(u, m)) == m**u
+def first_class_members(u, m):
+    """The first of each partition class among all m**u functions in lexicographic order."""
+    seen, firsts = set(), []
+    for cells in itertools.product(range(1, m + 1), repeat=u):
+        fibers = {}
+        for key, cell in enumerate(cells, start=1):
+            fibers.setdefault(cell, set()).add(key)
+        partition = frozenset(map(frozenset, fibers.values()))
+        if partition not in seen:
+            seen.add(partition)
+            firsts.append(cells)
+    return firsts
+
+
+def stirling2(u, k):
+    """Partitions of u keys into exactly k non-empty fibers: S(u,k) = k S(u-1,k) + S(u-1,k-1)."""
+    row = [1] + [0] * k  # S(0, j)
+    for _ in range(u):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+class TestSetPartitions:
+    def test_first_members_of_the_partition_classes_in_order(self):
+        for u in range(9):
+            for m in range(1, 6):
+                assert [h.cells for h in set_partitions(u, m)] == first_class_members(u, m), (u, m)
+
+    def test_count_is_a_sum_of_stirling_numbers(self):
+        for u in range(11):
+            for m in range(1, 7):
+                count = sum(1 for _ in set_partitions(u, m, budget=m**u))
+                assert count == sum(stirling2(u, k) for k in range(m + 1)), (u, m)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            list(all_functions(30, 3, budget=1000))
+            list(set_partitions(30, 3, budget=1000))
 
 
 class TestKeySets:

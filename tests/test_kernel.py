@@ -16,9 +16,7 @@ from idealhash.hashspace import (
     HashFunction,
     KeySet,
     Params,
-    all_functions,
     balanced_functions,
-    partition_classes,
 )
 from idealhash.oracle import (
     class_exceed_masks,
@@ -180,22 +178,23 @@ class TestCallers:
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    u=st.integers(min_value=1, max_value=6),
-    m=st.integers(min_value=1, max_value=3),
-    data=st.data(),
-)
-def test_partition_classes_group_by_partition_signature(u, m, data):
-    pool = data.draw(
-        st.lists(st.sampled_from(list(all_functions(u, m))), min_size=1, max_size=12)
-    )
-    classes = partition_classes(pool)
+@given(m=st.integers(min_value=1, max_value=3), data=st.data())
+def test_partition_classes_group_by_partition_signature(m, data):
+    u = data.draw(st.integers(min_value=m, max_value=6))
+    n = data.draw(st.integers(min_value=m, max_value=u))
+    every_function = [HashFunction(cells, m) for cells in itertools.product(range(1, m + 1), repeat=u)]
+    pool = data.draw(st.lists(st.sampled_from(every_function), min_size=1, max_size=12))
+    p = Params(u, m, n)
+    classes, exceed = class_exceed_masks(pool, p, p.load_cap, budget=10**6)
     reps = list(classes.values())
     sigs = [h.partition_signature() for h in pool]
     assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
     assert list(classes) == [h.partition_signature() for h in reps]
-    with pytest.raises(BudgetExceededError):
-        partition_classes(pool, budget=len(reps) - 1)
+    combos = list(itertools.combinations(range(u), n))
+    assert exceed == [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in reps]
+    class_exceed_masks(pool, p, p.load_cap, budget=10**6, pool_budget=len(reps))
+    with pytest.raises(BudgetExceededError, match=f"candidate pool exceeds budget {len(reps) - 1}"):
+        class_exceed_masks(pool, p, p.load_cap, budget=10**6, pool_budget=len(reps) - 1)
 
 
 @settings(max_examples=300, deadline=None)

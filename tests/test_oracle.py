@@ -13,7 +13,6 @@ from idealhash.hashspace import (
     HashFunction,
     KeySet,
     Params,
-    all_functions,
     balanced_fiber_sizes,
 )
 from idealhash.oracle import (
@@ -259,13 +258,18 @@ class TestMinFamilySize:
             assert best == count_ideal_sets(balanced_fiber_sizes(u, m), n, cap)
 
 
+def every_function(u, m):
+    """All m**u functions from 1..u to 1..m, in lexicographic order."""
+    return (HashFunction(cells, m) for cells in itertools.product(range(1, m + 1), repeat=u))
+
+
 def search_without_orbits(p, size_limit):
     """The deepening loop before orbital branching: every root candidate is tried."""
     if p.c >= p.m or p.m == 1:
         return 1
     if p.m * p.load_cap < p.n:
         return None
-    _, exceed = oracle.class_exceed_masks(all_functions(p.u, p.m), p, p.load_cap, budget=10**6)
+    _, exceed = oracle.class_exceed_masks(every_function(p.u, p.m), p, p.load_cap, budget=10**6)
     full = (1 << p.total_sets) - 1
     masks = sorted((full ^ mk for mk in exceed if full ^ mk), key=lambda mk: -mk.bit_count())
     for k in range(1, size_limit + 1):
@@ -325,7 +329,7 @@ def test_root_tries_one_candidate_per_orbit_of_the_first_set(monkeypatch, p):
     def partition_orbit(sig):
         return min(tuple(sorted(tuple(sorted(perm[k] for k in f)) for f in sig)) for perm in perms)
 
-    classes, exceed = oracle.class_exceed_masks(all_functions(p.u, p.m), p, p.load_cap, budget=10**6)
+    classes, exceed = oracle.class_exceed_masks(every_function(p.u, p.m), p, p.load_cap, budget=10**6)
     covering = {sig: full ^ mk for sig, mk in zip(classes, exceed) if (full ^ mk) & 1}
     assert {mask_orbit(r) for r in roots} == {mask_orbit(mk) for mk in set(covering.values())}
     assert len(roots) <= len({partition_orbit(sig) for sig in covering})

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -10,7 +11,7 @@ import pytest
 from idealhash import simulate
 from idealhash.cli import run
 from idealhash.distributions import p_tmax_le
-from idealhash.hashspace import Family, HashFunction, KeySet, Params, all_functions, balanced_functions
+from idealhash.hashspace import Family, HashFunction, KeySet, Params, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
 from idealhash.simulate import (
     Estimate,
@@ -101,6 +102,27 @@ class TestMaxLoad:
             tracemalloc.stop()
         assert 1 <= est.mean <= 10**8
         assert peak < 64 * 2**20
+
+    def test_two_to_the_forty_throws_keep_scratch_memory_bounded(self):
+        # a trial holds its ~0.8 sqrt(n) missing throws at once, which 2^40 caps
+        tracemalloc.start()
+        try:
+            est = estimate_max_load(2**40, 2, 3, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2**39 <= est.mean <= 2**40
+        assert peak < 128 * 2**20
+
+    @pytest.mark.parametrize(
+        "m, n", [(10**6, 10**18), (2, 2**63 - 1), (2, 2**40 + 1)]  # 5 GiB of throws; an int64 overflow
+    )
+    def test_throws_past_two_to_the_forty_exit_one_before_drawing(self, capsys, m, n):
+        argv = ["simulate", "--kind", "max-load", "--m", str(m), "--n", str(n), "--trials", "1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": "max-load sampling needs n <= 2^40"}
 
     def test_billion_cells_count_the_throws_not_the_cells(self, capsys):
         start = time.perf_counter()
@@ -221,8 +243,8 @@ class TestAdversarialSet:
 
     def test_every_function_is_beatable_once_u_covers_nm(self):
         p = self._below_n(6, 2, 2)  # u = 6 >= n*m
-        for h in all_functions(6, 2):
-            assert not verify_family(Family((h,)), p).is_ideal_family
+        for cells in itertools.product((1, 2), repeat=6):
+            assert not verify_family(Family((HashFunction(cells, 2),)), p).is_ideal_family
 
 
 def test_estimate_is_a_plain_record():
