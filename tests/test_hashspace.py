@@ -223,6 +223,16 @@ class TestSetPartitions:
             list(set_partitions(30, 3, budget=1000))
 
 
+class TestAllFunctions:
+    """The m**u functions U -> [m] are the partition classes times their cell labellings."""
+
+    @pytest.mark.parametrize("u,m", [(3, 2), (4, 2), (8, 2), (4, 3), (8, 3)])
+    def test_counts_m_to_the_u(self, u, m):
+        # a class with k non-empty fibers has m!/(m-k)! injective labellings
+        labelled = sum(math.perm(m, len(set(h.cells))) for h in set_partitions(u, m))
+        assert labelled == m**u
+
+
 class TestKeySets:
     def test_enumeration_is_lexicographic_and_complete(self):
         assert [oracle._unrank(r, 4, 2) for r in range(Params(4, 2, 2).total_sets)] == list(
