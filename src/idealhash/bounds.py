@@ -167,20 +167,20 @@ def upper_yao(u: int, n: int, t: float) -> int:
     return math.floor(ln_binom(u, n) / math.log(t)) + 1
 
 
-def _ln_neg_ln1m(q: Fraction) -> float:
-    """ln(-ln(1-q)) for a rational 0 < q < 1, free of cancellation.
+def _ln_neg_ln1m(a: int, b: int) -> float:
+    """ln(-ln(1-q)) for q = a/b with 0 < a < b, free of cancellation.
 
-    log1p takes q while float(q) is a normal float.  Below that -ln(1-q) is
-    q within a relative error of q/2, so ln q stands in.  Above 1/2, where
-    float(q) may round to 1, -ln(1-q) = ln(b/(b-a)) for q = a/b exactly.
+    a and b need not be coprime, so no gcd is taken.  log1p takes q while
+    a/b is a normal float.  Below that -ln(1-q) is q within a relative error
+    of q/2, so ln q stands in.  Above 1/2, where a/b may round to 1,
+    -ln(1-q) = ln(b/(b-a)) exactly.
     """
-    a, b = q.numerator, q.denominator
     if 2 * a > b:
-        return math.log(ln_fraction(Fraction(b, b - a)))
-    qf = float(q)
+        return math.log(math.log(b) - math.log(b - a))
+    qf = a / b
     if qf >= sys.float_info.min:
         return math.log(-math.log1p(-qf))
-    return ln_fraction(q)
+    return math.log(a) - math.log(b)
 
 
 def _tight_ceiling(total: int, m_c: int, ln_r: float) -> int | None:
@@ -238,7 +238,7 @@ def _eval_prob(u: int, n: int, count: IdealCount | None) -> tuple[BoundEntry, Bo
     """
     ratio = _count_ratio(count, "no ideal family exists")
     total, m_c = count.total, count.m_c
-    ln_r = -math.inf if m_c == total else math.log(math.log(total)) - _ln_neg_ln1m(1 / ratio)
+    ln_r = -math.inf if m_c == total else math.log(math.log(total)) - _ln_neg_ln1m(ratio.denominator, ratio.numerator)
     ln_loose = ln_fraction(ratio * n) + math.log(math.log(u)) if u > 1 else -math.inf
     try:
         loose_ceiling = math.ceil(float(ratio) * n * math.log(u))
@@ -293,8 +293,8 @@ def _eval_fk(u: int, n: int, m: int, c: Fraction) -> tuple[BoundEntry, BoundEntr
         - math.lgamma(m + 1)
         - math.log(math.log(m - n + 2))
     )
-    q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)  # < 1 at n >= 2
-    upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(q)
+    q_den = math.factorial(m - n) * m**n  # q = m! / q_den < 1 at n >= 2, left unreduced
+    upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(math.factorial(m), q_den)
     note = "asymptotic order, natural logs"
     return (BoundEntry("lower.fk", lower_ln, note), BoundEntry("upper.fk", upper_ln, note))
 

@@ -272,7 +272,7 @@ def _cmd_verify(args) -> int:
         "covered": report.covered,
         "total": p.total_sets,
         "is_ideal_family": report.is_ideal_family,
-        "uncovered_witness": None if witness is None else list(witness.keys),
+        "uncovered_witness": None if witness is None else list(witness),
     })
     return 0
 

@@ -99,19 +99,6 @@ class HashFunction:
 
 
 @dataclass(frozen=True)
-class KeySet:
-    """A strictly increasing tuple of distinct keys."""
-
-    keys: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(k < 1 for k in self.keys):
-            raise ValueError("keys are 1-based positive integers")
-        if any(a >= b for a, b in zip(self.keys, self.keys[1:])):
-            raise ValueError("keys must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class Family:
     """An ordered family of hash functions."""
 

@@ -27,7 +27,6 @@ from .hashspace import (
     DEFAULT_POOL_BUDGET,
     Family,
     HashFunction,
-    KeySet,
     Params,
     balanced_fiber_sizes,
     set_partitions,
@@ -55,7 +54,7 @@ class CoverageReport:
     """Result of checking a family against every key set."""
 
     covered: int
-    uncovered_witness: KeySet | None
+    uncovered_witness: tuple[int, ...] | None
 
     @property
     def is_ideal_family(self) -> bool:
@@ -255,9 +254,7 @@ def verify_family(
     """Count the key sets covered by some family member; witness the first miss."""
     _, masks = class_exceed_masks(f.functions, p, p.load_cap, budget)
     uncovered = functools.reduce(operator.and_, masks)
-    witness = None
-    if uncovered:
-        witness = KeySet(_unrank((uncovered & -uncovered).bit_length() - 1, p.u, p.n))
+    witness = _unrank((uncovered & -uncovered).bit_length() - 1, p.u, p.n) if uncovered else None
     return CoverageReport(covered=p.total_sets - uncovered.bit_count(), uncovered_witness=witness)
 
 
@@ -314,6 +311,8 @@ def min_family_size_exact(
     (|f & S0|, |f|) over their fibers f; the first of each in candidate
     order stands for it.  Below the root the search is unchanged.
     """
+    if size_limit < 1:
+        raise ValueError("need size_limit >= 1")
     if p.c >= p.m or p.m == 1:
         return 1
     check_set_budget(p, budget)  # the budget check comes before the early exit

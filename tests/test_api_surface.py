@@ -7,14 +7,19 @@ call fails here; it either earns a caller in the package or goes.
 
 The same holds for CLI flags: every flag a subcommand declares must be read
 by that subcommand's handler.
+
+The package root re-exports nothing, so each name has one import path: its
+home module.
 """
 
 import argparse
 import ast
 import inspect
 import textwrap
+import types
 from pathlib import Path
 
+import idealhash
 from idealhash import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "idealhash"
@@ -39,11 +44,13 @@ def _referenced_names(node: ast.AST) -> set[str]:
 
 def test_every_public_name_has_a_caller_in_the_package():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    # references per (module, top-level statement); a definition's own body does not count for it
+    # references per (module, top-level statement); a definition's own body does
+    # not count for it, nor does a re-export in the package root
     refs = [
         (module, getattr(stmt, "name", None), _referenced_names(stmt))
         for module, tree in trees.items()
         for stmt in tree.body
+        if not (module == "__init__" and isinstance(stmt, (ast.Import, ast.ImportFrom)))
     ]
     uncalled = [
         f"{module}.{node.name}"
@@ -55,6 +62,18 @@ def test_every_public_name_has_a_caller_in_the_package():
         )
     ]
     assert uncalled == []
+
+
+def test_the_package_root_holds_only_its_version():
+    # every name has one import path, its home module: the root re-exports nothing
+    public = [
+        name
+        for name, value in vars(idealhash).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)  # loaded submodules aside
+    ]
+    assert public == []
+    assert not hasattr(idealhash, "__getattr__") and not hasattr(idealhash, "__all__")
+    assert idealhash.__version__
 
 
 def _unread_flags() -> list[str]:

@@ -372,6 +372,24 @@ class TestErrorsAndExitCodes:
         assert json.loads(err)["error"] == "ValueError"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "--method", "random", "--u", "4", "--m", "2", "--n", "2", "--max-rounds", "0"],
+             "need max_rounds >= 1"),
+            (["simulate", "--kind", "max-load", "--m", "2", "--n", "0"], "need n >= 1 and m >= 1"),
+            (["exact", "--u", "8", "--m", "2", "--n", "4", "--c", "2", "--with-hc", "--size-limit", "0"],
+             "need size_limit >= 1"),
+            (["exact", "--u", "8", "--m", "2", "--n", "4", "--with-hc", "--size-limit", "-1"],
+             "need size_limit >= 1"),
+        ],
+        ids=["construct-max-rounds-zero", "max-load-n-zero", "exact-size-limit-zero", "exact-size-limit-negative"],
+    )
+    def test_count_below_one_exits_one_with_record(self, capsys, argv, message):
+        rc, out, err = run_capture(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize(
         "argv",
         [["bounds", "--u", "10", "--m", "2", "--n", "4"], ["report", "--u", "10", "--m", "2", "--n", "4"]],
         ids=["bounds", "report"],

@@ -11,7 +11,6 @@ from idealhash.errors import BudgetExceededError, DimensionMismatchError
 from idealhash.hashspace import (
     Family,
     HashFunction,
-    KeySet,
     Params,
     balanced_fiber_sizes,
     balanced_functions,
@@ -233,19 +232,11 @@ class TestAllFunctions:
         assert labelled == m**u
 
 
-class TestKeySets:
+class TestKeyRanks:
     def test_enumeration_is_lexicographic_and_complete(self):
         assert [oracle._unrank(r, 4, 2) for r in range(Params(4, 2, 2).total_sets)] == list(
             itertools.combinations(range(1, 5), 2)
         )
-
-    def test_keyset_validation(self):
-        with pytest.raises(ValueError):
-            KeySet((2, 2))
-        with pytest.raises(ValueError):
-            KeySet((3, 1))
-        with pytest.raises(ValueError):
-            KeySet((0, 1))
 
 
 class TestSerialization:

@@ -14,7 +14,6 @@ from idealhash.errors import BudgetExceededError, DimensionMismatchError
 from idealhash.hashspace import (
     Family,
     HashFunction,
-    KeySet,
     Params,
     balanced_functions,
 )
@@ -132,7 +131,7 @@ class TestCallers:
             ]
             rep = verify_family(fam, p)
             assert rep.covered == p.total_sets - len(uncovered)
-            assert rep.uncovered_witness == (KeySet(uncovered[0]) if uncovered else None)
+            assert rep.uncovered_witness == (uncovered[0] if uncovered else None)
 
     def test_budget_is_checked_before_any_set_array_is_built(self, monkeypatch):
         def forbidden(u, n):
@@ -165,7 +164,7 @@ class TestCallers:
         assert rep.covered == math.prod(betas)
         if m == 2:
             assert rep.covered == math.comb(u, 2) - sum(math.comb(b, 2) for b in betas)
-        cells = [h.cells[key - 1] for key in rep.uncovered_witness.keys]
+        cells = [h.cells[key - 1] for key in rep.uncovered_witness]
         assert len(set(cells)) < m
 
     def test_functions_must_match_params(self):

@@ -11,7 +11,6 @@ from idealhash.errors import BudgetExceededError
 from idealhash.hashspace import (
     Family,
     HashFunction,
-    KeySet,
     Params,
     balanced_fiber_sizes,
 )
@@ -196,7 +195,7 @@ class TestVerifyFamily:
         rep = verify_family(Family((HashFunction((1, 1, 2, 2), 2),)), p)
         assert not rep.is_ideal_family
         assert rep.covered == 4
-        assert rep.uncovered_witness == KeySet((1, 2))
+        assert rep.uncovered_witness == (1, 2)
 
     def test_any_family_verifies_at_c_equal_m(self):
         p = Params(4, 2, 2, 2)
@@ -223,6 +222,13 @@ class TestMinFamilySize:
 
     def test_m_equal_one_needs_one(self):
         assert min_family_size_exact(Params(5, 1, 3, 1)) == 1
+
+    @pytest.mark.parametrize("size_limit", [0, -1])
+    def test_size_limit_below_one_is_refused(self, size_limit):
+        # refused before the c >= m and m = 1 shortcuts, which would answer 1
+        for p in (Params(8, 2, 4, 1), Params(4, 2, 2, 2), Params(5, 1, 3, 1)):
+            with pytest.raises(ValueError, match=r"^need size_limit >= 1$"):
+                min_family_size_exact(p, size_limit=size_limit)
 
     def test_infeasible_cap_returns_none(self):
         # alpha = 3/2, cap = 1 < ceil(alpha): nothing is ever ideal
