@@ -69,11 +69,10 @@ class BoundReport:
 class AdviceReport:
     """Advice-bit consequences of the family-size bounds.
 
-    lower_easy is evaluated verbatim in nats (the printed form of the
-    indistinguishability bound); lower_easy_bits is log2 of the universe
-    lower bound, reported alongside since the printed log base is ambiguous.
-    All other fields are log2 of the corresponding family-size bounds,
-    clamped at zero.
+    lower_easy and lower_easy_bits are the universe (indistinguishability)
+    lower bound in nats and in bits: the printed log base is ambiguous, so
+    both are reported.  All other fields are log2 of the corresponding
+    family-size bounds.  Every field is clamped at zero.
     """
 
     lower_easy: float
@@ -348,12 +347,11 @@ def advice_report(report: BoundReport) -> AdviceReport:
             upper_yao=0.0,
             notes=("c >= m: a single function suffices, zero advice bits",),
         )
-    # c < m gives m >= 2 and c*alpha < n <= u, so both easy forms apply
-    inner = math.log(p.u) - ln_fraction(p.c * p.alpha)
-    lower_easy = math.log(inner) - math.log(math.log(p.m))
+    # c < m gives m >= 2 and c*alpha < n <= u, so the universe bound applies
+    easy = lower_universe(p.u, p.m, p.n, p.c)  # may round to 0 when c*alpha is within an ulp of u
     return AdviceReport(
-        lower_easy=max(0.0, lower_easy),
-        lower_easy_bits=max(0.0, math.log2(lower_universe(p.u, p.m, p.n, p.c))),
+        lower_easy=math.log(easy) if easy > 1 else 0.0,
+        lower_easy_bits=math.log2(easy) if easy > 1 else 0.0,
         lower_main=max(0.0, report.entry("lower.main").ln / math.log(2.0)),
         upper_main=max(0.0, report.entry("upper.main").ln / math.log(2.0)),
         upper_yao=max(0.0, math.log2(report.entry("upper.yao").ceiling)),

@@ -4,8 +4,8 @@ check-lemmas, report.
 Exact rationals serialize as "numerator/denominator" strings, never floats.
 IDEALHASH_<FLAG> (e.g. IDEALHASH_BUDGET=500000) sets the default of --c,
 --eps, --t, --format, --out, --budget, --size-limit, --pool-budget, --seed,
---max-rounds, --pool, --trials and --workers.  Exit codes: 0 success, 1
-budget or domain error, 2 usage error, 3 lemma-check failure.
+--max-rounds, --pool and --trials.  Exit codes: 0 success, 1 budget or
+domain error, 2 usage error, 3 lemma-check failure.
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=_fraction, default=_env("c", "1"))
     sp.add_argument("--trials", type=int, default=_env("trials", 10000))
     sp.add_argument("--seed", type=int, default=_env("seed", 0))
-    sp.add_argument("--workers", type=int, default=_env("workers", 1), help="RNG streams to split the trials across (run serially)")
     _add_output_flags(sp)
 
     sp = sub.add_parser("check-lemmas", help="run the exact inequality battery")
@@ -296,14 +295,14 @@ def _cmd_construct(args) -> int:
             log = construct_mod.yao_family(
                 p, t=args.t, pool=pool, load_target=args.load_target, budget=args.budget
             )
+    if args.family_out:  # written first, so a failed write prints no report
+        with open(args.family_out, "w", encoding="utf-8") as fh:
+            fh.write(family_to_text(log.family))
     _emit_json(args.out, "construct", {
         "params": _params_dict(p),
         "advice_bits": (log.family.size - 1).bit_length(),
         **log.to_json_dict(),
     })
-    if args.family_out:
-        with open(args.family_out, "w", encoding="utf-8") as fh:
-            fh.write(family_to_text(log.family))
     return 0
 
 
@@ -311,16 +310,12 @@ def _cmd_simulate(args) -> int:
     from . import simulate as simulate_mod
 
     if args.kind == "max-load":
-        est = simulate_mod.estimate_max_load(
-            args.n, args.m, trials=args.trials, seed=args.seed, workers=args.workers
-        )
+        est = simulate_mod.estimate_max_load(args.n, args.m, trials=args.trials, seed=args.seed)
     else:
         if args.u is None:
             raise ValueError("ideal-prob needs --u")
         p = Params(args.u, args.m, args.n, args.c)
-        est = simulate_mod.estimate_ideal_probability(
-            p, trials=args.trials, seed=args.seed, workers=args.workers
-        )
+        est = simulate_mod.estimate_ideal_probability(p, trials=args.trials, seed=args.seed)
     _emit_json(args.out, "simulate", {"kind": args.kind, **dataclasses.asdict(est)})
     return 0
 

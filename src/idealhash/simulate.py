@@ -1,11 +1,9 @@
 """Monte Carlo behavior beyond exact enumeration: max-load means and
 ideality probability estimates.
 
-RNG contract: numpy PCG64 seeded through SeedSequence(seed, spawn_key=(worker,)),
-so every (seed, workers) pair reproduces bit-identically on any platform.
-`workers` is the number of RNG streams the trials are split across; the
-streams run one after another in this process, not in parallel.  Results
-merge by count-weighted pooling.  A seeded max-load estimate also depends on
+RNG contract: each call draws all its trials from one numpy PCG64 stream
+seeded through SeedSequence(seed, spawn_key=(0,)), so every seed reproduces
+bit-identically on any platform.  A seeded max-load estimate also depends on
 the fixed rule that sizes its batches, since each batch is one set of draws.
 
 Max load (Poissonization with an exact correction, Mitzenmacher & Upfal,
@@ -57,42 +55,30 @@ class Estimate:
     ci95_halfwidth: float
     trials: int
     seed: int
-    workers: int = 1
     method: str = "normal"
 
 
-def _worker_rng(seed: int, worker: int) -> np.random.Generator:
+def _stream(seed: int) -> np.random.Generator:
     import numpy as np
 
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(worker,))))
+    # spawn_key=(0,) is the stream seeded estimates have always drawn from, so their output stays byte-identical
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
 
 
-def _split_trials(trials: int, workers: int) -> list[int]:
-    """Trials per worker stream, for the first min(workers, trials) streams:
-    the others get none.  Validates both counts."""
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if workers < 1:
-        raise ValueError("need workers >= 1")
-    base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(min(workers, trials))]
-
-
-def estimate_max_load(
-    n: int, m: int, trials: int, seed: int, workers: int = 1
-) -> Estimate:
+def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
     """Mean maximum cell load of n uniform throws into m cells."""
-    values = _max_loads(n, m, trials, seed, workers).astype(float)
+    values = _max_loads(n, m, trials, seed).astype(float)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if trials > 1 else 0.0
-    return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed, workers)
+    return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed)
 
 
-def _max_loads(n: int, m: int, trials: int, seed: int, workers: int) -> np.ndarray:
+def _max_loads(n: int, m: int, trials: int, seed: int) -> np.ndarray:
     """Each trial's maximum cell load, drawn as the module docstring describes."""
     import numpy as np
 
-    shares = _split_trials(trials, workers)
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if n > 2**40:  # a trial holds its ~0.8 sqrt(n) missing throws at once
@@ -108,36 +94,34 @@ def _max_loads(n: int, m: int, trials: int, seed: int, workers: int) -> np.ndarr
     # rows of histogram cells or per-cell loads, plus missing throws, near _SLICE/4;
     # and trial * m + cell stays below 2^63
     batch = max(1, min((_SLICE // 4) // (min(m, hi - lo + 1) + math.isqrt(n)), (2**63 - 1) // m))
-    maxima = []
-    for w, share in enumerate(shares):
-        rng = _worker_rng(seed, w)
-        done = 0
-        while done < share:  # over half the rows have S <= n, so the last pass rarely repeats
-            rows = min(batch, 2 * (share - done) + 8)
-            if per_cell:
-                occ = rng.poisson(lam, size=(rows, m))
-                balls = occ.sum(axis=1)
-            else:
-                occ = rng.multinomial(m, pmf, size=rows)
-                balls = occ @ classes
-                occ = occ[:, : np.flatnonzero(occ.any(axis=0))[-1] + 1]  # up to the top occupied load
-            kept = np.flatnonzero(balls <= n)[: share - done]
-            occ, b = occ[kept], len(kept)
-            key = np.repeat(np.arange(b) * m, n - balls[kept])  # trial * m + cell
-            key += rng.integers(0, m, size=len(key))
-            key.sort()
-            if per_cell:
-                top, base = occ.max(axis=1), occ.ravel()[key]
-            else:
-                ends = occ.cumsum(axis=1)
-                top = lo + (ends < m).sum(axis=1)
-                ends += (np.arange(b) * m)[:, None]
-                base = lo + np.searchsorted(ends.ravel(), key, side="right") % occ.shape[1]
-            step = np.arange(len(key))
-            first = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, step, 0))
-            np.maximum.at(top, key // m, base + step - first + 1)  # a hit cell's new load
-            maxima.append(top)
-            done += b
+    rng = _stream(seed)
+    maxima, done = [], 0
+    while done < trials:  # over half the rows have S <= n, so the last pass rarely repeats
+        rows = min(batch, 2 * (trials - done) + 8)
+        if per_cell:
+            occ = rng.poisson(lam, size=(rows, m))
+            balls = occ.sum(axis=1)
+        else:
+            occ = rng.multinomial(m, pmf, size=rows)
+            balls = occ @ classes
+            occ = occ[:, : np.flatnonzero(occ.any(axis=0))[-1] + 1]  # up to the top occupied load
+        kept = np.flatnonzero(balls <= n)[: trials - done]
+        occ, b = occ[kept], len(kept)
+        key = np.repeat(np.arange(b) * m, n - balls[kept])  # trial * m + cell
+        key += rng.integers(0, m, size=len(key))
+        key.sort()
+        if per_cell:
+            top, base = occ.max(axis=1), occ.ravel()[key]
+        else:
+            ends = occ.cumsum(axis=1)
+            top = lo + (ends < m).sum(axis=1)
+            ends += (np.arange(b) * m)[:, None]
+            base = lo + np.searchsorted(ends.ravel(), key, side="right") % occ.shape[1]
+        step = np.arange(len(key))
+        first = np.maximum.accumulate(np.where(np.diff(key, prepend=-1) != 0, step, 0))
+        np.maximum.at(top, key // m, base + step - first + 1)  # a hit cell's new load
+        maxima.append(top)
+        done += b
     return np.concatenate(maxima)
 
 
@@ -163,9 +147,7 @@ def _poisson_window(lam: float, m: int) -> tuple[int, int]:
     return max(0, mode - reach) + lo, mode + hi - 1
 
 
-def estimate_ideal_probability(
-    p: Params, trials: int, seed: int, workers: int = 1
-) -> Estimate:
+def estimate_ideal_probability(p: Params, trials: int, seed: int) -> Estimate:
     """Fraction of uniform n-subsets a balanced function hashes within cap.
 
     Under a fixed function with fiber sizes beta, the cell loads of a uniform
@@ -175,24 +157,24 @@ def estimate_ideal_probability(
     Interval: normal approximation, switching to Wilson when successes < 10
     (estimates near zero are exactly the ones compared against tail bounds).
     """
-    shares = _split_trials(trials, workers)
+    if trials < 1:
+        raise ValueError("need trials >= 1")
     if p.u >= 10**9:
         raise ValueError("ideal-prob sampling needs u < 10^9")
     betas = balanced_fiber_sizes(p.u, p.m)
     batch = 1 + _SLICE // p.m  # b*m load cells stay near _SLICE
+    rng = _stream(seed)
     successes = 0
-    for w, share in enumerate(shares):
-        rng = _worker_rng(seed, w)
-        for done in range(0, share, batch):
-            loads = rng.multivariate_hypergeometric(betas, p.n, size=min(batch, share - done))
-            successes += int((loads.max(axis=1) <= p.load_cap).sum())
+    for done in range(0, trials, batch):
+        loads = rng.multivariate_hypergeometric(betas, p.n, size=min(batch, trials - done))
+        successes += int((loads.max(axis=1) <= p.load_cap).sum())
     p_hat = successes / trials
     if successes < 10:
         halfwidth, method = _wilson_halfwidth(successes, trials), "wilson"
     else:
         halfwidth = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
         method = "normal"
-    return Estimate(p_hat, halfwidth, trials, seed, workers, method)
+    return Estimate(p_hat, halfwidth, trials, seed, method)
 
 
 def _wilson_halfwidth(successes: int, trials: int) -> float:

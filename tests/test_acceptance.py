@@ -299,7 +299,7 @@ def test_criterion_10_seeded_byte_reproducibility(capsys):
     for _ in range(2):
         rc = cli_run(
             ["simulate", "--kind", "max-load", "--m", "64", "--n", "64",
-             "--trials", "300", "--seed", "5", "--workers", "2"]
+             "--trials", "300", "--seed", "5"]
         )
         assert rc == 0
         outputs.append(capsys.readouterr().out)

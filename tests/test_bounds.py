@@ -337,7 +337,7 @@ def reference_advice(u, n, m, c, eps=0, t=2.0):
     ca = c * alpha
     inner = math.log(u) - ln_fraction(ca)
     if inner > 0 and m >= 2:
-        lower_easy = math.log(inner) - math.log(math.log(m))
+        lower_easy = math.log(lower_universe(u, m, n, c))
     else:
         lower_easy = 0.0
         notes.append("easy lower bound not applicable (u <= c*alpha or m < 2)")
@@ -411,6 +411,14 @@ class TestAdviceReport:
         p, eps, t = point
         got = advice_report(bound_report(p, eps, t))
         assert got == reference_advice(p.u, p.n, p.m, p.c, eps, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(advice_points())
+    def test_easy_nats_are_the_universe_entry(self, point):
+        p, eps, t = point
+        report = bound_report(p, eps, t)
+        ln = report.entry("lower.universe").ln  # None when c >= m
+        assert advice_report(report).lower_easy == (0.0 if ln is None else max(0.0, ln))
 
 
 class TestUpperBaseConstant:

@@ -157,6 +157,18 @@ class TestBounds:
             assert "u >= 2" in entries[name]["note"]
         assert entries["lower.volume"]["ceiling"] == 1
 
+    def test_universe_bound_rounding_to_zero_prints_zero_advice(self, capsys):
+        # c*alpha sits within an ulp of u, so ln u - ln(c*alpha) rounds to 0
+        c = "199999999999999999999/100000000000000000000"
+        rc, out, err = run_capture(capsys, ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", c])
+        assert (rc, err) == (0, "")
+        advice = json.loads(out)["advice"]
+        assert advice["lower_easy_nats"] == advice["lower_easy_bits"] == 0.0
+        rc, out, err = run_capture(capsys, ["report", "--u", "4", "--m", "2", "--n", "4", "--c", c])
+        assert (rc, err) == (0, "")
+        header, row = csv.reader(io.StringIO(out))
+        assert dict(zip(header, row))["advice.lower_easy"] == "0"
+
 
 class TestConstructAndVerify:
     def test_greedy_anchor(self, capsys):
@@ -190,6 +202,13 @@ class TestConstructAndVerify:
         assert payload["is_ideal_family"] is True
         assert payload["covered"] == 6
         assert payload["uncovered_witness"] is None
+
+    def test_unwritable_family_file_prints_no_report(self, capsys, tmp_path):
+        argv = ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"]
+        rc, out, err = run_capture(capsys, argv + ["--family-out", str(tmp_path / "no-such-dir" / "x.txt")])
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "FileNotFoundError"
 
     def test_verify_reports_witness(self, capsys, tmp_path):
         fam_path = tmp_path / "one.txt"
@@ -287,16 +306,22 @@ class TestSimulate:
         assert json.loads(err) == {"error": "ValueError", "message": "need trials >= 1"}
 
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_exits_one(self, capsys, workers):
+    @pytest.mark.parametrize("workers", ["2", "0", "-2"])
+    def test_workers_flag_is_a_usage_error(self, capsys, workers):
+        # each call draws from one seeded stream; there is no stream count to set
         for kind in (["--kind", "max-load"], ["--kind", "ideal-prob", "--u", "8"]):
-            rc, out, err = run_capture(
-                capsys,
-                ["simulate", *kind, "--m", "2", "--n", "4", "--trials", "10", "--workers", workers],
-            )
-            assert rc == 1
-            assert out == ""
-            assert json.loads(err) == {"error": "ValueError", "message": "need workers >= 1"}
+            with pytest.raises(SystemExit) as exc:
+                run(["simulate", *kind, "--m", "2", "--n", "4", "--trials", "10", "--workers", workers])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", [["--kind", "max-load"], ["--kind", "ideal-prob", "--u", "8"]])
+    def test_record_keys(self, capsys, kind):
+        rc, out, _ = run_capture(capsys, ["simulate", *kind, "--m", "2", "--n", "4", "--trials", "3"])
+        assert rc == 0
+        assert sorted(json.loads(out)) == [
+            "ci95_halfwidth", "command", "kind", "mean", "method", "schema_version", "seed", "trials",
+        ]
 
 
 OUT_CASES = {
@@ -456,7 +481,7 @@ class TestEnvOverrides:
             ("IDEALHASH_BUDGET", "abc", ["exact", "--u", "8", "--m", "2", "--n", "4"]),
             ("IDEALHASH_BUDGET", "1e6", ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"]),
             ("IDEALHASH_SEED", "1.5", ["construct", "--method", "random", "--u", "4", "--m", "2", "--n", "2"]),
-            ("IDEALHASH_WORKERS", "two", ["simulate", "--kind", "max-load", "--m", "2", "--n", "4"]),
+            ("IDEALHASH_TRIALS", "two", ["simulate", "--kind", "max-load", "--m", "2", "--n", "4"]),
             ("IDEALHASH_T", "fast", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
             ("IDEALHASH_C", "1/0", ["report", "--u", "8", "--m", "2", "--n", "4"]),
             ("IDEALHASH_FORMAT", "xml", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),

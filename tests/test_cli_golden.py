@@ -30,7 +30,7 @@ CASES = {
     ),
     "bounds-json": (
         ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
-        "22d3a792c8dcdd9696fb8b733941002f241c79fa92ce238cbd0298741d575e8b",
+        "63e7337d44818be5995a13705bf8da49364e98a04affc75fa74a68decbd5669c",
     ),
     "bounds-table": (
         ["bounds", "--u", "16", "--m", "4", "--n", "4", "--format", "table"],
@@ -38,7 +38,7 @@ CASES = {
     ),
     "bounds-ceilings-past-float-range": (  # upper.main and upper.prob.* ceilings are null
         ["bounds", "--u", "2400", "--m", "1200", "--n", "1200"],
-        "f5ff667b3a0b7964685e061d3f27f9d29c90218975660d43b82919bd9b7373ab",
+        "bb0862d5825722d0af31f71d0f92585e3fc95321a3ea54c22c98117e96cfd6a5",
     ),
     "bounds-fk-table": (  # lower.fk and upper.fk valid, log2 column printed
         ["bounds", "--u", "1000000", "--m", "30", "--n", "30", "--format", "table"],
@@ -58,7 +58,7 @@ CASES = {
     ),
     "bounds-counting-skipped": (  # n * log2(u) beyond desk scale
         ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
-        "3ecafe1762059accf33f8f33479e722f2b1dad3ba792f3fb3797a0017a2102ec",
+        "14dccc8b59edcd7503b90f0754f95ba6a06769cff9a84f4be1b14e7d0c7b7866",
     ),
     "bounds-u-one": (  # m < 2 universe note; the u >= 2 notes of upper.main and upper.naor
         ["bounds", "--u", "1", "--m", "1", "--n", "1"],
@@ -102,11 +102,11 @@ CASES = {
     ),
     "simulate-max-load": (
         ["simulate", "--kind", "max-load", "--m", "64", "--n", "64", "--trials", "500", "--seed", "7"],
-        "0f597287f3f6948d97193a028c23d98bd060a4384713d8a40036ed8a817ceeb0",
+        "1354a4755b57fbe90ace28bd3f0328303f8ec3e1a4dec46351b40b6d2b90c11b",
     ),
     "simulate-ideal-prob": (
         ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2", "--trials", "2000", "--seed", "5"],
-        "38bc44f0d692857491ccea50410dd473a0d1ccf318fd207ed476c844f4016f3f",
+        "f44b940d215525994c8bcb640fa1aba8d7b31d528f75cb1899dcd90afbe06c4c",
     ),
     "check-lemmas": (
         ["check-lemmas"],

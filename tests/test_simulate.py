@@ -13,12 +13,7 @@ from idealhash.cli import run
 from idealhash.distributions import p_tmax_le
 from idealhash.hashspace import Family, HashFunction, Params, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
-from idealhash.simulate import (
-    Estimate,
-    estimate_ideal_probability,
-    estimate_max_load,
-    _worker_rng,
-)
+from idealhash.simulate import Estimate, estimate_ideal_probability, estimate_max_load
 
 
 class TestMaxLoad:
@@ -37,12 +32,6 @@ class TestMaxLoad:
         b = estimate_max_load(64, 64, trials=500, seed=2)
         assert a.mean != b.mean
 
-    def test_worker_split_is_deterministic(self):
-        a = estimate_max_load(64, 64, trials=500, seed=3, workers=4)
-        b = estimate_max_load(64, 64, trials=500, seed=3, workers=4)
-        assert a == b
-        assert a.workers == 4
-
     def test_mean_between_optimal_and_worst(self):
         est = estimate_max_load(128, 16, trials=300, seed=5)
         assert 128 / 16 <= est.mean <= 128
@@ -60,7 +49,7 @@ class TestMaxLoad:
     def test_maxima_follow_the_exact_law(self, n, m):
         """Chi-square of 10^5 sampled maxima against p_tmax_le, at p = 0.001."""
         trials = 100_000
-        loads = simulate._max_loads(n, m, trials, seed=17, workers=1)
+        loads = simulate._max_loads(n, m, trials, seed=17)
         lo, hi = int(loads.min()), int(loads.max())
         assert -(-n // m) <= lo and hi <= n
         cdf = [float(p_tmax_le(n, m, k)) for k in range(lo - 1, hi + 1)]
@@ -167,7 +156,7 @@ class TestIdealProbability:
         seen = []
         for size in (2**10, 2**18, 2**22):
             monkeypatch.setattr(simulate, "_SLICE", size)
-            seen.append(estimate_ideal_probability(p, trials=700, seed=8, workers=2))
+            seen.append(estimate_ideal_probability(p, trials=700, seed=8))
         assert seen[0] == seen[1] == seen[2]
 
     def test_agreement_on_desk_grid(self):
@@ -182,15 +171,13 @@ class TestIdealProbability:
 
 class TestLoadVectorSampling:
     def test_streams_reproduce_with_an_empty_share(self):
-        # 2 trials over 3 streams: shares 1, 1 and 0
+        # every trial comes from the one stream SeedSequence(seed, spawn_key=(0,))
         p = Params(8, 2, 4, 1)
-        a = estimate_ideal_probability(p, trials=2, seed=5, workers=3)
-        assert a == estimate_ideal_probability(p, trials=2, seed=5, workers=3)
-        hits = sum(
-            int(_worker_rng(5, w).multivariate_hypergeometric([4, 4], 4, size=1).max() <= 2)
-            for w in (0, 1)
-        )
-        assert (a.mean, a.trials, a.workers) == (hits / 2, 2, 3)
+        a = estimate_ideal_probability(p, trials=2, seed=5)
+        assert a == estimate_ideal_probability(p, trials=2, seed=5)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(0,))))
+        hits = int((rng.multivariate_hypergeometric([4, 4], 4, size=2).max(axis=1) <= 2).sum())
+        assert (a.mean, a.trials) == (hits / 2, 2)
 
     def test_four_sigma_agreement_at_large_universe(self):
         p = Params(10**6, 16, 256, Fraction(3, 2))
@@ -207,19 +194,6 @@ class TestLoadVectorSampling:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert json.loads(line)["error"] == "ValueError"
-
-
-@pytest.mark.parametrize("estimate", ["max-load", "ideal-prob"])
-def test_workers_beyond_trials_add_only_empty_streams(estimate):
-    # streams past the third get no trial; a billion of them must not be visited
-    def run_with(workers):
-        if estimate == "max-load":
-            return estimate_max_load(5, 2, trials=3, seed=4, workers=workers)
-        return estimate_ideal_probability(Params(8, 2, 4, 1), trials=3, seed=4, workers=workers)
-
-    few, many = run_with(3), run_with(10**9)
-    assert (many.mean, many.ci95_halfwidth, many.trials) == (few.mean, few.ci95_halfwidth, few.trials)
-    assert many.workers == 10**9
 
 
 class TestAdversarialSet:
@@ -249,5 +223,4 @@ class TestAdversarialSet:
 
 def test_estimate_is_a_plain_record():
     est = Estimate(1.0, 0.0, 10, 0)
-    assert est.workers == 1
     assert est.method == "normal"
