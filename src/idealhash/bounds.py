@@ -298,23 +298,14 @@ def _eval_fk(u: int, n: int, m: int, c: Fraction) -> tuple[BoundEntry, BoundEntr
     return (BoundEntry("lower.fk", lower_ln, note), BoundEntry("upper.fk", upper_ln, note))
 
 
-def _naor_form(u: int, n: int, m: int) -> float:
-    """ln of the perfect-splitter upper bound, normalized to the c = 1 specialization.
-
-    sqrt(2*pi*alpha)^m * e^(m/(12*alpha)) * sqrt(n/(2*pi)) * ln u; the
-    classical display carries sqrt(n) in place of sqrt(n/(2*pi)).
-    """
-    af = n / m
-    per_cell = 0.5 * math.log(2.0 * math.pi * af) + 1.0 / (12.0 * af)
-    return m * per_cell + 0.5 * math.log(n / (2.0 * math.pi)) + math.log(math.log(u))
-
-
 def _eval_naor(u: int, n: int, m: int) -> tuple[BoundEntry]:
+    """ln of the perfect-splitter bound sqrt(2*pi*alpha)^m * e^(m/(12*alpha)) * sqrt(n/(2*pi)) * ln u:
+    the main upper bound at c = 1, behind this entry's own guards and notes."""
     if u < 2:
         raise BoundNotApplicableError("needs u >= 2 (it carries ln ln u)")
     if n < m:
         raise BoundNotApplicableError("requires alpha >= 1")
-    return (BoundEntry("upper.naor", _naor_form(u, n, m), "normalized sqrt(n/2pi); classical display uses sqrt(n)"),)
+    return (BoundEntry("upper.naor", upper_main(u, n, m, 1), "normalized sqrt(n/2pi); classical display uses sqrt(n)"),)
 
 
 def _eval_mehlhorn(m: int, alpha: Fraction, c: Fraction) -> tuple[BoundEntry]:

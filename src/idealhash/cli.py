@@ -285,16 +285,17 @@ def _cmd_construct(args) -> int:
             p, seed=args.seed, max_rounds=args.max_rounds, budget=args.budget
         )
     else:
-        if args.pool == "balanced":
-            pool = list(balanced_functions(p, budget=args.budget))
-        else:
-            pool = list(set_partitions(p.u, p.m, budget=args.budget))
+        balanced = args.pool == "balanced"
+        pool = list(balanced_functions(p, args.budget) if balanced else set_partitions(p.u, p.m, args.budget))
         if args.method == "greedy":
             log = construct_mod.greedy_cover(p, pool, budget=args.budget)
         else:
             log = construct_mod.yao_family(
                 p, t=args.t, pool=pool, load_target=args.load_target, budget=args.budget
             )
+        if balanced:  # one function per partition; pool_size counts all u!/prod(beta_i!) labellings
+            r = p.u % p.m
+            log = dataclasses.replace(log, pool_size=len(pool) * math.factorial(r) * math.factorial(p.m - r))
     if args.family_out:  # written first, so a failed write prints no report
         with open(args.family_out, "w", encoding="utf-8") as fh:
             fh.write(family_to_text(log.family))

@@ -22,7 +22,7 @@ from .hashspace import (
     Params,
     function_to_text,
 )
-from .oracle import check_set_budget, class_exceed_masks, cover_mask
+from .oracle import check_set_budget, cover_mask, exceed_masks
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,17 @@ def _select(
     the first on ties in pool order (or in partition-signature order, with
     `by_signature`), and the run stops when nothing is live or no member
     shrinks the live set.
-    Only the first member of each partition class competes: a repeat has the
-    same exceed bitset and a later place in either order, so it never wins.
+    A repeated partition never wins: it comes after its first member in
+    either order (the sort is stable) and never strictly improves on it.
     Returns the picks, the live count after each, and the live bitset; a run
     where no member shrinks the live set picks the first member in order.
     """
     if not candidates:
         raise ValueError("pool must be non-empty")
-    classes, exceed = class_exceed_masks(candidates, p, cap, budget)
-    reps = list(classes.values())
-    order = list(range(len(reps)))
+    exceed = exceed_masks(candidates, p, cap, budget)
+    order = list(range(len(candidates)))
     if by_signature:
-        sigs = list(classes)
+        sigs = [h.partition_signature() for h in candidates]
         order.sort(key=sigs.__getitem__)
     live = (1 << p.total_sets) - 1
     picks: list[HashFunction] = []
@@ -143,11 +142,11 @@ def _select(
         if best is None:
             break
         order.remove(best)
-        picks.append(reps[best])
+        picks.append(candidates[best])
         live &= exceed[best]
         trail.append(kept)
     if not picks:  # nothing shrinks the live set; a log still holds one member
-        picks.append(reps[order[0]])
+        picks.append(candidates[order[0]])
         trail.append(live.bit_count())
     return picks, trail, live
 

@@ -89,8 +89,8 @@ class HashFunction:
         """Cell-label-free identity: the non-empty fibers, ascending within
         each, in order of their least key (the sorted tuple of fibers).
 
-        Max load is invariant under relabeling cells, so exhaustive searches
-        deduplicate candidates by this signature.
+        Max load is invariant under relabeling cells, so greedy orders its
+        candidates, and the exact search breaks ties, by this signature.
         """
         fibers: dict[int, list[int]] = {}
         for key, cell in enumerate(self.cells, start=1):
@@ -124,13 +124,14 @@ def balanced_fiber_sizes(u: int, m: int) -> tuple[int, ...]:
 
 
 def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:
-    """All functions whose fibers carry the canonical balanced size vector; budget-guarded.
+    """One function per partition of 1..u into fibers of the canonical balanced sizes; budget-guarded.
 
-    One function per ordered partition of 1..u into fibers of those sizes;
-    the first yielded is the lexicographic blocked function (cell 1 gets the
-    lowest keys, and so on).  Their number u!/prod(beta_i!) is checked against
-    the budget before the first is built: it is the product over cells of
-    C(left, beta), left being the keys no earlier cell took.
+    Of the r!(m-r)! labellings of a partition (r = u mod m; max load ignores
+    labels), the one whose equal-size cells take increasing least keys: the
+    first in ordered-partition order (head fiber in combinations order, then
+    the rest of the keys recursively), yielded in that order, blocked first.
+    The guard counts all u!/prod(beta_i!) labellings against the budget
+    before the first is built: the product over cells of C(keys left, beta).
     """
     sizes = balanced_fiber_sizes(p.u, p.m)
     left = itertools.accumulate(sizes, operator.sub, initial=p.u)
@@ -138,19 +139,24 @@ def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
         raise BudgetExceededError(f"u!/prod(beta_i!) balanced functions exceed budget {budget}")
     cells = [0] * p.u
 
-    def fill(cell: int, free: tuple[int, ...]) -> Iterator[HashFunction]:
-        # keys in `free` go to cells cell..m; every one is rewritten before the next yield
+    def fill(cell: int, free: tuple[int, ...], least: int) -> Iterator[HashFunction]:
+        # keys in `free` go to cells cell..m (rewritten before the next yield); cell - 1's least key is `least`
         if cell == p.m:
             for key in free:
                 cells[key - 1] = cell
             yield HashFunction(tuple(cells), p.m)
             return
-        for head in itertools.combinations(free, sizes[cell - 1]):
+        size = sizes[cell - 1]
+        if size == sizes[-1]:  # the cells left all have this size: this one takes the least free key
+            heads = (free[:1] + rest for rest in itertools.combinations(free[1:], size - 1))
+        else:  # a cell of size q+1 takes keys above the least key of the one before
+            heads = itertools.combinations([k for k in free if k > least], size)
+        for head in heads:
             for key in head:
                 cells[key - 1] = cell
-            yield from fill(cell + 1, tuple(k for k in free if k not in head))
+            yield from fill(cell + 1, tuple(k for k in free if k not in head), head[0])
 
-    yield from fill(1, tuple(range(1, p.u + 1)))
+    yield from fill(1, tuple(range(1, p.u + 1)), 0)
 
 
 def set_partitions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[HashFunction]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from collections import Counter
@@ -135,7 +136,8 @@ def balance_extremality_check(u: int, m: int, n: int, c: Fraction | int) -> bool
 # Every coverage question (verify a family, score a construction pool, search
 # the minimal family) asks, per function, which ranked key sets it hashes with
 # a max load above the cap.  The answer is a Python-int bitset per function:
-# bit i stands for the n-subset of keys 0..u-1 of lexicographic rank i.
+# bit i stands for the n-subset of keys 0..u-1 of lexicographic rank i.  The
+# pools repeat no partition, and where the cap decides every set no table is built.
 #
 # The sets whose smallest key is a hold consecutive ranks, C(u-a-1, n-1) of
 # them, and their other keys run over the last that many ranks of the
@@ -209,30 +211,29 @@ def _exceed_mask(
     return _join_tails([by_cell[c] for c in cells], lengths, top)
 
 
-def class_exceed_masks(
+def exceed_masks(
     functions: Iterable[HashFunction], p: Params, cap: int, budget: int, pool_budget: int | None = None
-) -> tuple[dict[tuple[tuple[int, ...], ...], HashFunction], list[int]]:
-    """Each partition signature, in order of first appearance, with the first
-    function that has it (max load is relabeling-invariant, so one member per
-    class suffices), and that function's exceed bitset.
+) -> list[int]:
+    """The exceed bitset of each function, in order, repeats included.
 
-    Checks the C(u,n) budget first; at most `pool_budget` classes may appear.
+    Checks the C(u,n) budget first; at most `pool_budget` functions may come,
+    counted as they stream.  Where cap >= n no set exceeds, and where m*cap < n
+    every set does (some cell gets more than cap of its keys): no key table.
     """
     check_set_budget(p, budget)
-    classes: dict[tuple[tuple[int, ...], ...], HashFunction] = {}
+    pool: list[HashFunction] = []
     for h in functions:
-        classes.setdefault(h.partition_signature(), h)
-        if pool_budget is not None and len(classes) > pool_budget:
+        pool.append(h)
+        if pool_budget is not None and len(pool) > pool_budget:
             raise BudgetExceededError(f"candidate pool exceeds budget {pool_budget}")
-    reps = classes.values()
-    if any(h.u != p.u or h.m != p.m for h in reps):
-        raise DimensionMismatchError(
-            f"every function must map keys 1..{p.u} into cells 1..{p.m}"
-        )
-    if cap >= p.n:  # no set can overflow
-        return classes, [0] * len(reps)
+    if any(h.u != p.u or h.m != p.m for h in pool):
+        raise DimensionMismatchError(f"every function must map keys 1..{p.u} into cells 1..{p.m}")
+    if cap >= p.n:
+        return [0] * len(pool)
+    if p.m * cap < p.n:
+        return [(1 << p.total_sets) - 1] * len(pool)
     table = _key_table(p.u, p.n)
-    return classes, [_exceed_mask(h.cells, p.m, cap, table) for h in reps]
+    return [_exceed_mask(h.cells, p.m, cap, table) for h in pool]
 
 
 def _unrank(rank: int, u: int, n: int) -> tuple[int, ...]:
@@ -252,15 +253,14 @@ def verify_family(
     f: Family, p: Params, budget: int = DEFAULT_ENUM_BUDGET
 ) -> CoverageReport:
     """Count the key sets covered by some family member; witness the first miss."""
-    _, masks = class_exceed_masks(f.functions, p, p.load_cap, budget)
-    uncovered = functools.reduce(operator.and_, masks)
+    uncovered = functools.reduce(operator.and_, exceed_masks(f.functions, p, p.load_cap, budget))
     witness = _unrank((uncovered & -uncovered).bit_length() - 1, p.u, p.n) if uncovered else None
     return CoverageReport(covered=p.total_sets - uncovered.bit_count(), uncovered_witness=witness)
 
 
 def cover_mask(h: HashFunction, p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Bitmask over lexicographically ranked key sets that h hashes within cap."""
-    _, (exceed,) = class_exceed_masks([h], p, p.load_cap, budget)
+    (exceed,) = exceed_masks([h], p, p.load_cap, budget)
     return ((1 << p.total_sets) - 1) ^ exceed
 
 
@@ -293,10 +293,10 @@ def min_family_size_exact(
     """Smallest family size covering every key set, by exhaustive search.
 
     Candidates are one function per set partition (max load is
-    relabeling-invariant), those covering no set dropped, sorted by
-    descending single-function coverage with fiber-signature tie-breaks; the
-    search branches on the lowest-ranked uncovered set.  Returns None when
-    no family of size <= size_limit exists.
+    relabeling-invariant), at most `pool_budget` of them, those covering no
+    set dropped, sorted by descending single-function coverage with ties
+    broken on `partition_signature()`; the search branches on the lowest-ranked
+    uncovered set.  Returns None when no family of size <= size_limit exists.
 
     The root branches once per symmetry orbit (orbital branching, Ostrowski,
     Linderoth, Rossi & Smriglio, Math. Program. 2011).  The lowest-ranked
@@ -318,11 +318,11 @@ def min_family_size_exact(
     check_set_budget(p, budget)  # the budget check comes before the early exit
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
-    pool = set_partitions(p.u, p.m, budget)
-    classes, exceed = class_exceed_masks(pool, p, p.load_cap, budget, pool_budget)
+    pool, again = itertools.tee(set_partitions(p.u, p.m, budget))  # `again` replays what the masks took
+    exceed = exceed_masks(pool, p, p.load_cap, budget, pool_budget)
     full = (1 << p.total_sets) - 1
     scored = sorted(
-        ((full ^ mk, sig) for mk, sig in zip(exceed, classes) if full ^ mk),
+        ((full ^ mk, h.partition_signature()) for mk, h in zip(exceed, again) if full ^ mk),
         key=lambda pair: (-pair[0].bit_count(), pair[1]),
     )
     masks = [mk for mk, _sig in scored]

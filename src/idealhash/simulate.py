@@ -3,7 +3,8 @@ ideality probability estimates.
 
 RNG contract: each call draws all its trials from one numpy PCG64 stream
 seeded through SeedSequence(seed, spawn_key=(0,)), so every seed reproduces
-bit-identically on any platform.  A seeded max-load estimate also depends on
+bit-identically with the numpy version the goldens were recorded with.  A
+seeded max-load estimate also depends on
 the fixed rule that sizes its batches, since each batch is one set of draws.
 
 Max load (Poissonization with an exact correction, Mitzenmacher & Upfal,

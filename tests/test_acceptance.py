@@ -13,11 +13,11 @@ from fractions import Fraction
 from idealhash.bounds import (
     advice_report,
     bound_report,
+    comparison_bounds,
     lower_main,
     lower_universe,
     upper_main,
     upper_yao,
-    _naor_form,
 )
 from idealhash.checks import (
     check_balance_extremality,
@@ -263,8 +263,15 @@ def test_criterion_09_bound_evaluators():
             n = m * alpha
             u = max(n * n, 4)
             a = upper_main(u, n, m, 1)
-            b = _naor_form(u, n, m)
-            if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):
+            # the perfect-splitter form sqrt(2*pi*alpha)^m * e^(m/(12*alpha)) * sqrt(n/(2*pi)) * ln u
+            alpha = n / m
+            b = (
+                m * (0.5 * math.log(2.0 * math.pi * alpha) + 1.0 / (12.0 * alpha))
+                + 0.5 * math.log(n / (2.0 * math.pi))
+                + math.log(math.log(u))
+            )
+            naor = next(e for e in comparison_bounds(u, n, m, 1) if e.name == "upper.naor")
+            if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)) or naor.ln != a:
                 naor_ok = False
 
     u, n, m, c, t = 2**20, 64, 16, Fraction(1), 2.0

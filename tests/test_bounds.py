@@ -20,13 +20,19 @@ from idealhash.bounds import (
     upper_main,
     upper_main_base_nats,
     upper_yao,
-    _naor_form,
 )
 from idealhash.checks import check_upper_base_constant
 from idealhash.combinatorics import binom, ln_fraction
 from idealhash.errors import BoundNotApplicableError
 from idealhash.hashspace import Params, balanced_fiber_sizes
 from idealhash.oracle import count_ideal_sets, exact_ideal_probability, min_family_size_exact
+
+
+def splitter_ln(u: int, n: int, m: int) -> float:
+    """ln of the perfect-splitter bound sqrt(2*pi*alpha)^m * e^(m/(12*alpha)) * sqrt(n/(2*pi)) * ln u."""
+    alpha = n / m
+    per_cell = 0.5 * math.log(2.0 * math.pi * alpha) + 1.0 / (12.0 * alpha)
+    return m * per_cell + 0.5 * math.log(n / (2.0 * math.pi)) + math.log(math.log(u))
 
 
 def decimal_neg_ln1m(q: Fraction) -> Decimal:
@@ -118,8 +124,10 @@ class TestUpperMain:
                 n = m * alpha
                 u = max(n * n, 4)
                 a = upper_main(u, n, m, 1)
-                b = _naor_form(u, n, m)
+                b = splitter_ln(u, n, m)
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+                entries = {e.name: e for e in comparison_bounds(u, n, m, 1)}
+                assert entries["upper.naor"].ln == a
 
     def test_dominates_lower_main_on_grid(self):
         for m in range(1, 21):

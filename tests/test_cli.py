@@ -14,7 +14,7 @@ import idealhash
 from idealhash import oracle
 from idealhash.cli import run
 from idealhash.construct import yao_family
-from idealhash.hashspace import Params, balanced_functions
+from idealhash.hashspace import Params, balanced_fiber_sizes, balanced_functions
 
 
 def run_capture(capsys, argv):
@@ -222,6 +222,20 @@ class TestConstructAndVerify:
         assert payload["is_ideal_family"] is False
         assert payload["uncovered_witness"] == [1, 2]
 
+    @pytest.mark.parametrize("u, m, n", [(7, 3, 4), (11, 3, 5), (9, 4, 5)])
+    def test_verify_below_the_pigeonhole_cap_covers_nothing(self, capsys, tmp_path, u, m, n):
+        # m * floor(n/m) < n: every n-set puts more than the cap in some cell, under any function
+        fam_path = tmp_path / "fam.txt"
+        fam_path.write_text("".join(" ".join(str(k % m + 1) for k in range(s, s + u)) + "\n" for s in range(3)))
+        rc, out, _ = run_capture(
+            capsys, ["verify", "--u", str(u), "--m", str(m), "--n", str(n), "--family", str(fam_path)]
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["covered"], payload["total"]) == (0, math.comb(u, n))
+        assert payload["is_ideal_family"] is False
+        assert payload["uncovered_witness"] == list(range(1, n + 1))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -278,7 +292,10 @@ class TestConstructAndVerify:
         payload = json.loads(out)
         for key in ("schema_version", "command", "params", "advice_bits"):
             del payload[key]
-        assert payload == json.loads(json.dumps(log.to_json_dict()))
+        # the pool holds one function per partition; pool_size counts every balanced function
+        labelled = math.factorial(u) // math.prod(math.factorial(b) for b in balanced_fiber_sizes(u, m))
+        assert log.pool_size == labelled // (math.factorial(u % m) * math.factorial(m - u % m))
+        assert payload == json.loads(json.dumps({**log.to_json_dict(), "pool_size": labelled}))
         assert log.load_target == max(math.ceil(p.alpha), p.load_cap)
 
 

@@ -96,6 +96,14 @@ CASES = {
         ["construct", "--method", "greedy", "--u", "7", "--m", "3", "--n", "4"],
         "9dedaa19ed813425017cb7350e8ac976104cf45dd831c77e86fe3283a422b8f6",
     ),
+    "construct-greedy-pigeonhole": (  # m*cap = 3 < n: every set exceeds, no key table; pool_size 11550
+        ["construct", "--method", "greedy", "--u", "11", "--m", "3", "--n", "5"],
+        "63c01883676ef3cf155320540358e9df1c313025a5bb2f0a03a6811046fb7312",
+    ),
+    "construct-yao-five-equal-cells": (  # kernel path over 945 partitions; pool_size 113400
+        ["construct", "--method", "yao", "--u", "10", "--m", "5", "--n", "5", "--t", "2.0"],
+        "db9d843fbcd6363bfe8f6eddb9ad10dfd22455e17eb7bbc1e2cd179973517e1d",
+    ),
     "verify-greedy": (
         ["verify", "--u", "8", "--m", "2", "--n", "4", "--family", "{family}"],
         "ce2e5923376efa2debf6fba7dbff1bb5df2674b0766052d23cb390fba9495f94",

@@ -20,7 +20,7 @@ from idealhash.hashspace import (
     function_to_text,
     set_partitions,
 )
-from idealhash.oracle import class_exceed_masks, cover_mask, verify_family
+from idealhash.oracle import cover_mask, exceed_masks, verify_family
 
 
 def max_load(h, keys):
@@ -73,7 +73,7 @@ class TestLoadProfile:
     def test_dimension_mismatch(self):
         h = HashFunction((1, 2), 2)
         with pytest.raises(DimensionMismatchError):
-            class_exceed_masks([h], Params(4, 2, 2), 1, budget=10**6)
+            exceed_masks([h], Params(4, 2, 2), 1, budget=10**6)
 
 
 class TestIsCIdeal:
@@ -130,17 +130,21 @@ class TestFamilyCost:
 
 
 class TestBalancedFunctions:
-    def test_count_at_4_2_is_six(self):
-        assert sum(1 for _ in balanced_functions(Params(4, 2, 2))) == 6
+    def test_count_at_4_2_is_three(self):
+        # {12|34}, {13|24}, {14|23}: one of the two labellings of each
+        assert [h.cells for h in balanced_functions(Params(4, 2, 2))] == [(1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1)]
 
     @pytest.mark.parametrize("u,m", [(4, 2), (5, 2), (7, 3), (9, 4), (6, 6)])
     def test_budget_is_the_exact_count(self, u, m):
+        # one function per partition; the guard counts every labelling of every partition
         p = Params(u, m, m)
+        r = u % m
+        labelled = math.factorial(u) // math.prod(math.factorial(b) for b in balanced_fiber_sizes(u, m))
         count = sum(1 for _ in balanced_functions(p))
-        assert count == math.factorial(u) // math.prod(math.factorial(b) for b in balanced_fiber_sizes(u, m))
-        assert sum(1 for _ in balanced_functions(p, budget=count)) == count
+        assert count == labelled // (math.factorial(r) * math.factorial(m - r))
+        assert sum(1 for _ in balanced_functions(p, budget=labelled)) == count
         with pytest.raises(BudgetExceededError):
-            next(balanced_functions(p, budget=count - 1))
+            next(balanced_functions(p, budget=labelled - 1))
 
     def test_ragged_fibers_stay_within_one(self):
         p = Params(5, 2, 2)
@@ -153,7 +157,7 @@ class TestBalancedFunctions:
             sizes = [h.cells.count(c) for c in range(1, h.m + 1)]
             assert max(sizes) - min(sizes) <= 1
 
-    @pytest.mark.parametrize("u,m", [(1, 1), (6, 1), (5, 2), (8, 2), (7, 3), (8, 3), (9, 4), (5, 5)])
+    @pytest.mark.parametrize("u,m", [(1, 1), (6, 1), (5, 2), (8, 2), (6, 3), (7, 3), (8, 3), (9, 4), (10, 4), (5, 5)])
     def test_order_is_the_ordered_partition_order(self, u, m):
         def ordered_partitions(keys, sizes):
             # head fiber in combinations order, then the rest of the keys recursively
@@ -165,13 +169,16 @@ class TestBalancedFunctions:
                 for tail in ordered_partitions(rest, sizes[1:]):
                     yield (head,) + tail
 
-        want = []
+        want, seen = [], set()
         for parts in ordered_partitions(tuple(range(1, u + 1)), balanced_fiber_sizes(u, m)):
             cells = [0] * u
             for cell, part in enumerate(parts, start=1):
                 for key in part:
                     cells[key - 1] = cell
-            want.append(tuple(cells))
+            sig = HashFunction(tuple(cells), m).partition_signature()
+            if sig not in seen:  # the first labelling of each partition, in this order
+                seen.add(sig)
+                want.append(tuple(cells))
         assert [h.cells for h in balanced_functions(Params(u, m, m))] == want
 
     def test_first_yield_is_blocked(self):

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idealhash import oracle
@@ -18,8 +18,8 @@ from idealhash.hashspace import (
     balanced_functions,
 )
 from idealhash.oracle import (
-    class_exceed_masks,
     cover_mask,
+    exceed_masks,
     min_family_size_exact,
     verify_family,
 )
@@ -83,17 +83,36 @@ class TestExceedMasks:
         for cap in (1, 2, n // 2):
             assert kernel_masks(rows, m, u, n, cap) == [direct_exceed_mask(row, combos, cap) for row in rows]
 
-    def test_class_masks_follow_first_members_in_pool_order(self):
+    def test_masks_follow_the_pool_repeats_included(self):
         p = Params(6, 3, 3)
-        pool = list(balanced_functions(p))  # every partition class appears 3! times
+        pool = list(balanced_functions(p))
+        pool += [HashFunction(tuple(4 - c for c in h.cells), 3) for h in pool[::7]]  # relabelled repeats
         combos = list(itertools.combinations(range(6), 3))
-        classes, got = class_exceed_masks(pool, p, p.load_cap, budget=10**6)
-        reps = list(classes.values())
-        sigs = [h.partition_signature() for h in pool]
-        assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
-        assert list(classes) == [h.partition_signature() for h in reps]
-        want = [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in reps]
-        assert got == want
+        got = exceed_masks(pool, p, p.load_cap, budget=10**6)
+        assert got == [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in pool]
+
+    def test_pool_budget_refuses_at_the_first_function_past_it(self, monkeypatch):
+        def forbidden(u, n):
+            raise AssertionError("key table built for a refused pool")
+
+        def pool():
+            yield from [HashFunction((1, 2, 1, 2), 2)] * 3  # one partition, three times
+            raise AssertionError("drew past the first function over the budget")
+
+        monkeypatch.setattr(oracle, "_key_table", forbidden)
+        with pytest.raises(BudgetExceededError, match="candidate pool exceeds budget 2"):
+            exceed_masks(pool(), Params(4, 2, 2), 1, budget=10**6, pool_budget=2)
+
+    @pytest.mark.parametrize("u, m, n, cap", [(11, 3, 5, 1), (8, 2, 4, 1), (6, 3, 3, 0), (8, 2, 4, 4), (5, 1, 2, 3)])
+    def test_decided_caps_build_no_key_table(self, monkeypatch, u, m, n, cap):
+        def forbidden(u, n):
+            raise AssertionError("key table built where the cap decides every set")
+
+        monkeypatch.setattr(oracle, "_key_table", forbidden)
+        p = Params(u, m, n)
+        pool = list(itertools.islice(balanced_functions(p), 5))
+        full = (1 << p.total_sets) - 1
+        assert exceed_masks(pool, p, cap, budget=10**6) == [full if m * cap < n else 0] * len(pool)
 
     def test_unranking_follows_the_kernel_bit_order(self):
         # the witness of verify is unranked directly; the cached table is immutable
@@ -173,27 +192,30 @@ class TestCallers:
             with pytest.raises(DimensionMismatchError):
                 verify_family(Family((HashFunction(cells, 2),)), p)
         with pytest.raises(DimensionMismatchError):
-            class_exceed_masks([HashFunction((1, 2, 1, 2), 3)], p, p.load_cap, budget=10**6)
+            exceed_masks([HashFunction((1, 2, 1, 2), 3)], p, p.load_cap, budget=10**6)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(m=st.integers(min_value=1, max_value=3), data=st.data())
-def test_partition_classes_group_by_partition_signature(m, data):
+def test_one_mask_per_drawn_function(m, data):
+    # repeats and relabellings of one partition each get their own mask, at caps
+    # where m*cap < n (every set exceeds), cap >= n (none does) and in between;
+    # the pool budget counts functions, not partitions
     u = data.draw(st.integers(min_value=m, max_value=6))
     n = data.draw(st.integers(min_value=m, max_value=u))
+    regime = data.draw(st.sampled_from(["m*cap < n", "cap >= n", "kernel"]))
+    lo, hi = {"m*cap < n": (0, -(-n // m) - 1), "cap >= n": (n, n + 2), "kernel": (-(-n // m), n - 1)}[regime]
+    assume(lo <= hi)
+    cap = data.draw(st.integers(min_value=lo, max_value=hi))
     every_function = [HashFunction(cells, m) for cells in itertools.product(range(1, m + 1), repeat=u)]
     pool = data.draw(st.lists(st.sampled_from(every_function), min_size=1, max_size=12))
     p = Params(u, m, n)
-    classes, exceed = class_exceed_masks(pool, p, p.load_cap, budget=10**6)
-    reps = list(classes.values())
-    sigs = [h.partition_signature() for h in pool]
-    assert reps == [h for i, h in enumerate(pool) if sigs.index(sigs[i]) == i]
-    assert list(classes) == [h.partition_signature() for h in reps]
+    exceed = exceed_masks(pool, p, cap, budget=10**6)
     combos = list(itertools.combinations(range(u), n))
-    assert exceed == [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in reps]
-    class_exceed_masks(pool, p, p.load_cap, budget=10**6, pool_budget=len(reps))
-    with pytest.raises(BudgetExceededError, match=f"candidate pool exceeds budget {len(reps) - 1}"):
-        class_exceed_masks(pool, p, p.load_cap, budget=10**6, pool_budget=len(reps) - 1)
+    assert exceed == [direct_exceed_mask([c - 1 for c in h.cells], combos, cap) for h in pool]
+    assert exceed_masks(pool, p, cap, budget=10**6, pool_budget=len(pool)) == exceed
+    with pytest.raises(BudgetExceededError, match=f"candidate pool exceeds budget {len(pool) - 1}"):
+        exceed_masks(pool, p, cap, budget=10**6, pool_budget=len(pool) - 1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -269,13 +269,21 @@ def every_function(u, m):
     return (HashFunction(cells, m) for cells in itertools.product(range(1, m + 1), repeat=u))
 
 
+def first_members(u, m):
+    """Each partition signature with its first function among every_function(u, m)."""
+    classes = {}
+    for h in every_function(u, m):
+        classes.setdefault(h.partition_signature(), h)
+    return classes
+
+
 def search_without_orbits(p, size_limit):
     """The deepening loop before orbital branching: every root candidate is tried."""
     if p.c >= p.m or p.m == 1:
         return 1
     if p.m * p.load_cap < p.n:
         return None
-    _, exceed = oracle.class_exceed_masks(every_function(p.u, p.m), p, p.load_cap, budget=10**6)
+    exceed = oracle.exceed_masks(first_members(p.u, p.m).values(), p, p.load_cap, budget=10**6)
     full = (1 << p.total_sets) - 1
     masks = sorted((full ^ mk for mk in exceed if full ^ mk), key=lambda mk: -mk.bit_count())
     for k in range(1, size_limit + 1):
@@ -335,7 +343,8 @@ def test_root_tries_one_candidate_per_orbit_of_the_first_set(monkeypatch, p):
     def partition_orbit(sig):
         return min(tuple(sorted(tuple(sorted(perm[k] for k in f)) for f in sig)) for perm in perms)
 
-    classes, exceed = oracle.class_exceed_masks(every_function(p.u, p.m), p, p.load_cap, budget=10**6)
+    classes = first_members(p.u, p.m)
+    exceed = oracle.exceed_masks(classes.values(), p, p.load_cap, budget=10**6)
     covering = {sig: full ^ mk for sig, mk in zip(classes, exceed) if (full ^ mk) & 1}
     assert {mask_orbit(r) for r in roots} == {mask_orbit(mk) for mk in set(covering.values())}
     assert len(roots) <= len({partition_orbit(sig) for sig in covering})
