@@ -1,11 +1,12 @@
 """Closed-form bounds on the minimal ideal-family size and on advice bits.
 
 Every evaluator is a pure function of its parameters.  Family sizes are
-exp(Theta(m)), so each bound is carried as its natural log, a float with
--inf standing for zero.  Each `_eval_*` builds the entries of one bound, or
-raises BoundNotApplicableError with a note saying why the bound does not
-apply; report assembly (`_entries`) turns that note into an entry whose ln
-is None, so sweeps over mixed-domain grids stay total.  Stable entry names:
+exp(Theta(m)), so each bound is carried as its natural log, a finite float;
+a bound that rounds to zero or fewer functions does not apply.  Each
+`_eval_*` builds the entries of one bound, or raises BoundNotApplicableError
+with a note saying why the bound does not apply; report assembly
+(`_entries`) turns that note into an entry whose ln is None, so sweeps over
+mixed-domain grids stay total.  Stable entry names:
 
     lower.volume  lower.main  lower.universe  lower.fk  lower.mehlhorn
     upper.prob.tight  upper.prob.loose  upper.main  upper.naor  upper.yao
@@ -33,9 +34,8 @@ DESK_SCALE_BITS = 200_000
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One named bound: ln is its natural log (-inf for zero) when the bound
-    applies at the parameter point, None when it does not, and validity_note
-    then says why."""
+    """One named bound: ln is its natural log when the bound applies at the
+    parameter point, None when it does not, and validity_note then says why."""
 
     name: str
     ln: float | None
@@ -87,9 +87,9 @@ def lower_main(m: int, alpha: Fraction, c: Fraction, eps: Fraction | float = 0) 
     """ln of (1-eps) * exp(m * e^-alpha * (1-eps) * (alpha/(c*alpha+1))^(c*alpha+1))."""
     alpha = Fraction(alpha)
     c = Fraction(c)
-    epsf = float(eps)
-    if not 0 <= epsf < 1:
+    if not 0 <= eps < 1:  # checked exactly: float(eps) overflows past the float range
         raise ValueError("need eps in [0, 1)")
+    epsf = float(eps)
     ca1 = c * alpha + 1
     term = math.exp(-float(alpha)) * (1.0 - epsf) * float(alpha / ca1) ** float(ca1)
     return math.log1p(-epsf) + m * term
@@ -232,26 +232,26 @@ def _eval_prob(u: int, n: int, count: IdealCount | None) -> tuple[BoundEntry, Bo
     """upper.prob.tight and upper.prob.loose from p = M_c / C(u,n).
 
     Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
-    r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) * n * ln u, zero at
-    u = 1.  A ceiling past the float range is None.
+    r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) * n * ln u, not
+    applicable at u = 1.  A ceiling past the float range is None.
     """
     ratio = _count_ratio(count, "no ideal family exists")
     total, m_c = count.total, count.m_c
     ln_r = -math.inf if m_c == total else math.log(math.log(total)) - _ln_neg_ln1m(ratio.denominator, ratio.numerator)
-    ln_loose = ln_fraction(ratio * n) + math.log(math.log(u)) if u > 1 else -math.inf
+    tight = BoundEntry(
+        name="upper.prob.tight",
+        ln=max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r))),
+        validity_note="exact p",
+        ceiling=_tight_ceiling(total, m_c, ln_r),
+    )
+    if u < 2:
+        return tight, BoundEntry("upper.prob.loose", None, "needs u >= 2 (it carries ln ln u)")
     try:
         loose_ceiling = math.ceil(float(ratio) * n * math.log(u))
     except OverflowError:
         loose_ceiling = None
-    return (
-        BoundEntry(
-            name="upper.prob.tight",
-            ln=max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r))),
-            validity_note="exact p",
-            ceiling=_tight_ceiling(total, m_c, ln_r),
-        ),
-        BoundEntry("upper.prob.loose", ln_loose, "exact p", ceiling=loose_ceiling),
-    )
+    ln_loose = ln_fraction(ratio * n) + math.log(math.log(u))
+    return tight, BoundEntry("upper.prob.loose", ln_loose, "exact p", ceiling=loose_ceiling)
 
 
 def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
@@ -261,7 +261,9 @@ def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
 
 def _eval_universe(p: Params) -> tuple[BoundEntry]:
     lu = lower_universe(p.u, p.m, p.n, p.c)
-    return (BoundEntry("lower.universe", math.log(lu) if lu > 0 else -math.inf, ceiling=max(0, math.ceil(lu))),)
+    if lu <= 0:
+        raise BoundNotApplicableError("c*alpha lies within float rounding of u: ln u - ln(c*alpha) rounds to <= 0")
+    return (BoundEntry("lower.universe", math.log(lu), ceiling=math.ceil(lu)),)
 
 
 def _eval_upper_main(p: Params) -> tuple[BoundEntry]:

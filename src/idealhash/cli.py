@@ -2,10 +2,8 @@
 check-lemmas, report.
 
 Exact rationals serialize as "numerator/denominator" strings, never floats.
-IDEALHASH_<FLAG> (e.g. IDEALHASH_BUDGET=500000) sets the default of --c,
---eps, --t, --format, --out, --budget, --size-limit, --pool-budget, --seed,
---max-rounds, --pool and --trials.  Exit codes: 0 success, 1 budget or
-domain error, 2 usage error, 3 lemma-check failure.
+Exit codes: 0 success, 1 budget or domain error, 2 usage error, 3 lemma-check
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -36,36 +33,12 @@ from .hashspace import (
 if TYPE_CHECKING:  # each handler imports the module it runs, so a call loads only its own
     from .bounds import BoundEntry
 
-ENV_PREFIX = "IDEALHASH_"
-
-
-def _env(name: str, fallback):
-    """A flag default: the IDEALHASH_<NAME> string when set, else `fallback`.
-
-    argparse runs a flag's `type` over a string default, so a malformed
-    override is a usage error (exit 2), reported like a malformed flag.
-    """
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    return raw if raw is not None else fallback
-
 
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-def _one_of(options: tuple[str, ...]):
-    """A flag type admitting only `options`: argparse checks `choices` against
-    given flags but not against string defaults such as IDEALHASH_* overrides."""
-
-    def parse(text: str) -> str:
-        if text not in options:
-            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(options)})")
-        return text
-
-    return parse
 
 
 def _int_list(text: str) -> list[int]:
@@ -80,16 +53,16 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--u", type=int, required=True, help="universe size")
     sp.add_argument("--m", type=int, required=True, help="table size")
     sp.add_argument("--n", type=int, required=True, help="key-set size")
-    sp.add_argument("--c", type=_fraction, default=_env("c", "1"), help="ideality factor (rational, e.g. 3/2 or 1.5)")
+    sp.add_argument("--c", type=_fraction, default=Fraction(1), help="ideality factor (rational, e.g. 3/2 or 1.5)")
 
 
 def _add_output_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...] = (), budget: bool = False) -> None:
     """--out; --format over `formats` (the first is the default) if any; --budget if asked."""
     if formats:
-        sp.add_argument("--format", choices=formats, type=_one_of(formats), default=_env("format", formats[0]))
-    sp.add_argument("--out", type=str, default=_env("out", None), help="write the report here instead of stdout")
+        sp.add_argument("--format", choices=formats, default=formats[0])
+    sp.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
     if budget:
-        sp.add_argument("--budget", type=int, default=_env("budget", DEFAULT_ENUM_BUDGET), help="enumeration budget on C(u,n), on u!/prod(beta_i!) for balanced pools and on m**u, which bounds the set partitions of all-function pools")
+        sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget on C(u,n), on u!/prod(beta_i!) for balanced pools and on m**u, which bounds the set partitions of all-function pools")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,15 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="evaluate every named bound and the advice report")
     _add_param_flags(sp)
     _add_output_flags(sp, ("json", "csv", "table"))
-    sp.add_argument("--eps", type=_fraction, default=_env("eps", "0"))
-    sp.add_argument("--t", type=float, default=_env("t", 2.0))
+    sp.add_argument("--eps", type=_fraction, default=Fraction(0))
+    sp.add_argument("--t", type=float, default=2.0)
 
     sp = sub.add_parser("exact", help="exact ideality count and probability")
     _add_param_flags(sp)
     _add_output_flags(sp, budget=True)
     sp.add_argument("--with-hc", action="store_true", help="also search the exact minimal family size")
-    sp.add_argument("--size-limit", type=int, default=_env("size_limit", 8))
-    sp.add_argument("--pool-budget", type=int, default=_env("pool_budget", DEFAULT_POOL_BUDGET))
+    sp.add_argument("--size-limit", type=int, default=8)
+    sp.add_argument("--pool-budget", type=int, default=DEFAULT_POOL_BUDGET)
 
     sp = sub.add_parser("verify", help="check a family file against every key set")
     _add_param_flags(sp)
@@ -118,12 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     _add_output_flags(sp, budget=True)
     sp.add_argument("--method", choices=("random", "greedy", "yao"), required=True)
-    sp.add_argument("--seed", type=int, default=_env("seed", 0))
-    sp.add_argument("--max-rounds", type=int, default=_env("max_rounds", 64))
-    sp.add_argument("--t", type=float, default=_env("t", 2.0))
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--max-rounds", type=int, default=64)
+    sp.add_argument("--t", type=float, default=2.0)
     sp.add_argument("--load-target", type=int, default=None)
-    pools = ("balanced", "all")
-    sp.add_argument("--pool", choices=pools, type=_one_of(pools), default=_env("pool", "balanced"))
+    sp.add_argument("--pool", choices=("balanced", "all"), default="balanced")
     sp.add_argument("--family-out", type=str, default=None, help="also write the family in text form")
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimates")
@@ -131,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", type=int, default=None)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--c", type=_fraction, default=_env("c", "1"))
-    sp.add_argument("--trials", type=int, default=_env("trials", 10000))
-    sp.add_argument("--seed", type=int, default=_env("seed", 0))
+    sp.add_argument("--c", type=_fraction, default=Fraction(1))
+    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--seed", type=int, default=0)
     _add_output_flags(sp)
 
     sp = sub.add_parser("check-lemmas", help="run the exact inequality battery")
@@ -143,9 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--u", type=_int_list, required=True, help="comma-separated list")
     sp.add_argument("--m", type=_int_list, required=True)
     sp.add_argument("--n", type=_int_list, required=True)
-    sp.add_argument("--c", type=_fraction_list, default=_env("c", "1"))
-    sp.add_argument("--eps", type=_fraction, default=_env("eps", "0"))
-    sp.add_argument("--t", type=float, default=_env("t", 2.0))
+    sp.add_argument("--c", type=_fraction_list, default=(Fraction(1),))
+    sp.add_argument("--eps", type=_fraction, default=Fraction(0))
+    sp.add_argument("--t", type=float, default=2.0)
     _add_output_flags(sp, ("csv", "table"))
     return ap
 
@@ -185,7 +157,7 @@ def _write(out: str | None, text: str) -> None:
 def _emit_json(out: str | None, command: str, record: dict) -> None:
     """Write `record` as the `command` report, stamped with the schema version."""
     stamped = {"schema_version": 1, "command": command, **record}
-    _write(out, json.dumps(stamped, sort_keys=True, indent=2) + "\n")
+    _write(out, json.dumps(stamped, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _emit_rows(out: str | None, fmt: str, header: list[str], rows: list[list]) -> None:

@@ -17,6 +17,10 @@ from idealhash.construct import yao_family
 from idealhash.hashspace import Params, balanced_fiber_sizes, balanced_functions
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run_capture(capsys, argv):
     rc = run(argv)
     captured = capsys.readouterr()
@@ -152,22 +156,37 @@ class TestBounds:
         rc, out, err = run_capture(capsys, ["bounds", "--u", "1", "--m", "1", "--n", "1"])
         assert (rc, err) == (0, "")
         entries = {e["name"]: e for e in json.loads(out)["bounds"]}
-        for name in ("upper.main", "upper.naor"):
+        for name in ("upper.main", "upper.naor", "upper.prob.loose"):
             assert not entries[name]["valid"]
             assert "u >= 2" in entries[name]["note"]
         assert entries["lower.volume"]["ceiling"] == 1
 
     def test_universe_bound_rounding_to_zero_prints_zero_advice(self, capsys):
-        # c*alpha sits within an ulp of u, so ln u - ln(c*alpha) rounds to 0
-        c = "199999999999999999999/100000000000000000000"
-        rc, out, err = run_capture(capsys, ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", c])
-        assert (rc, err) == (0, "")
-        advice = json.loads(out)["advice"]
-        assert advice["lower_easy_nats"] == advice["lower_easy_bits"] == 0.0
-        rc, out, err = run_capture(capsys, ["report", "--u", "4", "--m", "2", "--n", "4", "--c", c])
-        assert (rc, err) == (0, "")
-        header, row = csv.reader(io.StringIO(out))
-        assert dict(zip(header, row))["advice.lower_easy"] == "0"
+        # c*alpha sits within an ulp of u, so ln u - ln(c*alpha) rounds to 0 at
+        # (4,2,4) and to -2.7e-15 at (4,4,4): the bound is not applicable
+        for u, m, n, c in (
+            ("4", "2", "4", "199999999999999999999/100000000000000000000"),
+            ("4", "4", "4", "1999999999999999999/500000000000000000"),
+        ):
+            rc, out, err = run_capture(capsys, ["bounds", "--u", u, "--m", m, "--n", n, "--c", c])
+            assert (rc, err) == (0, "")
+            payload = json.loads(out, parse_constant=_refuse_constant)
+            universe = {e["name"]: e for e in payload["bounds"]}["lower.universe"]
+            assert not universe["valid"] and universe["ceiling"] is None
+            assert "float rounding" in universe["note"]
+            advice = payload["advice"]
+            assert advice["lower_easy_nats"] == advice["lower_easy_bits"] == 0.0
+            rc, out, err = run_capture(capsys, ["report", "--u", u, "--m", m, "--n", n, "--c", c])
+            assert (rc, err) == (0, "")
+            header, row = csv.reader(io.StringIO(out))
+            assert dict(zip(header, row))["lower.universe"] == ""
+            assert dict(zip(header, row))["advice.lower_easy"] == "0"
+
+    @pytest.mark.parametrize("command", ["bounds", "report"])
+    def test_eps_past_the_float_range_is_refused(self, capsys, command):
+        rc, out, err = run_capture(capsys, [command, "--u", "8", "--m", "2", "--n", "4", "--eps", "1e400"])
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "need eps in [0, 1)"}
 
 
 class TestConstructAndVerify:
@@ -475,86 +494,33 @@ class TestErrorsAndExitCodes:
         assert json.loads(out)["all_ok"] is False
 
 
-class TestEnvOverrides:
-    def test_format_flag_default_comes_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("IDEALHASH_FORMAT", "table")
-        rc, out, _ = run_capture(capsys, ["bounds", "--u", "8", "--m", "2", "--n", "4"])
-        assert rc == 0
-        assert out.startswith("name")  # table header, not JSON
-
-    def test_budget_default_comes_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("IDEALHASH_BUDGET", "10")
-        rc, _, err = run_capture(
-            capsys,
-            ["exact", "--u", "10", "--m", "2", "--n", "5", "--c", "1", "--with-hc"],
-        )
-        assert rc == 1
-        assert json.loads(err)["error"] == "BudgetExceededError"
-
-
-    @pytest.mark.parametrize(
-        "name, value, argv",
-        [
-            ("IDEALHASH_BUDGET", "abc", ["exact", "--u", "8", "--m", "2", "--n", "4"]),
-            ("IDEALHASH_BUDGET", "1e6", ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"]),
-            ("IDEALHASH_SEED", "1.5", ["construct", "--method", "random", "--u", "4", "--m", "2", "--n", "2"]),
-            ("IDEALHASH_TRIALS", "two", ["simulate", "--kind", "max-load", "--m", "2", "--n", "4"]),
-            ("IDEALHASH_T", "fast", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
-            ("IDEALHASH_C", "1/0", ["report", "--u", "8", "--m", "2", "--n", "4"]),
-            ("IDEALHASH_FORMAT", "xml", ["bounds", "--u", "8", "--m", "2", "--n", "4"]),
-            ("IDEALHASH_POOL", "foo", ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"]),
-            ("IDEALHASH_FORMAT", "json", ["report", "--u", "8", "--m", "2", "--n", "4"]),
-        ],
+def test_idealhash_variables_change_no_output(capsys, monkeypatch):
+    # every setting comes from its flag: IDEALHASH_* variables are not read
+    calls = (
+        ["exact", "--u", "6", "--m", "2", "--n", "2", "--with-hc"],  # a budget of 10 < C(6,2) would refuse it
+        ["bounds", "--u", "8", "--m", "2", "--n", "4"],
     )
-    def test_malformed_override_is_a_usage_error(self, capsys, monkeypatch, name, value, argv):
-        monkeypatch.setenv(name, value)
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
-        assert "error: argument --" in capsys.readouterr().err
+    clean = [run_capture(capsys, argv) for argv in calls]
+    monkeypatch.setenv("IDEALHASH_BUDGET", "10")
+    monkeypatch.setenv("IDEALHASH_FORMAT", "xml")
+    assert [run_capture(capsys, argv) for argv in calls] == clean
+    assert [rc for rc, _, _ in clean] == [0, 0]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["bounds", "--u", "8", "--m", "2", "--n", "4"],
-            ["report", "--u", "8", "--m", "2", "--n", "4"],
-            ["check-lemmas"],
-            ["simulate", "--kind", "max-load", "--m", "2", "--n", "4", "--trials", "50"],
-        ],
-    )
-    def test_budget_override_leaves_commands_without_budget_alone(self, capsys, monkeypatch, argv):
-        for name in list(os.environ):
-            if name.startswith("IDEALHASH_"):
-                monkeypatch.delenv(name)
-        clean = run_capture(capsys, argv)
-        monkeypatch.setenv("IDEALHASH_BUDGET", "abc")
-        assert run_capture(capsys, argv) == clean
-        assert clean[0] == 0
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["exact", "--u", "8", "--m", "2", "--n", "4"],
-            ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", "{family}"],
-            ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2"],
-            ["simulate", "--kind", "max-load", "--m", "2", "--n", "4", "--trials", "50"],
-        ],
-    )
-    def test_format_override_leaves_json_only_commands_alone(self, capsys, monkeypatch, tmp_path, argv):
-        family = tmp_path / "family.txt"
-        family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
-        monkeypatch.setenv("IDEALHASH_FORMAT", "xml")
-        rc, out, _ = run_capture(capsys, [str(family) if a == "{family}" else a for a in argv])
-        assert rc == 0
-        assert json.loads(out)["command"] == argv[0]
-
-    def test_flag_wins_over_malformed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("IDEALHASH_BUDGET", "abc")
-        rc, out, _ = run_capture(
-            capsys, ["exact", "--u", "8", "--m", "2", "--n", "4", "--budget", "100"]
-        )
-        assert rc == 0
-        assert json.loads(out)["m_c"] == 36
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--u", "8", "--m", "2", "--n", "4", "--format", "xml"],
+        ["report", "--u", "8", "--m", "2", "--n", "4", "--format", "json"],
+        ["construct", "--method", "greedy", "--u", "4", "--m", "2", "--n", "2", "--pool", "foo"],
+    ],
+    ids=["bounds-format", "report-format", "construct-pool"],
+)
+def test_choice_outside_the_flag_choices_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: invalid choice: '{argv[-1]}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["idealhash", "idealhash.cli"])
@@ -599,8 +565,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert run(["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
 """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("IDEALHASH_")}
-    env["PYTHONPATH"] = str(Path(idealhash.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
 
@@ -628,8 +593,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert run(["simulate", "--kind", "ideal-prob", "--u", "8", "--m", "2", "--n", "4", "--trials", "10"]) == 0
 assert "idealhash.oracle" not in sys.modules
 """
-    env = {k: v for k, v in os.environ.items() if not k.startswith("IDEALHASH_")}
-    env["PYTHONPATH"] = str(Path(idealhash.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr.decode()
 

@@ -1,8 +1,9 @@
 """The CLI over fuzzed argv: every input ends in a documented exit code.
 
 `run(argv)` either returns or raises `SystemExit` (argparse) with a code in
-{0, 1, 2, 3}; a code of 1 comes with exactly one JSON record on stderr; no
-other exception escapes.  Sizes stay small so each call is quick.
+{0, 1, 2, 3}; a code of 1 comes with exactly one JSON record on stderr; a
+JSON report on stdout is strict JSON (no NaN or Infinity); no other exception
+escapes.  Sizes stay small so each call is quick.
 """
 
 import contextlib
@@ -15,6 +16,10 @@ from hypothesis import strategies as st
 from idealhash.cli import run
 
 MALFORMED = ["", "x", "1.5", "1e3", "0x10", "--", "-", "nan", "1/0"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def _mostly(valid: range):
@@ -75,6 +80,8 @@ def test_every_argv_ends_in_a_documented_exit(argv, extra):
         except SystemExit as exc:
             rc = exc.code
     assert rc in (0, 1, 2, 3), (argv + extra, rc)
+    if rc == 0 and out.getvalue().startswith("{"):  # a JSON report: strict, no NaN or Infinity
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
     if rc == 1:
         (line,) = err.getvalue().splitlines()
         assert set(json.loads(line)) == {"error", "message"}
