@@ -90,9 +90,11 @@ def lower_main(m: int, alpha: Fraction, c: Fraction, eps: Fraction | float = 0) 
     if not 0 <= eps < 1:  # checked exactly: float(eps) overflows past the float range
         raise ValueError("need eps in [0, 1)")
     epsf = float(eps)
+    # float(eps) rounds to 1.0 within 2**-54 of 1, where ln(1 - eps) is taken exactly
+    ln_keep = math.log1p(-epsf) if epsf < 1 else ln_fraction(1 - Fraction(eps))
     ca1 = c * alpha + 1
     term = math.exp(-float(alpha)) * (1.0 - epsf) * float(alpha / ca1) ** float(ca1)
-    return math.log1p(-epsf) + m * term
+    return ln_keep + m * term
 
 
 def lower_universe(u: int, m: int, n: int, c: Fraction | int) -> float:

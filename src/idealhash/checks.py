@@ -155,14 +155,9 @@ def check_tail_lower_bound() -> CheckResult:
 
 def check_balance_extremality(u_max: int = 14) -> CheckResult:
     """Balanced decompositions are exactly the ideal-count maximizers when the cap binds."""
-    return _tally("balance-extremality", (
-        balance_extremality_check(u, m, n, c)
-        for m in (2, 3)
-        for n in range(m, 7)
-        for u in range(n, u_max + 1)
-        for c in C_GRID
-        if cap_binds(u, m, n, c)  # elsewhere the degenerate tie regime
-    ))
+    grid = (Params(u, m, n, c) for m in (2, 3) for n in range(m, 7) for u in range(n, u_max + 1) for c in C_GRID)
+    # the points where the cap does not bind are the degenerate tie regime
+    return _tally("balance-extremality", (balance_extremality_check(p) for p in grid if cap_binds(p)))
 
 
 def check_composition_crude_lower() -> CheckResult:

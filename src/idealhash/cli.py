@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-rounds", type=int, default=64)
     sp.add_argument("--t", type=float, default=2.0)
-    sp.add_argument("--load-target", type=int, default=None)
     sp.add_argument("--pool", choices=("balanced", "all"), default="balanced")
     sp.add_argument("--family-out", type=str, default=None, help="also write the family in text form")
 
@@ -262,9 +261,7 @@ def _cmd_construct(args) -> int:
         if args.method == "greedy":
             log = construct_mod.greedy_cover(p, pool, budget=args.budget)
         else:
-            log = construct_mod.yao_family(
-                p, t=args.t, pool=pool, load_target=args.load_target, budget=args.budget
-            )
+            log = construct_mod.yao_family(p, t=args.t, pool=pool, budget=args.budget)
         if balanced:  # one function per partition; pool_size counts all u!/prod(beta_i!) labellings
             r = p.u % p.m
             log = dataclasses.replace(log, pool_size=len(pool) * math.factorial(r) * math.factorial(p.m - r))

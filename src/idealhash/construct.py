@@ -109,14 +109,14 @@ def random_balanced_family(
 
 
 def _select(
-    p: Params, candidates: tuple[HashFunction, ...], cap: int, budget: int, by_signature: bool = False
+    p: Params, candidates: tuple[HashFunction, ...], budget: int, by_signature: bool = False
 ) -> tuple[list[HashFunction], list[int], int]:
     """Pick pool members while live key sets remain.
 
     Every set starts live; a pick keeps live only the sets it hashes with a
-    max load above cap.  Each round takes the member that keeps the fewest,
-    the first on ties in pool order (or in partition-signature order, with
-    `by_signature`), and the run stops when nothing is live or no member
+    max load above p.load_cap.  Each round takes the member that keeps the
+    fewest, the first on ties in pool order (or in partition-signature order,
+    with `by_signature`), and the run stops when nothing is live or no member
     shrinks the live set.
     A repeated partition never wins: it comes after its first member in
     either order (the sort is stable) and never strictly improves on it.
@@ -125,7 +125,7 @@ def _select(
     """
     if not candidates:
         raise ValueError("pool must be non-empty")
-    exceed = exceed_masks(candidates, p, cap, budget)
+    exceed = exceed_masks(candidates, p, budget)
     order = list(range(len(candidates)))
     if by_signature:
         sigs = [h.partition_signature() for h in candidates]
@@ -162,7 +162,7 @@ def greedy_cover(
     when no pool function adds coverage (unverified log).
     """
     candidates = tuple(pool)
-    chosen, trail, uncovered = _select(p, candidates, p.load_cap, budget, by_signature=True)
+    chosen, trail, uncovered = _select(p, candidates, budget, by_signature=True)
     return _log("greedy", chosen, trail, seed=None, pool_size=len(candidates), verified=uncovered == 0)
 
 
@@ -170,26 +170,21 @@ def yao_family(
     p: Params,
     t: float,
     pool: Iterable[HashFunction],
-    load_target: int | None = None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> ConstructionLog:
     """Iteratively pick functions whose exceed-fraction over live sets is <= 1/t.
 
-    A set is live while every chosen function drives its max load above
-    load_target, by default the larger of ceil(alpha) and the c-ideal cap
-    floor(c*alpha).  Each admissible round shrinks the live set by at least the
-    factor 1/t; rounds where no pool member meets the threshold fall back to
-    the minimum exceed-fraction and are recorded.  Raises PoolExhaustedError
-    if no pool member shrinks the live set while live sets remain.
+    A set is live while every chosen function drives its max load above the
+    c-ideal cap floor(c*alpha), which the log records as load_target.  Each
+    admissible round shrinks the live set by at least the factor 1/t; rounds
+    where no pool member meets the threshold fall back to the minimum
+    exceed-fraction and are recorded.  Raises PoolExhaustedError if no pool
+    member shrinks the live set while live sets remain.
     """
     if not 1 < t < math.inf:
         raise ValueError("need 1 < t < inf")
-    if load_target is None:
-        load_target = max(math.ceil(p.alpha), p.load_cap)
-    if load_target < math.ceil(p.alpha):
-        raise ValueError("load_target below ceil(alpha) is unsatisfiable")
     candidates = tuple(pool)
-    chosen, trail, live = _select(p, candidates, load_target, budget)
+    chosen, trail, live = _select(p, candidates, budget)
     if live:
         raise PoolExhaustedError(f"pool exhausted with {live.bit_count()} live sets remaining")
     threshold = Fraction(1) / Fraction(t).limit_denominator(10**9)
@@ -203,7 +198,7 @@ def yao_family(
         pool_size=len(candidates),
         verified=True,
         t=t,
-        load_target=load_target,
+        load_target=p.load_cap,
         fallback_rounds=fallbacks,
     )
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -96,7 +95,7 @@ def exact_ideal_probability(p: Params) -> IdealCount:
     return IdealCount(m_c=m_c, total=binom(p.u, p.n))
 
 
-def cap_binds(u: int, m: int, n: int, c: Fraction | int) -> bool:
+def cap_binds(p: Params) -> bool:
     """True when the load cap genuinely constrains the balanced decomposition.
 
     Three degenerate regimes produce ties instead of a unique maximizer:
@@ -105,28 +104,26 @@ def cap_binds(u: int, m: int, n: int, c: Fraction | int) -> bool:
     balanced function hashes every set ideally and any all-small-fiber
     decomposition ties with it).
     """
-    cap = math.floor(Fraction(c) * Fraction(n, m))
-    return m * cap >= n and cap < n and cap < -(-u // m)
+    cap = p.load_cap
+    return p.m * cap >= p.n and cap < p.n and cap < -(-p.u // p.m)
 
 
-def balance_extremality_check(u: int, m: int, n: int, c: Fraction | int) -> bool:
+def balance_extremality_check(p: Params) -> bool:
     """Check that the balanced decomposition is exactly the argmax of the ideal count.
 
     Where the cap binds (see `cap_binds`) the argmax must be the balanced
     decomposition alone; in the degenerate tie regimes the check degrades to
     `balanced is among the argmax`.
     """
-    c = Fraction(c)
-    cap = math.floor(c * Fraction(n, m))
-    balanced = tuple(sorted(balanced_fiber_sizes(u, m), reverse=True))
+    balanced = tuple(sorted(balanced_fiber_sizes(p.u, p.m), reverse=True))
     counts = {
-        part: count_ideal_sets(part, n, cap)
-        for part in compositions(u, m, u)
+        part: count_ideal_sets(part, p.n, p.load_cap)
+        for part in compositions(p.u, p.m, p.u)
         if all(a >= b for a, b in zip(part, part[1:]))
     }
     best = max(counts.values())
     argmax = {part for part, v in counts.items() if v == best}
-    if not cap_binds(u, m, n, c):
+    if not cap_binds(p):
         return balanced in argmax
     return argmax == {balanced}
 
@@ -212,9 +209,9 @@ def _exceed_mask(
 
 
 def exceed_masks(
-    functions: Iterable[HashFunction], p: Params, cap: int, budget: int, pool_budget: int | None = None
+    functions: Iterable[HashFunction], p: Params, budget: int, pool_budget: int | None = None
 ) -> list[int]:
-    """The exceed bitset of each function, in order, repeats included.
+    """The exceed bitset of each function at cap p.load_cap, in order, repeats included.
 
     Checks the C(u,n) budget first; at most `pool_budget` functions may come,
     counted as they stream.  Where cap >= n no set exceeds, and where m*cap < n
@@ -228,6 +225,7 @@ def exceed_masks(
             raise BudgetExceededError(f"candidate pool exceeds budget {pool_budget}")
     if any(h.u != p.u or h.m != p.m for h in pool):
         raise DimensionMismatchError(f"every function must map keys 1..{p.u} into cells 1..{p.m}")
+    cap = p.load_cap
     if cap >= p.n:
         return [0] * len(pool)
     if p.m * cap < p.n:
@@ -253,14 +251,14 @@ def verify_family(
     f: Family, p: Params, budget: int = DEFAULT_ENUM_BUDGET
 ) -> CoverageReport:
     """Count the key sets covered by some family member; witness the first miss."""
-    uncovered = functools.reduce(operator.and_, exceed_masks(f.functions, p, p.load_cap, budget))
+    uncovered = functools.reduce(operator.and_, exceed_masks(f.functions, p, budget))
     witness = _unrank((uncovered & -uncovered).bit_length() - 1, p.u, p.n) if uncovered else None
     return CoverageReport(covered=p.total_sets - uncovered.bit_count(), uncovered_witness=witness)
 
 
 def cover_mask(h: HashFunction, p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Bitmask over lexicographically ranked key sets that h hashes within cap."""
-    (exceed,) = exceed_masks([h], p, p.load_cap, budget)
+    (exceed,) = exceed_masks([h], p, budget)
     return ((1 << p.total_sets) - 1) ^ exceed
 
 
@@ -319,7 +317,7 @@ def min_family_size_exact(
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
     pool, again = itertools.tee(set_partitions(p.u, p.m, budget))  # `again` replays what the masks took
-    exceed = exceed_masks(pool, p, p.load_cap, budget, pool_budget)
+    exceed = exceed_masks(pool, p, budget, pool_budget)
     full = (1 << p.total_sets) - 1
     scored = sorted(
         ((full ^ mk, h.partition_signature()) for mk, h in zip(exceed, again) if full ^ mk),

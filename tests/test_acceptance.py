@@ -191,13 +191,13 @@ def test_criterion_07_constructors():
             greedy_ok = False
 
     yao_ok = True
-    for (p, t, target) in (
-        (Params(8, 2, 4, 1), 2.0, 3),
-        (Params(6, 2, 3, 1), 1.5, 2),
-        (Params(6, 3, 3, 1), 2.0, 2),
+    for (p, t) in (
+        (Params(8, 2, 4, Fraction(3, 2)), 2.0),  # load cap 3
+        (Params(6, 2, 3, Fraction(4, 3)), 1.5),  # load cap 2
+        (Params(6, 3, 3, 2), 2.0),  # load cap 2
     ):
         total = binom(p.u, p.n)
-        log = yao_family(p, t=t, pool=balanced_functions(p), load_target=target)
+        log = yao_family(p, t=t, pool=balanced_functions(p))
         if not log.verified:
             yao_ok = False
         if log.rounds > math.floor(math.log(total) / math.log(t)) + 1:
@@ -205,7 +205,7 @@ def test_criterion_07_constructors():
         for r, residual in enumerate(log.uncovered_per_round, start=1):
             if residual > total / t**r:
                 yao_ok = False
-        if not verify_family(log.family, Params(p.u, p.m, p.n, Fraction(target * p.m, p.n))).is_ideal_family:
+        if not verify_family(log.family, p).is_ideal_family:
             yao_ok = False
 
     # instances chosen so the union bound itself promises <= 2.5% failure

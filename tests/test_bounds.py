@@ -85,6 +85,11 @@ class TestLowerMain:
         with pytest.raises(ValueError):
             lower_main(4, Fraction(1), Fraction(1), 1)
 
+    def test_eps_whose_float_is_one_takes_the_exact_log(self):
+        eps = 1 - Fraction(1, 10**20)
+        assert float(eps) == 1.0
+        assert lower_main(4, Fraction(1), Fraction(1), eps) == pytest.approx(-20 * math.log(10), rel=1e-12)
+
     def test_oracle_comparison_logged_not_asserted(self):
         # the asymptotic form may cross 1/p at desk scale; record the gap only
         gaps = []

@@ -14,6 +14,7 @@ import idealhash
 from idealhash import oracle
 from idealhash.cli import run
 from idealhash.construct import yao_family
+from idealhash.errors import PoolExhaustedError
 from idealhash.hashspace import Params, balanced_fiber_sizes, balanced_functions
 
 
@@ -188,6 +189,17 @@ class TestBounds:
         assert (rc, out) == (1, "")
         assert json.loads(err) == {"error": "ValueError", "message": "need eps in [0, 1)"}
 
+    def test_eps_whose_float_rounds_to_one_is_served(self, capsys):
+        argv = ["--u", "8", "--m", "2", "--n", "4", "--eps", "0.99999999999999999999"]
+        rc, out, err = run_capture(capsys, ["bounds", *argv])
+        assert (rc, err) == (0, "")
+        main = {e["name"]: e for e in json.loads(out, parse_constant=pytest.fail)["bounds"]}["lower.main"]
+        assert main["ln"] == pytest.approx(-20 * math.log(10), rel=1e-12)
+        rc, out, err = run_capture(capsys, ["report", *argv])
+        assert (rc, err) == (0, "")
+        header, row = csv.reader(io.StringIO(out))
+        assert float(dict(zip(header, row))["lower.main"]) == pytest.approx(-20 * math.log(10), rel=1e-8)
+
 
 class TestConstructAndVerify:
     def test_greedy_anchor(self, capsys):
@@ -290,8 +302,8 @@ class TestConstructAndVerify:
             capsys,
             [
                 "construct", "--method", "yao",
-                "--u", "8", "--m", "2", "--n", "4", "--c", "1",
-                "--t", "2.0", "--load-target", "3",
+                "--u", "8", "--m", "2", "--n", "4", "--c", "3/2",
+                "--t", "2.0",
             ],
         )
         assert rc == 0
@@ -303,10 +315,16 @@ class TestConstructAndVerify:
     @pytest.mark.parametrize("u, m, n, c", [(8, 2, 4, "1"), (7, 2, 3, "1"), (7, 3, 4, "3/2"), (6, 2, 4, "2")])
     def test_yao_default_load_target_is_the_cli_default(self, capsys, u, m, n, c):
         p = Params(u, m, n, Fraction(c))
-        log = yao_family(p, t=2.0, pool=balanced_functions(p))
-        rc, out, _ = run_capture(
+        rc, out, err = run_capture(
             capsys, ["construct", "--method", "yao", "--u", str(u), "--m", str(m), "--n", str(n), "--c", c]
         )
+        if p.m * p.load_cap < p.n:  # pigeonhole: no function is c-ideal, so the pool cannot finish
+            with pytest.raises(PoolExhaustedError) as exc:
+                yao_family(p, t=2.0, pool=balanced_functions(p))
+            assert rc == 1 and out == ""
+            assert json.loads(err) == {"error": "PoolExhaustedError", "message": str(exc.value)}
+            return
+        log = yao_family(p, t=2.0, pool=balanced_functions(p))
         assert rc == 0
         payload = json.loads(out)
         for key in ("schema_version", "command", "params", "advice_bits"):
@@ -315,7 +333,7 @@ class TestConstructAndVerify:
         labelled = math.factorial(u) // math.prod(math.factorial(b) for b in balanced_fiber_sizes(u, m))
         assert log.pool_size == labelled // (math.factorial(u % m) * math.factorial(m - u % m))
         assert payload == json.loads(json.dumps({**log.to_json_dict(), "pool_size": labelled}))
-        assert log.load_target == max(math.ceil(p.alpha), p.load_cap)
+        assert log.load_target == p.load_cap
 
 
 class TestSimulate:

@@ -58,7 +58,7 @@ ARGV = st.one_of(
     st.tuples(
         st.sampled_from([["construct", "--method", m] for m in ("random", "greedy", "yao", "bogus")]),
         PARAMS,
-        _flags(budget=BUDGET, t=SHRINK, seed=COUNT, max_rounds=COUNT, load_target=SIZE, pool=st.sampled_from(["balanced", "all", "x"])),
+        _flags(budget=BUDGET, t=SHRINK, seed=COUNT, max_rounds=COUNT, pool=st.sampled_from(["balanced", "all", "x"])),
     ),
     st.tuples(st.just(["verify"]), PARAMS, _flags({"family": st.sampled_from(["no-such-family.txt", "."])}, budget=BUDGET)),
     st.tuples(

@@ -124,26 +124,25 @@ class TestGreedy:
 
 class TestYao:
     def test_anchor_run_respects_round_and_residual_bounds(self):
-        p = Params(8, 2, 4, 1)
+        p = Params(8, 2, 4, Fraction(3, 2))
         total = binom(8, 4)
         t = 2.0
-        log = yao_family(p, t=t, pool=balanced_functions(p), load_target=3)
+        log = yao_family(p, t=t, pool=balanced_functions(p))
         assert log.verified
         assert log.rounds <= math.floor(math.log(total) / math.log(t)) + 1
         for r, residual in enumerate(log.uncovered_per_round, start=1):
             assert residual <= total / t**r
 
     def test_verifies_at_effective_ideality_factor(self):
-        p = Params(8, 2, 4, 1)
-        log = yao_family(p, t=2.0, pool=balanced_functions(p), load_target=3)
-        eff = Params(p.u, p.m, p.n, Fraction(3 * p.m, p.n))  # cap = load target 3
-        assert eff.load_cap == 3
-        assert verify_family(log.family, eff).is_ideal_family
+        p = Params(8, 2, 4, Fraction(3, 2))
+        log = yao_family(p, t=2.0, pool=balanced_functions(p))
+        assert p.load_cap == log.load_target == 3
+        assert verify_family(log.family, p).is_ideal_family
 
     def test_second_instance(self):
-        p = Params(6, 2, 3, 1)
+        p = Params(6, 2, 3, Fraction(4, 3))
         total = binom(6, 3)
-        log = yao_family(p, t=1.5, pool=balanced_functions(p), load_target=2)
+        log = yao_family(p, t=1.5, pool=balanced_functions(p))
         assert log.verified
         assert log.rounds <= math.floor(math.log(total) / math.log(1.5)) + 1
 
@@ -151,21 +150,17 @@ class TestYao:
     def test_rejects_t_outside_one_to_infinity(self, t):
         p = Params(6, 2, 2, 1)
         with pytest.raises(ValueError):
-            yao_family(p, t=t, pool=balanced_functions(p), load_target=1)
-
-    def test_load_target_below_ceil_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            yao_family(Params(6, 2, 3, 1), t=2.0, pool=balanced_functions(Params(6, 2, 3, 1)), load_target=1)
+            yao_family(p, t=t, pool=balanced_functions(p))
 
     def test_pool_exhaustion_raises(self):
         p = Params(4, 2, 2, 1)
         with pytest.raises(PoolExhaustedError):
-            yao_family(p, t=2.0, pool=[HashFunction((1, 1, 2, 2), 2)], load_target=1)
+            yao_family(p, t=2.0, pool=[HashFunction((1, 1, 2, 2), 2)])
 
     def test_deterministic(self):
-        p = Params(8, 2, 4, 1)
-        a = yao_family(p, t=2.0, pool=balanced_functions(p), load_target=3)
-        b = yao_family(p, t=2.0, pool=balanced_functions(p), load_target=3)
+        p = Params(8, 2, 4, Fraction(3, 2))
+        a = yao_family(p, t=2.0, pool=balanced_functions(p))
+        b = yao_family(p, t=2.0, pool=balanced_functions(p))
         assert a.to_json_dict() == b.to_json_dict()
 
 
@@ -188,3 +183,23 @@ class TestSoundness:
         for seed in (0, 1, 2):
             log = random_balanced_family(P422, seed=seed, max_rounds=10)
             assert log.verified == verify_family(log.family, P422).is_ideal_family
+
+    def test_every_method_certifies_only_what_verify_accepts(self):
+        # includes pigeonhole points m*floor(c*alpha) < n, e.g. (7,2,3,1) and (10,3,4,1),
+        # where no function is c-ideal and yao must refuse rather than certify
+        grid = [
+            Params(u, m, n, c)
+            for u in range(2, 9)
+            for m in (2, 3)
+            for n in range(m, u + 1)
+            for c in (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2))
+        ] + [Params(10, 3, 4, 1)]
+        assert any(p.m * p.load_cap < p.n for p in grid)
+        for p in grid:
+            logs = [random_balanced_family(p, seed=0), greedy_cover(p, balanced_functions(p))]
+            try:
+                logs.append(yao_family(p, t=2.0, pool=balanced_functions(p)))
+            except PoolExhaustedError:
+                pass
+            for log in logs:
+                assert log.verified == verify_family(log.family, p).is_ideal_family, (p, log.method)

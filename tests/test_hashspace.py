@@ -73,7 +73,7 @@ class TestLoadProfile:
     def test_dimension_mismatch(self):
         h = HashFunction((1, 2), 2)
         with pytest.raises(DimensionMismatchError):
-            exceed_masks([h], Params(4, 2, 2), 1, budget=10**6)
+            exceed_masks([h], Params(4, 2, 2), budget=10**6)
 
 
 class TestIsCIdeal:

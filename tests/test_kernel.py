@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -88,7 +89,7 @@ class TestExceedMasks:
         pool = list(balanced_functions(p))
         pool += [HashFunction(tuple(4 - c for c in h.cells), 3) for h in pool[::7]]  # relabelled repeats
         combos = list(itertools.combinations(range(6), 3))
-        got = exceed_masks(pool, p, p.load_cap, budget=10**6)
+        got = exceed_masks(pool, p, budget=10**6)
         assert got == [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in pool]
 
     def test_pool_budget_refuses_at_the_first_function_past_it(self, monkeypatch):
@@ -101,18 +102,18 @@ class TestExceedMasks:
 
         monkeypatch.setattr(oracle, "_key_table", forbidden)
         with pytest.raises(BudgetExceededError, match="candidate pool exceeds budget 2"):
-            exceed_masks(pool(), Params(4, 2, 2), 1, budget=10**6, pool_budget=2)
+            exceed_masks(pool(), Params(4, 2, 2), budget=10**6, pool_budget=2)
 
-    @pytest.mark.parametrize("u, m, n, cap", [(11, 3, 5, 1), (8, 2, 4, 1), (6, 3, 3, 0), (8, 2, 4, 4), (5, 1, 2, 3)])
-    def test_decided_caps_build_no_key_table(self, monkeypatch, u, m, n, cap):
+    @pytest.mark.parametrize("u, m, n, c", [(11, 3, 5, 1), (7, 2, 3, 1), (7, 3, 4, 1), (8, 2, 4, 4), (5, 1, 2, 3)])
+    def test_decided_caps_build_no_key_table(self, monkeypatch, u, m, n, c):
         def forbidden(u, n):
             raise AssertionError("key table built where the cap decides every set")
 
         monkeypatch.setattr(oracle, "_key_table", forbidden)
-        p = Params(u, m, n)
+        p = Params(u, m, n, c)
         pool = list(itertools.islice(balanced_functions(p), 5))
         full = (1 << p.total_sets) - 1
-        assert exceed_masks(pool, p, cap, budget=10**6) == [full if m * cap < n else 0] * len(pool)
+        assert exceed_masks(pool, p, budget=10**6) == [full if m * p.load_cap < n else 0] * len(pool)
 
     def test_unranking_follows_the_kernel_bit_order(self):
         # the witness of verify is unranked directly; the cached table is immutable
@@ -163,7 +164,7 @@ class TestCallers:
             lambda: verify_family(Family((h,)), p, budget=100),
             lambda: cover_mask(h, p, budget=100),
             lambda: greedy_cover(p, [h], budget=100),
-            lambda: yao_family(p, t=2.0, pool=[h], load_target=8, budget=100),
+            lambda: yao_family(p, t=2.0, pool=[h], budget=100),
             lambda: random_balanced_family(p, seed=1, budget=100),
             lambda: min_family_size_exact(p, budget=100),
         ]
@@ -192,30 +193,33 @@ class TestCallers:
             with pytest.raises(DimensionMismatchError):
                 verify_family(Family((HashFunction(cells, 2),)), p)
         with pytest.raises(DimensionMismatchError):
-            exceed_masks([HashFunction((1, 2, 1, 2), 3)], p, p.load_cap, budget=10**6)
+            exceed_masks([HashFunction((1, 2, 1, 2), 3)], p, budget=10**6)
 
 
 @settings(max_examples=300, deadline=None)
 @given(m=st.integers(min_value=1, max_value=3), data=st.data())
 def test_one_mask_per_drawn_function(m, data):
     # repeats and relabellings of one partition each get their own mask, at caps
-    # where m*cap < n (every set exceeds), cap >= n (none does) and in between;
-    # the pool budget counts functions, not partitions
+    # where m*cap < n (every set exceeds; needs m not dividing n, since c >= 1),
+    # cap >= n (none does) and in between; the pool budget counts functions, not partitions
     u = data.draw(st.integers(min_value=m, max_value=6))
     n = data.draw(st.integers(min_value=m, max_value=u))
     regime = data.draw(st.sampled_from(["m*cap < n", "cap >= n", "kernel"]))
-    lo, hi = {"m*cap < n": (0, -(-n // m) - 1), "cap >= n": (n, n + 2), "kernel": (-(-n // m), n - 1)}[regime]
+    lo, hi = {"m*cap < n": (n // m, -(-n // m) - 1), "cap >= n": (n, n + 2), "kernel": (-(-n // m), n - 1)}[regime]
     assume(lo <= hi)
     cap = data.draw(st.integers(min_value=lo, max_value=hi))
+    # c in [cap/alpha, (cap+1)/alpha) in quarter steps of 1/n, no lower than 1: floor(c*alpha) = cap
+    step = data.draw(st.integers(min_value=max(0, 4 * (n - m * cap)), max_value=4 * m - 1))
+    p = Params(u, m, n, Fraction(4 * m * cap + step, 4 * n))
+    assert p.load_cap == cap
     every_function = [HashFunction(cells, m) for cells in itertools.product(range(1, m + 1), repeat=u)]
     pool = data.draw(st.lists(st.sampled_from(every_function), min_size=1, max_size=12))
-    p = Params(u, m, n)
-    exceed = exceed_masks(pool, p, cap, budget=10**6)
+    exceed = exceed_masks(pool, p, budget=10**6)
     combos = list(itertools.combinations(range(u), n))
     assert exceed == [direct_exceed_mask([c - 1 for c in h.cells], combos, cap) for h in pool]
-    assert exceed_masks(pool, p, cap, budget=10**6, pool_budget=len(pool)) == exceed
+    assert exceed_masks(pool, p, budget=10**6, pool_budget=len(pool)) == exceed
     with pytest.raises(BudgetExceededError, match=f"candidate pool exceeds budget {len(pool) - 1}"):
-        exceed_masks(pool, p, cap, budget=10**6, pool_budget=len(pool) - 1)
+        exceed_masks(pool, p, budget=10**6, pool_budget=len(pool) - 1)
 
 
 @settings(max_examples=300, deadline=None)

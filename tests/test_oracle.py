@@ -161,24 +161,24 @@ class TestBalanceExtremality:
         assert counts[(4, 4)] == 36
         for part in ((5, 3), (6, 2), (7, 1), (8, 0)):
             assert counts[part] < 36
-        assert balance_extremality_check(8, 2, 4, 1)
+        assert balance_extremality_check(Params(8, 2, 4, 1))
 
     def test_three_cells(self):
-        assert balance_extremality_check(6, 3, 3, 1)
+        assert balance_extremality_check(Params(6, 3, 3, 1))
 
     def test_degenerate_tie_when_cap_exceeds_n(self):
         # c >= m: every decomposition ties at C(u,n); balanced is among them
-        assert balance_extremality_check(4, 2, 2, 2)
+        assert balance_extremality_check(Params(4, 2, 2, 2))
 
     def test_degenerate_tie_when_fibers_fit_under_cap(self):
         # cap 3 >= ceil(10/3)... all-small-fiber decompositions tie
-        assert not cap_binds(6, 3, 5, Fraction(2))
-        assert balance_extremality_check(6, 3, 5, Fraction(2))
+        assert not cap_binds(Params(6, 3, 5, Fraction(2)))
+        assert balance_extremality_check(Params(6, 3, 5, Fraction(2)))
 
     def test_cap_binds_predicate(self):
-        assert cap_binds(8, 2, 4, 1)
-        assert not cap_binds(8, 2, 4, 2)  # cap = n
-        assert not cap_binds(14, 3, 4, 1)  # m*cap < n
+        assert cap_binds(Params(8, 2, 4, 1))
+        assert not cap_binds(Params(8, 2, 4, 2))  # cap = n
+        assert not cap_binds(Params(14, 3, 4, 1))  # m*cap < n
 
 
 class TestVerifyFamily:
@@ -283,7 +283,7 @@ def search_without_orbits(p, size_limit):
         return 1
     if p.m * p.load_cap < p.n:
         return None
-    exceed = oracle.exceed_masks(first_members(p.u, p.m).values(), p, p.load_cap, budget=10**6)
+    exceed = oracle.exceed_masks(first_members(p.u, p.m).values(), p, budget=10**6)
     full = (1 << p.total_sets) - 1
     masks = sorted((full ^ mk for mk in exceed if full ^ mk), key=lambda mk: -mk.bit_count())
     for k in range(1, size_limit + 1):
@@ -344,7 +344,7 @@ def test_root_tries_one_candidate_per_orbit_of_the_first_set(monkeypatch, p):
         return min(tuple(sorted(tuple(sorted(perm[k] for k in f)) for f in sig)) for perm in perms)
 
     classes = first_members(p.u, p.m)
-    exceed = oracle.exceed_masks(classes.values(), p, p.load_cap, budget=10**6)
+    exceed = oracle.exceed_masks(classes.values(), p, budget=10**6)
     covering = {sig: full ^ mk for sig, mk in zip(classes, exceed) if (full ^ mk) & 1}
     assert {mask_orbit(r) for r in roots} == {mask_orbit(mk) for mk in set(covering.values())}
     assert len(roots) <= len({partition_orbit(sig) for sig in covering})
