@@ -1,6 +1,8 @@
 """Closed-form bounds on the minimal ideal-family size and on advice bits.
 
-Every evaluator is a pure function of its parameters.  Family sizes are
+Every bound takes one validated `Params` point (n >= m, u >= n, exact
+c >= 1) and none checks those again; so the fk pair, whose proofs need
+n <= m, applies only at n = m >= 2, c = 1.  Family sizes are
 exp(Theta(m)), so each bound is carried as its natural log, a finite float;
 a bound that rounds to zero or fewer functions does not apply.  Each
 `_eval_*` builds the entries of one bound, or raises BoundNotApplicableError
@@ -83,35 +85,32 @@ class AdviceReport:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def lower_main(m: int, alpha: Fraction, c: Fraction, eps: Fraction | float = 0) -> float:
+def lower_main(p: Params, eps: Fraction) -> float:
     """ln of (1-eps) * exp(m * e^-alpha * (1-eps) * (alpha/(c*alpha+1))^(c*alpha+1))."""
-    alpha = Fraction(alpha)
-    c = Fraction(c)
     if not 0 <= eps < 1:  # checked exactly: float(eps) overflows past the float range
         raise ValueError("need eps in [0, 1)")
     epsf = float(eps)
     # float(eps) rounds to 1.0 within 2**-54 of 1, where ln(1 - eps) is taken exactly
-    ln_keep = math.log1p(-epsf) if epsf < 1 else ln_fraction(1 - Fraction(eps))
-    ca1 = c * alpha + 1
-    term = math.exp(-float(alpha)) * (1.0 - epsf) * float(alpha / ca1) ** float(ca1)
-    return ln_keep + m * term
+    ln_keep = math.log1p(-epsf) if epsf < 1 else ln_fraction(1 - eps)
+    ca1 = p.c * p.alpha + 1
+    term = math.exp(-float(p.alpha)) * (1.0 - epsf) * float(p.alpha / ca1) ** float(ca1)
+    return ln_keep + p.m * term
 
 
-def lower_universe(u: int, m: int, n: int, c: Fraction | int) -> float:
+def lower_universe(p: Params) -> float:
     """(ln u - ln(c*alpha)) / ln m: indistinguishable keys force this many functions.
 
     Needs c*alpha < n (i.e. c < m): the argument packs floor(c*alpha)+1
     indistinguishable keys into one key set, which must fit inside n keys.
     """
-    c = Fraction(c)
-    ca = c * Fraction(n, m)
-    if m < 2:
+    ca = p.c * p.alpha
+    if p.m < 2:
         raise BoundNotApplicableError("universe bound needs m >= 2")
-    if ca >= u:
+    if ca >= p.u:
         raise BoundNotApplicableError("universe bound needs u > c*alpha")
-    if ca >= n:
+    if ca >= p.n:
         raise BoundNotApplicableError("universe bound needs c < m (else a single function suffices)")
-    return (math.log(u) - ln_fraction(ca)) / math.log(m)
+    return (math.log(p.u) - ln_fraction(ca)) / math.log(p.m)
 
 
 def upper_main_base_nats(alpha: Fraction, c: Fraction) -> float:
@@ -127,24 +126,18 @@ def upper_main_base_nats(alpha: Fraction, c: Fraction) -> float:
     )
 
 
-def upper_main(u: int, n: int, m: int, c: Fraction | int) -> float:
+def upper_main(p: Params) -> float:
     """ln of the pre-ceiling value of the main upper bound.
 
     (sqrt(2*pi*c*alpha)^(1/c) * c^alpha * e^(1/(12c^2 alpha)) / (alpha+1)^(1-1/c))^m
     * sqrt(n/(2*pi)) * ln u.
     """
-    c = Fraction(c)
-    alpha = Fraction(n, m)
-    if alpha < 1:
-        raise BoundNotApplicableError("main upper bound needs alpha >= 1")
-    if u < 2:
+    if p.u < 2:
         raise BoundNotApplicableError("main upper bound needs u >= 2 (it carries ln ln u)")
-    if c < 1:
-        raise ValueError("need c >= 1")
     return (
-        m * upper_main_base_nats(alpha, c)
-        + 0.5 * math.log(n / (2.0 * math.pi))
-        + math.log(math.log(u))
+        p.m * upper_main_base_nats(p.alpha, p.c)
+        + 0.5 * math.log(p.n / (2.0 * math.pi))
+        + math.log(math.log(p.u))
     )
 
 
@@ -159,13 +152,11 @@ def ln_binom(u: int, n: int) -> float:
     return sum(math.log(u - i) - math.log(i + 1) for i in range(k))
 
 
-def upper_yao(u: int, n: int, t: float) -> int:
+def upper_yao(p: Params, t: float) -> int:
     """floor(ln C(u,n) / ln t) + 1 rounds of covering at shrink factor 1/t."""
     if not 1 < t < math.inf:
         raise ValueError("need 1 < t < inf")
-    if not 1 <= n <= u:
-        raise ValueError("need 1 <= n <= u")
-    return math.floor(ln_binom(u, n) / math.log(t)) + 1
+    return math.floor(ln_binom(p.u, p.n) / math.log(t)) + 1
 
 
 def _ln_neg_ln1m(a: int, b: int) -> float:
@@ -230,7 +221,7 @@ def _eval_volume(count: IdealCount | None) -> tuple[BoundEntry]:
     return (BoundEntry("lower.volume", ln_fraction(ratio), "exact counting", ceiling=math.ceil(ratio)),)
 
 
-def _eval_prob(u: int, n: int, count: IdealCount | None) -> tuple[BoundEntry, BoundEntry]:
+def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEntry]:
     """upper.prob.tight and upper.prob.loose from p = M_c / C(u,n).
 
     Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
@@ -246,30 +237,30 @@ def _eval_prob(u: int, n: int, count: IdealCount | None) -> tuple[BoundEntry, Bo
         validity_note="exact p",
         ceiling=_tight_ceiling(total, m_c, ln_r),
     )
-    if u < 2:
+    if p.u < 2:
         return tight, BoundEntry("upper.prob.loose", None, "needs u >= 2 (it carries ln ln u)")
     try:
-        loose_ceiling = math.ceil(float(ratio) * n * math.log(u))
+        loose_ceiling = math.ceil(float(ratio) * p.n * math.log(p.u))
     except OverflowError:
         loose_ceiling = None
-    ln_loose = ln_fraction(ratio * n) + math.log(math.log(u))
+    ln_loose = ln_fraction(ratio * p.n) + math.log(math.log(p.u))
     return tight, BoundEntry("upper.prob.loose", ln_loose, "exact p", ceiling=loose_ceiling)
 
 
 def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
-    ln = lower_main(p.m, p.alpha, p.c, eps)
+    ln = lower_main(p, eps)
     return (BoundEntry("lower.main", ln, "asymptotic in n" if eps == 0 else "", epsilon=eps),)
 
 
 def _eval_universe(p: Params) -> tuple[BoundEntry]:
-    lu = lower_universe(p.u, p.m, p.n, p.c)
+    lu = lower_universe(p)
     if lu <= 0:
         raise BoundNotApplicableError("c*alpha lies within float rounding of u: ln u - ln(c*alpha) rounds to <= 0")
     return (BoundEntry("lower.universe", math.log(lu), ceiling=math.ceil(lu)),)
 
 
 def _eval_upper_main(p: Params) -> tuple[BoundEntry]:
-    um = upper_main(p.u, p.n, p.m, p.c)
+    um = upper_main(p)
     try:
         ceiling = math.ceil(math.exp(um))
     except OverflowError:
@@ -280,15 +271,16 @@ def _eval_upper_main(p: Params) -> tuple[BoundEntry]:
 
 
 def _eval_yao(p: Params, t: float) -> tuple[BoundEntry]:
-    yao = upper_yao(p.u, p.n, t)
+    yao = upper_yao(p, t)
     return (BoundEntry("upper.yao", math.log(yao), f"t = {t}", ceiling=yao),)
 
 
-def _eval_fk(u: int, n: int, m: int, c: Fraction) -> tuple[BoundEntry, BoundEntry]:
+def _eval_fk(p: Params) -> tuple[BoundEntry, BoundEntry]:
     """lower.fk and upper.fk, the perfect-hashing counting pair; the proofs
-    do not generalize to n > m."""
-    if not (2 <= n <= m and c == 1):
+    do not generalize to n > m, so with n >= m they apply at n = m only."""
+    if not (2 <= p.n <= p.m and p.c == 1):
         raise BoundNotApplicableError("requires 2 <= n <= m, c = 1")
+    u, m, n = p.u, p.m, p.n
     lower_ln = (
         (n - 1) * math.log(m)
         + math.log(math.log(u))
@@ -302,31 +294,29 @@ def _eval_fk(u: int, n: int, m: int, c: Fraction) -> tuple[BoundEntry, BoundEntr
     return (BoundEntry("lower.fk", lower_ln, note), BoundEntry("upper.fk", upper_ln, note))
 
 
-def _eval_naor(u: int, n: int, m: int) -> tuple[BoundEntry]:
+def _eval_naor(p: Params) -> tuple[BoundEntry]:
     """ln of the perfect-splitter bound sqrt(2*pi*alpha)^m * e^(m/(12*alpha)) * sqrt(n/(2*pi)) * ln u:
-    the main upper bound at c = 1, behind this entry's own guards and notes."""
-    if u < 2:
+    the main upper bound at c = 1, behind this entry's own guard and note."""
+    if p.u < 2:
         raise BoundNotApplicableError("needs u >= 2 (it carries ln ln u)")
-    if n < m:
-        raise BoundNotApplicableError("requires alpha >= 1")
-    return (BoundEntry("upper.naor", upper_main(u, n, m, 1), "normalized sqrt(n/2pi); classical display uses sqrt(n)"),)
+    ln = upper_main(Params(p.u, p.m, p.n))
+    return (BoundEntry("upper.naor", ln, "normalized sqrt(n/2pi); classical display uses sqrt(n)"),)
 
 
-def _eval_mehlhorn(m: int, alpha: Fraction, c: Fraction) -> tuple[BoundEntry]:
+def _eval_mehlhorn(p: Params) -> tuple[BoundEntry]:
     """Straightforward Stirling lower estimate for c = 1."""
-    if c != 1 or alpha < 1:
+    if p.c != 1:
         raise BoundNotApplicableError("requires c = 1, alpha >= 1")
-    ln = (m - 1) * 0.5 * math.log(2.0 * math.pi * float(alpha)) - 0.5 * math.log(m)
+    ln = (p.m - 1) * 0.5 * math.log(2.0 * math.pi * float(p.alpha)) - 0.5 * math.log(p.m)
     return (BoundEntry("lower.mehlhorn", ln, "Stirling approximation, c = 1 only"),)
 
 
-def comparison_bounds(u: int, n: int, m: int, c: Fraction | int) -> tuple[BoundEntry, ...]:
+def comparison_bounds(p: Params) -> tuple[BoundEntry, ...]:
     """Literature comparison entries with per-entry domain guards."""
-    c = Fraction(c)
     return (
-        *_entries(("lower.fk", "upper.fk"), _eval_fk, u, n, m, c),
-        *_entries(("upper.naor",), _eval_naor, u, n, m),
-        *_entries(("lower.mehlhorn",), _eval_mehlhorn, m, Fraction(n, m), c),
+        *_entries(("lower.fk", "upper.fk"), _eval_fk, p),
+        *_entries(("upper.naor",), _eval_naor, p),
+        *_entries(("lower.mehlhorn",), _eval_mehlhorn, p),
     )
 
 
@@ -343,7 +333,7 @@ def advice_report(report: BoundReport) -> AdviceReport:
             notes=("c >= m: a single function suffices, zero advice bits",),
         )
     # c < m gives m >= 2 and c*alpha < n <= u, so the universe bound applies
-    easy = lower_universe(p.u, p.m, p.n, p.c)  # may round to 0 when c*alpha is within an ulp of u
+    easy = lower_universe(p)  # may round to 0 when c*alpha is within an ulp of u
     return AdviceReport(
         lower_easy=math.log(easy) if easy > 1 else 0.0,
         lower_easy_bits=math.log2(easy) if easy > 1 else 0.0,
@@ -353,11 +343,7 @@ def advice_report(report: BoundReport) -> AdviceReport:
     )
 
 
-def bound_report(
-    p: Params,
-    eps: Fraction | float = 0,
-    t: float = 2.0,
-) -> BoundReport:
+def bound_report(p: Params, eps: Fraction = Fraction(0), t: float = 2.0) -> BoundReport:
     """Assemble every named bound for one parameter point.
 
     The volume and probabilistic entries share one exact count (cheap at any
@@ -365,17 +351,16 @@ def bound_report(
     skipped past desk scale.  The eps and t entries are built first, so an
     invalid eps or t is refused before the counting work.
     """
-    eps_f = Fraction(eps) if not isinstance(eps, float) else Fraction(eps).limit_denominator(10**9)
-    main = _entries(("lower.main",), _eval_lower_main, p, eps_f)
+    main = _entries(("lower.main",), _eval_lower_main, p, eps)
     yao = _entries(("upper.yao",), _eval_yao, p, t)
     count = None if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS else exact_ideal_probability(p)
     entries = (
         *_entries(("lower.volume",), _eval_volume, count),
         *main,
         *_entries(("lower.universe",), _eval_universe, p),
-        *_entries(("upper.prob.tight", "upper.prob.loose"), _eval_prob, p.u, p.n, count),
+        *_entries(("upper.prob.tight", "upper.prob.loose"), _eval_prob, p, count),
         *_entries(("upper.main",), _eval_upper_main, p),
         *yao,
-        *comparison_bounds(p.u, p.n, p.m, p.c),
+        *comparison_bounds(p),
     )
     return BoundReport(params=p, entries=entries)

@@ -99,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo estimates")
     sp.add_argument("--kind", choices=("max-load", "ideal-prob"), required=True)
-    sp.add_argument("--u", type=int, default=None)
+    sp.add_argument("--u", type=int, default=None, help="ideal-prob only, where it is required")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--c", type=_fraction, default=Fraction(1))
+    sp.add_argument("--c", type=_fraction, default=None, help="ideal-prob only (default 1)")
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     _add_output_flags(sp)
@@ -280,11 +280,13 @@ def _cmd_simulate(args) -> int:
     from . import simulate as simulate_mod
 
     if args.kind == "max-load":
+        if args.u is not None or args.c is not None:
+            raise ValueError("max-load takes no --u or --c")
         est = simulate_mod.estimate_max_load(args.n, args.m, trials=args.trials, seed=args.seed)
     else:
         if args.u is None:
             raise ValueError("ideal-prob needs --u")
-        p = Params(args.u, args.m, args.n, args.c)
+        p = Params(args.u, args.m, args.n, Fraction(1) if args.c is None else args.c)
         est = simulate_mod.estimate_ideal_probability(p, trials=args.trials, seed=args.seed)
     _emit_json(args.out, "simulate", {"kind": args.kind, **dataclasses.asdict(est)})
     return 0

@@ -3,7 +3,7 @@
 Counts are plain Python integers (already arbitrary precision) and exact
 probabilities are `fractions.Fraction`.  Quantities on the Stirling scale,
 which overflow floats long before the interesting parameter ranges end,
-travel as their natural log, a float (-inf for zero).
+travel as their natural log, a finite float; `ln_fraction` refuses zero.
 """
 
 from __future__ import annotations

@@ -22,14 +22,6 @@ DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_POOL_BUDGET = 10**4
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, float):
-        return Fraction(c).limit_denominator(10**12)
-    return Fraction(c)
-
-
 @dataclass(frozen=True)
 class Params:
     """Problem parameters: universe size u, table size m, key-set size n, factor c.
@@ -43,7 +35,7 @@ class Params:
     c: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _as_fraction(self.c))
+        object.__setattr__(self, "c", Fraction(self.c))
         if self.m < 1:
             raise ValueError("need m >= 1")
         if self.n < self.m:

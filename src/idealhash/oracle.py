@@ -208,21 +208,13 @@ def _exceed_mask(
     return _join_tails([by_cell[c] for c in cells], lengths, top)
 
 
-def exceed_masks(
-    functions: Iterable[HashFunction], p: Params, budget: int, pool_budget: int | None = None
-) -> list[int]:
+def exceed_masks(pool: Sequence[HashFunction], p: Params, budget: int) -> list[int]:
     """The exceed bitset of each function at cap p.load_cap, in order, repeats included.
 
-    Checks the C(u,n) budget first; at most `pool_budget` functions may come,
-    counted as they stream.  Where cap >= n no set exceeds, and where m*cap < n
-    every set does (some cell gets more than cap of its keys): no key table.
+    Checks the C(u,n) budget first.  Where cap >= n no set exceeds, and where
+    m*cap < n every set does (some cell gets more than cap of its keys): no key table.
     """
     check_set_budget(p, budget)
-    pool: list[HashFunction] = []
-    for h in functions:
-        pool.append(h)
-        if pool_budget is not None and len(pool) > pool_budget:
-            raise BudgetExceededError(f"candidate pool exceeds budget {pool_budget}")
     if any(h.u != p.u or h.m != p.m for h in pool):
         raise DimensionMismatchError(f"every function must map keys 1..{p.u} into cells 1..{p.m}")
     cap = p.load_cap
@@ -316,11 +308,12 @@ def min_family_size_exact(
     check_set_budget(p, budget)  # the budget check comes before the early exit
     if p.m * p.load_cap < p.n:
         return None  # no function is ideal for any set
-    pool, again = itertools.tee(set_partitions(p.u, p.m, budget))  # `again` replays what the masks took
-    exceed = exceed_masks(pool, p, budget, pool_budget)
+    pool = list(itertools.islice(set_partitions(p.u, p.m, budget), pool_budget + 1))
+    if len(pool) > pool_budget:
+        raise BudgetExceededError(f"candidate pool exceeds budget {pool_budget}")
     full = (1 << p.total_sets) - 1
     scored = sorted(
-        ((full ^ mk, h.partition_signature()) for mk, h in zip(exceed, again) if full ^ mk),
+        ((full ^ mk, h.partition_signature()) for mk, h in zip(exceed_masks(pool, p, budget), pool) if full ^ mk),
         key=lambda pair: (-pair[0].bit_count(), pair[1]),
     )
     masks = [mk for mk, _sig in scored]

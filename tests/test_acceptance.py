@@ -130,7 +130,7 @@ def test_criterion_05_exact_minimum_anchor():
     t0 = time.time()
     p = Params(4, 2, 2, 1)
     h_exact = min_family_size_exact(p)
-    universe = lower_universe(4, 2, 2, 1)
+    universe = lower_universe(p)
     tight = bound_report(p).entry("upper.prob.tight").ceiling
     anchor_ok = h_exact == 2 and universe == 2.0 and tight == 2
     singleton_ok = True
@@ -165,7 +165,7 @@ def test_criterion_06_sandwich_audit():
         if not (volume <= h <= tight <= loose):
             violations.append((p, (volume, h, tight, loose)))
         try:
-            if lower_universe(p.u, p.m, p.n, p.c) > h + 1e-12:
+            if lower_universe(p) > h + 1e-12:
                 violations.append((p, "universe"))
         except BoundNotApplicableError:
             pass
@@ -262,7 +262,8 @@ def test_criterion_09_bound_evaluators():
         for alpha in range(1, 9):
             n = m * alpha
             u = max(n * n, 4)
-            a = upper_main(u, n, m, 1)
+            p = Params(u, m, n)
+            a = upper_main(p)
             # the perfect-splitter form sqrt(2*pi*alpha)^m * e^(m/(12*alpha)) * sqrt(n/(2*pi)) * ln u
             alpha = n / m
             b = (
@@ -270,17 +271,18 @@ def test_criterion_09_bound_evaluators():
                 + 0.5 * math.log(n / (2.0 * math.pi))
                 + math.log(math.log(u))
             )
-            naor = next(e for e in comparison_bounds(u, n, m, 1) if e.name == "upper.naor")
+            naor = next(e for e in comparison_bounds(p) if e.name == "upper.naor")
             if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)) or naor.ln != a:
                 naor_ok = False
 
     u, n, m, c, t = 2**20, 64, 16, Fraction(1), 2.0
-    adv = advice_report(bound_report(Params(u, m, n, c), t=t))
+    p = Params(u, m, n, c)
+    adv = advice_report(bound_report(p, t=t))
     advice_ok = (
-        adv.lower_main == lower_main(m, Fraction(n, m), c, 0) / math.log(2.0)
-        and adv.upper_main == upper_main(u, n, m, c) / math.log(2.0)
-        and adv.upper_yao == math.log2(upper_yao(u, n, t))
-        and adv.lower_easy_bits == math.log2(lower_universe(u, m, n, c))
+        adv.lower_main == lower_main(p, Fraction(0)) / math.log(2.0)
+        and adv.upper_main == upper_main(p) / math.log(2.0)
+        and adv.upper_yao == math.log2(upper_yao(p, t))
+        and adv.lower_easy_bits == math.log2(lower_universe(p))
     )
     elapsed = time.time() - t0
     report(

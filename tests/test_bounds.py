@@ -3,7 +3,6 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,29 +65,31 @@ LN_TOL = 1e-9
 
 class TestLowerMain:
     def test_anchor_against_high_precision(self):
-        got = lower_main(10, Fraction(1), Fraction(1), 0)
-        with mpmath.workdps(50):
-            want = mpmath.exp(10 * mpmath.e**-1 * mpmath.mpf(1) / 4)
+        got = lower_main(Params(10, 10, 10), Fraction(0))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (Decimal(10) * Decimal(-1).exp() / 4).exp()  # exp(10 * e^-1 * (1/2)^2)
         assert math.exp(got) == pytest.approx(float(want), rel=1e-12)
         assert math.exp(got) == pytest.approx(2.5086, rel=1e-4)
 
     def test_strictly_increasing_in_m(self):
-        values = [lower_main(m, Fraction(2), Fraction(1), 0) for m in range(1, 30)]
+        values = [lower_main(Params(2 * m, m, 2 * m), Fraction(0)) for m in range(1, 30)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_eps_shrinks_the_bound(self):
-        base = lower_main(10, Fraction(1), Fraction(1), 0)
-        shrunk = lower_main(10, Fraction(1), Fraction(1), Fraction(1, 10))
+        p = Params(10, 10, 10)
+        base = lower_main(p, Fraction(0))
+        shrunk = lower_main(p, Fraction(1, 10))
         assert shrunk < base
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):
-            lower_main(4, Fraction(1), Fraction(1), 1)
+            lower_main(Params(4, 4, 4), Fraction(1))
 
     def test_eps_whose_float_is_one_takes_the_exact_log(self):
         eps = 1 - Fraction(1, 10**20)
         assert float(eps) == 1.0
-        assert lower_main(4, Fraction(1), Fraction(1), eps) == pytest.approx(-20 * math.log(10), rel=1e-12)
+        assert lower_main(Params(4, 4, 4), eps) == pytest.approx(-20 * math.log(10), rel=1e-12)
 
     def test_oracle_comparison_logged_not_asserted(self):
         # the asymptotic form may cross 1/p at desk scale; record the gap only
@@ -96,30 +97,30 @@ class TestLowerMain:
         for u, m, n in ((8, 2, 4), (12, 3, 6), (10, 2, 4)):
             p = Params(u, m, n, 1)
             inv_p = -ln_fraction(exact_ideal_probability(p).probability)
-            gaps.append(inv_p - lower_main(m, p.alpha, p.c, 0))
+            gaps.append(inv_p - lower_main(p, Fraction(0)))
         assert len(gaps) == 3  # comparison ran; no hard assertion by design
 
 
 class TestLowerUniverse:
     def test_matches_exact_minimum_at_anchor(self):
-        assert lower_universe(4, 2, 2, 1) == pytest.approx(2.0)
+        assert lower_universe(Params(4, 2, 2)) == pytest.approx(2.0)
         assert min_family_size_exact(Params(4, 2, 2, 1)) == 2
 
     def test_power_of_two_universe(self):
-        assert lower_universe(2**16, 16, 16, 1) == pytest.approx(4.0)
+        assert lower_universe(Params(2**16, 16, 16)) == pytest.approx(4.0)
 
     def test_not_applicable_when_cap_swallows_universe(self):
         with pytest.raises(BoundNotApplicableError):
-            lower_universe(4, 2, 4, 2)  # c*alpha = 4 >= u
+            lower_universe(Params(4, 2, 4, 2))  # c*alpha = 4 >= u
 
     def test_not_applicable_at_c_at_least_m(self):
         with pytest.raises(BoundNotApplicableError):
-            lower_universe(100, 2, 2, 2)
+            lower_universe(Params(100, 2, 2, 2))
 
 
 class TestUpperMain:
     def test_anchor_value_and_ceiling(self):
-        um = upper_main(16, 2, 2, 1)
+        um = upper_main(Params(16, 2, 2))
         assert math.exp(um) == pytest.approx(11.611, rel=1e-3)
         assert math.ceil(math.exp(um)) == 12
 
@@ -128,10 +129,11 @@ class TestUpperMain:
             for alpha in range(1, 9):
                 n = m * alpha
                 u = max(n * n, 4)
-                a = upper_main(u, n, m, 1)
+                p = Params(u, m, n)
+                a = upper_main(p)
                 b = splitter_ln(u, n, m)
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-                entries = {e.name: e for e in comparison_bounds(u, n, m, 1)}
+                entries = {e.name: e for e in comparison_bounds(p)}
                 assert entries["upper.naor"].ln == a
 
     def test_dominates_lower_main_on_grid(self):
@@ -140,19 +142,13 @@ class TestUpperMain:
                 for c in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
                     n = m * alpha
                     u = max(n * n, 4)
-                    assert (
-                        upper_main(u, n, m, c)
-                        >= lower_main(m, Fraction(alpha), c, 0)
-                    )
-
-    def test_rejects_sublinear_load(self):
-        with pytest.raises(BoundNotApplicableError):
-            upper_main(16, 2, 4, 1)
+                    p = Params(u, m, n, c)
+                    assert upper_main(p) >= lower_main(p, Fraction(0))
 
     def test_overflow_is_flagged_not_raised(self):
         # ln stays finite and is reported; only the integer ceiling is dropped
         p = Params(2400, 1200, 1200, 1)
-        um = upper_main(p.u, p.n, p.m, p.c)
+        um = upper_main(p)
         assert math.isfinite(um) and um > math.log(sys.float_info.max)
         entry = bound_report(p).entry("upper.main")
         assert entry.ln == um
@@ -161,28 +157,28 @@ class TestUpperMain:
 
 class TestUpperYao:
     def test_anchor(self):
-        assert upper_yao(8, 4, 2.0) == 7  # floor(ln 70 / ln 2) + 1
+        assert upper_yao(Params(8, 2, 4), 2.0) == 7  # floor(ln 70 / ln 2) + 1
 
     def test_t_equal_to_set_count_gives_two(self):
         total = binom(8, 4)
-        assert upper_yao(8, 4, float(total)) == 2
+        assert upper_yao(Params(8, 2, 4), float(total)) == 2
 
     def test_residual_semantics(self):
         # C(u,n) * t^-r < 1 exactly when r exceeds ln C / ln t
         total = binom(8, 4)
         t = 2.0
-        r = upper_yao(8, 4, t)
+        r = upper_yao(Params(8, 2, 4), t)
         assert total * t**-r < 1
         assert total * t ** -(r - 1) >= 1
 
     def test_rejects_t_at_most_one(self):
         with pytest.raises(ValueError):
-            upper_yao(8, 4, 1.0)
+            upper_yao(Params(8, 2, 4), 1.0)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_non_finite_t(self, t):
         with pytest.raises(ValueError):
-            upper_yao(8, 4, t)
+            upper_yao(Params(8, 2, 4), t)
 
     def test_ln_binom_huge_universe(self):
         # term-sum path agrees with the exact path where both run
@@ -282,61 +278,58 @@ class TestProbabilityUpper:
 class TestComparisonBounds:
     def test_exact_volume_form_anchor(self):
         # the volume bound comes from exact counts in bound_report only
-        names = {e.name for e in comparison_bounds(8, 4, 2, 1)}
+        names = {e.name for e in comparison_bounds(Params(8, 2, 4))}
         assert "lower.volume" not in names
         vol = bound_report(Params(8, 2, 4, 1)).entry("lower.volume")
         assert vol.valid
         assert math.exp(vol.ln) == pytest.approx(70 / 36, rel=1e-12)
 
     def test_fk_flags_track_the_perfect_hashing_regime(self):
-        entries = {e.name: e for e in comparison_bounds(16, 4, 2, 1)}
+        entries = {e.name: e for e in comparison_bounds(Params(16, 2, 4))}
         assert not entries["lower.fk"].valid  # n > m
-        entries = {e.name: e for e in comparison_bounds(16, 2, 4, 1)}
+        entries = {e.name: e for e in comparison_bounds(Params(16, 4, 4, Fraction(3, 2)))}
+        assert not entries["lower.fk"].valid  # c > 1
+        entries = {e.name: e for e in comparison_bounds(Params(16, 4, 4))}
         assert entries["lower.fk"].valid
         assert entries["upper.fk"].valid
 
     def test_fk_needs_two_keys(self):
-        # one key cannot collide, so neither bound applies at n = 1, whatever m is
-        entries = {e.name: e for e in comparison_bounds(16, 1, 4, 1)}
+        # one key cannot collide, so neither bound applies at n = m = 1
+        entries = {e.name: e for e in comparison_bounds(Params(16, 1, 1))}
         assert not entries["lower.fk"].valid
         assert not entries["upper.fk"].valid
         assert "m too small" not in entries["upper.fk"].validity_note
 
     def test_fk_anchor_value(self):
         # m^(n-1) ln(u) (m-n+1)! / (m! ln(m-n+2)) at u=4, m=2, n=2 evaluates to 2
-        entries = {e.name: e for e in comparison_bounds(4, 2, 2, 1)}
+        entries = {e.name: e for e in comparison_bounds(Params(4, 2, 2))}
         assert math.exp(entries["lower.fk"].ln) == pytest.approx(2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("u,m,n", [(16, 4, 2), (10**6, 20, 20), (10**6, 30, 30), (10**6, 40, 40), (10**6, 60, 60)])
+    @pytest.mark.parametrize("u,m,n", [(16, 4, 4), (10**6, 20, 20), (10**6, 30, 30), (10**6, 40, 40), (10**6, 60, 60)])
     def test_upper_fk_matches_decimal_reference(self, u, m, n):
-        entries = {e.name: e for e in comparison_bounds(u, n, m, 1)}
+        entries = {e.name: e for e in comparison_bounds(Params(u, m, n))}
         fk = entries["upper.fk"]
         assert fk.valid
         assert abs(fk.ln - float(decimal_ln_upper_fk(u, m, n))) <= LN_TOL
 
-    def test_naor_requires_alpha_at_least_one(self):
-        # n < m: only library callers reach it, since Params needs n >= m
-        entries = {e.name: e for e in comparison_bounds(16, 2, 4, 1)}
+    def test_naor_needs_u_at_least_two(self):
+        entries = {e.name: e for e in comparison_bounds(Params(1, 1, 1))}
         assert entries["upper.naor"].ln is None
-        assert entries["upper.naor"].validity_note == "requires alpha >= 1"
-        # u = 1 is named first even when alpha < 1 as well
-        entries = {e.name: e for e in comparison_bounds(1, 1, 2, 1)}
         assert entries["upper.naor"].validity_note == "needs u >= 2 (it carries ln ln u)"
 
     def test_mehlhorn_requires_c_one(self):
-        entries = {e.name: e for e in comparison_bounds(8, 4, 2, Fraction(3, 2))}
+        entries = {e.name: e for e in comparison_bounds(Params(8, 2, 4, Fraction(3, 2)))}
         assert not entries["lower.mehlhorn"].valid
 
     def test_mehlhorn_value(self):
-        entries = {e.name: e for e in comparison_bounds(8, 4, 2, 1)}
+        entries = {e.name: e for e in comparison_bounds(Params(8, 2, 4))}
         want = math.sqrt(2 * math.pi * 2) ** 1 / math.sqrt(2)
         assert math.exp(entries["lower.mehlhorn"].ln) == pytest.approx(want, rel=1e-12)
 
 
-def reference_advice(u, n, m, c, eps=0, t=2.0):
+def reference_advice(p, eps, t):
     """The advice evaluator as it was before it read the bound report."""
-    c = Fraction(c)
-    alpha = Fraction(n, m)
+    u, m, c = p.u, p.m, p.c
     notes: list[str] = []
     if c >= m:
         return AdviceReport(
@@ -347,20 +340,20 @@ def reference_advice(u, n, m, c, eps=0, t=2.0):
             upper_yao=0.0,
             notes=("c >= m: a single function suffices, zero advice bits",),
         )
-    ca = c * alpha
+    ca = c * p.alpha
     inner = math.log(u) - ln_fraction(ca)
     if inner > 0 and m >= 2:
-        lower_easy = math.log(lower_universe(u, m, n, c))
+        lower_easy = math.log(lower_universe(p))
     else:
         lower_easy = 0.0
         notes.append("easy lower bound not applicable (u <= c*alpha or m < 2)")
     try:
-        lower_easy_bits = max(0.0, math.log2(lower_universe(u, m, n, c)))
+        lower_easy_bits = max(0.0, math.log2(lower_universe(p)))
     except (BoundNotApplicableError, ValueError):
         lower_easy_bits = 0.0
-    lower_main_bits = max(0.0, lower_main(m, alpha, c, eps) / math.log(2.0))
-    upper_main_bits = max(0.0, upper_main(u, n, m, c) / math.log(2.0))
-    upper_yao_bits = max(0.0, math.log2(upper_yao(u, n, t)))
+    lower_main_bits = max(0.0, lower_main(p, eps) / math.log(2.0))
+    upper_main_bits = max(0.0, upper_main(p) / math.log(2.0))
+    upper_yao_bits = max(0.0, math.log2(upper_yao(p, t)))
     return AdviceReport(
         lower_easy=max(0.0, lower_easy),
         lower_easy_bits=lower_easy_bits,
@@ -403,12 +396,12 @@ class TestAdviceReport:
         assert adv.notes
 
     def test_values_are_log2_of_the_bounds(self):
-        u, n, m, c, t = 2**20, 64, 16, Fraction(1), 2.0
-        adv = advice_report(bound_report(Params(u, m, n, c), t=t))
-        assert adv.lower_main == lower_main(m, Fraction(n, m), c, 0) / math.log(2.0)
-        assert adv.upper_main == upper_main(u, n, m, c) / math.log(2.0)
-        assert adv.upper_yao == math.log2(upper_yao(u, n, t))
-        assert adv.lower_easy_bits == math.log2(lower_universe(u, m, n, c))
+        p, t = Params(2**20, 16, 64), 2.0
+        adv = advice_report(bound_report(p, t=t))
+        assert adv.lower_main == lower_main(p, Fraction(0)) / math.log(2.0)
+        assert adv.upper_main == upper_main(p) / math.log(2.0)
+        assert adv.upper_yao == math.log2(upper_yao(p, t))
+        assert adv.lower_easy_bits == math.log2(lower_universe(p))
 
     def test_lower_bounds_stay_below_upper_bounds(self):
         for m in (4, 16, 64):
@@ -423,7 +416,7 @@ class TestAdviceReport:
     def test_matches_the_evaluator_it_replaced(self, point):
         p, eps, t = point
         got = advice_report(bound_report(p, eps, t))
-        assert got == reference_advice(p.u, p.n, p.m, p.c, eps, t)
+        assert got == reference_advice(p, eps, t)
 
     @settings(max_examples=150, deadline=None)
     @given(advice_points())

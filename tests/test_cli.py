@@ -352,6 +352,14 @@ class TestSimulate:
         assert out == ""
         assert json.loads(err) == {"error": "ValueError", "message": "ideal-prob needs --u"}
 
+    @pytest.mark.parametrize("flags", [["--u", "1"], ["--c", "0"], ["--c", "3/2"], ["--u", "8", "--c", "1"]])
+    def test_max_load_refuses_u_and_c(self, capsys, flags):
+        # max-load reads neither; ideal-prob's --c still defaults to 1
+        argv = ["simulate", "--kind", "max-load", "--m", "4", "--n", "8", "--trials", "3", *flags]
+        assert run_capture(capsys, argv) == (1, "", '{"error": "ValueError", "message": "max-load takes no --u or --c"}\n')
+        ideal_prob = ["simulate", "--kind", "ideal-prob", "--u", "8", "--m", "2", "--n", "4", "--trials", "50"]
+        assert run_capture(capsys, ideal_prob) == run_capture(capsys, ideal_prob + ["--c", "1"])
+
     @pytest.mark.parametrize("kind", [["--kind", "max-load"], ["--kind", "ideal-prob", "--u", "8"]])
     def test_zero_trials_exits_one(self, capsys, kind):
         rc, out, err = run_capture(capsys, ["simulate", *kind, "--m", "2", "--n", "4", "--trials", "0"])

@@ -170,7 +170,7 @@ class TestSoundness:
             ic = exact_ideal_probability(p)
             volume = -(-ic.total // ic.m_c)
             try:
-                universe = lower_universe(p.u, p.m, p.n, p.c)
+                universe = lower_universe(p)
             except BoundNotApplicableError:
                 universe = 0.0
             log = greedy_cover(p, balanced_functions(p))

@@ -92,18 +92,6 @@ class TestExceedMasks:
         got = exceed_masks(pool, p, budget=10**6)
         assert got == [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in pool]
 
-    def test_pool_budget_refuses_at_the_first_function_past_it(self, monkeypatch):
-        def forbidden(u, n):
-            raise AssertionError("key table built for a refused pool")
-
-        def pool():
-            yield from [HashFunction((1, 2, 1, 2), 2)] * 3  # one partition, three times
-            raise AssertionError("drew past the first function over the budget")
-
-        monkeypatch.setattr(oracle, "_key_table", forbidden)
-        with pytest.raises(BudgetExceededError, match="candidate pool exceeds budget 2"):
-            exceed_masks(pool(), Params(4, 2, 2), budget=10**6, pool_budget=2)
-
     @pytest.mark.parametrize("u, m, n, c", [(11, 3, 5, 1), (7, 2, 3, 1), (7, 3, 4, 1), (8, 2, 4, 4), (5, 1, 2, 3)])
     def test_decided_caps_build_no_key_table(self, monkeypatch, u, m, n, c):
         def forbidden(u, n):
@@ -187,6 +175,26 @@ class TestCallers:
         cells = [h.cells[key - 1] for key in rep.uncovered_witness]
         assert len(set(cells)) < m
 
+    def test_pool_budget_refuses_at_the_first_function_past_it(self, monkeypatch):
+        def forbidden(u, n):
+            raise AssertionError("key table built for a refused pool")
+
+        def set_partitions(u, m, budget):
+            yield from [HashFunction((1, 2, 1, 2), 2)] * 3
+            raise AssertionError("drew past the first function over the budget")
+
+        monkeypatch.setattr(oracle, "_key_table", forbidden)
+        monkeypatch.setattr(oracle, "set_partitions", set_partitions)
+        with pytest.raises(BudgetExceededError, match="candidate pool exceeds budget 2"):
+            min_family_size_exact(Params(4, 2, 2), pool_budget=2)
+
+    @pytest.mark.parametrize("u, m, n, c, classes", [(6, 2, 2, 1, 32), (5, 3, 3, 1, 41), (6, 2, 3, Fraction(3, 2), 32)])
+    def test_pool_budget_admits_exactly_the_partition_classes(self, u, m, n, c, classes):
+        p = Params(u, m, n, c)
+        assert min_family_size_exact(p, pool_budget=classes) == min_family_size_exact(p)
+        with pytest.raises(BudgetExceededError, match=f"candidate pool exceeds budget {classes - 1}"):
+            min_family_size_exact(p, pool_budget=classes - 1)
+
     def test_functions_must_match_params(self):
         p = Params(4, 2, 2)
         for cells in ((1, 2, 1), (1, 2, 1, 2, 1)):
@@ -201,7 +209,7 @@ class TestCallers:
 def test_one_mask_per_drawn_function(m, data):
     # repeats and relabellings of one partition each get their own mask, at caps
     # where m*cap < n (every set exceeds; needs m not dividing n, since c >= 1),
-    # cap >= n (none does) and in between; the pool budget counts functions, not partitions
+    # cap >= n (none does) and in between
     u = data.draw(st.integers(min_value=m, max_value=6))
     n = data.draw(st.integers(min_value=m, max_value=u))
     regime = data.draw(st.sampled_from(["m*cap < n", "cap >= n", "kernel"]))
@@ -217,9 +225,6 @@ def test_one_mask_per_drawn_function(m, data):
     exceed = exceed_masks(pool, p, budget=10**6)
     combos = list(itertools.combinations(range(u), n))
     assert exceed == [direct_exceed_mask([c - 1 for c in h.cells], combos, cap) for h in pool]
-    assert exceed_masks(pool, p, budget=10**6, pool_budget=len(pool)) == exceed
-    with pytest.raises(BudgetExceededError, match=f"candidate pool exceeds budget {len(pool) - 1}"):
-        exceed_masks(pool, p, budget=10**6, pool_budget=len(pool) - 1)
 
 
 @settings(max_examples=300, deadline=None)
