@@ -248,7 +248,9 @@ def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEn
 
 
 def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
-    ln = lower_main(p, eps)
+    ln = lower_main(p, eps)  # first, so an invalid eps is refused at every c
+    if p.c >= p.m:
+        raise BoundNotApplicableError("c >= m: a single function suffices")
     return (BoundEntry("lower.main", ln, "asymptotic in n" if eps == 0 else "", epsilon=eps),)
 
 
@@ -277,19 +279,17 @@ def _eval_yao(p: Params, t: float) -> tuple[BoundEntry]:
 
 def _eval_fk(p: Params) -> tuple[BoundEntry, BoundEntry]:
     """lower.fk and upper.fk, the perfect-hashing counting pair; the proofs
-    do not generalize to n > m, so with n >= m they apply at n = m only."""
+    do not generalize to n > m, so with n >= m they apply at n = m only,
+    where their m - n + 2 is 2 and q = m!/m^m is the chance a function is perfect."""
     if not (2 <= p.n <= p.m and p.c == 1):
         raise BoundNotApplicableError("requires 2 <= n <= m, c = 1")
-    u, m, n = p.u, p.m, p.n
-    lower_ln = (
-        (n - 1) * math.log(m)
-        + math.log(math.log(u))
-        + math.lgamma(m - n + 2)
-        - math.lgamma(m + 1)
-        - math.log(math.log(m - n + 2))
-    )
-    q_den = math.factorial(m - n) * m**n  # q = m! / q_den < 1 at n >= 2, left unreduced
-    upper_ln = math.log(n) + math.log(math.log(u)) - _ln_neg_ln1m(math.factorial(m), q_den)
+    u, m = p.u, p.m
+    lower_ln = (m - 1) * math.log(m) + math.log(math.log(u)) - math.lgamma(m + 1) - math.log(math.log(2))
+    if m * m.bit_length() <= DESK_SCALE_BITS:
+        ln_neg_ln1m_q = _ln_neg_ln1m(math.factorial(m), m**m)
+    else:  # q is far below the float range, so -ln(1-q) is q within q/2; ln q by Stirling-Robbins
+        ln_neg_ln1m_q = 0.5 * math.log(2 * math.pi * m) - m + 1 / (12 * m) - 1 / (360 * m**3)
+    upper_ln = math.log(m) + math.log(math.log(u)) - ln_neg_ln1m_q
     note = "asymptotic order, natural logs"
     return (BoundEntry("lower.fk", lower_ln, note), BoundEntry("upper.fk", upper_ln, note))
 

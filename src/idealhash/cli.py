@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -56,13 +55,8 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--c", type=_fraction, default=Fraction(1), help="ideality factor (rational, e.g. 3/2 or 1.5)")
 
 
-def _add_output_flags(sp: argparse.ArgumentParser, formats: tuple[str, ...] = (), budget: bool = False) -> None:
-    """--out; --format over `formats` (the first is the default) if any; --budget if asked."""
-    if formats:
-        sp.add_argument("--format", choices=formats, default=formats[0])
-    sp.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
-    if budget:
-        sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget on C(u,n), on u!/prod(beta_i!) for balanced pools and on m**u, which bounds the set partitions of all-function pools")
+def _add_budget_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget on C(u,n), on u!/prod(beta_i!) for balanced pools and on m**u, which bounds the set partitions of all-function pools")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,25 +65,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="evaluate every named bound and the advice report")
     _add_param_flags(sp)
-    _add_output_flags(sp, ("json", "csv", "table"))
+    sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sp.add_argument("--eps", type=_fraction, default=Fraction(0))
     sp.add_argument("--t", type=float, default=2.0)
 
     sp = sub.add_parser("exact", help="exact ideality count and probability")
     _add_param_flags(sp)
-    _add_output_flags(sp, budget=True)
+    _add_budget_flag(sp)
     sp.add_argument("--with-hc", action="store_true", help="also search the exact minimal family size")
     sp.add_argument("--size-limit", type=int, default=8)
     sp.add_argument("--pool-budget", type=int, default=DEFAULT_POOL_BUDGET)
 
     sp = sub.add_parser("verify", help="check a family file against every key set")
     _add_param_flags(sp)
-    _add_output_flags(sp, budget=True)
+    _add_budget_flag(sp)
     sp.add_argument("--family", type=str, required=True, help="file with one function per line")
 
     sp = sub.add_parser("construct", help="build a verified family")
     _add_param_flags(sp)
-    _add_output_flags(sp, budget=True)
+    _add_budget_flag(sp)
     sp.add_argument("--method", choices=("random", "greedy", "yao"), required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-rounds", type=int, default=64)
@@ -105,10 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=_fraction, default=None, help="ideal-prob only (default 1)")
     sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
-    _add_output_flags(sp)
 
     sp = sub.add_parser("check-lemmas", help="run the exact inequality battery")
-    _add_output_flags(sp, ("json", "csv", "table"))
+    sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
 
     sp = sub.add_parser("report", help="sweep a parameter grid into a plot-ready table")
     sp.add_argument("--u", type=_int_list, required=True, help="comma-separated list")
@@ -117,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=_fraction_list, default=(Fraction(1),))
     sp.add_argument("--eps", type=_fraction, default=Fraction(0))
     sp.add_argument("--t", type=float, default=2.0)
-    _add_output_flags(sp, ("csv", "table"))
+    sp.add_argument("--format", choices=("csv", "table"), default="csv")
     return ap
 
 
@@ -145,31 +138,20 @@ def _entry_dict(e: BoundEntry) -> dict:
     }
 
 
-def _write(out: str | None, text: str) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(out: str | None, command: str, record: dict) -> None:
-    """Write `record` as the `command` report, stamped with the schema version."""
+def _emit_json(command: str, record: dict) -> None:
+    """Print `record` as the `command` report, stamped with the schema version."""
     stamped = {"schema_version": 1, "command": command, **record}
-    _write(out, json.dumps(stamped, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(stamped, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _emit_rows(out: str | None, fmt: str, header: list[str], rows: list[list]) -> None:
-    """Write `rows` under `header` as csv, or as a column-aligned table (None prints empty)."""
+def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> None:
+    """Print `rows` under `header` as csv, or as a column-aligned table (None prints empty)."""
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-        _write(out, buf.getvalue())
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
         return
     cells = [header] + [[("" if v is None else str(v)) for v in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    lines = ("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in cells)
-    _write(out, "".join(line + "\n" for line in lines))
+    sys.stdout.writelines("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n" for row in cells)
 
 
 def _cmd_bounds(args) -> int:
@@ -180,7 +162,7 @@ def _cmd_bounds(args) -> int:
     advice = bounds_mod.advice_report(report)
     entries = [_entry_dict(e) for e in report.entries]
     if args.format == "json":
-        _emit_json(args.out, "bounds", {
+        _emit_json("bounds", {
             "params": _params_dict(p),
             "bounds": entries,
             "advice": {
@@ -201,7 +183,7 @@ def _cmd_bounds(args) -> int:
     rows.append(["advice.lower_easy", "lower", f"{advice.lower_easy:.6f}", "", "", True, "nats, as printed"])
     for name in ("lower_main", "upper_main", "upper_yao"):
         rows.append([f"advice.{name}", name.partition("_")[0], "", f"{getattr(advice, name):.6f}", "", True, "bits"])
-    _emit_rows(args.out, args.format, header, rows)
+    _emit_rows(args.format, header, rows)
     return 0
 
 
@@ -224,7 +206,7 @@ def _cmd_exact(args) -> int:
             p, size_limit=args.size_limit, budget=args.budget, pool_budget=args.pool_budget
         )
         record["size_limit"] = args.size_limit
-    _emit_json(args.out, "exact", record)
+    _emit_json("exact", record)
     return 0
 
 
@@ -236,7 +218,7 @@ def _cmd_verify(args) -> int:
         fam = family_from_text(fh.read(), p.m)
     report = oracle_mod.verify_family(fam, p, budget=args.budget)
     witness = report.uncovered_witness
-    _emit_json(args.out, "verify", {
+    _emit_json("verify", {
         "params": _params_dict(p),
         "family_size": fam.size,
         "covered": report.covered,
@@ -268,7 +250,7 @@ def _cmd_construct(args) -> int:
     if args.family_out:  # written first, so a failed write prints no report
         with open(args.family_out, "w", encoding="utf-8") as fh:
             fh.write(family_to_text(log.family))
-    _emit_json(args.out, "construct", {
+    _emit_json("construct", {
         "params": _params_dict(p),
         "advice_bits": (log.family.size - 1).bit_length(),
         **log.to_json_dict(),
@@ -288,7 +270,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError("ideal-prob needs --u")
         p = Params(args.u, args.m, args.n, Fraction(1) if args.c is None else args.c)
         est = simulate_mod.estimate_ideal_probability(p, trials=args.trials, seed=args.seed)
-    _emit_json(args.out, "simulate", {"kind": args.kind, **dataclasses.asdict(est)})
+    _emit_json("simulate", {"kind": args.kind, **dataclasses.asdict(est)})
     return 0
 
 
@@ -299,11 +281,11 @@ def _cmd_check_lemmas(args) -> int:
     all_ok = all(r.ok for r in results)
     if args.format == "json":
         checks = [{**dataclasses.asdict(r), "ok": r.ok} for r in results]
-        _emit_json(args.out, "check-lemmas", {"checks": checks, "all_ok": all_ok})
+        _emit_json("check-lemmas", {"checks": checks, "all_ok": all_ok})
     else:
         header = ["name", "instances", "failures", "ok", "note"]
         rows = [[r.name, r.instances, r.failures, "pass" if r.ok else "FAIL", r.note] for r in results]
-        _emit_rows(args.out, args.format, header, rows)
+        _emit_rows(args.format, header, rows)
     return 0 if all_ok else 3
 
 
@@ -352,7 +334,7 @@ def _cmd_report(args) -> int:
                         ]
                     )
                     rows.append(row)
-    _emit_rows(args.out, args.format, header, rows)
+    _emit_rows(args.format, header, rows)
     return 0
 
 

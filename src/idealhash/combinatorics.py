@@ -14,11 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 
 def binom(a: int, b: int) -> int:
-    """Exact binomial coefficient C(a, b); returns 0 when b > a."""
-    if a < 0 or b < 0:
-        raise ValueError("binom expects non-negative arguments")
-    if b > a:
-        return 0
+    """Exact binomial coefficient C(a, b); 0 when b > a, ValueError on a negative argument."""
     return math.comb(a, b)
 
 

@@ -172,14 +172,14 @@ def yao_family(
     pool: Iterable[HashFunction],
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> ConstructionLog:
-    """Iteratively pick functions whose exceed-fraction over live sets is <= 1/t.
+    """Pick, each round, the pool member leaving the fewest live sets.
 
     A set is live while every chosen function drives its max load above the
-    c-ideal cap floor(c*alpha), which the log records as load_target.  Each
-    admissible round shrinks the live set by at least the factor 1/t; rounds
-    where no pool member meets the threshold fall back to the minimum
-    exceed-fraction and are recorded.  Raises PoolExhaustedError if no pool
-    member shrinks the live set while live sets remain.
+    c-ideal cap floor(c*alpha), which the log records as load_target.  The
+    pick is greedy's rule with ties in pool order, so t changes no pick: it
+    only records as fallback_rounds the rounds that kept more than a 1/t
+    fraction of the live sets.  Raises PoolExhaustedError if no pool member
+    shrinks the live set while live sets remain.
     """
     if not 1 < t < math.inf:
         raise ValueError("need 1 < t < inf")

@@ -303,7 +303,7 @@ def min_family_size_exact(
     """
     if size_limit < 1:
         raise ValueError("need size_limit >= 1")
-    if p.c >= p.m or p.m == 1:
+    if p.c >= p.m:
         return 1
     check_set_budget(p, budget)  # the budget check comes before the early exit
     if p.m * p.load_cap < p.n:

@@ -64,6 +64,14 @@ LN_TOL = 1e-9
 
 
 class TestLowerMain:
+    def test_does_not_apply_at_c_at_least_m(self):
+        # one function is c-ideal for every set there; eps is still checked first
+        for p in (Params(16, 2, 4, 2), Params(1, 1, 1)):
+            e = bound_report(p).entry("lower.main")
+            assert e.ln is None and e.validity_note == "c >= m: a single function suffices"
+            with pytest.raises(ValueError, match=r"^need eps in \[0, 1\)$"):
+                bound_report(p, eps=Fraction(10) ** 400)
+
     def test_anchor_against_high_precision(self):
         got = lower_main(Params(10, 10, 10), Fraction(0))
         with localcontext() as ctx:
@@ -311,6 +319,15 @@ class TestComparisonBounds:
         fk = entries["upper.fk"]
         assert fk.valid
         assert abs(fk.ln - float(decimal_ln_upper_fk(u, m, n))) <= LN_TOL
+
+    @pytest.mark.parametrize("m", [2**15, 2**16])
+    def test_upper_fk_past_desk_scale_matches_the_exact_path(self, m):
+        # past desk scale ln q comes from Stirling-Robbins, not from m! and m**m
+        assert m * m.bit_length() > bounds.DESK_SCALE_BITS
+        u = 10**12
+        fk = {e.name: e for e in comparison_bounds(Params(u, m, m))}["upper.fk"]
+        exact = math.log(m) + math.log(math.log(u)) - bounds._ln_neg_ln1m(math.factorial(m), m**m)
+        assert fk.ln == pytest.approx(exact, rel=1e-14, abs=0)
 
     def test_naor_needs_u_at_least_two(self):
         entries = {e.name: e for e in comparison_bounds(Params(1, 1, 1))}

@@ -128,15 +128,6 @@ class TestBounds:
         assert rc == 0
         assert "lower.volume" in out
 
-    def test_out_flag_writes_file(self, capsys, tmp_path):
-        path = tmp_path / "report.json"
-        rc, out, _ = run_capture(
-            capsys, ["bounds", "--u", "8", "--m", "2", "--n", "4", "--out", str(path)]
-        )
-        assert rc == 0
-        assert out == ""
-        assert json.loads(path.read_text())["command"] == "bounds"
-
 
     @pytest.mark.parametrize(
         "argv",
@@ -405,14 +396,28 @@ OUT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(OUT_CASES))
 def test_out_file_carries_the_stdout_bytes(name, capsys, tmp_path):
+    # every report goes to stdout; --out is a usage error that writes no file
     family = tmp_path / "family.txt"
     family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
     argv = [str(family) if a == "{family}" else a for a in OUT_CASES[name]]
     rc, out, _ = run_capture(capsys, argv)
     assert rc == 0 and out
     path = tmp_path / "report.out"
-    assert run_capture(capsys, [*argv, "--out", str(path)]) == (0, "", "")
-    assert path.read_bytes() == out.encode("utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # the README's CLI block, line by line, in one directory (its construct line writes fam.txt)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [line.partition("#")[0].split() for line in readme.splitlines() if line.startswith("idealhash ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert run_capture(capsys, argv[1:])[0] == 0, argv
 
 
 class TestErrorsAndExitCodes:

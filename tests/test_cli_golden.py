@@ -47,9 +47,9 @@ CASES = {
         ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3", "--t", "3.5"],
         "319232e40e2c6b0e34fd6ce81619c71d3e710dcbb1968b9a1526b586770350fb",
     ),
-    "bounds-zero-advice": (  # c >= m: every advice field is 0 with the one note
+    "bounds-zero-advice": (  # c >= m: every advice field is 0 with the one note, lower.main null
         ["bounds", "--u", "16", "--m", "2", "--n", "4", "--c", "2"],
-        "16fed5a849f5c871c8c57c939eff1a3cef50a1dc49c82d519ebdfbdf7d7b52d8",
+        "49b589ee3582250cce91ea0faa04e1a344b5241b94a9169f43d9430eeab7db34",
     ),
     "bounds-large-count": (  # a 6,264-digit M_c, past the exact command's int->str limit
         ["bounds", "--u", "1000000", "--m", "16", "--n", "2000", "--c", "3/2"],
@@ -61,11 +61,11 @@ CASES = {
     ),
     "bounds-u-one": (  # m < 2 universe note; the u >= 2 notes of upper.main, upper.naor and upper.prob.loose
         ["bounds", "--u", "1", "--m", "1", "--n", "1"],
-        "0ed22b7a9e0951b9869fe017d037ddab760096bca50502c8a4b9973623d6cd65",
+        "ae21c10be72d60b8bc21b82e871d4692e8bd9c1e340e351f0240f79346ca7de0",
     ),
     "bounds-c-covers-universe": (  # u <= c*alpha universe note; mehlhorn needs c = 1
         ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", "2"],
-        "84cdda30962d9ad08f0aeca7da0655a7fcac16ea63b28728d988d1626188a961",
+        "542ebe68c0fca39cba8676ace4c3e2876d48fc1f0abccebd27358da68ec1d586",
     ),
     "bounds-infeasible-cap": (  # both cap-below-ceil(alpha) notes; non-integral upper.main note
         ["bounds", "--u", "6", "--m", "2", "--n", "3"],

@@ -225,7 +225,7 @@ class TestMinFamilySize:
 
     @pytest.mark.parametrize("size_limit", [0, -1])
     def test_size_limit_below_one_is_refused(self, size_limit):
-        # refused before the c >= m and m = 1 shortcuts, which would answer 1
+        # refused before the c >= m shortcut (m = 1 implies it), which would answer 1
         for p in (Params(8, 2, 4, 1), Params(4, 2, 2, 2), Params(5, 1, 3, 1)):
             with pytest.raises(ValueError, match=r"^need size_limit >= 1$"):
                 min_family_size_exact(p, size_limit=size_limit)
