@@ -20,8 +20,8 @@ from __future__ import annotations
 import decimal
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import binom, ln_fraction
 from .errors import BoundNotApplicableError
@@ -34,8 +34,7 @@ from .oracle import IdealCount, exact_ideal_probability
 DESK_SCALE_BITS = 200_000
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     """One named bound: ln is its natural log when the bound applies at the
     parameter point, None when it does not, and validity_note then says why."""
 
@@ -55,8 +54,7 @@ class BoundEntry:
         return self.ln is not None
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     params: Params
     entries: tuple[BoundEntry, ...]
 
@@ -67,8 +65,7 @@ class BoundReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class AdviceReport:
+class AdviceReport(NamedTuple):
     """Advice-bit consequences of the family-size bounds.
 
     lower_easy and lower_easy_bits are the universe (indistinguishability)
@@ -82,7 +79,7 @@ class AdviceReport:
     lower_main: float
     upper_main: float
     upper_yao: float
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def lower_main(p: Params, eps: Fraction) -> float:

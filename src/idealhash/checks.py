@@ -9,10 +9,9 @@ Shared by the CLI and the acceptance suite so both verdicts agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bounds import upper_main_base_nats
 from .combinatorics import composition_count, compositions, ln_fraction
@@ -38,8 +37,7 @@ UPPER_BASE_CLAIMED_FLOOR = 1.002
 C_GRID = (Fraction(1), Fraction(3, 2), Fraction(2))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     instances: int
     failures: int

@@ -9,10 +9,9 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -111,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_fraction, default=Fraction(0))
     sp.add_argument("--t", type=float, default=2.0)
     sp.add_argument("--format", choices=("csv", "table"), default="csv")
+    for sp in sub.choices.values():  # no flag starts "-<digit or .>", so such a word (-1/3, -1e400) is a value
+        sp._negative_number_matcher = re.compile(r"-[\d.]")
     return ap
 
 
@@ -147,6 +148,8 @@ def _emit_json(command: str, record: dict) -> None:
 def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> None:
     """Print `rows` under `header` as csv, or as a column-aligned table (None prints empty)."""
     if fmt == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
         return
     cells = [header] + [[("" if v is None else str(v)) for v in row] for row in rows]
@@ -246,7 +249,7 @@ def _cmd_construct(args) -> int:
             log = construct_mod.yao_family(p, t=args.t, pool=pool, budget=args.budget)
         if balanced:  # one function per partition; pool_size counts all u!/prod(beta_i!) labellings
             r = p.u % p.m
-            log = dataclasses.replace(log, pool_size=len(pool) * math.factorial(r) * math.factorial(p.m - r))
+            log = log._replace(pool_size=len(pool) * math.factorial(r) * math.factorial(p.m - r))
     if args.family_out:  # written first, so a failed write prints no report
         with open(args.family_out, "w", encoding="utf-8") as fh:
             fh.write(family_to_text(log.family))
@@ -270,7 +273,7 @@ def _cmd_simulate(args) -> int:
             raise ValueError("ideal-prob needs --u")
         p = Params(args.u, args.m, args.n, Fraction(1) if args.c is None else args.c)
         est = simulate_mod.estimate_ideal_probability(p, trials=args.trials, seed=args.seed)
-    _emit_json("simulate", {"kind": args.kind, **dataclasses.asdict(est)})
+    _emit_json("simulate", {"kind": args.kind, **est._asdict()})
     return 0
 
 
@@ -280,7 +283,7 @@ def _cmd_check_lemmas(args) -> int:
     results = run_all_checks()
     all_ok = all(r.ok for r in results)
     if args.format == "json":
-        checks = [{**dataclasses.asdict(r), "ok": r.ok} for r in results]
+        checks = [{**r._asdict(), "ok": r.ok} for r in results]
         _emit_json("check-lemmas", {"checks": checks, "all_ok": all_ok})
     else:
         header = ["name", "instances", "failures", "ok", "note"]

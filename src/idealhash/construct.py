@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import PoolExhaustedError
 from .hashspace import (
@@ -25,8 +24,7 @@ from .hashspace import (
 from .oracle import check_set_budget, cover_mask, exceed_masks
 
 
-@dataclass(frozen=True)
-class ConstructionLog:
+class ConstructionLog(NamedTuple):
     """Outcome of one construction run, with enough detail to replay it."""
 
     method: str
@@ -38,11 +36,11 @@ class ConstructionLog:
     verified: bool
     t: float | None = None
     load_target: int | None = None
-    fallback_rounds: tuple[int, ...] = field(default_factory=tuple)
+    fallback_rounds: tuple[int, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
-            **{f.name: getattr(self, f.name) for f in fields(self)},
+            **self._asdict(),
             "family_size": self.family.size,
             "family": [function_to_text(h) for h in self.family.functions],
             "provenance": self.method,

@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .combinatorics import binom, binom_steps, exceeds
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -21,29 +20,36 @@ from .errors import BudgetExceededError, DimensionMismatchError
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_POOL_BUDGET = 10**4
 
+# Params, HashFunction and Family (and oracle.IdealCount) check their fields in
+# __new__; NamedTuple's _replace and _make skip __new__, so none calls them.
 
-@dataclass(frozen=True)
-class Params:
-    """Problem parameters: universe size u, table size m, key-set size n, factor c.
 
-    Standing assumptions: n >= m >= 1 and u >= n.
-    """
-
+class _ParamsFields(NamedTuple):
     u: int
     m: int
     n: int
     c: Fraction = Fraction(1)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", Fraction(self.c))
-        if self.m < 1:
+
+class Params(_ParamsFields):
+    """Problem parameters: universe size u, table size m, key-set size n, factor c.
+
+    Standing assumptions: n >= m >= 1 and u >= n.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: int, m: int, n: int, c: Fraction = Fraction(1)) -> Params:
+        c = Fraction(c)
+        if m < 1:
             raise ValueError("need m >= 1")
-        if self.n < self.m:
+        if n < m:
             raise ValueError("need n >= m")
-        if self.u < self.n:
+        if u < n:
             raise ValueError("need u >= n")
-        if self.c < 1:
+        if c < 1:
             raise ValueError("need c >= 1")
+        return super().__new__(cls, u, m, n, c)
 
     @property
     def alpha(self) -> Fraction:
@@ -60,18 +66,22 @@ class Params:
         return binom(self.u, self.n)
 
 
-@dataclass(frozen=True)
-class HashFunction:
-    """Total map from keys 1..u to cells 1..m, stored as the cell of each key."""
-
+class _HashFunctionFields(NamedTuple):
     cells: tuple[int, ...]
     m: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+
+class HashFunction(_HashFunctionFields):
+    """Total map from keys 1..u to cells 1..m, stored as the cell of each key."""
+
+    __slots__ = ()
+
+    def __new__(cls, cells: tuple[int, ...], m: int) -> HashFunction:
+        if m < 1:
             raise ValueError("need m >= 1")
-        if self.cells and (min(self.cells) < 1 or max(self.cells) > self.m):
-            raise DimensionMismatchError(f"cell indices must lie in 1..{self.m}")
+        if cells and (min(cells) < 1 or max(cells) > m):
+            raise DimensionMismatchError(f"cell indices must lie in 1..{m}")
+        return super().__new__(cls, cells, m)
 
     @property
     def u(self) -> int:
@@ -90,19 +100,23 @@ class HashFunction:
         return tuple(map(tuple, fibers.values()))
 
 
-@dataclass(frozen=True)
-class Family:
-    """An ordered family of hash functions."""
-
+class _FamilyFields(NamedTuple):
     functions: tuple[HashFunction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.functions:
+
+class Family(_FamilyFields):
+    """An ordered family of hash functions."""
+
+    __slots__ = ()
+
+    def __new__(cls, functions: tuple[HashFunction, ...]) -> Family:
+        if not functions:
             raise ValueError("a family holds at least one function")
-        m = self.functions[0].m
-        u = self.functions[0].u
-        if any(h.m != m or h.u != u for h in self.functions):
+        m = functions[0].m
+        u = functions[0].u
+        if any(h.m != m or h.u != u for h in functions):
             raise DimensionMismatchError("family members disagree on u or m")
+        return super().__new__(cls, functions)
 
     @property
     def size(self) -> int:

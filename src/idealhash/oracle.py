@@ -16,9 +16,8 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .combinatorics import _power_coeffs, binom, binom_steps, compositions, exceeds
 from .errors import BudgetExceededError, DimensionMismatchError
@@ -33,24 +32,27 @@ from .hashspace import (
 )
 
 
-@dataclass(frozen=True)
-class IdealCount:
-    """How many of the C(u,n) key sets one balanced function hashes within cap."""
-
+class _IdealCountFields(NamedTuple):
     m_c: int
     total: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.m_c <= self.total:
+
+class IdealCount(_IdealCountFields):
+    """How many of the C(u,n) key sets one balanced function hashes within cap."""
+
+    __slots__ = ()
+
+    def __new__(cls, m_c: int, total: int) -> IdealCount:
+        if not 0 <= m_c <= total:
             raise ValueError("count must lie in [0, total]")
+        return super().__new__(cls, m_c, total)
 
     @property
     def probability(self) -> Fraction:
         return Fraction(self.m_c, self.total)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Result of checking a family against every key set."""
 
     covered: int

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .hashspace import Params, balanced_fiber_sizes
 
@@ -48,8 +47,7 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
 _SLICE = 2**18
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Sample mean with a 95% interval half-width and replay metadata."""
 
     mean: float

@@ -180,6 +180,18 @@ class TestBounds:
         assert (rc, out) == (1, "")
         assert json.loads(err) == {"error": "ValueError", "message": "need eps in [0, 1)"}
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("bounds", "--eps", "-1/3"), ("bounds", "--eps", "-1e400"), ("bounds", "--c", "-3/2"), ("report", "--c", "-3/2,2")],
+    )
+    def test_negative_rational_as_its_own_word_is_a_value(self, capsys, command, flag, value):
+        # "-1/3" after a flag is its value, as in "--eps=-1/3": the range check refuses it, not argparse
+        argv = [command, "--u", "16", "--m", "2", "--n", "4"]
+        apart = run_capture(capsys, argv + [flag, value])
+        assert apart == run_capture(capsys, argv + [f"{flag}={value}"])
+        assert apart[:2] == (1, "")
+        assert json.loads(apart[2])["error"] == "ValueError"
+
     def test_eps_whose_float_rounds_to_one_is_served(self, capsys):
         argv = ["--u", "8", "--m", "2", "--n", "4", "--eps", "0.99999999999999999999"]
         rc, out, err = run_capture(capsys, ["bounds", *argv])
@@ -571,7 +583,8 @@ def test_python_dash_m_runs_the_cli(module):
 def test_commands_off_the_kernel_do_not_load_numpy(tmp_path):
     # numpy costs most of the CLI's import time and only the samplers need it:
     # counting, bounds and the coverage kernel (construct, verify, exact
-    # --with-hc) must not load it, while simulate does
+    # --with-hc) must not load it, while simulate does; the record types are
+    # NamedTuples, so no call loads dataclasses, nor inspect before numpy
     family = tmp_path / "family.txt"
     family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
     script = f"""
@@ -593,8 +606,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv) for argv in calls]
     assert codes == [0] * len(calls), codes
     assert "numpy" not in sys.modules
+    assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, "startup imports grew"
     assert run(["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"]) == 0
 assert "numpy" in sys.modules
+assert "dataclasses" not in sys.modules  # numpy loads inspect, not dataclasses
 """
     env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)

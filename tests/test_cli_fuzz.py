@@ -29,7 +29,7 @@ def _mostly(valid: range):
 
 SIZE = _mostly(range(-1, 8))
 SIZES = st.lists(SIZE, min_size=1, max_size=3).map(",".join)
-FACTOR = st.sampled_from(["1", "3/2", "2", "5/4", "7", "1", "3/2", "0", "-1", "1/0", "nan", "inf", "abc", "1.5", "1e400"])
+FACTOR = st.sampled_from(["1", "3/2", "2", "5/4", "7", "1", "3/2", "0", "-1", "-1/3", "-3/2", "1/0", "nan", "inf", "abc", "1.5", "1e400"])
 SHRINK = st.sampled_from(["2", "1.5", "8", "2", "1.5", "1", "0.5", "-3", "inf", "nan", "1e400", "x"])
 COUNT = _mostly(range(-1, 41))
 BUDGET = st.sampled_from(["5000", "5000", "100", "0", "-1", "x"])

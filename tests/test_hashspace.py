@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealhash import oracle
+from idealhash.bounds import AdviceReport, BoundEntry, BoundReport
+from idealhash.checks import CheckResult
+from idealhash.construct import ConstructionLog
 from idealhash.errors import BudgetExceededError, DimensionMismatchError
 from idealhash.hashspace import (
     Family,
@@ -20,7 +23,8 @@ from idealhash.hashspace import (
     function_to_text,
     set_partitions,
 )
-from idealhash.oracle import cover_mask, exceed_masks, verify_family
+from idealhash.oracle import CoverageReport, IdealCount, cover_mask, exceed_masks, verify_family
+from idealhash.simulate import Estimate
 
 
 def max_load(h, keys):
@@ -45,16 +49,27 @@ class TestParams:
         assert p.load_cap == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Params(4, 3, 2, 1)  # n < m
-        with pytest.raises(ValueError):
-            Params(3, 2, 4, 1)  # u < n
-        with pytest.raises(ValueError):
-            Params(4, 2, 2, Fraction(1, 2))  # c < 1
+        # each point also fails every later check, so the order of the checks is pinned
+        for args, message in [
+            ((1, 0, 2, 0), "need m >= 1"),
+            ((1, 3, 2, 0), "need n >= m"),
+            ((1, 2, 2, 0), "need u >= n"),
+            ((4, 2, 2, Fraction(1, 2)), "need c >= 1"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                Params(*args)
+            assert str(exc.value) == message
 
     def test_c_accepts_string_and_decimal(self):
         assert Params(4, 2, 2, "3/2").c == Fraction(3, 2)
         assert Params(4, 2, 2, 1.5).c == Fraction(3, 2)
+
+    def test_an_int_c_becomes_a_fraction(self):
+        assert type(Params(4, 2, 2, 2).c) is Fraction
+        assert type(Params(4, 2, 2).c) is Fraction
+
+    def test_repr_names_every_field(self):
+        assert repr(Params(8, 2, 4, Fraction(3, 2))) == "Params(u=8, m=2, n=4, c=Fraction(3, 2))"
 
 
 class TestLoadProfile:
@@ -282,7 +297,47 @@ def test_partition_signature_is_the_sorted_non_empty_fibers(data):
 
 
 def test_family_requires_consistent_dimensions():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="^family members disagree on u or m$"):
         Family((HashFunction((1, 2), 2), HashFunction((1, 2, 1), 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError, match="^family members disagree on u or m$"):
+        Family((HashFunction((1, 2), 2), HashFunction((1, 2), 3)))
+    with pytest.raises(ValueError, match="^a family holds at least one function$"):
         Family(())
+
+
+def test_hash_function_cells_lie_in_one_to_m():
+    for cells in [(1, 3), (0, 1)]:
+        with pytest.raises(DimensionMismatchError, match=r"^cell indices must lie in 1\.\.2$"):
+            HashFunction(cells, 2)
+    with pytest.raises(ValueError, match="^need m >= 1$"):
+        HashFunction((), 0)
+
+
+def test_ideal_count_lies_in_zero_to_total():
+    assert IdealCount(0, 4).probability == 0 and IdealCount(4, 4).probability == 1
+    for m_c in (-1, 5):
+        with pytest.raises(ValueError, match=r"^count must lie in \[0, total\]$"):
+            IdealCount(m_c, 4)
+
+
+def test_every_record_field_is_read_only():
+    p = Params(8, 2, 4)
+    h = HashFunction((1, 2, 1, 2, 1, 2, 1, 2), 2)
+    family = Family((h,))
+    records = [
+        p,
+        h,
+        family,
+        IdealCount(1, 2),
+        CoverageReport(3, None),
+        BoundEntry("lower.volume", 1.0),
+        BoundReport(p, ()),
+        AdviceReport(0.0, 0.0, 0.0, 0.0, 0.0),
+        CheckResult("check", 1, 0),
+        Estimate(0.5, 0.1, 10, 1),
+        ConstructionLog("greedy", None, 1, 1, (0,), family, True),
+    ]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
