@@ -8,7 +8,8 @@ a bound that rounds to zero or fewer functions does not apply.  Each
 `_eval_*` builds the entries of one bound, or raises BoundNotApplicableError
 with a note saying why the bound does not apply; report assembly
 (`_entries`) turns that note into an entry whose ln is None, so sweeps over
-mixed-domain grids stay total.  Stable entry names:
+mixed-domain grids stay total; no bound does work that grows with n past
+desk scale.  Stable entry names:
 
     lower.volume  lower.main  lower.universe  lower.fk  lower.mehlhorn
     upper.prob.tight  upper.prob.loose  upper.main  upper.naor  upper.yao
@@ -23,14 +24,14 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import binom, ln_fraction
+from .combinatorics import ln_fraction
 from .errors import BoundNotApplicableError
 from .hashspace import Params
 from .oracle import IdealCount, exact_ideal_probability
 
 # Desk scale of exact big-integer work: terms * log2(u) up to this many bits.
-# Past it ln C(u,n) is summed term by term and the counting DP is skipped,
-# since its coefficients grow with n * log2(u).
+# Past it the counting DP is skipped, since its coefficients grow with
+# n * log2(u), and so are the bounds that read its count.
 DESK_SCALE_BITS = 200_000
 
 
@@ -71,14 +72,15 @@ class AdviceReport(NamedTuple):
     lower_easy and lower_easy_bits are the universe (indistinguishability)
     lower bound in nats and in bits: the printed log base is ambiguous, so
     both are reported.  All other fields are log2 of the corresponding
-    family-size bounds.  Every field is clamped at zero.
+    family-size bounds.  Every field is clamped at zero; an upper field is
+    None where the entry it reads does not apply.
     """
 
     lower_easy: float
     lower_easy_bits: float
     lower_main: float
-    upper_main: float
-    upper_yao: float
+    upper_main: float | None
+    upper_yao: float | None
     notes: tuple[str, ...] = ()
 
 
@@ -138,24 +140,6 @@ def upper_main(p: Params) -> float:
     )
 
 
-def ln_binom(u: int, n: int) -> float:
-    """ln C(u,n) from exact terms: the big integer itself at desk scale, the
-    term-by-term log sum when materializing C(u,n) would be expensive."""
-    if n < 0 or n > u:
-        raise ValueError("need 0 <= n <= u")
-    k = min(n, u - n)
-    if k * max(1, u.bit_length()) <= DESK_SCALE_BITS:
-        return math.log(binom(u, n))
-    return sum(math.log(u - i) - math.log(i + 1) for i in range(k))
-
-
-def upper_yao(p: Params, t: float) -> int:
-    """floor(ln C(u,n) / ln t) + 1 rounds of covering at shrink factor 1/t."""
-    if not 1 < t < math.inf:
-        raise ValueError("need 1 < t < inf")
-    return math.floor(ln_binom(p.u, p.n) / math.log(t)) + 1
-
-
 def _ln_neg_ln1m(a: int, b: int) -> float:
     """ln(-ln(1-q)) for q = a/b with 0 < a < b, free of cancellation.
 
@@ -201,6 +185,13 @@ def _entries(names: tuple[str, ...], build, *args) -> tuple[BoundEntry, ...]:
         return tuple(BoundEntry(name, None, str(exc)) for name in names)
 
 
+def _require_family(p: Params) -> None:
+    """Not applicable where m * floor(c*alpha) < n: no n keys fit under the
+    cap, so no function is c-ideal for any set (M_c = 0) and no family exists."""
+    if p.m * p.load_cap < p.n:
+        raise BoundNotApplicableError("cap below ceil(alpha): no ideal family exists")
+
+
 def _count_ratio(count: IdealCount | None, infeasible: str) -> Fraction:
     """C(u,n) / M_c; not applicable when counting was skipped (count is None)
     or no function is ideal for any set (M_c = 0), `infeasible` saying why
@@ -218,12 +209,15 @@ def _eval_volume(count: IdealCount | None) -> tuple[BoundEntry]:
     return (BoundEntry("lower.volume", ln_fraction(ratio), "exact counting", ceiling=math.ceil(ratio)),)
 
 
-def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEntry]:
-    """upper.prob.tight and upper.prob.loose from p = M_c / C(u,n).
+def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
+    """upper.prob.tight, upper.prob.loose and upper.yao from p = M_c / C(u,n).
 
     Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
     r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) * n * ln u, not
-    applicable at u = 1.  A ceiling past the float range is None.
+    applicable at u = 1.  A ceiling past the float range is None.  Yao:
+    floor(ln C(u,n) / ln t) + 1 rounds, each keeping at most 1/t of the live
+    sets; averaging over balanced functions proves 1/t = 1 - p, and there the
+    count is tight's.
     """
     ratio = _count_ratio(count, "no ideal family exists")
     total, m_c = count.total, count.m_c
@@ -234,14 +228,15 @@ def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEn
         validity_note="exact p",
         ceiling=_tight_ceiling(total, m_c, ln_r),
     )
+    yao = tight._replace(name="upper.yao", validity_note="t = 1/(1-p)")
     if p.u < 2:
-        return tight, BoundEntry("upper.prob.loose", None, "needs u >= 2 (it carries ln ln u)")
+        return tight, BoundEntry("upper.prob.loose", None, "needs u >= 2 (it carries ln ln u)"), yao
     try:
         loose_ceiling = math.ceil(float(ratio) * p.n * math.log(p.u))
     except OverflowError:
         loose_ceiling = None
     ln_loose = ln_fraction(ratio * p.n) + math.log(math.log(p.u))
-    return tight, BoundEntry("upper.prob.loose", ln_loose, "exact p", ceiling=loose_ceiling)
+    return tight, BoundEntry("upper.prob.loose", ln_loose, "exact p", ceiling=loose_ceiling), yao
 
 
 def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
@@ -252,13 +247,19 @@ def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
 
 
 def _eval_universe(p: Params) -> tuple[BoundEntry]:
+    """lower.universe; its ceiling is the least k with m^k * c*alpha >= u, in integers."""
     lu = lower_universe(p)
     if lu <= 0:
         raise BoundNotApplicableError("c*alpha lies within float rounding of u: ln u - ln(c*alpha) rounds to <= 0")
-    return (BoundEntry("lower.universe", math.log(lu), ceiling=math.ceil(lu)),)
+    ca = p.c * p.alpha
+    k = max(1, math.ceil(lu) - 1)  # lu errs by far less than 1
+    while p.m**k * ca.numerator < p.u * ca.denominator:
+        k += 1
+    return (BoundEntry("lower.universe", math.log(lu), ceiling=k),)
 
 
 def _eval_upper_main(p: Params) -> tuple[BoundEntry]:
+    _require_family(p)
     um = upper_main(p)
     try:
         ceiling = math.ceil(math.exp(um))
@@ -267,11 +268,6 @@ def _eval_upper_main(p: Params) -> tuple[BoundEntry]:
     integral = (p.c * p.alpha).denominator == 1
     note = "" if integral else "cap floor(c*alpha) substituted (c*alpha not integral)"
     return (BoundEntry("upper.main", um, note, ceiling=ceiling),)
-
-
-def _eval_yao(p: Params, t: float) -> tuple[BoundEntry]:
-    yao = upper_yao(p, t)
-    return (BoundEntry("upper.yao", math.log(yao), f"t = {t}", ceiling=yao),)
 
 
 def _eval_fk(p: Params) -> tuple[BoundEntry, BoundEntry]:
@@ -296,6 +292,7 @@ def _eval_naor(p: Params) -> tuple[BoundEntry]:
     the main upper bound at c = 1, behind this entry's own guard and note."""
     if p.u < 2:
         raise BoundNotApplicableError("needs u >= 2 (it carries ln ln u)")
+    _require_family(p)
     ln = upper_main(Params(p.u, p.m, p.n))
     return (BoundEntry("upper.naor", ln, "normalized sqrt(n/2pi); classical display uses sqrt(n)"),)
 
@@ -331,33 +328,35 @@ def advice_report(report: BoundReport) -> AdviceReport:
         )
     # c < m gives m >= 2 and c*alpha < n <= u, so the universe bound applies
     easy = lower_universe(p)  # may round to 0 when c*alpha is within an ulp of u
+    main_ln, yao_ln = (report.entry(name).ln for name in ("upper.main", "upper.yao"))
     return AdviceReport(
         lower_easy=math.log(easy) if easy > 1 else 0.0,
         lower_easy_bits=math.log2(easy) if easy > 1 else 0.0,
         lower_main=max(0.0, report.entry("lower.main").ln / math.log(2.0)),
-        upper_main=max(0.0, report.entry("upper.main").ln / math.log(2.0)),
-        upper_yao=max(0.0, math.log2(report.entry("upper.yao").ceiling)),
+        upper_main=None if main_ln is None else max(0.0, main_ln / math.log(2.0)),
+        upper_yao=None if yao_ln is None else max(0.0, yao_ln / math.log(2.0)),
     )
 
 
-def bound_report(p: Params, eps: Fraction = Fraction(0), t: float = 2.0) -> BoundReport:
+def bound_report(p: Params, eps: Fraction = Fraction(0)) -> BoundReport:
     """Assemble every named bound for one parameter point.
 
     The volume and probabilistic entries share one exact count (cheap at any
     u: one `_power_coeffs` power per fiber size, never subset enumeration),
-    skipped past desk scale.  The eps and t entries are built first, so an
-    invalid eps or t is refused before the counting work.
+    skipped past desk scale.  The eps entry is built first, so an invalid
+    eps is refused before the counting work.
     """
     main = _entries(("lower.main",), _eval_lower_main, p, eps)
-    yao = _entries(("upper.yao",), _eval_yao, p, t)
     count = None if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS else exact_ideal_probability(p)
+    tight, loose, yao = _entries(("upper.prob.tight", "upper.prob.loose", "upper.yao"), _eval_prob, p, count)
     entries = (
         *_entries(("lower.volume",), _eval_volume, count),
         *main,
         *_entries(("lower.universe",), _eval_universe, p),
-        *_entries(("upper.prob.tight", "upper.prob.loose"), _eval_prob, p, count),
+        tight,
+        loose,
         *_entries(("upper.main",), _eval_upper_main, p),
-        *yao,
+        yao,
         *comparison_bounds(p),
     )
     return BoundReport(params=p, entries=entries)

@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sp.add_argument("--eps", type=_fraction, default=Fraction(0))
-    sp.add_argument("--t", type=float, default=2.0)
 
     sp = sub.add_parser("exact", help="exact ideality count and probability")
     _add_param_flags(sp)
@@ -108,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_int_list, required=True)
     sp.add_argument("--c", type=_fraction_list, default=(Fraction(1),))
     sp.add_argument("--eps", type=_fraction, default=Fraction(0))
-    sp.add_argument("--t", type=float, default=2.0)
     sp.add_argument("--format", choices=("csv", "table"), default="csv")
     for sp in sub.choices.values():  # no flag starts "-<digit or .>", so such a word (-1/3, -1e400) is a value
         sp._negative_number_matcher = re.compile(r"-[\d.]")
@@ -161,7 +159,7 @@ def _cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
 
     p = Params(args.u, args.m, args.n, args.c)
-    report = bounds_mod.bound_report(p, eps=args.eps, t=args.t)
+    report = bounds_mod.bound_report(p, eps=args.eps)
     advice = bounds_mod.advice_report(report)
     entries = [_entry_dict(e) for e in report.entries]
     if args.format == "json":
@@ -185,7 +183,9 @@ def _cmd_bounds(args) -> int:
     ]
     rows.append(["advice.lower_easy", "lower", f"{advice.lower_easy:.6f}", "", "", True, "nats, as printed"])
     for name in ("lower_main", "upper_main", "upper_yao"):
-        rows.append([f"advice.{name}", name.partition("_")[0], "", f"{getattr(advice, name):.6f}", "", True, "bits"])
+        bits = getattr(advice, name)  # None where the bound it reads does not apply
+        cell = None if bits is None else f"{bits:.6f}"
+        rows.append([f"advice.{name}", name.partition("_")[0], "", cell, "", bits is not None, "bits"])
     _emit_rows(args.format, header, rows)
     return 0
 
@@ -322,20 +322,14 @@ def _cmd_report(args) -> int:
                     if n < m or u < n:
                         continue
                     p = Params(u, m, n, c)
-                    rep = bounds_mod.bound_report(p, eps=args.eps, t=args.t)
+                    rep = bounds_mod.bound_report(p, eps=args.eps)
                     adv = bounds_mod.advice_report(rep)
                     row = [u, m, n, str(c), str(p.alpha), p.load_cap]
                     for name in _REPORT_BOUND_COLUMNS:
                         e = rep.entry(name)
                         row.append("" if e.ln is None else f"{e.ln:.9g}")
-                    row.extend(
-                        [
-                            f"{adv.lower_easy:.9g}",
-                            f"{adv.lower_main:.9g}",
-                            f"{adv.upper_main:.9g}",
-                            f"{adv.upper_yao:.9g}",
-                        ]
-                    )
+                    advice = (adv.lower_easy, adv.lower_main, adv.upper_main, adv.upper_yao)
+                    row.extend("" if v is None else f"{v:.9g}" for v in advice)
                     rows.append(row)
     _emit_rows(args.format, header, rows)
     return 0

@@ -17,7 +17,6 @@ from idealhash.bounds import (
     lower_main,
     lower_universe,
     upper_main,
-    upper_yao,
 )
 from idealhash.checks import (
     check_balance_extremality,
@@ -151,7 +150,7 @@ def test_criterion_06_sandwich_audit():
     t0 = time.time()
     instances = 0
     violations = []
-    for p in oracle_grid():
+    for p in (*oracle_grid(), Params(6, 4, 4, 1)):  # H = 5 at (6,4,4,1), where a shrink factor of 2 gave 4
         ic = exact_ideal_probability(p)
         h = min_family_size_exact(p, size_limit=8)
         if h is None:
@@ -164,6 +163,9 @@ def test_criterion_06_sandwich_audit():
         loose = rep.entry("upper.prob.loose").ceiling
         if not (volume <= h <= tight <= loose):
             violations.append((p, (volume, h, tight, loose)))
+        yao_bits = advice_report(rep).upper_yao
+        if not (h <= rep.entry("upper.yao").ceiling and math.log2(h) <= yao_bits + LOG_TOL):
+            violations.append((p, "yao"))
         try:
             if lower_universe(p) > h + 1e-12:
                 violations.append((p, "universe"))
@@ -173,7 +175,8 @@ def test_criterion_06_sandwich_audit():
             violations.append((p, "reciprocal vs loose"))
     elapsed = time.time() - t0
     report(
-        "6. sandwich audit: volume and universe lower bounds <= exact H <= tight <= loose",
+        "6. sandwich audit: volume and universe lower bounds <= exact H <= tight <= loose; "
+        "H <= yao ceiling and log2 H <= yao advice bits",
         not violations and elapsed < 120,
         f"{instances} instances, {elapsed:.1f}s",
     )
@@ -275,13 +278,14 @@ def test_criterion_09_bound_evaluators():
             if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)) or naor.ln != a:
                 naor_ok = False
 
-    u, n, m, c, t = 2**20, 64, 16, Fraction(1), 2.0
+    u, n, m, c = 2**20, 64, 16, Fraction(1)
     p = Params(u, m, n, c)
-    adv = advice_report(bound_report(p, t=t))
+    rep = bound_report(p)
+    adv = advice_report(rep)
     advice_ok = (
         adv.lower_main == lower_main(p, Fraction(0)) / math.log(2.0)
         and adv.upper_main == upper_main(p) / math.log(2.0)
-        and adv.upper_yao == math.log2(upper_yao(p, t))
+        and adv.upper_yao == rep.entry("upper.yao").ln / math.log(2.0)
         and adv.lower_easy_bits == math.log2(lower_universe(p))
     )
     elapsed = time.time() - t0

@@ -13,12 +13,10 @@ from idealhash.bounds import (
     advice_report,
     bound_report,
     comparison_bounds,
-    ln_binom,
     lower_main,
     lower_universe,
     upper_main,
     upper_main_base_nats,
-    upper_yao,
 )
 from idealhash.checks import check_upper_base_constant
 from idealhash.combinatorics import binom, ln_fraction
@@ -125,6 +123,25 @@ class TestLowerUniverse:
         with pytest.raises(BoundNotApplicableError):
             lower_universe(Params(100, 2, 2, 2))
 
+    def test_ceiling_is_the_least_k_with_m_to_the_k_times_c_alpha_at_least_u(self):
+        # u within one of m^k * c*alpha, where ceil of the float log_m(u / (c*alpha)) can be one off
+        float_misses = 0
+        for m in (2, 3, 4, 8):
+            for n in (m, 2 * m, 4 * m):
+                for c in (Fraction(1), Fraction(3, 2), Fraction(2)):
+                    ca = c * Fraction(n, m)
+                    for k in range(1, 7):
+                        target = m**k * ca
+                        for u in {math.floor(target) - 1, math.floor(target), math.ceil(target), math.ceil(target) + 1}:
+                            if c >= m or u < n or u <= ca:
+                                continue
+                            p = Params(u, m, n, c)
+                            want = next(j for j in range(1, u + 1) if m**j * ca >= u)
+                            assert bound_report(p).entry("lower.universe").ceiling == want, p
+                            float_misses += math.ceil(lower_universe(p)) != want
+        assert float_misses > 0  # the grid reaches points where the float ceiling is wrong
+        assert bound_report(Params(24, 2, 4, Fraction(3, 2))).entry("lower.universe").ceiling == 3  # 2^3 * 3 = 24
+
 
 class TestUpperMain:
     def test_anchor_value_and_ceiling(self):
@@ -161,41 +178,6 @@ class TestUpperMain:
         entry = bound_report(p).entry("upper.main")
         assert entry.ln == um
         assert entry.ceiling is None
-
-
-class TestUpperYao:
-    def test_anchor(self):
-        assert upper_yao(Params(8, 2, 4), 2.0) == 7  # floor(ln 70 / ln 2) + 1
-
-    def test_t_equal_to_set_count_gives_two(self):
-        total = binom(8, 4)
-        assert upper_yao(Params(8, 2, 4), float(total)) == 2
-
-    def test_residual_semantics(self):
-        # C(u,n) * t^-r < 1 exactly when r exceeds ln C / ln t
-        total = binom(8, 4)
-        t = 2.0
-        r = upper_yao(Params(8, 2, 4), t)
-        assert total * t**-r < 1
-        assert total * t ** -(r - 1) >= 1
-
-    def test_rejects_t_at_most_one(self):
-        with pytest.raises(ValueError):
-            upper_yao(Params(8, 2, 4), 1.0)
-
-    @pytest.mark.parametrize("t", [math.inf, math.nan])
-    def test_rejects_non_finite_t(self, t):
-        with pytest.raises(ValueError):
-            upper_yao(Params(8, 2, 4), t)
-
-    def test_ln_binom_huge_universe(self):
-        # term-sum path agrees with the exact path where both run
-        exact = math.log(binom(10**4, 12))
-        assert ln_binom(10**4, 12) == pytest.approx(exact, rel=1e-12)
-        # u >> n: every numerator term is ln u up to O(n/u)
-        huge = ln_binom(2**256, 2**16)
-        want = 2**16 * 256 * math.log(2) - math.lgamma(2**16 + 1)
-        assert huge == pytest.approx(want, rel=1e-12)
 
 
 class TestProbabilityUpper:
@@ -282,6 +264,20 @@ class TestProbabilityUpper:
         assert rep.entry("upper.prob.loose").ceiling is None
         assert rep.entry("upper.main").ceiling is None
 
+    def test_yao_is_tight_at_its_proven_shrink_factor(self):
+        # t = 1/(1-p): floor(ln C / ln t) + 1 = 1 + floor(ln C / -ln(1-p)), tight's count
+        rep = bound_report(Params(6, 4, 4, 1))
+        yao = rep.entry("upper.yao")
+        assert yao == rep.entry("upper.prob.tight")._replace(name="upper.yao", validity_note="t = 1/(1-p)")
+        assert yao.ceiling == 9  # exact --with-hc gives H = 5
+
+    @pytest.mark.parametrize("u,m,n", [(10**9, 16, 20000), (10**18, 1000, 10**9), (6, 2, 3)])
+    def test_yao_is_null_with_tights_note_where_tight_is(self, u, m, n):
+        rep = bound_report(Params(u, m, n))
+        tight, yao = rep.entry("upper.prob.tight"), rep.entry("upper.yao")
+        assert not yao.valid and yao.validity_note == tight.validity_note != ""
+        assert advice_report(rep).upper_yao is None
+
 
 class TestComparisonBounds:
     def test_exact_volume_form_anchor(self):
@@ -344,7 +340,19 @@ class TestComparisonBounds:
         assert math.exp(entries["lower.mehlhorn"].ln) == pytest.approx(want, rel=1e-12)
 
 
-def reference_advice(p, eps, t):
+def reference_ln_yao(p):
+    """ln(1 + ln C(u,n) / -ln(1-p)) to 40 digits from the exact count, p = M_c / C(u,n); None where M_c = 0."""
+    count = exact_ideal_probability(p)
+    total, m_c = count.total, count.m_c
+    if m_c in (0, total):
+        return None if m_c == 0 else 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40 + math.ceil((total.bit_length() - m_c.bit_length() + 1) * math.log10(2))  # 1 - p keeps 40 digits of p
+        neg_ln1m = (Decimal(total) / Decimal(total - m_c)).ln()
+        return float((1 + Decimal(total).ln() / neg_ln1m).ln())
+
+
+def reference_advice(p, eps):
     """The advice evaluator as it was before it read the bound report."""
     u, m, c = p.u, p.m, p.c
     notes: list[str] = []
@@ -369,28 +377,89 @@ def reference_advice(p, eps, t):
     except (BoundNotApplicableError, ValueError):
         lower_easy_bits = 0.0
     lower_main_bits = max(0.0, lower_main(p, eps) / math.log(2.0))
-    upper_main_bits = max(0.0, upper_main(p) / math.log(2.0))
-    upper_yao_bits = max(0.0, math.log2(upper_yao(p, t)))
+    feasible = m * math.floor(c * p.alpha) >= p.n  # else no n keys fit under the cap
+    upper_main_bits = max(0.0, upper_main(p) / math.log(2.0)) if feasible else None
+    ln_yao = reference_ln_yao(p)
     return AdviceReport(
         lower_easy=max(0.0, lower_easy),
         lower_easy_bits=lower_easy_bits,
         lower_main=lower_main_bits,
         upper_main=upper_main_bits,
-        upper_yao=upper_yao_bits,
+        upper_yao=None if ln_yao is None else max(0.0, ln_yao / math.log(2.0)),
         notes=tuple(notes),
     )
 
 
 @st.composite
 def advice_points(draw):
-    """A valid Params (m <= 64, n <= 512, u <= 2^40) with eps and t."""
+    """A valid Params (m <= 64, n <= 512, u <= 2^40) with eps."""
     m = draw(st.integers(1, 64))
     n = draw(st.integers(m, 512))
     u = draw(st.one_of(st.integers(n, 4 * n), st.integers(n, 2**40)))
     c = draw(st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(m), Fraction(7)]))
     eps = draw(st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 3)]))
-    t = draw(st.sampled_from([2.0, 1.5, 3.0, 3.5]))
-    return Params(u, m, n, c), eps, t
+    return Params(u, m, n, c), eps
+
+
+# a 267-point bound sweep over five universes, six table sizes, four loads and three factors
+SWEEP = [
+    Params(u, m, n, c)
+    for u in (8, 16, 64, 10**3, 10**6)
+    for m in (2, 3, 4, 8, 16, 64)
+    for n in (m, 2 * m, 4 * m, 8 * m)
+    for c in (Fraction(1), Fraction(3, 2), Fraction(2))
+    if n <= u
+]
+
+
+def crossings(report):
+    """The (lower, upper) name pairs of one report where a valid proven lower
+    entry lies above a valid upper entry not marked asymptotic, in ln or in
+    non-null ceilings."""
+    lows = [e for e in map(report.entry, ("lower.volume", "lower.universe")) if e.valid]
+    ups = [e for e in report.entries if e.kind == "upper" and e.valid and "asymptotic" not in e.validity_note]
+    return [
+        (lo.name, up.name)
+        for lo in lows
+        for up in ups
+        if lo.ln > up.ln + LN_TOL * max(1.0, abs(up.ln))
+        or (lo.ceiling is not None and up.ceiling is not None and lo.ceiling > up.ceiling)
+    ]
+
+
+def assert_no_upper_without_a_family(report):
+    """Where m * floor(c*alpha) < n no c-ideal family exists, so no upper entry
+    or upper advice field has a value."""
+    p = report.params
+    if p.m * p.load_cap >= p.n:
+        return
+    assert [e.name for e in report.entries if e.kind == "upper" and e.valid] == [], p
+    adv = advice_report(report)
+    assert adv.upper_main is None and adv.upper_yao is None, p
+
+
+class TestSelfCheck:
+    def test_proven_lower_entries_stay_below_upper_entries_on_the_sweep(self):
+        assert len(SWEEP) == 267
+        found = {p: crossings(bound_report(p)) for p in SWEEP}
+        assert {p: pairs for p, pairs in found.items() if pairs} == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(advice_points())
+    def test_proven_lower_entries_stay_below_upper_entries(self, point):
+        assert crossings(bound_report(*point)) == []
+
+    @pytest.mark.parametrize("u,m,n", [(6, 2, 3), (9, 2, 3)])
+    def test_no_upper_entry_applies_without_a_family(self, u, m, n):
+        rep = bound_report(Params(u, m, n))
+        assert_no_upper_without_a_family(rep)
+        for name in ("upper.main", "upper.naor", "upper.prob.tight", "upper.yao"):
+            assert rep.entry(name).validity_note == "cap below ceil(alpha): no ideal family exists"
+
+    @settings(max_examples=150, deadline=None)
+    @given(advice_points())
+    def test_no_upper_entry_applies_without_a_family_on_a_grid(self, point):
+        assert_no_upper_without_a_family(bound_report(*point))
 
 
 class TestAdviceReport:
@@ -413,11 +482,12 @@ class TestAdviceReport:
         assert adv.notes
 
     def test_values_are_log2_of_the_bounds(self):
-        p, t = Params(2**20, 16, 64), 2.0
-        adv = advice_report(bound_report(p, t=t))
+        p = Params(2**20, 16, 64)
+        report = bound_report(p)
+        adv = advice_report(report)
         assert adv.lower_main == lower_main(p, Fraction(0)) / math.log(2.0)
         assert adv.upper_main == upper_main(p) / math.log(2.0)
-        assert adv.upper_yao == math.log2(upper_yao(p, t))
+        assert adv.upper_yao == report.entry("upper.yao").ln / math.log(2.0)
         assert adv.lower_easy_bits == math.log2(lower_universe(p))
 
     def test_lower_bounds_stay_below_upper_bounds(self):
@@ -431,15 +501,19 @@ class TestAdviceReport:
     @settings(max_examples=150, deadline=None)
     @given(advice_points())
     def test_matches_the_evaluator_it_replaced(self, point):
-        p, eps, t = point
-        got = advice_report(bound_report(p, eps, t))
-        assert got == reference_advice(p, eps, t)
+        p, eps = point
+        got = advice_report(bound_report(p, eps))
+        want = reference_advice(p, eps)
+        assert got._replace(upper_yao=None) == want._replace(upper_yao=None)
+        if want.upper_yao is None:
+            assert got.upper_yao is None
+        else:
+            assert got.upper_yao == pytest.approx(want.upper_yao, rel=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(advice_points())
     def test_easy_nats_are_the_universe_entry(self, point):
-        p, eps, t = point
-        report = bound_report(p, eps, t)
+        report = bound_report(*point)
         ln = report.entry("lower.universe").ln  # None when c >= m
         assert advice_report(report).lower_easy == (0.0 if ln is None else max(0.0, ln))
 
@@ -492,18 +566,14 @@ class TestBoundReport:
         for p in (Params(8, 2, 4, 1), Params(16, 4, 8, 1), Params(64, 4, 8, Fraction(3, 2))):
             assert [e.name for e in bound_report(p).entries].count("lower.volume") == 1
 
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [({"eps": 1}, "need eps in [0, 1)"), ({"t": 1.0}, "need 1 < t < inf"), ({"eps": 1, "t": 1.0}, "need eps in [0, 1)")],
-    )
-    def test_eps_and_t_are_refused_before_counting(self, monkeypatch, kwargs, message):
+    def test_eps_is_refused_before_counting(self, monkeypatch):
         def forbidden(p):
-            raise AssertionError("counted before checking eps and t")
+            raise AssertionError("counted before checking eps")
 
         monkeypatch.setattr(bounds, "exact_ideal_probability", forbidden)
         with pytest.raises(ValueError) as exc:
-            bound_report(Params(8, 2, 4, 1), **kwargs)
-        assert str(exc.value) == message
+            bound_report(Params(8, 2, 4, 1), eps=1)
+        assert str(exc.value) == "need eps in [0, 1)"
 
     def test_infeasible_cap_flags_counting_entries(self):
         rep = bound_report(Params(6, 2, 3, 1))  # cap 1 < ceil(3/2)

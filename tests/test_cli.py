@@ -174,6 +174,21 @@ class TestBounds:
             assert dict(zip(header, row))["lower.universe"] == ""
             assert dict(zip(header, row))["advice.lower_easy"] == "0"
 
+    def test_no_upper_advice_where_no_family_exists(self, capsys):
+        # cap floor(3/2) = 1 at m = 2: no 3 keys fit, so no upper entry or upper advice field applies
+        argv = ["--u", "9", "--m", "2", "--n", "3"]
+        rc, out, err = run_capture(capsys, ["bounds", *argv])
+        assert (rc, err) == (0, "")
+        advice = json.loads(out)["advice"]
+        assert advice["upper_main_bits"] is None and advice["upper_yao_bits"] is None
+        rc, out, err = run_capture(capsys, ["bounds", *argv, "--format", "csv"])
+        rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
+        for name in ("advice.upper_main", "advice.upper_yao"):
+            assert rows[name][3:6] == ["", "", "False"]
+        rc, out, err = run_capture(capsys, ["report", *argv])
+        header, row = csv.reader(io.StringIO(out))
+        assert dict(zip(header, row))["advice.upper_main"] == dict(zip(header, row))["advice.upper_yao"] == ""
+
     @pytest.mark.parametrize("command", ["bounds", "report"])
     def test_eps_past_the_float_range_is_refused(self, capsys, command):
         rc, out, err = run_capture(capsys, [command, "--u", "8", "--m", "2", "--n", "4", "--eps", "1e400"])
@@ -506,18 +521,21 @@ class TestErrorsAndExitCodes:
 
     @pytest.mark.parametrize("t", ["inf", "nan"])
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["construct", "--method", "yao", "--u", "6", "--m", "2", "--n", "2"],
-            ["bounds", "--u", "6", "--m", "2", "--n", "2"],
-        ],
-        ids=["construct-yao", "bounds"],
+        "argv", [["construct", "--method", "yao", "--u", "6", "--m", "2", "--n", "2"]], ids=["construct-yao"]
     )
     def test_non_finite_t_exits_one_with_record(self, capsys, argv, t):
         rc, out, err = run_capture(capsys, [*argv, "--t", t])
         assert rc == 1
         assert out == ""
         assert json.loads(err) == {"error": "ValueError", "message": "need 1 < t < inf"}
+
+    @pytest.mark.parametrize("command", ["bounds", "report"])
+    def test_t_is_a_usage_error_off_construct(self, capsys, command):
+        # upper.yao reads its shrink factor off the exact count; only construct --method yao takes --t
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--u", "8", "--m", "2", "--n", "4", "--t", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --t 2" in capsys.readouterr().err
 
     def test_check_lemmas_passes(self, capsys):
         rc, out, _ = run_capture(capsys, ["check-lemmas", "--format", "json"])

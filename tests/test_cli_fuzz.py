@@ -53,7 +53,7 @@ PARAMS = st.tuples(
 ).map(lambda parts: parts[0] + parts[1])
 
 ARGV = st.one_of(
-    st.tuples(st.just(["bounds"]), PARAMS, _flags(t=SHRINK, eps=FACTOR, format=st.sampled_from(["json", "table", "csv"]))),
+    st.tuples(st.just(["bounds"]), PARAMS, _flags(eps=FACTOR, format=st.sampled_from(["json", "table", "csv"]))),
     st.tuples(st.just(["exact"]), PARAMS, _flags(budget=BUDGET, size_limit=COUNT), st.sampled_from([[], ["--with-hc"]])),
     st.tuples(
         st.sampled_from([["construct", "--method", m] for m in ("random", "greedy", "yao", "bogus")]),
@@ -66,7 +66,7 @@ ARGV = st.one_of(
         PARAMS,
         _flags(trials=COUNT, seed=COUNT),
     ),
-    st.tuples(st.just(["report"]), _flags({"u": SIZES, "m": SIZES, "n": SIZES}, c=st.sampled_from(["1,3/2", "2", "1/0", "x,1"]), t=SHRINK)),
+    st.tuples(st.just(["report"]), _flags({"u": SIZES, "m": SIZES, "n": SIZES}, c=st.sampled_from(["1,3/2", "2", "1/0", "x,1"]))),
 ).map(lambda parts: [tok for part in parts for tok in part])
 
 

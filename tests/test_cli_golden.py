@@ -29,47 +29,47 @@ CASES = {
     ),
     "bounds-json": (
         ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
-        "63e7337d44818be5995a13705bf8da49364e98a04affc75fa74a68decbd5669c",
+        "66c0709e229aae7fbcc316bdf6b0020570d14477d3b0f07c5e6e256a90ec254b",
     ),
     "bounds-table": (
         ["bounds", "--u", "16", "--m", "4", "--n", "4", "--format", "table"],
-        "daf678c5a37796ecc1120933178b1455bb994433c4ec18720cea22234a65359b",
+        "a87458384b5055a6fe822656c5f2f080a85a8b3273241823b3d86386ae6a3376",
     ),
     "bounds-ceilings-past-float-range": (  # upper.main and upper.prob.* ceilings are null
         ["bounds", "--u", "2400", "--m", "1200", "--n", "1200"],
-        "bb0862d5825722d0af31f71d0f92585e3fc95321a3ea54c22c98117e96cfd6a5",
+        "fb5bba2ce0b502a594c2e287f0c9b6a7379ba9c5c9e4865ec89ff81975517735",
     ),
     "bounds-fk-table": (  # lower.fk and upper.fk valid, log2 column printed
         ["bounds", "--u", "1000000", "--m", "30", "--n", "30", "--format", "table"],
-        "eb379ca6a72546475eb64e58b96fb0597c9d0278f325b33def9f792408aa02b0",
+        "95afd4be3b81725d3914f7cbb66cb6cfbe61040da257fd364b0bc147818b083a",
     ),
-    "bounds-eps-t": (  # nonzero epsilon and the t note
-        ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3", "--t", "3.5"],
-        "319232e40e2c6b0e34fd6ce81619c71d3e710dcbb1968b9a1526b586770350fb",
+    "bounds-eps": (  # nonzero epsilon
+        ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3"],
+        "25f1fa81083ef914c9f7fff29404fa04521240a299c5b966e81c7fe3840f0973",
     ),
     "bounds-zero-advice": (  # c >= m: every advice field is 0 with the one note, lower.main null
         ["bounds", "--u", "16", "--m", "2", "--n", "4", "--c", "2"],
-        "49b589ee3582250cce91ea0faa04e1a344b5241b94a9169f43d9430eeab7db34",
+        "3ee808ea14e3d2bff792107939ba91f31614eabf624021df4b31f81515b14341",
     ),
     "bounds-large-count": (  # a 6,264-digit M_c, past the exact command's int->str limit
         ["bounds", "--u", "1000000", "--m", "16", "--n", "2000", "--c", "3/2"],
-        "ab46ca15d6f4eccb2778e5fa0d74c53637018276676b634585617037e9b130cb",
+        "030315a8009c7cc8804497c02e3fca82082af9488a4eae236a9849abfb3109d9",
     ),
     "bounds-counting-skipped": (  # n * log2(u) beyond desk scale
         ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
-        "14dccc8b59edcd7503b90f0754f95ba6a06769cff9a84f4be1b14e7d0c7b7866",
+        "f99970b0e3b7c9bd6097a8a6d4ed20f267946240f0d18a56d4e3e347517a8fe8",
     ),
     "bounds-u-one": (  # m < 2 universe note; the u >= 2 notes of upper.main, upper.naor and upper.prob.loose
         ["bounds", "--u", "1", "--m", "1", "--n", "1"],
-        "ae21c10be72d60b8bc21b82e871d4692e8bd9c1e340e351f0240f79346ca7de0",
+        "6f2356d1dae439dda1758c500028df6e519bef9986bb3d2af5ef5faf879970b9",
     ),
     "bounds-c-covers-universe": (  # u <= c*alpha universe note; mehlhorn needs c = 1
         ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", "2"],
-        "542ebe68c0fca39cba8676ace4c3e2876d48fc1f0abccebd27358da68ec1d586",
+        "d3902397bc353b41aae7671c9d4e1b14376afd7546b8f03ca0581b8697c2ee2f",
     ),
-    "bounds-infeasible-cap": (  # both cap-below-ceil(alpha) notes; non-integral upper.main note
+    "bounds-infeasible-cap": (  # both cap-below-ceil(alpha) notes; no upper entry or upper advice field applies
         ["bounds", "--u", "6", "--m", "2", "--n", "3"],
-        "f3fdd6d170bfc8c66363cea7f5ece694f1b2a1958569d4d4cf2a213b884f5a0b",
+        "fc512ae0cd08ab9b81a09bcd80ab5f5a184e944053e86839923a6804af9932b8",
     ),
     "construct-greedy": (
         GREEDY,
@@ -125,15 +125,15 @@ CASES = {
     ),
     "report-csv": (
         REPORT + ["--format", "csv"],
-        "a435fb8295ec14c683eed4941499f50b3f7a1e0e8297f5fb83ad02a50ef337b0",
+        "4230e1a5cf25f7175958fe48920e30d4fcddc5d639a69b181e2ab5a1dc99d0db",
     ),
     "report-default": (  # no --format: the same bytes as report-csv
         REPORT,
-        "a435fb8295ec14c683eed4941499f50b3f7a1e0e8297f5fb83ad02a50ef337b0",
+        "4230e1a5cf25f7175958fe48920e30d4fcddc5d639a69b181e2ab5a1dc99d0db",
     ),
     "report-table": (
         REPORT + ["--format", "table"],
-        "1a732b3c02d399a43d75939e6f170b4d49d78e91213052b10ee91e50f0a5bc07",
+        "ebfbe0c72e452b125afa0646cdfab525e2431c0b0a7af0996f9c103f714f06ba",
     ),
 }
 
