@@ -80,7 +80,6 @@ class AdviceReport(NamedTuple):
     lower_easy_bits: float
     lower_main: float
     upper_main: float | None
-    upper_yao: float | None
     notes: tuple[str, ...] = ()
 
 
@@ -213,7 +212,7 @@ def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEn
     """upper.prob.tight, upper.prob.loose and upper.yao from p = M_c / C(u,n).
 
     Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
-    r = ln C(u,n) / -ln(1-p).  Loose: (C(u,n)/M_c) * n * ln u, not
+    r = ln C(u,n) / -ln(1-p).  Loose: v = (C(u,n)/M_c) * n * ln u, not
     applicable at u = 1.  A ceiling past the float range is None.  Yao:
     floor(ln C(u,n) / ln t) + 1 rounds, each keeping at most 1/t of the live
     sets; averaging over balanced functions proves 1/t = 1 - p, and there the
@@ -231,12 +230,14 @@ def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEn
     yao = tight._replace(name="upper.yao", validity_note="t = 1/(1-p)")
     if p.u < 2:
         return tight, BoundEntry("upper.prob.loose", None, "needs u >= 2 (it carries ln ln u)"), yao
-    try:
-        loose_ceiling = math.ceil(float(ratio) * p.n * math.log(p.u))
-    except OverflowError:
-        loose_ceiling = None
     ln_loose = ln_fraction(ratio * p.n) + math.log(math.log(p.u))
-    return tight, BoundEntry("upper.prob.loose", ln_loose, "exact p", ceiling=loose_ceiling), yao
+    loose = BoundEntry("upper.prob.loose", ln_loose, "exact p")
+    if ln_loose <= math.log(sys.float_info.max):  # ln u is irrational, so v is no integer: ceil(v) = 1 + floor(v)
+        with decimal.localcontext() as ctx:  # 30 guard digits beyond v's own, as in `_tight_ceiling`
+            ctx.prec = 30 + math.ceil(max(ln_loose, 0.0) / math.log(10))
+            v = ctx.create_decimal(ratio.numerator * p.n) / ratio.denominator * ctx.create_decimal(p.u).ln()
+        loose = loose._replace(ceiling=1 + math.floor(v))
+    return tight, loose, yao
 
 
 def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
@@ -259,15 +260,11 @@ def _eval_universe(p: Params) -> tuple[BoundEntry]:
 
 
 def _eval_upper_main(p: Params) -> tuple[BoundEntry]:
+    """upper.main, without a ceiling: its value is a float formula, as upper.naor's is."""
     _require_family(p)
-    um = upper_main(p)
-    try:
-        ceiling = math.ceil(math.exp(um))
-    except OverflowError:
-        ceiling = None
     integral = (p.c * p.alpha).denominator == 1
     note = "" if integral else "cap floor(c*alpha) substituted (c*alpha not integral)"
-    return (BoundEntry("upper.main", um, note, ceiling=ceiling),)
+    return (BoundEntry("upper.main", upper_main(p), note),)
 
 
 def _eval_fk(p: Params) -> tuple[BoundEntry, BoundEntry]:
@@ -323,18 +320,16 @@ def advice_report(report: BoundReport) -> AdviceReport:
             lower_easy_bits=0.0,
             lower_main=0.0,
             upper_main=0.0,
-            upper_yao=0.0,
             notes=("c >= m: a single function suffices, zero advice bits",),
         )
     # c < m gives m >= 2 and c*alpha < n <= u, so the universe bound applies
     easy = lower_universe(p)  # may round to 0 when c*alpha is within an ulp of u
-    main_ln, yao_ln = (report.entry(name).ln for name in ("upper.main", "upper.yao"))
+    main_ln = report.entry("upper.main").ln
     return AdviceReport(
         lower_easy=math.log(easy) if easy > 1 else 0.0,
         lower_easy_bits=math.log2(easy) if easy > 1 else 0.0,
         lower_main=max(0.0, report.entry("lower.main").ln / math.log(2.0)),
         upper_main=None if main_ln is None else max(0.0, main_ln / math.log(2.0)),
-        upper_yao=None if yao_ln is None else max(0.0, yao_ln / math.log(2.0)),
     )
 
 

@@ -171,7 +171,6 @@ def _cmd_bounds(args) -> int:
                 "lower_easy_bits": advice.lower_easy_bits,
                 "lower_main_bits": advice.lower_main,
                 "upper_main_bits": advice.upper_main,
-                "upper_yao_bits": advice.upper_yao,
                 "notes": list(advice.notes),
             },
         })
@@ -182,7 +181,7 @@ def _cmd_bounds(args) -> int:
         for d in entries
     ]
     rows.append(["advice.lower_easy", "lower", f"{advice.lower_easy:.6f}", "", "", True, "nats, as printed"])
-    for name in ("lower_main", "upper_main", "upper_yao"):
+    for name in ("lower_main", "upper_main"):
         bits = getattr(advice, name)  # None where the bound it reads does not apply
         cell = None if bits is None else f"{bits:.6f}"
         rows.append([f"advice.{name}", name.partition("_")[0], "", cell, "", bits is not None, "bits"])
@@ -312,7 +311,7 @@ def _cmd_report(args) -> int:
     header = (
         ["u", "m", "n", "c", "alpha", "load_cap"]
         + list(_REPORT_BOUND_COLUMNS)
-        + ["advice.lower_easy", "advice.lower_main", "advice.upper_main", "advice.upper_yao"]
+        + ["advice.lower_easy", "advice.lower_main", "advice.upper_main"]
     )
     rows = []
     for u in args.u:
@@ -328,7 +327,7 @@ def _cmd_report(args) -> int:
                     for name in _REPORT_BOUND_COLUMNS:
                         e = rep.entry(name)
                         row.append("" if e.ln is None else f"{e.ln:.9g}")
-                    advice = (adv.lower_easy, adv.lower_main, adv.upper_main, adv.upper_yao)
+                    advice = (adv.lower_easy, adv.lower_main, adv.upper_main)
                     row.extend("" if v is None else f"{v:.9g}" for v in advice)
                     rows.append(row)
     _emit_rows(args.format, header, rows)

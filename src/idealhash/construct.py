@@ -119,10 +119,9 @@ def _select(
     A repeated partition never wins: it comes after its first member in
     either order (the sort is stable) and never strictly improves on it.
     Returns the picks, the live count after each, and the live bitset; a run
-    where no member shrinks the live set picks the first member in order.
+    where no member shrinks the live set picks the first member in order, so
+    candidates must not be empty.
     """
-    if not candidates:
-        raise ValueError("pool must be non-empty")
     exceed = exceed_masks(candidates, p, budget)
     order = list(range(len(candidates)))
     if by_signature:

@@ -73,10 +73,8 @@ def count_ideal_sets(betas: Sequence[int], n: int, cap: int) -> int:
     the binomial cell (1, beta, -1, d) with d = min(cap, beta, n), in about
     min(n*d, n*n/(2d)) big products whatever k is; a balanced decomposition
     has at most two groups.  Groups are multiplied truncated at degree n,
-    the last product read as one dot product.
+    the last product read as one dot product.  Needs n, cap >= 0.
     """
-    if n < 0 or cap < 0:
-        raise ValueError("need n >= 0 and cap >= 0")
     polys = [_power_coeffs(1, beta, -1, min(cap, beta, n), k, n) for beta, k in Counter(betas).items()]
     *head, last = polys or [[1]]
     acc = [1]

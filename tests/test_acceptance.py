@@ -163,8 +163,8 @@ def test_criterion_06_sandwich_audit():
         loose = rep.entry("upper.prob.loose").ceiling
         if not (volume <= h <= tight <= loose):
             violations.append((p, (volume, h, tight, loose)))
-        yao_bits = advice_report(rep).upper_yao
-        if not (h <= rep.entry("upper.yao").ceiling and math.log2(h) <= yao_bits + LOG_TOL):
+        yao = rep.entry("upper.yao")
+        if not (h <= yao.ceiling and math.log2(h) <= yao.ln / math.log(2.0) + LOG_TOL):
             violations.append((p, "yao"))
         try:
             if lower_universe(p) > h + 1e-12:
@@ -285,7 +285,6 @@ def test_criterion_09_bound_evaluators():
     advice_ok = (
         adv.lower_main == lower_main(p, Fraction(0)) / math.log(2.0)
         and adv.upper_main == upper_main(p) / math.log(2.0)
-        and adv.upper_yao == rep.entry("upper.yao").ln / math.log(2.0)
         and adv.lower_easy_bits == math.log2(lower_universe(p))
     )
     elapsed = time.time() - t0

@@ -49,6 +49,17 @@ def decimal_ln_tight(u: int, m: int, n: int, c: Fraction) -> Decimal:
         return (1 + Decimal(total).ln() / decimal_neg_ln1m(Fraction(m_c, total))).ln()
 
 
+def decimal_loose_ceiling(u: int, m: int, n: int, c: Fraction) -> int:
+    """ceil((C(u,n)/M_c) * n * ln u), the value carried to its digit count + 30."""
+    total = binom(u, n)
+    m_c = count_ideal_sets(balanced_fiber_sizes(u, m), n, math.floor(c * Fraction(n, m)))
+    with localcontext() as ctx:
+        ctx.prec = len(str(total * n // m_c)) + 30
+        v = Decimal(total * n) / Decimal(m_c) * Decimal(u).ln()
+    assert v != v.to_integral_value()  # ln u is irrational for u >= 2
+    return math.ceil(v)
+
+
 def decimal_ln_upper_fk(u: int, m: int, n: int) -> Decimal:
     """ln(n ln u / -ln(1-q)) at 50 digits, q = m! / ((m-n)! m^n)."""
     q = Fraction(math.factorial(m), math.factorial(m - n) * m**n)
@@ -170,6 +181,11 @@ class TestUpperMain:
                     p = Params(u, m, n, c)
                     assert upper_main(p) >= lower_main(p, Fraction(0))
 
+    def test_ceiling_is_null_on_the_sweep(self):
+        # the value is a float formula, so no integer is printed for it
+        for p in SWEEP:  # (10^6, 64, 512, 1) among them
+            assert bound_report(p).entry("upper.main").ceiling is None, p
+
     def test_overflow_is_flagged_not_raised(self):
         # ln stays finite and is reported; only the integer ceiling is dropped
         p = Params(2400, 1200, 1200, 1)
@@ -199,6 +215,16 @@ class TestProbabilityUpper:
                     tight = rep.entry("upper.prob.tight").ceiling
                     loose = rep.entry("upper.prob.loose").ceiling
                     assert tight <= loose
+
+    def test_loose_ceiling_matches_decimal_reference_on_the_sweep(self):
+        for p in SWEEP:  # (10^6, 64, 512, 1) among them; every value lies in the float range
+            assert bound_report(p).entry("upper.prob.loose").ceiling == decimal_loose_ceiling(p.u, p.m, p.n, p.c), p
+
+    def test_loose_ceiling_is_exact_past_float_precision(self):
+        # the float image was 658946529239395271433749959848947289788748496378607435776
+        loose = bound_report(Params(10**6, 64, 512)).entry("upper.prob.loose").ceiling
+        assert loose == 658946529239395316194894869056341612467523235803465296033
+        assert int(float(loose)) != loose
 
     def test_certain_probability_needs_one_function(self):
         p = Params(4, 2, 2, 2)  # c = m: every one of the C(4,2) sets is ideal
@@ -276,7 +302,6 @@ class TestProbabilityUpper:
         rep = bound_report(Params(u, m, n))
         tight, yao = rep.entry("upper.prob.tight"), rep.entry("upper.yao")
         assert not yao.valid and yao.validity_note == tight.validity_note != ""
-        assert advice_report(rep).upper_yao is None
 
 
 class TestComparisonBounds:
@@ -340,18 +365,6 @@ class TestComparisonBounds:
         assert math.exp(entries["lower.mehlhorn"].ln) == pytest.approx(want, rel=1e-12)
 
 
-def reference_ln_yao(p):
-    """ln(1 + ln C(u,n) / -ln(1-p)) to 40 digits from the exact count, p = M_c / C(u,n); None where M_c = 0."""
-    count = exact_ideal_probability(p)
-    total, m_c = count.total, count.m_c
-    if m_c in (0, total):
-        return None if m_c == 0 else 0.0
-    with localcontext() as ctx:
-        ctx.prec = 40 + math.ceil((total.bit_length() - m_c.bit_length() + 1) * math.log10(2))  # 1 - p keeps 40 digits of p
-        neg_ln1m = (Decimal(total) / Decimal(total - m_c)).ln()
-        return float((1 + Decimal(total).ln() / neg_ln1m).ln())
-
-
 def reference_advice(p, eps):
     """The advice evaluator as it was before it read the bound report."""
     u, m, c = p.u, p.m, p.c
@@ -362,7 +375,6 @@ def reference_advice(p, eps):
             lower_easy_bits=0.0,
             lower_main=0.0,
             upper_main=0.0,
-            upper_yao=0.0,
             notes=("c >= m: a single function suffices, zero advice bits",),
         )
     ca = c * p.alpha
@@ -379,13 +391,11 @@ def reference_advice(p, eps):
     lower_main_bits = max(0.0, lower_main(p, eps) / math.log(2.0))
     feasible = m * math.floor(c * p.alpha) >= p.n  # else no n keys fit under the cap
     upper_main_bits = max(0.0, upper_main(p) / math.log(2.0)) if feasible else None
-    ln_yao = reference_ln_yao(p)
     return AdviceReport(
         lower_easy=max(0.0, lower_easy),
         lower_easy_bits=lower_easy_bits,
         lower_main=lower_main_bits,
         upper_main=upper_main_bits,
-        upper_yao=None if ln_yao is None else max(0.0, ln_yao / math.log(2.0)),
         notes=tuple(notes),
     )
 
@@ -429,13 +439,12 @@ def crossings(report):
 
 def assert_no_upper_without_a_family(report):
     """Where m * floor(c*alpha) < n no c-ideal family exists, so no upper entry
-    or upper advice field has a value."""
+    or the upper advice field has a value."""
     p = report.params
     if p.m * p.load_cap >= p.n:
         return
     assert [e.name for e in report.entries if e.kind == "upper" and e.valid] == [], p
-    adv = advice_report(report)
-    assert adv.upper_main is None and adv.upper_yao is None, p
+    assert advice_report(report).upper_main is None, p
 
 
 class TestSelfCheck:
@@ -478,7 +487,7 @@ class TestAdviceReport:
 
     def test_c_at_least_m_collapses_to_zero_bits(self):
         adv = advice_report(bound_report(Params(64, 2, 4, 2)))
-        assert adv == AdviceReport(0.0, 0.0, 0.0, 0.0, 0.0, adv.notes)
+        assert adv == AdviceReport(0.0, 0.0, 0.0, 0.0, adv.notes)
         assert adv.notes
 
     def test_values_are_log2_of_the_bounds(self):
@@ -487,7 +496,6 @@ class TestAdviceReport:
         adv = advice_report(report)
         assert adv.lower_main == lower_main(p, Fraction(0)) / math.log(2.0)
         assert adv.upper_main == upper_main(p) / math.log(2.0)
-        assert adv.upper_yao == report.entry("upper.yao").ln / math.log(2.0)
         assert adv.lower_easy_bits == math.log2(lower_universe(p))
 
     def test_lower_bounds_stay_below_upper_bounds(self):
@@ -503,12 +511,7 @@ class TestAdviceReport:
     def test_matches_the_evaluator_it_replaced(self, point):
         p, eps = point
         got = advice_report(bound_report(p, eps))
-        want = reference_advice(p, eps)
-        assert got._replace(upper_yao=None) == want._replace(upper_yao=None)
-        if want.upper_yao is None:
-            assert got.upper_yao is None
-        else:
-            assert got.upper_yao == pytest.approx(want.upper_yao, rel=1e-12)
+        assert got == reference_advice(p, eps)
 
     @settings(max_examples=150, deadline=None)
     @given(advice_points())

@@ -109,7 +109,7 @@ class TestBounds:
         names = {e["name"] for e in payload["bounds"]}
         assert {"lower.volume", "lower.main", "upper.main", "upper.yao"} <= names
         assert payload["params"]["c"] == "3/2"
-        assert "advice" in payload
+        assert set(payload["advice"]) == {"lower_easy_nats", "lower_easy_bits", "lower_main_bits", "upper_main_bits", "notes"}
 
     def test_rationals_never_serialize_as_floats(self, capsys):
         rc, out, _ = run_capture(
@@ -180,14 +180,13 @@ class TestBounds:
         rc, out, err = run_capture(capsys, ["bounds", *argv])
         assert (rc, err) == (0, "")
         advice = json.loads(out)["advice"]
-        assert advice["upper_main_bits"] is None and advice["upper_yao_bits"] is None
+        assert advice["upper_main_bits"] is None
         rc, out, err = run_capture(capsys, ["bounds", *argv, "--format", "csv"])
         rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
-        for name in ("advice.upper_main", "advice.upper_yao"):
-            assert rows[name][3:6] == ["", "", "False"]
+        assert rows["advice.upper_main"][3:6] == ["", "", "False"] and "advice.upper_yao" not in rows
         rc, out, err = run_capture(capsys, ["report", *argv])
         header, row = csv.reader(io.StringIO(out))
-        assert dict(zip(header, row))["advice.upper_main"] == dict(zip(header, row))["advice.upper_yao"] == ""
+        assert dict(zip(header, row))["advice.upper_main"] == "" and "advice.upper_yao" not in header
 
     @pytest.mark.parametrize("command", ["bounds", "report"])
     def test_eps_past_the_float_range_is_refused(self, capsys, command):
@@ -292,6 +291,7 @@ class TestConstructAndVerify:
             "1 1 2 2 1\n",  # long line: key 5 is outside the universe
             "1 1 2 3\n",  # cell 3 with m = 2
             "1 1 2 0\n",
+            "1 1 2 2\n1 1 2\n",  # members of two universe sizes
         ],
     )
     def test_verify_rejects_family_not_matching_params(self, capsys, tmp_path, text):
@@ -304,6 +304,12 @@ class TestConstructAndVerify:
         assert rc == 1
         assert out == ""
         assert json.loads(err)["error"] == "DimensionMismatchError"
+
+    def test_verify_refuses_an_empty_family(self, capsys, tmp_path):
+        fam_path = tmp_path / "empty.txt"
+        fam_path.write_text("\n")
+        argv = ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", str(fam_path)]
+        assert run_capture(capsys, argv) == (1, "", '{"error": "ValueError", "message": "a family holds at least one function"}\n')
 
     def test_random_construct_seeded(self, capsys):
         argv = [

@@ -29,47 +29,47 @@ CASES = {
     ),
     "bounds-json": (
         ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
-        "66c0709e229aae7fbcc316bdf6b0020570d14477d3b0f07c5e6e256a90ec254b",
+        "cdae0db64277eba788b105d18135467cda78a3891e1956ef09a50ef61f2db983",
     ),
     "bounds-table": (
         ["bounds", "--u", "16", "--m", "4", "--n", "4", "--format", "table"],
-        "a87458384b5055a6fe822656c5f2f080a85a8b3273241823b3d86386ae6a3376",
+        "c5d1cadc9aacae899c4a53501e4fef9ba29f51015d53d0076bf5b567c960923b",
     ),
     "bounds-ceilings-past-float-range": (  # upper.main and upper.prob.* ceilings are null
         ["bounds", "--u", "2400", "--m", "1200", "--n", "1200"],
-        "fb5bba2ce0b502a594c2e287f0c9b6a7379ba9c5c9e4865ec89ff81975517735",
+        "1bdc628818ffb430a3c027aa37cf7b46ce150788a0c0743bed843108f49108fe",
     ),
     "bounds-fk-table": (  # lower.fk and upper.fk valid, log2 column printed
         ["bounds", "--u", "1000000", "--m", "30", "--n", "30", "--format", "table"],
-        "95afd4be3b81725d3914f7cbb66cb6cfbe61040da257fd364b0bc147818b083a",
+        "012b1a7743d7fe86ebda0438625a28ae21bdc014d4694e8fdf558f09f526383a",
     ),
     "bounds-eps": (  # nonzero epsilon
         ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3"],
-        "25f1fa81083ef914c9f7fff29404fa04521240a299c5b966e81c7fe3840f0973",
+        "61e1b9aac39eabb0697ed5e7afc5513bf4c8142f1d21e5ce21b266233544f3f7",
     ),
     "bounds-zero-advice": (  # c >= m: every advice field is 0 with the one note, lower.main null
         ["bounds", "--u", "16", "--m", "2", "--n", "4", "--c", "2"],
-        "3ee808ea14e3d2bff792107939ba91f31614eabf624021df4b31f81515b14341",
+        "53ec183b324093bf0623b3365218aeb74abfcfd1eef7dba3231e3626115b048e",
     ),
     "bounds-large-count": (  # a 6,264-digit M_c, past the exact command's int->str limit
         ["bounds", "--u", "1000000", "--m", "16", "--n", "2000", "--c", "3/2"],
-        "030315a8009c7cc8804497c02e3fca82082af9488a4eae236a9849abfb3109d9",
+        "b107857b1b0e93da5f89e3a08012bccda9ea77e523be279d036c943552908245",
     ),
     "bounds-counting-skipped": (  # n * log2(u) beyond desk scale
         ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"],
-        "f99970b0e3b7c9bd6097a8a6d4ed20f267946240f0d18a56d4e3e347517a8fe8",
+        "261bb63e3b1984ab3a2350faa17507df87e1de799ceba46c6e42a248f8c6e663",
     ),
     "bounds-u-one": (  # m < 2 universe note; the u >= 2 notes of upper.main, upper.naor and upper.prob.loose
         ["bounds", "--u", "1", "--m", "1", "--n", "1"],
-        "6f2356d1dae439dda1758c500028df6e519bef9986bb3d2af5ef5faf879970b9",
+        "b1357a38493b212c65a6c99a5a09b24215d2abe6dcc7fd9a1047baadd998a6f4",
     ),
     "bounds-c-covers-universe": (  # u <= c*alpha universe note; mehlhorn needs c = 1
         ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", "2"],
-        "d3902397bc353b41aae7671c9d4e1b14376afd7546b8f03ca0581b8697c2ee2f",
+        "49ba08b58cc04aeb718b3c0b64156cea4a87bad38620bc2ad34c3b78b2cacf10",
     ),
     "bounds-infeasible-cap": (  # both cap-below-ceil(alpha) notes; no upper entry or upper advice field applies
         ["bounds", "--u", "6", "--m", "2", "--n", "3"],
-        "fc512ae0cd08ab9b81a09bcd80ab5f5a184e944053e86839923a6804af9932b8",
+        "6439f92d98f6a6da1ef1e21413c57793be4a5470326d1cb80cd2d7187b50e6a0",
     ),
     "construct-greedy": (
         GREEDY,
@@ -125,15 +125,15 @@ CASES = {
     ),
     "report-csv": (
         REPORT + ["--format", "csv"],
-        "4230e1a5cf25f7175958fe48920e30d4fcddc5d639a69b181e2ab5a1dc99d0db",
+        "f119676f16b090b1c491d4a97d1d290cd88c23e17095c55a3ed3881b8aeca288",
     ),
     "report-default": (  # no --format: the same bytes as report-csv
         REPORT,
-        "4230e1a5cf25f7175958fe48920e30d4fcddc5d639a69b181e2ab5a1dc99d0db",
+        "f119676f16b090b1c491d4a97d1d290cd88c23e17095c55a3ed3881b8aeca288",
     ),
     "report-table": (
         REPORT + ["--format", "table"],
-        "ebfbe0c72e452b125afa0646cdfab525e2431c0b0a7af0996f9c103f714f06ba",
+        "fb4df17c3f6b5d4ec6f2f011313a5bb75990d39309aec6b112cad5ccc358ce7d",
     ),
 }
 
