@@ -216,13 +216,14 @@ def _cmd_verify(args) -> int:
     from . import oracle as oracle_mod
 
     p = Params(args.u, args.m, args.n, args.c)
+    oracle_mod.check_set_budget(p, args.budget)  # before the file is opened, so a refusal does no work
     with open(args.family, "r", encoding="utf-8") as fh:
-        fam = family_from_text(fh.read(), p.m)
+        fam = family_from_text(fh.read(), p)
     report = oracle_mod.verify_family(fam, p, budget=args.budget)
     witness = report.uncovered_witness
     _emit_json("verify", {
         "params": _params_dict(p),
-        "family_size": fam.size,
+        "family_size": len(fam),
         "covered": report.covered,
         "total": p.total_sets,
         "is_ideal_family": report.is_ideal_family,
@@ -254,7 +255,7 @@ def _cmd_construct(args) -> int:
             fh.write(family_to_text(log.family))
     _emit_json("construct", {
         "params": _params_dict(p),
-        "advice_bits": (log.family.size - 1).bit_length(),
+        "advice_bits": (len(log.family) - 1).bit_length(),
         **log.to_json_dict(),
     })
     return 0

@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple
 from .errors import PoolExhaustedError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
-    Family,
     HashFunction,
     Params,
     function_to_text,
@@ -32,7 +31,7 @@ class ConstructionLog(NamedTuple):
     rounds: int
     pool_size: int | None
     uncovered_per_round: tuple[int, ...]
-    family: Family
+    family: tuple[HashFunction, ...]
     verified: bool
     t: float | None = None
     load_target: int | None = None
@@ -41,8 +40,8 @@ class ConstructionLog(NamedTuple):
     def to_json_dict(self) -> dict:
         return {
             **self._asdict(),
-            "family_size": self.family.size,
-            "family": [function_to_text(h) for h in self.family.functions],
+            "family_size": len(self.family),
+            "family": [function_to_text(h) for h in self.family],
             "provenance": self.method,
         }
 
@@ -53,7 +52,7 @@ def _log(method: str, chosen: list[HashFunction], trail: list[int], **rest) -> C
         method=method,
         rounds=len(chosen),
         uncovered_per_round=tuple(trail),
-        family=Family(tuple(chosen)),
+        family=tuple(chosen),
         **rest,
     )
 

@@ -2,7 +2,7 @@
 
 
 class DimensionMismatchError(ValueError):
-    """A hash function, key set, or parameter block disagree on u, m, or n."""
+    """A family file holds a function that does not map keys 1..u into cells 1..m."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -20,8 +20,9 @@ from .errors import BudgetExceededError, DimensionMismatchError
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_POOL_BUDGET = 10**4
 
-# Params, HashFunction and Family (and oracle.IdealCount) check their fields in
-# __new__; NamedTuple's _replace and _make skip __new__, so none calls them.
+# Params (and oracle.IdealCount) check their fields in __new__; NamedTuple's _replace
+# and _make skip __new__, so none calls them.  family_from_text checks a family
+# file; a function built in the package matches its Params by construction.
 
 
 class _ParamsFields(NamedTuple):
@@ -66,22 +67,11 @@ class Params(_ParamsFields):
         return binom(self.u, self.n)
 
 
-class _HashFunctionFields(NamedTuple):
-    cells: tuple[int, ...]
-    m: int
-
-
-class HashFunction(_HashFunctionFields):
+class HashFunction(NamedTuple):
     """Total map from keys 1..u to cells 1..m, stored as the cell of each key."""
 
-    __slots__ = ()
-
-    def __new__(cls, cells: tuple[int, ...], m: int) -> HashFunction:
-        if m < 1:
-            raise ValueError("need m >= 1")
-        if cells and (min(cells) < 1 or max(cells) > m):
-            raise DimensionMismatchError(f"cell indices must lie in 1..{m}")
-        return super().__new__(cls, cells, m)
+    cells: tuple[int, ...]
+    m: int
 
     @property
     def u(self) -> int:
@@ -98,29 +88,6 @@ class HashFunction(_HashFunctionFields):
         for key, cell in enumerate(self.cells, start=1):
             fibers.setdefault(cell, []).append(key)
         return tuple(map(tuple, fibers.values()))
-
-
-class _FamilyFields(NamedTuple):
-    functions: tuple[HashFunction, ...]
-
-
-class Family(_FamilyFields):
-    """An ordered family of hash functions."""
-
-    __slots__ = ()
-
-    def __new__(cls, functions: tuple[HashFunction, ...]) -> Family:
-        if not functions:
-            raise ValueError("a family holds at least one function")
-        m = functions[0].m
-        u = functions[0].u
-        if any(h.m != m or h.u != u for h in functions):
-            raise DimensionMismatchError("family members disagree on u or m")
-        return super().__new__(cls, functions)
-
-    @property
-    def size(self) -> int:
-        return len(self.functions)
 
 
 def balanced_fiber_sizes(u: int, m: int) -> tuple[int, ...]:
@@ -196,17 +163,17 @@ def function_to_text(h: HashFunction) -> str:
     return " ".join(str(c) for c in h.cells)
 
 
-def function_from_text(line: str, m: int) -> HashFunction:
-    cells = tuple(int(tok) for tok in line.split())
-    if not cells:
-        raise ValueError("empty hash-function line")
-    return HashFunction(cells, m)
+def family_to_text(f: tuple[HashFunction, ...]) -> str:
+    return "\n".join(function_to_text(h) for h in f) + "\n"
 
 
-def family_to_text(f: Family) -> str:
-    return "\n".join(function_to_text(h) for h in f.functions) + "\n"
-
-
-def family_from_text(text: str, m: int) -> Family:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    return Family(tuple(function_from_text(ln, m) for ln in lines))
+def family_from_text(text: str, p: Params) -> tuple[HashFunction, ...]:
+    """The one check of a family file: one function per non-blank line, at least one
+    (else ValueError), each mapping keys 1..p.u into cells 1..p.m (else DimensionMismatchError).
+    """
+    family = tuple(HashFunction(tuple(map(int, ln.split())), p.m) for ln in text.splitlines() if ln.strip())
+    if not family:
+        raise ValueError("a family holds at least one function")
+    if any(len(h.cells) != p.u or min(h.cells) < 1 or max(h.cells) > p.m for h in family):
+        raise DimensionMismatchError(f"every function must map keys 1..{p.u} into cells 1..{p.m}")
+    return family

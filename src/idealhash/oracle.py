@@ -20,11 +20,10 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .combinatorics import _power_coeffs, binom, binom_steps, compositions, exceeds
-from .errors import BudgetExceededError, DimensionMismatchError
+from .errors import BudgetExceededError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_POOL_BUDGET,
-    Family,
     HashFunction,
     Params,
     balanced_fiber_sizes,
@@ -211,12 +210,11 @@ def _exceed_mask(
 def exceed_masks(pool: Sequence[HashFunction], p: Params, budget: int) -> list[int]:
     """The exceed bitset of each function at cap p.load_cap, in order, repeats included.
 
-    Checks the C(u,n) budget first.  Where cap >= n no set exceeds, and where
-    m*cap < n every set does (some cell gets more than cap of its keys): no key table.
+    Each function must map keys 1..p.u into cells 1..p.m (`family_from_text`
+    checks a file).  Checks the C(u,n) budget first.  Where cap >= n no set exceeds,
+    and where m*cap < n every set does (some cell gets more than cap of its keys): no key table.
     """
     check_set_budget(p, budget)
-    if any(h.u != p.u or h.m != p.m for h in pool):
-        raise DimensionMismatchError(f"every function must map keys 1..{p.u} into cells 1..{p.m}")
     cap = p.load_cap
     if cap >= p.n:
         return [0] * len(pool)
@@ -239,11 +237,12 @@ def _unrank(rank: int, u: int, n: int) -> tuple[int, ...]:
     return tuple(keys)
 
 
-def verify_family(
-    f: Family, p: Params, budget: int = DEFAULT_ENUM_BUDGET
-) -> CoverageReport:
-    """Count the key sets covered by some family member; witness the first miss."""
-    uncovered = functools.reduce(operator.and_, exceed_masks(f.functions, p, budget))
+def verify_family(f: tuple[HashFunction, ...], p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> CoverageReport:
+    """Count the key sets covered by some family member; witness the first miss.
+
+    f is non-empty and maps keys 1..p.u into cells 1..p.m, as `family_from_text` checks.
+    """
+    uncovered = functools.reduce(operator.and_, exceed_masks(f, p, budget))
     witness = _unrank((uncovered & -uncovered).bit_length() - 1, p.u, p.n) if uncovered else None
     return CoverageReport(covered=p.total_sets - uncovered.bit_count(), uncovered_witness=witness)
 

@@ -188,7 +188,7 @@ def test_criterion_07_constructors():
     for p in oracle_grid():
         h_exact = min_family_size_exact(p, size_limit=8)
         log = greedy_cover(p, balanced_functions(p))
-        if not (log.verified and log.family.size == h_exact):
+        if not (log.verified and len(log.family) == h_exact):
             greedy_ok = False
         if log.verified and not verify_family(log.family, p).is_ideal_family:
             greedy_ok = False

@@ -311,6 +311,26 @@ class TestConstructAndVerify:
         argv = ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", str(fam_path)]
         assert run_capture(capsys, argv) == (1, "", '{"error": "ValueError", "message": "a family holds at least one function"}\n')
 
+    def test_malformed_family_is_refused_before_the_key_table(self, capsys, tmp_path, monkeypatch):
+        def forbidden(u, n):
+            raise AssertionError("key table built for a refused family")
+
+        monkeypatch.setattr(oracle, "_key_table", forbidden)
+        fam_path = tmp_path / "bad.txt"
+        fam_path.write_text("1 2 1 2\n\n2 1 3 1\n")
+        rc, out, err = run_capture(capsys, ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", str(fam_path)])
+        assert (rc, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "DimensionMismatchError",
+            "message": "every function must map keys 1..4 into cells 1..2",
+        }
+
+    def test_over_budget_verify_refuses_before_opening_the_family(self, capsys, tmp_path):
+        missing = str(tmp_path / "no-such-family.txt")
+        argv = ["verify", "--u", "100000000", "--m", "2", "--n", "1000000", "--family", missing]
+        rc, out, err = run_capture(capsys, argv)
+        assert (rc, out, json.loads(err)["error"]) == (1, "", "BudgetExceededError")
+
     def test_random_construct_seeded(self, capsys):
         argv = [
             "construct", "--method", "random",

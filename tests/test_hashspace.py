@@ -12,18 +12,16 @@ from idealhash.checks import CheckResult
 from idealhash.construct import ConstructionLog
 from idealhash.errors import BudgetExceededError, DimensionMismatchError
 from idealhash.hashspace import (
-    Family,
     HashFunction,
     Params,
     balanced_fiber_sizes,
     balanced_functions,
     family_from_text,
     family_to_text,
-    function_from_text,
     function_to_text,
     set_partitions,
 )
-from idealhash.oracle import CoverageReport, IdealCount, cover_mask, exceed_masks, verify_family
+from idealhash.oracle import CoverageReport, IdealCount, cover_mask, verify_family
 from idealhash.simulate import Estimate
 
 
@@ -85,11 +83,6 @@ class TestLoadProfile:
         h = HashFunction((1, 1, 1, 1, 2, 2, 2, 2), 2)  # blocked balanced, u=8, m=2
         assert max_load(h, (1, 2, 5, 6)) == 2  # ceil(4/2)
 
-    def test_dimension_mismatch(self):
-        h = HashFunction((1, 2), 2)
-        with pytest.raises(DimensionMismatchError):
-            exceed_masks([h], Params(4, 2, 2), budget=10**6)
-
 
 class TestIsCIdeal:
     def test_c_at_least_m_accepts_everything(self):
@@ -114,21 +107,16 @@ class TestIsCIdeal:
         assert all(lo & ~hi == 0 for lo, hi in zip(masks, masks[1:]))
         assert masks[0] != masks[-1]
 
-    def test_dimension_checks(self):
-        p = Params(4, 2, 2)
-        with pytest.raises(DimensionMismatchError):
-            cover_mask(HashFunction((1, 2), 2), p)
-
 
 class TestFamilyCost:
     def test_singleton_constant_costs_n(self):
-        fam = Family((HashFunction((1, 1, 1, 1), 2),))
+        fam = (HashFunction((1, 1, 1, 1), 2),)
         assert not verify_family(fam, Params(4, 2, 2, 1)).is_ideal_family  # cap 1
         assert verify_family(fam, Params(4, 2, 2, 2)).is_ideal_family  # cap 2 = n
 
     def test_two_function_family_splits_every_pair(self):
         p = Params(4, 2, 2)
-        fam = Family((HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2)))
+        fam = (HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2))
         rep = verify_family(fam, p)
         assert rep.covered == 6
         assert rep.uncovered_witness is None
@@ -136,12 +124,12 @@ class TestFamilyCost:
     def test_never_above_n(self):
         p = Params(5, 2, 3, Fraction(2))  # cap 3 = n
         for h in balanced_functions(p):
-            assert verify_family(Family((h,)), p).is_ideal_family
+            assert verify_family((h,), p).is_ideal_family
 
     def test_budget_guard(self):
         p = Params(30, 2, 15)
         with pytest.raises(BudgetExceededError):
-            verify_family(Family((HashFunction((1,) * 30, 2),)), p, budget=1000)
+            verify_family((HashFunction((1,) * 30, 2),), p, budget=1000)
 
 
 class TestBalancedFunctions:
@@ -264,19 +252,18 @@ class TestKeyRanks:
 class TestSerialization:
     def test_function_round_trip(self):
         h = HashFunction((1, 2, 1, 2), 2)
-        assert function_from_text(function_to_text(h), 2) == h
+        assert family_from_text(function_to_text(h), Params(4, 2, 2)) == (h,)
 
     def test_family_round_trip(self):
-        fam = Family((HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2)))
-        again = family_from_text(family_to_text(fam), 2)
-        assert again.functions == fam.functions
+        fam = (HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2))
+        assert family_from_text(family_to_text(fam), Params(4, 2, 2)) == fam
 
     def test_function_text_shape(self):
         assert function_to_text(HashFunction((1, 1, 2, 2), 2)) == "1 1 2 2"
 
     def test_rejects_out_of_range_cells(self):
-        with pytest.raises(ValueError):
-            function_from_text("1 2 3", 2)
+        with pytest.raises(DimensionMismatchError, match=r"^every function must map keys 1\.\.3 into cells 1\.\.2$"):
+            family_from_text("1 2 3", Params(3, 2, 2))
 
 
 def test_partition_signature_ignores_cell_labels():
@@ -296,21 +283,28 @@ def test_partition_signature_is_the_sorted_non_empty_fibers(data):
     assert HashFunction(tuple(cells), m).partition_signature() == tuple(sorted(f for f in fibers if f))
 
 
+READER_MESSAGE = r"^every function must map keys 1\.\.4 into cells 1\.\.2$"
+
+
 def test_family_requires_consistent_dimensions():
-    with pytest.raises(DimensionMismatchError, match="^family members disagree on u or m$"):
-        Family((HashFunction((1, 2), 2), HashFunction((1, 2, 1), 2)))
-    with pytest.raises(DimensionMismatchError, match="^family members disagree on u or m$"):
-        Family((HashFunction((1, 2), 2), HashFunction((1, 2), 3)))
-    with pytest.raises(ValueError, match="^a family holds at least one function$"):
-        Family(())
+    # the reader checks each non-blank line against Params: exactly u cells, and at least one line
+    p = Params(4, 2, 2)
+    for text in ["1 2 1\n", "1 2 1 2 1\n", "1 2 1 2\n1 2 1\n", "1 2 1 2\n\n1 2 1 2 2\n"]:
+        with pytest.raises(DimensionMismatchError, match=READER_MESSAGE):
+            family_from_text(text, p)
+    for text in ["", "\n", " \n\t\n"]:
+        with pytest.raises(ValueError, match="^a family holds at least one function$"):
+            family_from_text(text, p)
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        family_from_text("1 2 x 2\n", p)
+    assert family_from_text("\n 1 2 1 2 \n\n2 2 1 1\n", p) == (HashFunction((1, 2, 1, 2), 2), HashFunction((2, 2, 1, 1), 2))
 
 
 def test_hash_function_cells_lie_in_one_to_m():
-    for cells in [(1, 3), (0, 1)]:
-        with pytest.raises(DimensionMismatchError, match=r"^cell indices must lie in 1\.\.2$"):
-            HashFunction(cells, 2)
-    with pytest.raises(ValueError, match="^need m >= 1$"):
-        HashFunction((), 0)
+    p = Params(4, 2, 2)
+    for text in ["1 2 1 3\n", "0 1 2 1\n", "1 2 1 2\n2 1 2 -1\n"]:
+        with pytest.raises(DimensionMismatchError, match=READER_MESSAGE):
+            family_from_text(text, p)
 
 
 def test_ideal_count_lies_in_zero_to_total():
@@ -323,11 +317,9 @@ def test_ideal_count_lies_in_zero_to_total():
 def test_every_record_field_is_read_only():
     p = Params(8, 2, 4)
     h = HashFunction((1, 2, 1, 2, 1, 2, 1, 2), 2)
-    family = Family((h,))
     records = [
         p,
         h,
-        family,
         IdealCount(1, 2),
         CoverageReport(3, None),
         BoundEntry("lower.volume", 1.0),
@@ -335,7 +327,7 @@ def test_every_record_field_is_read_only():
         AdviceReport(0.0, 0.0, 0.0, 0.0, 0.0),
         CheckResult("check", 1, 0),
         Estimate(0.5, 0.1, 10, 1),
-        ConstructionLog("greedy", None, 1, 1, (0,), family, True),
+        ConstructionLog("greedy", None, 1, 1, (0,), (h,), True),
     ]
     for record in records:
         for name in record._fields:

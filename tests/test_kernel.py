@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from idealhash import oracle
 from idealhash.construct import greedy_cover, random_balanced_family, yao_family
-from idealhash.errors import BudgetExceededError, DimensionMismatchError
+from idealhash.errors import BudgetExceededError
 from idealhash.hashspace import (
-    Family,
     HashFunction,
     Params,
     balanced_functions,
@@ -122,19 +121,14 @@ class TestCallers:
             u, m = rng.randint(3, 8), rng.randint(1, 3)
             n = rng.randint(m, u)
             p = Params(u, m, n)
-            fam = Family(
-                tuple(
-                    HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m)
-                    for _ in range(rng.randint(1, 3))
-                )
-            )
+            fam = tuple(HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m) for _ in range(rng.randint(1, 3)))
             uncovered = [
                 combo
                 for combo in itertools.combinations(range(1, u + 1), n)
                 if all(
                     max(sum(1 for key in combo if h.cells[key - 1] == c) for c in range(1, m + 1))
                     > p.load_cap
-                    for h in fam.functions
+                    for h in fam
                 )
             ]
             rep = verify_family(fam, p)
@@ -149,7 +143,7 @@ class TestCallers:
         p = Params(30, 2, 15)
         h = HashFunction((1, 2) * 15, 2)
         calls = [
-            lambda: verify_family(Family((h,)), p, budget=100),
+            lambda: verify_family((h,), p, budget=100),
             lambda: cover_mask(h, p, budget=100),
             lambda: greedy_cover(p, [h], budget=100),
             lambda: yao_family(p, t=2.0, pool=[h], budget=100),
@@ -168,7 +162,7 @@ class TestCallers:
         h = HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m)
         betas = [h.cells.count(c) for c in range(1, h.m + 1)]
         p = Params(u, m, m)
-        rep = verify_family(Family((h,)), p)
+        rep = verify_family((h,), p)
         assert rep.covered == math.prod(betas)
         if m == 2:
             assert rep.covered == math.comb(u, 2) - sum(math.comb(b, 2) for b in betas)
@@ -194,14 +188,6 @@ class TestCallers:
         assert min_family_size_exact(p, pool_budget=classes) == min_family_size_exact(p)
         with pytest.raises(BudgetExceededError, match=f"candidate pool exceeds budget {classes - 1}"):
             min_family_size_exact(p, pool_budget=classes - 1)
-
-    def test_functions_must_match_params(self):
-        p = Params(4, 2, 2)
-        for cells in ((1, 2, 1), (1, 2, 1, 2, 1)):
-            with pytest.raises(DimensionMismatchError):
-                verify_family(Family((HashFunction(cells, 2),)), p)
-        with pytest.raises(DimensionMismatchError):
-            exceed_masks([HashFunction((1, 2, 1, 2), 3)], p, budget=10**6)
 
 
 @settings(max_examples=300, deadline=None)

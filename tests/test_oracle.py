@@ -9,7 +9,6 @@ from idealhash import combinatorics, hashspace, oracle
 from idealhash.combinatorics import binom, compositions
 from idealhash.errors import BudgetExceededError
 from idealhash.hashspace import (
-    Family,
     HashFunction,
     Params,
     balanced_fiber_sizes,
@@ -184,7 +183,7 @@ class TestBalanceExtremality:
 class TestVerifyFamily:
     def test_two_function_family_covers_all_six(self):
         p = Params(4, 2, 2, 1)
-        fam = Family((HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2)))
+        fam = (HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2))
         rep = verify_family(fam, p)
         assert rep.is_ideal_family
         assert rep.covered == 6
@@ -192,20 +191,20 @@ class TestVerifyFamily:
 
     def test_singleton_misses_its_own_fiber_pair(self):
         p = Params(4, 2, 2, 1)
-        rep = verify_family(Family((HashFunction((1, 1, 2, 2), 2),)), p)
+        rep = verify_family((HashFunction((1, 1, 2, 2), 2),), p)
         assert not rep.is_ideal_family
         assert rep.covered == 4
         assert rep.uncovered_witness == (1, 2)
 
     def test_any_family_verifies_at_c_equal_m(self):
         p = Params(4, 2, 2, 2)
-        rep = verify_family(Family((HashFunction((1, 1, 1, 1), 2),)), p)
+        rep = verify_family((HashFunction((1, 1, 1, 1), 2),), p)
         assert rep.is_ideal_family
 
     def test_budget_guard(self):
         p = Params(30, 2, 15)
         with pytest.raises(BudgetExceededError):
-            verify_family(Family((HashFunction((1,) * 30, 2),)), p, budget=100)
+            verify_family((HashFunction((1,) * 30, 2),), p, budget=100)
 
 
 class TestMinFamilySize:

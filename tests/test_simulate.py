@@ -11,7 +11,7 @@ import pytest
 from idealhash import simulate
 from idealhash.cli import run
 from idealhash.distributions import p_tmax_le
-from idealhash.hashspace import Family, HashFunction, Params, balanced_functions
+from idealhash.hashspace import HashFunction, Params, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
 from idealhash.simulate import Estimate, estimate_ideal_probability, estimate_max_load
 
@@ -206,19 +206,19 @@ class TestAdversarialSet:
 
     def test_identity_block_universe(self):
         h = HashFunction(tuple([1] * 8 + [2] * 8), 2)
-        rep = verify_family(Family((h,)), self._below_n(16, 2, 4))
+        rep = verify_family((h,), self._below_n(16, 2, 4))
         assert rep.uncovered_witness == (1, 2, 3, 4)
 
     def test_achieves_cost_n(self):
         for u, m, n in ((16, 2, 4), (12, 3, 4), (9, 3, 3)):
             h = next(balanced_functions(Params(u, m, n)))  # the blocked function
-            witness = verify_family(Family((h,)), self._below_n(u, m, n)).uncovered_witness
+            witness = verify_family((h,), self._below_n(u, m, n)).uncovered_witness
             assert len({h.cells[k - 1] for k in witness}) == 1
 
     def test_every_function_is_beatable_once_u_covers_nm(self):
         p = self._below_n(6, 2, 2)  # u = 6 >= n*m
         for cells in itertools.product((1, 2), repeat=6):
-            assert not verify_family(Family((HashFunction(cells, 2),)), p).is_ideal_family
+            assert not verify_family((HashFunction(cells, 2),), p).is_ideal_family
 
 
 def test_estimate_is_a_plain_record():
