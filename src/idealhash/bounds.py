@@ -202,21 +202,23 @@ def _count_ratio(count: IdealCount | None, infeasible: str) -> Fraction:
     return Fraction(count.total, count.m_c)
 
 
-def _eval_volume(count: IdealCount | None) -> tuple[BoundEntry]:
+def _eval_volume(count: IdealCount | None, ceilings: bool) -> tuple[BoundEntry]:
     """lower.volume: C(u,n)/M_c, since one function is ideal for M_c sets."""
     ratio = _count_ratio(count, "no function is ideal for any set")
-    return (BoundEntry("lower.volume", ln_fraction(ratio), "exact counting", ceiling=math.ceil(ratio)),)
+    ceiling = math.ceil(ratio) if ceilings else None
+    return (BoundEntry("lower.volume", ln_fraction(ratio), "exact counting", ceiling=ceiling),)
 
 
-def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
+def _eval_prob(p: Params, count: IdealCount | None, ceilings: bool) -> tuple[BoundEntry, BoundEntry, BoundEntry]:
     """upper.prob.tight, upper.prob.loose and upper.yao from p = M_c / C(u,n).
 
     Tight: 1 + r before ceiling and 1 + floor(r) functions after, with
     r = ln C(u,n) / -ln(1-p).  Loose: v = (C(u,n)/M_c) * n * ln u, not
-    applicable at u = 1.  A ceiling past the float range is None.  Yao:
-    floor(ln C(u,n) / ln t) + 1 rounds, each keeping at most 1/t of the live
-    sets; averaging over balanced functions proves 1/t = 1 - p, and there the
-    count is tight's.
+    applicable at u = 1.  A ceiling past the float range is None, and so is
+    every ceiling when `ceilings` is false, which skips their decimal work.
+    Yao: floor(ln C(u,n) / ln t) + 1 rounds, each keeping at most 1/t of the
+    live sets; averaging over balanced functions proves 1/t = 1 - p, and
+    there the count is tight's.
     """
     ratio = _count_ratio(count, "no ideal family exists")
     total, m_c = count.total, count.m_c
@@ -225,14 +227,14 @@ def _eval_prob(p: Params, count: IdealCount | None) -> tuple[BoundEntry, BoundEn
         name="upper.prob.tight",
         ln=max(ln_r, 0.0) + math.log1p(math.exp(-abs(ln_r))),
         validity_note="exact p",
-        ceiling=_tight_ceiling(total, m_c, ln_r),
+        ceiling=_tight_ceiling(total, m_c, ln_r) if ceilings else None,
     )
     yao = tight._replace(name="upper.yao", validity_note="t = 1/(1-p)")
     if p.u < 2:
         return tight, BoundEntry("upper.prob.loose", None, "needs u >= 2 (it carries ln ln u)"), yao
     ln_loose = ln_fraction(ratio * p.n) + math.log(math.log(p.u))
     loose = BoundEntry("upper.prob.loose", ln_loose, "exact p")
-    if ln_loose <= math.log(sys.float_info.max):  # ln u is irrational, so v is no integer: ceil(v) = 1 + floor(v)
+    if ceilings and ln_loose <= math.log(sys.float_info.max):  # ln u is irrational, so v is no integer: ceil(v) = 1 + floor(v)
         with decimal.localcontext() as ctx:  # 30 guard digits beyond v's own, as in `_tight_ceiling`
             ctx.prec = 30 + math.ceil(max(ln_loose, 0.0) / math.log(10))
             v = ctx.create_decimal(ratio.numerator * p.n) / ratio.denominator * ctx.create_decimal(p.u).ln()
@@ -247,15 +249,17 @@ def _eval_lower_main(p: Params, eps: Fraction) -> tuple[BoundEntry]:
     return (BoundEntry("lower.main", ln, "asymptotic in n" if eps == 0 else "", epsilon=eps),)
 
 
-def _eval_universe(p: Params) -> tuple[BoundEntry]:
+def _eval_universe(p: Params, ceilings: bool) -> tuple[BoundEntry]:
     """lower.universe; its ceiling is the least k with m^k * c*alpha >= u, in integers."""
     lu = lower_universe(p)
     if lu <= 0:
         raise BoundNotApplicableError("c*alpha lies within float rounding of u: ln u - ln(c*alpha) rounds to <= 0")
-    ca = p.c * p.alpha
-    k = max(1, math.ceil(lu) - 1)  # lu errs by far less than 1
-    while p.m**k * ca.numerator < p.u * ca.denominator:
-        k += 1
+    k = None
+    if ceilings:
+        ca = p.c * p.alpha
+        k = max(1, math.ceil(lu) - 1)  # lu errs by far less than 1
+        while p.m**k * ca.numerator < p.u * ca.denominator:
+            k += 1
     return (BoundEntry("lower.universe", math.log(lu), ceiling=k),)
 
 
@@ -333,21 +337,24 @@ def advice_report(report: BoundReport) -> AdviceReport:
     )
 
 
-def bound_report(p: Params, eps: Fraction = Fraction(0)) -> BoundReport:
+def bound_report(p: Params, eps: Fraction = Fraction(0), ceilings: bool = True) -> BoundReport:
     """Assemble every named bound for one parameter point.
 
     The volume and probabilistic entries share one exact count (cheap at any
-    u: one `_power_coeffs` power per fiber size, never subset enumeration),
-    skipped past desk scale.  The eps entry is built first, so an invalid
-    eps is refused before the counting work.
+    u: one power per fiber size, or half of one where all m fibers are
+    equal, m is even and that is cheaper, never subset enumeration), skipped
+    past desk scale.  The eps entry is built first, so an invalid eps is refused
+    before the counting work.  With `ceilings` false every entry's ceiling
+    is None and none is computed: `bounds` prints ceilings, `report` prints
+    only natural logs.
     """
     main = _entries(("lower.main",), _eval_lower_main, p, eps)
     count = None if p.n * max(1, p.u.bit_length()) > DESK_SCALE_BITS else exact_ideal_probability(p)
-    tight, loose, yao = _entries(("upper.prob.tight", "upper.prob.loose", "upper.yao"), _eval_prob, p, count)
+    tight, loose, yao = _entries(("upper.prob.tight", "upper.prob.loose", "upper.yao"), _eval_prob, p, count, ceilings)
     entries = (
-        *_entries(("lower.volume",), _eval_volume, count),
+        *_entries(("lower.volume",), _eval_volume, count, ceilings),
         *main,
-        *_entries(("lower.universe",), _eval_universe, p),
+        *_entries(("lower.universe",), _eval_universe, p, ceilings),
         tight,
         loose,
         *_entries(("upper.main",), _eval_upper_main, p),

@@ -322,7 +322,7 @@ def _cmd_report(args) -> int:
                     if n < m or u < n:
                         continue
                     p = Params(u, m, n, c)
-                    rep = bounds_mod.bound_report(p, eps=args.eps)
+                    rep = bounds_mod.bound_report(p, eps=args.eps, ceilings=False)
                     adv = bounds_mod.advice_report(rep)
                     row = [u, m, n, str(c), str(p.alpha), p.load_cap]
                     for name in _REPORT_BOUND_COLUMNS:

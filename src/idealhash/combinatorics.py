@@ -43,7 +43,8 @@ def ln_fraction(q: Fraction) -> float:
 
 
 def _power_coeffs(p0: int, a: int, b: int, d: int, k: int, n: int) -> list[int]:
-    """Coefficients 0..min(n, k*d) of p^k; the rest are zero.
+    """Coefficients 0..min(n, k*d) of p^k; the rest are zero.  k = 1 returns p
+    itself (truncated at n) and k = 0 returns [1], with no recurrence run.
 
     p is the degree-d polynomial with p_0 = p0 != 0 and (l+1) p_{l+1} =
     (a + b*l) p_l for l < d, whose coefficients the caller guarantees are
@@ -60,12 +61,43 @@ def _power_coeffs(p0: int, a: int, b: int, d: int, k: int, n: int) -> list[int]:
     for l in range(d):
         p.append(p[l] * (a + b * l) // (l + 1))
     top = min(n, k * d)
+    if k < 2:
+        return p[: top + 1] if k else [1]
     short = min(top, d)
     miller_steps = short * (short + 1) // 2 + (top - short) * d
     chain_steps = sum(top - i * (d + 1) + 1 for i in range(top // (d + 1) + 1))
     if 2 * chain_steps < miller_steps:
         return _chain_power(p, a, b, k, top)
     return _miller_power(p, k, top)
+
+
+def power_coeff(p0: int, a: int, b: int, d: int, k: int, n: int) -> int:
+    """[x^n] p^k for the hypergeometric p of `_power_coeffs`; 0 when n > k*d.
+
+    For even k the half power q = p^(k/2) may be taken instead, up to degree
+    top = min(n, k*d/2), and [x^n] q^2 = 2 * sum_{i<n/2} q_i q_{n-i} +
+    q_{n/2}^2 (the last term where n is even) read with one product per
+    pair (i, n-i): T = top - floor(n/2) pairs.  q's coefficients have about
+    half the bits of p^k's, so its power costs less, but each pair is a
+    product of two large coefficients.  The half runs where 2(k+3) T <= k n,
+    that is T/n at most 0.2, 0.29, 0.36 and 0.42 at k = 2, 4, 8 and 16.  On
+    a 2-core VM (Python 3.11, fibers of 10^3-10^6 keys, n = 64-3000) it was
+    faster at every point measured up to T/n = 0.20, 0.27, 0.31 and 0.39,
+    and slower at some point from 0.25, 0.31, 0.37 and 0.5 on, by up to 3.6
+    times (k = 2, T/n = 1/2).  At c = 3/2, T/n is about 1/4; at c = 2,
+    about 1/2.  Odd k keeps the full power: halves p^((k-1)/2) and
+    p^((k+1)/2) would be two powers, which measured 1.2-1.9 times slower at
+    c = 3/2 (k = 3-15, n = 1000).
+    """
+    if n > k * d:
+        return 0
+    half = n // 2
+    top = min(n, k // 2 * d)
+    if k % 2 or 2 * (k + 3) * (top - half) > k * n:
+        return _power_coeffs(p0, a, b, d, k, n)[n]
+    q = _power_coeffs(p0, a, b, d, k // 2, n)
+    pairs = sum(q[i] * q[n - i] for i in range(n - top, n - half))
+    return 2 * pairs + (0 if n % 2 else q[half] ** 2)
 
 
 def _miller_power(p: Sequence[int], k: int, top: int) -> list[int]:
@@ -119,12 +151,10 @@ def _chain_power(p: Sequence[int], a: int, b: int, k: int, top: int) -> list[int
 def composition_count(n: int, m: int, d: int) -> int:
     """Number of tuples (l_1..l_m) with 0 <= l_i <= d and sum n, exactly.
 
-    [x^n] (1 + x + ... + x^d)^m, the all-ones cell's power by `_power_coeffs`;
-    needs n, m >= 1 and d >= 0.
+    [x^n] (1 + x + ... + x^d)^m, the all-ones cell's power read by
+    `power_coeff`; needs n, m >= 1 and d >= 0.
     """
-    if n > m * d:
-        return 0
-    return _power_coeffs(1, 1, 1, d, m, n)[n]
+    return power_coeff(1, 1, 1, d, m, n)
 
 
 def compositions(n: int, m: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -145,3 +175,23 @@ def compositions(n: int, m: int, cap: int) -> Iterator[tuple[int, ...]]:
                 yield (first,) + rest
 
     return tails(n, m)
+
+
+def partitions(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing tuple (l_1 >= ... >= l_m >= 0) with sum n, in lexicographic order.
+
+    The members of `compositions(n, m, n)` whose parts never rise, generated
+    directly: each part runs from ceil(rest / parts left), the least that
+    lets the parts after it (none above it) reach the sum, up to the part
+    before it.  Needs n >= 0 and m >= 1.
+    """
+
+    def tails(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(-(-total // parts), min(total, cap) + 1):
+            for rest in tails(total - first, parts - 1, first):
+                yield (first,) + rest
+
+    return tails(n, m, n)

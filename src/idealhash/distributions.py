@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import _power_coeffs, binom, compositions, ln_fraction
+from .combinatorics import binom, compositions, ln_fraction, power_coeff
 
 LoadVector = Sequence[int]
 
@@ -55,17 +55,15 @@ def p_tmax_le(n: int, m: int, cap: int) -> Fraction:
     """P(max cell load <= cap) for n independent uniform throws into m cells.
 
     The admissible throw sequences number n! [x^n] (sum_{l<=cap} x^l/l!)^m.
-    With d = min(cap, n) the power is taken of E = sum_{l<=d} (d!/l!) x^l,
-    which has integer coefficients, by `_power_coeffs` (the exponential cell
-    (d!, 1, 0, d)); the count is then n! [x^n] E^m / (d!)^m, an exact
-    division, over m^n.  Needs n, m >= 1 and cap >= 0.
+    With d = min(cap, n) the coefficient is read of E^m, E = sum_{l<=d}
+    (d!/l!) x^l with integer coefficients, by `power_coeff` (the exponential
+    cell (d!, 1, 0, d); 0 where m * cap < n and no sequence fits); the count
+    is then n! [x^n] E^m / (d!)^m, an exact division, over m^n.  Needs
+    n, m >= 1 and cap >= 0.
     """
     d = min(cap, n)
     top = math.factorial(d)
-    q = _power_coeffs(top, 1, 0, d, m, n)
-    if len(q) <= n:  # m * cap < n: no sequence fits
-        return Fraction(0)
-    return Fraction(q[n] * math.factorial(n) // top**m, m**n)
+    return Fraction(power_coeff(top, 1, 0, d, m, n) * math.factorial(n) // top**m, m**n)
 
 
 def binomial_marginal_le(n: int, m: int, cap: int) -> Fraction:

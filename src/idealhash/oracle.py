@@ -6,7 +6,9 @@ polynomial sum_{l<=cap} C(beta_i, l) x^l, and the number of key sets hashed
 with every load at most cap is the coefficient of x^n in the product.  Equal
 fibers share one polynomial, raised to its power by
 `combinatorics._power_coeffs` (hypergeometric cell, so one big product per
-coefficient where that is cheaper than Miller's recurrence).
+coefficient where that is cheaper than Miller's recurrence); where all fibers
+are equal, `combinatorics.power_coeff` reads the coefficient, off half the
+power where their number is even and that is cheaper.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .combinatorics import _power_coeffs, binom, binom_steps, compositions, exceeds
+from .combinatorics import _power_coeffs, binom, binom_steps, exceeds, partitions, power_coeff
 from .errors import BudgetExceededError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
@@ -71,10 +73,16 @@ def count_ideal_sets(betas: Sequence[int], n: int, cap: int) -> int:
     each group of k equal fibers is raised to its power by `_power_coeffs`,
     the binomial cell (1, beta, -1, d) with d = min(cap, beta, n), in about
     min(n*d, n*n/(2d)) big products whatever k is; a balanced decomposition
-    has at most two groups.  Groups are multiplied truncated at degree n,
-    the last product read as one dot product.  Needs n, cap >= 0.
+    has at most two groups.  One group is read by `power_coeff`, which may
+    square half the power where k is even.  Otherwise the groups are
+    multiplied truncated at degree n, the last product read as one dot
+    product.  Needs n, cap >= 0.
     """
-    polys = [_power_coeffs(1, beta, -1, min(cap, beta, n), k, n) for beta, k in Counter(betas).items()]
+    groups = Counter(betas)
+    if len(groups) == 1:
+        ((beta, k),) = groups.items()
+        return power_coeff(1, beta, -1, min(cap, beta, n), k, n)
+    polys = [_power_coeffs(1, beta, -1, min(cap, beta, n), k, n) for beta, k in groups.items()]
     *head, last = polys or [[1]]
     acc = [1]
     for poly in head:
@@ -115,11 +123,8 @@ def balance_extremality_check(p: Params) -> bool:
     `balanced is among the argmax`.
     """
     balanced = tuple(sorted(balanced_fiber_sizes(p.u, p.m), reverse=True))
-    counts = {
-        part: count_ideal_sets(part, p.n, p.load_cap)
-        for part in compositions(p.u, p.m, p.u)
-        if all(a >= b for a, b in zip(part, part[1:]))
-    }
+    n, cap = p.n, p.load_cap
+    counts = {part: count_ideal_sets(part, n, cap) for part in partitions(p.u, p.m)}
     best = max(counts.values())
     argmax = {part for part, v in counts.items() if v == best}
     if not cap_binds(p):

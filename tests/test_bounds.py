@@ -578,6 +578,13 @@ class TestBoundReport:
             bound_report(Params(8, 2, 4, 1), eps=1)
         assert str(exc.value) == "need eps in [0, 1)"
 
+    def test_without_ceilings_every_ceiling_is_null_and_nothing_else_moves(self):
+        for p in SWEEP:
+            for eps in (Fraction(0), Fraction(1, 3)):
+                full = bound_report(p, eps)
+                want = full._replace(entries=tuple(e._replace(ceiling=None) for e in full.entries))
+                assert bound_report(p, eps, ceilings=False) == want
+
     def test_infeasible_cap_flags_counting_entries(self):
         rep = bound_report(Params(6, 2, 3, 1))  # cap 1 < ceil(3/2)
         assert not rep.entry("lower.volume").valid

@@ -15,7 +15,10 @@ from idealhash.combinatorics import (
     composition_count,
     compositions,
     ln_fraction,
+    partitions,
 )
+from idealhash.distributions import p_tmax_le
+from idealhash.oracle import count_ideal_sets
 
 
 class TestBinom:
@@ -119,6 +122,11 @@ class TestCompositions:
         brute = [tup for tup in product(range(d + 1), repeat=m) if sum(tup) == n]
         assert list(compositions(n, m, d)) == brute
 
+    def test_partitions_are_the_non_increasing_compositions_in_order(self):
+        for n, m in product(range(15), range(1, 5)):
+            want = [c for c in compositions(n, m, n) if all(x >= y for x, y in zip(c, c[1:]))]
+            assert list(partitions(n, m)) == want
+
 
 def truncated_power(p, k, n):
     """Coefficients 0..n of p^k by k truncated convolutions."""
@@ -215,6 +223,89 @@ class TestPowerCoeffs:
             monkeypatch.setattr(combinatorics, name, spy(name))
         _power_coeffs(1, 62500, -1, d, k, n)
         assert taken == [f"_{order}_power"]
+
+
+def miller_full_power(p, k, n):
+    """Coefficients 0..n of p^k (p_0 != 0), every one by Miller's loop over the full power."""
+    d = len(p) - 1
+    q = [p[0] ** k]
+    for j in range(1, n + 1):
+        s = sum(((k + 1) * i - j) * p[i] * q[j - i] for i in range(1, min(j, d) + 1))
+        q.append(s // (j * p[0]))
+    return q
+
+
+@st.composite
+def counting_points(draw, least=0):
+    """(k, d, n, cap): k copies of a cell of degree d, n below, at or above k*d, cap in 0..n+1;
+    k and n at least `least`."""
+    k = draw(st.integers(least, 9))
+    d = draw(st.integers(0, 6))
+    n = max(least, k * d + draw(st.integers(-12, 3)))
+    return k, d, n, draw(st.integers(0, n + 1))
+
+
+class TestEvenPowerRead:
+    """The coefficient readers that take half of an even power against the full power."""
+
+    @pytest.mark.parametrize(
+        "d,k,n,power",
+        [
+            (93, 16, 1000, 8),  # u=10^6 m=16 c=3/2: 244 pairs, at most 16*1000/38
+            (125, 16, 1000, 16),  # c=2: 500 pairs
+            (500, 2, 1000, 1),  # c=1: the one square p_500^2
+            (750, 2, 1000, 2),  # c=3/2: 250 pairs, above 2*1000/10
+            (93, 15, 1000, 15),  # odd k
+        ],
+    )
+    def test_half_power_where_the_pairs_are_few(self, monkeypatch, d, k, n, power):
+        powers = []
+        real = combinatorics._power_coeffs
+
+        def spy(p0, a, b, d, k, n):
+            powers.append(k)
+            return real(p0, a, b, d, k, n)
+
+        monkeypatch.setattr(combinatorics, "_power_coeffs", spy)
+        got = combinatorics.power_coeff(1, 62500, -1, d, k, n)
+        assert powers == [power]
+        assert got == real(1, 62500, -1, d, k, n)[n]
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=counting_points(), extra=st.integers(1, 4))
+    @example(point=(8, 3, 24, 3), extra=1)  # n = k*d: one term
+    @example(point=(8, 3, 25, 3), extra=1)  # n > k*d: 0
+    @example(point=(6, 4, 13, 14), extra=2)  # cap above n
+    @example(point=(0, 2, 0, 0), extra=1)
+    def test_count_ideal_sets_matches_the_full_power(self, point, extra):
+        k, beta, n, cap = point
+        d = min(cap, beta, n)
+        one = miller_full_power([binom(beta, l) for l in range(d + 1)], k, n)
+        assert count_ideal_sets([beta] * k, n, cap) == one[n]
+        # a second group: `extra` fibers one key larger
+        d2 = min(cap, beta + 1, n)
+        two = miller_full_power([binom(beta + 1, l) for l in range(d2 + 1)], extra, n)
+        want = sum(one[i] * two[n - i] for i in range(n + 1))
+        assert count_ideal_sets([beta] * k + [beta + 1] * extra, n, cap) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=counting_points(least=1))
+    @example(point=(4, 2, 9, 2))  # m*cap < n: 0
+    @example(point=(4, 2, 8, 2))
+    def test_p_tmax_le_matches_the_full_power(self, point):
+        m, _, n, cap = point
+        d = min(cap, n)
+        cell = [math.factorial(d) // math.factorial(l) for l in range(d + 1)]
+        sequences = miller_full_power(cell, m, n)[n] * math.factorial(n) // math.factorial(d) ** m
+        assert p_tmax_le(n, m, cap) == Fraction(sequences, m**n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=counting_points(least=1))
+    @example(point=(6, 3, 19, 0))  # n > m*d: 0
+    @example(point=(6, 3, 18, 0))
+    def test_composition_count_matches_the_full_power(self, point):
+        m, d, n, _ = point
+        assert composition_count(n, m, d) == miller_full_power([1] * (d + 1), m, n)[n]
 
 
 def test_ln_fraction_handles_huge_terms():
