@@ -98,9 +98,10 @@ def check_negdep_hypergeometric() -> CheckResult:
     return _tally("negdep-hypergeometric", (
         not (
             exact_ideal_probability(p).probability
-            > math.prod(hypergeometric_marginal_le(p.u, beta, p.n, p.load_cap) for beta in balanced_fiber_sizes(p.u, p.m))
+            > math.prod(hypergeometric_marginal_le(p.u, beta, p.n, cap) for beta in balanced_fiber_sizes(p.u, p.m))
         )
         for p in _hyper_grid()
+        for cap in (p.load_cap,)
     ))
 
 

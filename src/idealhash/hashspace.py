@@ -9,7 +9,6 @@ this the same as load <= floor(c*alpha)).
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -60,7 +59,7 @@ class Params(_ParamsFields):
     @property
     def load_cap(self) -> int:
         """floor(c * alpha): the largest integer load a c-ideal function allows."""
-        return math.floor(self.c * self.alpha)
+        return (self.c.numerator * self.n) // (self.c.denominator * self.m)
 
     @property
     def total_sets(self) -> int:

@@ -1,11 +1,15 @@
 """Monte Carlo behavior beyond exact enumeration: max-load means and
 ideality probability estimates.
 
-RNG contract: each call draws all its trials from one numpy PCG64 stream
-seeded through SeedSequence(seed, spawn_key=(0,)), so every seed reproduces
-bit-identically with the numpy version the goldens were recorded with.  A
-seeded max-load estimate also depends on
-the fixed rule that sizes its batches, since each batch is one set of draws.
+RNG contract: each call draws all its trials from one seeded stream, so a
+seed fixes the output bytes.  Max-load, and ideal-prob above the chain's work
+bound (_CHAIN_WORK), draw from one numpy PCG64 stream seeded through
+SeedSequence(seed, spawn_key=(0,)); those bytes hold for the numpy version the
+goldens were recorded with.  Ideal-prob at or below the bound draws from
+random.Random(seed).random(), whose sequence Python keeps across versions.
+Either way a seed must be non-negative.  A seeded max-load estimate also
+depends on the fixed rule that sizes its batches, since each batch is one set
+of draws.
 
 Max load (Poissonization with an exact correction, Mitzenmacher & Upfal,
 Probability and Computing, ch. 5).  A trial draws independent Poisson(n/m)
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .hashspace import Params, balanced_fiber_sizes
@@ -40,11 +46,21 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
     import numpy as np
 
 
-# Elements per numpy call: ideal-prob load cells, and four times a max-load
-# batch's occupancy blocks plus missing throws.  One such int64 array is
-# 2 MiB; max-load at m = n = 16384 peaks at about 40 MB RSS (x86-64 Linux),
-# 27 MB of it numpy's import.
+# Elements per numpy call: load cells of ideal-prob above _CHAIN_WORK, and four
+# times a max-load batch's occupancy blocks plus missing throws.  One such
+# int64 array is 2 MiB; max-load at m = n = 16384 peaks at about 40 MB RSS
+# (x86-64 Linux), 27 MB of it numpy's import.  The chain holds one group's
+# uniforms at a time, fewer than _CHAIN_WORK floats.
 _SLICE = 2**18
+
+# Ideal-prob runs the stdlib chain where _chain_work is at most this, and numpy
+# above it: 2^20 chain steps take about as long as importing numpy.random
+# (~0.16 s), which only the numpy path pays.
+_CHAIN_WORK = 2**20
+
+# The chain's tables keep the mass at least this fraction of the mode's: the
+# 2^-64 cut the max-load window makes.
+_CUT = 2.0**-64
 
 
 class Estimate(NamedTuple):
@@ -150,8 +166,11 @@ def estimate_ideal_probability(p: Params, trials: int, seed: int) -> Estimate:
     """Fraction of uniform n-subsets a balanced function hashes within cap.
 
     Under a fixed function with fiber sizes beta, the cell loads of a uniform
-    n-subset follow the multivariate hypergeometric law, so each trial draws
-    one load vector (numpy's sampler needs u < 10^9).
+    n-subset follow the multivariate hypergeometric law.  Small runs walk
+    its chain of hypergeometric conditionals in the stdlib (_chain_successes);
+    runs whose chain work exceeds _CHAIN_WORK draw one load vector per trial
+    with numpy's sampler, so they never pay for the chain and small runs never
+    import numpy.  Either way u < 10^9 (numpy's sampler needs it).
 
     Interval: normal approximation, switching to Wilson when successes < 10
     (estimates near zero are exactly the ones compared against tail bounds).
@@ -160,13 +179,13 @@ def estimate_ideal_probability(p: Params, trials: int, seed: int) -> Estimate:
         raise ValueError("need trials >= 1")
     if p.u >= 10**9:
         raise ValueError("ideal-prob sampling needs u < 10^9")
+    if seed < 0:  # numpy's SeedSequence refusal; random.Random(-s) would reuse the stream of s
+        raise ValueError("expected non-negative integer")
     betas = balanced_fiber_sizes(p.u, p.m)
-    batch = 1 + _SLICE // p.m  # b*m load cells stay near _SLICE
-    rng = _stream(seed)
-    successes = 0
-    for done in range(0, trials, batch):
-        loads = rng.multivariate_hypergeometric(betas, p.n, size=min(batch, trials - done))
-        successes += int((loads.max(axis=1) <= p.load_cap).sum())
+    if _chain_work(p.m, p.n, trials) <= _CHAIN_WORK:
+        successes = _chain_successes(betas, p.n, p.load_cap, trials, seed)
+    else:
+        successes = _numpy_successes(betas, p.n, p.load_cap, trials, seed)
     p_hat = successes / trials
     if successes < 10:
         halfwidth, method = _wilson_halfwidth(successes, trials), "wilson"
@@ -174,6 +193,98 @@ def estimate_ideal_probability(p: Params, trials: int, seed: int) -> Estimate:
         halfwidth = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
         method = "normal"
     return Estimate(p_hat, halfwidth, trials, seed, method)
+
+
+def _chain_work(m: int, n: int, trials: int) -> int:
+    """An upper estimate of the chain's steps, from the input size alone.
+
+    Each of the m - 1 drawn cells takes at most one uniform per trial and
+    builds one table per distinct count of keys still to place: at most
+    min(trials, 10 sqrt(n) + 1) of them, since that count spreads with
+    standard deviation at most sqrt(n)/2.  A table spans the 2^-64 window of
+    a hypergeometric law with variance at most about n/m, about 19 standard
+    deviations.
+    """
+    tables = min(trials, 10 * math.isqrt(n) + 1) * (19 * math.isqrt(n // m) + 1)
+    return (m - 1) * (trials + tables)
+
+
+def _chain_successes(betas: tuple[int, ...], n: int, cap: int, trials: int, seed: int) -> int:
+    """Trials whose hypergeometric load vector stays within cap, by the chain.
+
+    Given the r keys not placed in earlier cells, a cell's load is
+    HG(keys of this and later cells, its fiber, r), and the last cell takes
+    what is left: the conditional-distribution method (Devroye, Non-Uniform
+    Random Variate Generation, 1986, ch. XI), which numpy's `marginals`
+    method also uses.  Trials are exchangeable, so they are kept only as a
+    count per r.  For each (cell, r), one inversion table serves the group's
+    uniforms, sorted and counted per CDF bin.  A trial fails once its load
+    exceeds cap or r exceeds cap times the cells left, and passes once
+    r <= cap.
+    """
+    draw = random.Random(seed).random
+    groups = {n: trials}  # keys still to place -> trials
+    keys_left = sum(betas)
+    successes = 0
+    for cell, beta in enumerate(betas[:-1]):
+        moved: dict[int, int] = {}
+        for r, t in sorted(groups.items()):
+            if r <= cap:
+                successes += t
+                continue
+            if r > cap * (len(betas) - cell):
+                continue
+            lo, cdf = _hypergeometric_cdf(keys_left, beta, r, cap)
+            us = sorted([draw() for _ in range(t)])
+            below = 0
+            for x, edge in enumerate(cdf, lo):
+                within = bisect.bisect_left(us, edge, below)
+                if within > below:
+                    moved[r - x] = moved.get(r - x, 0) + within - below
+                below = within
+        keys_left -= beta
+        groups = moved
+    return successes + sum(t for r, t in groups.items() if r <= cap)
+
+
+def _hypergeometric_cdf(total: int, good: int, draws: int, cap: int) -> tuple[int, list[float]]:
+    """(lo, [F(lo), ..., F(min(hi, cap))]) for X ~ HG(total, good, draws).
+
+    The mass is built outward from the mode, each step one ratio of
+    neighbouring terms in int/int true division, over the window [lo, hi]
+    where it is at least _CUT of the mode's, and normalised there, so
+    F(hi) = 1.0 exactly.
+    """
+    spare = total - good - draws  # X = x leaves spare + x of the other keys undrawn
+    mode = (draws + 1) * (good + 1) // (total + 2)
+    up, w, x, top = [1.0], 1.0, mode, min(good, draws)
+    while x < top:
+        w *= (good - x) * (draws - x) / ((x + 1) * (spare + x + 1))
+        if w < _CUT:
+            break
+        up.append(w)
+        x += 1
+    down, w, x, bottom = [], 1.0, mode, max(0, -spare)
+    while x > bottom:
+        w *= x * (spare + x) / ((good - x + 1) * (draws - x + 1))
+        if w < _CUT:
+            break
+        down.append(w)
+        x -= 1
+    lo = mode - len(down)
+    sums = list(accumulate(chain(reversed(down), up)))
+    return lo, [s / sums[-1] for s in sums[: max(0, cap - lo + 1)]]
+
+
+def _numpy_successes(betas: tuple[int, ...], n: int, cap: int, trials: int, seed: int) -> int:
+    """Trials whose load vector, one numpy multivariate hypergeometric draw each, stays within cap."""
+    batch = 1 + _SLICE // len(betas)  # b*m load cells stay near _SLICE
+    rng = _stream(seed)
+    successes = 0
+    for done in range(0, trials, batch):
+        loads = rng.multivariate_hypergeometric(betas, n, size=min(batch, trials - done))
+        successes += int((loads.max(axis=1) <= cap).sum())
+    return successes
 
 
 def _wilson_halfwidth(successes: int, trials: int) -> float:

@@ -412,6 +412,19 @@ class TestSimulate:
         assert json.loads(err) == {"error": "ValueError", "message": "need trials >= 1"}
 
 
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            ["--kind", "max-load", "--m", "4", "--n", "8"],
+            ["--kind", "ideal-prob", "--u", "8", "--m", "2", "--n", "4"],  # the stdlib chain
+            ["--kind", "ideal-prob", "--u", "1000000", "--m", "64", "--n", "1024", "--c", "2"],  # numpy
+        ],
+    )
+    def test_negative_seed_exits_one(self, capsys, kind):
+        # one refusal on both samplers: random.Random(-s) would reuse the stream of s
+        argv = ["simulate", *kind, "--trials", "5000", "--seed", "-1"]
+        assert run_capture(capsys, argv) == (1, "", '{"error": "ValueError", "message": "expected non-negative integer"}\n')
+
     @pytest.mark.parametrize("workers", ["2", "0", "-2"])
     def test_workers_flag_is_a_usage_error(self, capsys, workers):
         # each call draws from one seeded stream; there is no stream count to set
@@ -626,14 +639,17 @@ def test_python_dash_m_runs_the_cli(module):
 
 def test_commands_off_the_kernel_do_not_load_numpy(tmp_path):
     # numpy costs most of the CLI's import time and only the samplers need it:
-    # counting, bounds and the coverage kernel (construct, verify, exact
-    # --with-hc) must not load it, while simulate does; the record types are
-    # NamedTuples, so no call loads dataclasses, nor inspect before numpy
+    # counting, bounds, the coverage kernel (construct, verify, exact
+    # --with-hc) and ideal-prob within the chain's work bound (the benchmark's
+    # two calls) must not load it, while max-load and ideal-prob past the bound
+    # do; the record types are NamedTuples, so no call loads dataclasses, nor
+    # inspect before numpy
     family = tmp_path / "family.txt"
     family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
     script = f"""
 import contextlib, io, sys
 from idealhash.cli import run
+last = sys.argv[1:]
 calls = [
     ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
     ["exact", "--u", "8", "--m", "2", "--n", "4"],
@@ -645,19 +661,25 @@ calls = [
     ["construct", "--method", "yao", "--u", "6", "--m", "2", "--n", "2", "--t", "2.0"],
     ["construct", "--method", "random", "--u", "6", "--m", "2", "--n", "2", "--seed", "1"],
     ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", {str(family)!r}],
+    ["simulate", "--kind", "ideal-prob", "--u", "1000000", "--m", "16", "--n", "256", "--c", "3/2", "--trials", "5000", "--seed", "3"],
+    ["simulate", "--kind", "ideal-prob", "--u", "4096", "--m", "8", "--n", "64", "--c", "3/2", "--trials", "20000", "--seed", "3"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv) for argv in calls]
     assert codes == [0] * len(calls), codes
     assert "numpy" not in sys.modules
     assert "dataclasses" not in sys.modules and "inspect" not in sys.modules, "startup imports grew"
-    assert run(["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"]) == 0
+    assert run(last) == 0
 assert "numpy" in sys.modules
 assert "dataclasses" not in sys.modules  # numpy loads inspect, not dataclasses
 """
     env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr.decode()
+    for last in (
+        ["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"],
+        ["simulate", "--kind", "ideal-prob", "--u", "1000000", "--m", "64", "--n", "1024", "--c", "2", "--trials", "5000"],
+    ):
+        done = subprocess.run([sys.executable, "-c", script, *last], capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0, (last, done.stderr.decode())
 
 
 def test_cli_import_loads_no_command_module():

@@ -113,7 +113,7 @@ CASES = {
     ),
     "simulate-ideal-prob": (
         ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2", "--trials", "2000", "--seed", "5"],
-        "f44b940d215525994c8bcb640fa1aba8d7b31d528f75cb1899dcd90afbe06c4c",
+        "5f1936dab75fe8ce9b31b35d03e37553e6ca0f93a3b297e7850a805259c17441",
     ),
     "check-lemmas": (
         ["check-lemmas"],

@@ -11,7 +11,7 @@ import pytest
 from idealhash import simulate
 from idealhash.cli import run
 from idealhash.distributions import p_tmax_le
-from idealhash.hashspace import HashFunction, Params, balanced_functions
+from idealhash.hashspace import HashFunction, Params, balanced_fiber_sizes, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
 from idealhash.simulate import Estimate, estimate_ideal_probability, estimate_max_load
 
@@ -150,13 +150,21 @@ class TestIdealProbability:
         b = estimate_ideal_probability(p, trials=1_000, seed=21)
         assert a == b
 
-    @pytest.mark.parametrize("u,m,n", [(10**6, 16, 256), (4096, 64, 64), (5000, 2000, 2000)])
-    def test_estimate_does_not_depend_on_the_slice(self, monkeypatch, u, m, n):
+    @pytest.mark.parametrize(
+        "u,m,n,trials",  # trials past the chain's work bound, so numpy draws every load vector
+        [
+            pytest.param(10**6, 16, 256, 60_000, id="1000000-16-256"),
+            pytest.param(4096, 64, 64, 16_000, id="4096-64-64"),
+            pytest.param(5000, 2000, 2000, 700, id="5000-2000-2000"),
+        ],
+    )
+    def test_estimate_does_not_depend_on_the_slice(self, monkeypatch, u, m, n, trials):
+        assert simulate._chain_work(m, n, trials) > simulate._CHAIN_WORK
         p = Params(u, m, n, Fraction(3, 2))
         seen = []
         for size in (2**10, 2**18, 2**22):
             monkeypatch.setattr(simulate, "_SLICE", size)
-            seen.append(estimate_ideal_probability(p, trials=700, seed=8))
+            seen.append(estimate_ideal_probability(p, trials=trials, seed=8))
         assert seen[0] == seen[1] == seen[2]
 
     def test_agreement_on_desk_grid(self):
@@ -171,13 +179,16 @@ class TestIdealProbability:
 
 class TestLoadVectorSampling:
     def test_streams_reproduce_with_an_empty_share(self):
-        # every trial comes from the one stream SeedSequence(seed, spawn_key=(0,))
-        p = Params(8, 2, 4, 1)
-        a = estimate_ideal_probability(p, trials=2, seed=5)
-        assert a == estimate_ideal_probability(p, trials=2, seed=5)
+        # past the chain's work bound every trial comes from the one stream SeedSequence(seed, spawn_key=(0,))
+        p = Params(10**6, 4096, 16384, 3)  # fibers of 245 and 244 keys, cap 12
+        assert simulate._chain_work(p.m, p.n, 50) > simulate._CHAIN_WORK
+        a = estimate_ideal_probability(p, trials=50, seed=5)
+        assert a == estimate_ideal_probability(p, trials=50, seed=5)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(0,))))
-        hits = int((rng.multivariate_hypergeometric([4, 4], 4, size=2).max(axis=1) <= 2).sum())
-        assert (a.mean, a.trials) == (hits / 2, 2)
+        loads = rng.multivariate_hypergeometric(balanced_fiber_sizes(p.u, p.m), p.n, size=50)
+        hits = int((loads.max(axis=1) <= 12).sum())
+        assert 0 < hits < 50
+        assert (a.mean, a.trials) == (hits / 50, 50)
 
     def test_four_sigma_agreement_at_large_universe(self):
         p = Params(10**6, 16, 256, Fraction(3, 2))
@@ -194,6 +205,78 @@ class TestLoadVectorSampling:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert json.loads(line)["error"] == "ValueError"
+
+
+class TestHypergeometricChain:
+    """The stdlib chain that draws load vectors where its work is at most _CHAIN_WORK."""
+
+    @pytest.mark.parametrize(
+        "total,good,draws,cap",
+        [
+            (1000003, 62501, 256, 24),  # a larger fiber of 1000003 keys in 16 cells
+            (1000003, 62500, 256, 24),  # a smaller one
+            (1000003, 62500, 200, 9),  # cap below the mode, 12
+            (1000003, 62501, 256, 256),  # cap = r
+            (17, 5, 8, 8),  # cap = r, the whole support
+            (17, 5, 0, 3),  # r = 0
+            (17, 5, 17, 5),  # r = N: every key of the fiber is drawn
+            (17, 5, 17, 4),  # r = N, cap below the one value
+            (1000, 999, 500, 600),  # X >= 499: the support starts above 0
+            (4096, 512, 64, 12),
+            (10**5, 50000, 20000, 10**4),  # a window of about 1,200 terms
+        ],
+    )
+    def test_table_matches_the_exact_cdf(self, total, good, draws, cap):
+        lo, cdf = simulate._hypergeometric_cdf(total, good, draws, cap)
+        bad = total - good
+        bottom, top = max(0, draws - bad), min(good, draws)
+        assert bottom <= lo and len(cdf) <= max(0, min(top, cap) - lo + 1)
+        # F(x) = sum of C(good, k) C(bad, draws - k) over k <= x, over C(total, draws): integers, divided once
+        whole, term, below, gap = math.comb(total, draws), math.comb(good, bottom) * math.comb(bad, draws - bottom), 0, 0.0
+        for x in range(bottom, min(top, cap) + 1):
+            below += term
+            term = term * (good - x) * (draws - x) // ((x + 1) * (bad - draws + x + 1))
+            got = cdf[x - lo] if lo <= x < lo + len(cdf) else float(x >= lo)
+            gap = max(gap, abs(got - below / whole))
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize(
+        "u,m,n,c,trials,chain",
+        [
+            (10**6, 16, 256, Fraction(3, 2), 5000, True),  # the benchmark's ideal-prob calls
+            (4096, 8, 64, Fraction(3, 2), 20000, True),
+            (10**6, 16, 4096, Fraction(3, 2), 5000, False),
+            (10**6, 64, 4096, Fraction(3, 2), 5000, False),
+            (10**8, 16, 10**5, Fraction(11, 10), 5000, False),
+            (10**6, 16, 256, Fraction(3, 2), 10**6, False),
+            (10**6, 64, 1024, 2, 5000, False),
+        ],
+    )
+    def test_sampler_is_chosen_from_the_work_bound(self, monkeypatch, u, m, n, c, trials, chain):
+        def refuse(*args):
+            raise AssertionError("the other sampler ran")
+
+        monkeypatch.setattr(simulate, "_numpy_successes" if chain else "_chain_successes", refuse)
+        monkeypatch.setattr(simulate, "_chain_successes" if chain else "_numpy_successes", lambda *args: 0)
+        assert (simulate._chain_work(m, n, trials) <= simulate._CHAIN_WORK) is chain
+        assert estimate_ideal_probability(Params(u, m, n, c), trials, seed=1).mean == 0.0
+
+    @pytest.mark.parametrize(
+        "u,m,n,c",
+        [(1000003, 16, 256, Fraction(3, 2)), (10, 3, 5, Fraction(3, 2)), (13, 4, 8, 1), (100, 7, 30, Fraction(5, 4))],
+    )
+    def test_four_sigma_agreement_with_exact_at_unequal_fibers(self, u, m, n, c):
+        p = Params(u, m, n, c)
+        exact = float(exact_ideal_probability(p).probability)
+        trials = 20_000
+        assert simulate._chain_work(m, n, trials) <= simulate._CHAIN_WORK
+        est = estimate_ideal_probability(p, trials=trials, seed=7)
+        assert abs(est.mean - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+    def test_one_cell_draws_nothing(self):
+        # every trial passes before a draw, so a trial count numpy could not batch returns at once
+        est = estimate_ideal_probability(Params(5, 1, 5), trials=10**15, seed=0)
+        assert (est.mean, est.ci95_halfwidth) == (1.0, 0.0)
 
 
 class TestAdversarialSet:
