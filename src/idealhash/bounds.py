@@ -4,7 +4,8 @@ Every bound takes one validated `Params` point (n >= m, u >= n, exact
 c >= 1) and none checks those again; so the fk pair, whose proofs need
 n <= m, applies only at n = m >= 2, c = 1.  Family sizes are
 exp(Theta(m)), so each bound is carried as its natural log, a finite float;
-a bound that rounds to zero or fewer functions does not apply.  Each
+a bound that rounds to zero or fewer functions does not apply, and an upper
+entry below one function is raised to one (ln 0).  Each
 `_eval_*` builds the entries of one bound, or raises BoundNotApplicableError
 with a note saying why the bound does not apply; report assembly
 (`_entries`) turns that note into an entry whose ln is None, so sweeps over
@@ -177,11 +178,13 @@ def _tight_ceiling(total: int, m_c: int, ln_r: float) -> int | None:
 
 def _entries(names: tuple[str, ...], build, *args) -> tuple[BoundEntry, ...]:
     """The entries `build(*args)` returns, or one null entry per name carrying
-    the note of the BoundNotApplicableError it raised."""
+    the note of the BoundNotApplicableError it raised.  An upper entry's ln is
+    floored at 0: every family holds at least one function."""
     try:
-        return build(*args)
+        entries = build(*args)
     except BoundNotApplicableError as exc:
         return tuple(BoundEntry(name, None, str(exc)) for name in names)
+    return tuple(e._replace(ln=0.0) if e.kind == "upper" and e.ln is not None and e.ln < 0 else e for e in entries)
 
 
 def _require_family(p: Params) -> None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .combinatorics import binom_steps, exceeds
-from .errors import BudgetExceededError, PoolExhaustedError
+from .errors import BudgetExceededError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
     DEFAULT_POOL_BUDGET,
@@ -350,13 +350,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.subcommand](args)
-    except (
-        BudgetExceededError,
-        PoolExhaustedError,
-        ValueError,
-        OverflowError,
-        OSError,
-    ) as exc:
+    except (BudgetExceededError, ValueError, OverflowError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 1

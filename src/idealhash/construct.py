@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import PoolExhaustedError
 from .hashspace import (
     DEFAULT_ENUM_BUDGET,
     HashFunction,
@@ -106,26 +105,22 @@ def random_balanced_family(
 
 
 def _select(
-    p: Params, candidates: tuple[HashFunction, ...], budget: int, by_signature: bool = False
+    p: Params, candidates: tuple[HashFunction, ...], budget: int
 ) -> tuple[list[HashFunction], list[int], int]:
     """Pick pool members while live key sets remain.
 
     Every set starts live; a pick keeps live only the sets it hashes with a
     max load above p.load_cap.  Each round takes the member that keeps the
-    fewest, the first on ties in pool order (or in partition-signature order,
-    with `by_signature`), and the run stops when nothing is live or no member
-    shrinks the live set.
-    A repeated partition never wins: it comes after its first member in
-    either order (the sort is stable) and never strictly improves on it.
+    fewest, the first in candidate order on ties, and the run stops when
+    nothing is live or no member shrinks the live set.
+    A repeated partition that follows its first member never wins: it never
+    strictly improves on it.
     Returns the picks, the live count after each, and the live bitset; a run
-    where no member shrinks the live set picks the first member in order, so
+    where no member shrinks the live set picks the first member, so
     candidates must not be empty.
     """
     exceed = exceed_masks(candidates, p, budget)
     order = list(range(len(candidates)))
-    if by_signature:
-        sigs = [h.partition_signature() for h in candidates]
-        order.sort(key=sigs.__getitem__)
     live = (1 << p.total_sets) - 1
     picks: list[HashFunction] = []
     trail: list[int] = []
@@ -142,7 +137,7 @@ def _select(
         live &= exceed[best]
         trail.append(kept)
     if not picks:  # nothing shrinks the live set; a log still holds one member
-        picks.append(candidates[order[0]])
+        picks.append(candidates[0])
         trail.append(live.bit_count())
     return picks, trail, live
 
@@ -154,11 +149,12 @@ def greedy_cover(
 ) -> ConstructionLog:
     """Pick, each round, the pool function covering the most uncovered sets.
 
-    Ties break on the lexicographic fiber signature.  Stops when covered, or
+    Ties break on the partition signature: the pool is stably sorted by it, so
+    a repeated partition trails its first member.  Stops when covered, or
     when no pool function adds coverage (unverified log).
     """
-    candidates = tuple(pool)
-    chosen, trail, uncovered = _select(p, candidates, budget, by_signature=True)
+    candidates = tuple(sorted(pool, key=HashFunction.partition_signature))
+    chosen, trail, uncovered = _select(p, candidates, budget)
     return _log("greedy", chosen, trail, seed=None, pool_size=len(candidates), verified=uncovered == 0)
 
 
@@ -174,15 +170,13 @@ def yao_family(
     c-ideal cap floor(c*alpha), which the log records as load_target.  The
     pick is greedy's rule with ties in pool order, so t changes no pick: it
     only records as fallback_rounds the rounds that kept more than a 1/t
-    fraction of the live sets.  Raises PoolExhaustedError if no pool member
-    shrinks the live set while live sets remain.
+    fraction of the live sets.  If no pool member shrinks the live set while
+    live sets remain, it returns an unverified log, as greedy does.
     """
     if not 1 < t < math.inf:
         raise ValueError("need 1 < t < inf")
     candidates = tuple(pool)
     chosen, trail, live = _select(p, candidates, budget)
-    if live:
-        raise PoolExhaustedError(f"pool exhausted with {live.bit_count()} live sets remaining")
     threshold = Fraction(1) / Fraction(t).limit_denominator(10**9)
     before = [p.total_sets] + trail
     fallbacks = tuple(r for r, after in enumerate(trail, 1) if Fraction(after, before[r - 1]) > threshold)
@@ -192,7 +186,7 @@ def yao_family(
         trail,
         seed=None,
         pool_size=len(candidates),
-        verified=True,
+        verified=live == 0,
         t=t,
         load_target=p.load_cap,
         fallback_rounds=fallbacks,

@@ -11,7 +11,3 @@ class BudgetExceededError(RuntimeError):
 
 class BoundNotApplicableError(ValueError):
     """A closed-form bound was requested outside its domain of validity."""
-
-
-class PoolExhaustedError(RuntimeError):
-    """A candidate pool ran out before the construction finished."""

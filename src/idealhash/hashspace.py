@@ -72,10 +72,6 @@ class HashFunction(NamedTuple):
     cells: tuple[int, ...]
     m: int
 
-    @property
-    def u(self) -> int:
-        return len(self.cells)
-
     def partition_signature(self) -> tuple[tuple[int, ...], ...]:
         """Cell-label-free identity: the non-empty fibers, ascending within
         each, in order of their least key (the sorted tuple of fibers).

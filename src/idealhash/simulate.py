@@ -37,7 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .hashspace import Params, balanced_fiber_sizes
@@ -253,17 +253,11 @@ def _hypergeometric_cdf(total: int, good: int, draws: int, cap: int) -> tuple[in
     The mass is built outward from the mode, each step one ratio of
     neighbouring terms in int/int true division, over the window [lo, hi]
     where it is at least _CUT of the mode's, and normalised there, so
-    F(hi) = 1.0 exactly.
+    F(hi) = 1.0 exactly.  The terms are summed from lo up; the walk above cap
+    only feeds that sum, so no partial sum past cap is kept.
     """
     spare = total - good - draws  # X = x leaves spare + x of the other keys undrawn
     mode = (draws + 1) * (good + 1) // (total + 2)
-    up, w, x, top = [1.0], 1.0, mode, min(good, draws)
-    while x < top:
-        w *= (good - x) * (draws - x) / ((x + 1) * (spare + x + 1))
-        if w < _CUT:
-            break
-        up.append(w)
-        x += 1
     down, w, x, bottom = [], 1.0, mode, max(0, -spare)
     while x > bottom:
         w *= x * (spare + x) / ((good - x + 1) * (draws - x + 1))
@@ -272,8 +266,17 @@ def _hypergeometric_cdf(total: int, good: int, draws: int, cap: int) -> tuple[in
         down.append(w)
         x -= 1
     lo = mode - len(down)
-    sums = list(accumulate(chain(reversed(down), up)))
-    return lo, [s / sums[-1] for s in sums[: max(0, cap - lo + 1)]]
+    sums = list(accumulate(reversed(down)))
+    mass = sums[-1] if sums else 0.0
+    del sums[max(0, cap - lo + 1) :]
+    w, x = 1.0, mode
+    while w >= _CUT:  # past min(good, draws) the factor (good - x) * (draws - x) makes w 0
+        mass += w
+        if x <= cap:
+            sums.append(mass)
+        w *= (good - x) * (draws - x) / ((x + 1) * (spare + x + 1))
+        x += 1
+    return lo, [v / mass for v in sums]
 
 
 def _numpy_successes(betas: tuple[int, ...], n: int, cap: int, trials: int, seed: int) -> int:

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealhash import bounds
@@ -455,6 +455,7 @@ class TestSelfCheck:
 
     @settings(max_examples=150, deadline=None)
     @given(advice_points())
+    @example((Params(2, 1, 1), Fraction(0)))  # upper.prob.loose, .main and .naor below one function before the floor
     def test_proven_lower_entries_stay_below_upper_entries(self, point):
         assert crossings(bound_report(*point)) == []
 

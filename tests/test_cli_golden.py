@@ -99,6 +99,10 @@ CASES = {
         ["construct", "--method", "greedy", "--u", "11", "--m", "3", "--n", "5"],
         "63c01883676ef3cf155320540358e9df1c313025a5bb2f0a03a6811046fb7312",
     ),
+    "construct-yao-pigeonhole": (  # m*cap = 2 < n: one member, verified false, exit 0
+        ["construct", "--method", "yao", "--u", "7", "--m", "2", "--n", "3"],
+        "1997148a70d482ce01bf7452c9d492dc642aa9442b982da9ca3fd7fa716e8fe5",
+    ),
     "construct-yao-five-equal-cells": (  # kernel path over 945 partitions; pool_size 113400
         ["construct", "--method", "yao", "--u", "10", "--m", "5", "--n", "5", "--t", "2.0"],
         "db9d843fbcd6363bfe8f6eddb9ad10dfd22455e17eb7bbc1e2cd179973517e1d",

@@ -12,7 +12,7 @@ from idealhash.construct import (
     sample_balanced_function,
     yao_family,
 )
-from idealhash.errors import BoundNotApplicableError, BudgetExceededError, PoolExhaustedError
+from idealhash.errors import BoundNotApplicableError, BudgetExceededError
 from idealhash.hashspace import HashFunction, Params, balanced_functions
 from idealhash.oracle import (
     exact_ideal_probability,
@@ -152,10 +152,13 @@ class TestYao:
         with pytest.raises(ValueError):
             yao_family(p, t=t, pool=balanced_functions(p))
 
-    def test_pool_exhaustion_raises(self):
+    def test_pool_exhaustion_returns_an_unverified_log(self):
+        # as greedy and random do: one member, and the sets it leaves live
         p = Params(4, 2, 2, 1)
-        with pytest.raises(PoolExhaustedError):
-            yao_family(p, t=2.0, pool=[HashFunction((1, 1, 2, 2), 2)])
+        h = HashFunction((1, 1, 2, 2), 2)
+        log = yao_family(p, t=2.0, pool=[h])
+        assert log.verified is False
+        assert log.family == (h,) and log.uncovered_per_round == (2,)
 
     def test_deterministic(self):
         p = Params(8, 2, 4, Fraction(3, 2))
@@ -186,7 +189,7 @@ class TestSoundness:
 
     def test_every_method_certifies_only_what_verify_accepts(self):
         # includes pigeonhole points m*floor(c*alpha) < n, e.g. (7,2,3,1) and (10,3,4,1),
-        # where no function is c-ideal and yao must refuse rather than certify
+        # where no function is c-ideal and no method may certify
         grid = [
             Params(u, m, n, c)
             for u in range(2, 9)
@@ -196,10 +199,10 @@ class TestSoundness:
         ] + [Params(10, 3, 4, 1)]
         assert any(p.m * p.load_cap < p.n for p in grid)
         for p in grid:
-            logs = [random_balanced_family(p, seed=0), greedy_cover(p, balanced_functions(p))]
-            try:
-                logs.append(yao_family(p, t=2.0, pool=balanced_functions(p)))
-            except PoolExhaustedError:
-                pass
+            logs = [
+                random_balanced_family(p, seed=0),
+                greedy_cover(p, balanced_functions(p)),
+                yao_family(p, t=2.0, pool=balanced_functions(p)),
+            ]
             for log in logs:
                 assert log.verified == verify_family(log.family, p).is_ideal_family, (p, log.method)

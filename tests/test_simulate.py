@@ -241,6 +241,49 @@ class TestHypergeometricChain:
         assert gap <= 1e-12
 
     @pytest.mark.parametrize(
+        "total,good,draws",
+        [
+            (1000003, 62501, 256),  # the two fiber sizes of 1000003 keys in 16 cells
+            (1000003, 62500, 256),
+            (1000, 999, 500),  # the support starts above 0
+            (4096, 512, 64),
+            (17, 5, 0),  # r = 0
+            (17, 5, 17),  # r = N
+            (17, 5, 8),
+        ],
+    )
+    def test_table_is_bit_identical_to_the_whole_stored_walk(self, total, good, draws):
+        def stored_walk(total, good, draws, cap):
+            # every term of the window stored, then summed from lo up and divided
+            spare = total - good - draws
+            mode = (draws + 1) * (good + 1) // (total + 2)
+            up, w, x, top = [1.0], 1.0, mode, min(good, draws)
+            while x < top:
+                w *= (good - x) * (draws - x) / ((x + 1) * (spare + x + 1))
+                if w < simulate._CUT:
+                    break
+                up.append(w)
+                x += 1
+            down, w, x, bottom = [], 1.0, mode, max(0, -spare)
+            while x > bottom:
+                w *= x * (spare + x) / ((good - x + 1) * (draws - x + 1))
+                if w < simulate._CUT:
+                    break
+                down.append(w)
+                x -= 1
+            lo = mode - len(down)
+            sums = list(itertools.accumulate(itertools.chain(reversed(down), up)))
+            return lo, [s / sums[-1] for s in sums[: max(0, cap - lo + 1)]]
+
+        lo, full = stored_walk(total, good, draws, draws)
+        hi = lo + len(full) - 1
+        mode = (draws + 1) * (good + 1) // (total + 2)
+        # below lo, at lo, at the mode, either side of it, at hi and past it
+        caps = {0, max(0, lo - 1), lo, max(0, mode - 1), mode, mode + 1, hi, hi + 1, draws}
+        for cap in sorted(caps):
+            assert simulate._hypergeometric_cdf(total, good, draws, cap) == stored_walk(total, good, draws, cap), cap
+
+    @pytest.mark.parametrize(
         "u,m,n,c,trials,chain",
         [
             (10**6, 16, 256, Fraction(3, 2), 5000, True),  # the benchmark's ideal-prob calls
