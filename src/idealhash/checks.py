@@ -54,12 +54,12 @@ def _tally(name: str, verdicts: Iterable[bool], note: str = "") -> CheckResult:
     return CheckResult(name, len(verdicts), sum(not ok for ok in verdicts), note)
 
 
-def check_poissonization_identity(n_max: int = 12, m_max: int = 4) -> CheckResult:
-    """Sum-conditioned Poisson mass equals the multinomial mass, exactly."""
+def check_poissonization_identity() -> CheckResult:
+    """Sum-conditioned Poisson mass equals the multinomial mass, exactly, for n <= 12 and m <= 4."""
     return _tally("poissonization-identity", (
         not (conditioned_poisson_pmf(lv, n, m) != multinomial_pmf(lv, n, m))
-        for m in range(1, m_max + 1)
-        for n in range(1, n_max + 1)
+        for m in range(1, 5)
+        for n in range(1, 13)
         for lv in compositions(n, m, n)
     ))
 
@@ -73,16 +73,16 @@ def _mass_by_max_load(n: int, m: int) -> list[Fraction]:
     return by_max
 
 
-def check_conditioned_indicator(n_max: int = 10, m_max: int = 4) -> CheckResult:
-    """Conditioned expectation of the cap indicator matches the throw DP.
+def check_conditioned_indicator() -> CheckResult:
+    """Conditioned expectation of the cap indicator matches the throw DP, for n <= 10 and m <= 4.
 
     The expectation at cap d is the mass of the load vectors with max load
     at most d, a prefix sum of the buckets, so each vector is weighed once.
     """
     return _tally("conditioned-indicator", (
         not (total != p_tmax_le(n, m, cap))
-        for m in range(1, m_max + 1)
-        for n in range(1, n_max + 1)
+        for m in range(1, 5)
+        for n in range(1, 11)
         for cap, total in enumerate(accumulate(_mass_by_max_load(n, m)), start=1)
     ))
 
@@ -152,9 +152,9 @@ def check_tail_lower_bound() -> CheckResult:
     ), f"log tolerance {LOG_TOL}")
 
 
-def check_balance_extremality(u_max: int = 14) -> CheckResult:
+def check_balance_extremality() -> CheckResult:
     """Balanced decompositions are exactly the ideal-count maximizers when the cap binds."""
-    grid = (Params(u, m, n, c) for m in (2, 3) for n in range(m, 7) for u in range(n, u_max + 1) for c in C_GRID)
+    grid = (Params(u, m, n, c) for m in (2, 3) for n in range(m, 7) for u in range(n, 15) for c in C_GRID)
     # the points where the cap does not bind are the degenerate tie regime
     return _tally("balance-extremality", (balance_extremality_check(p) for p in grid if cap_binds(p)))
 

@@ -74,7 +74,7 @@ def sample_balanced_function(rng: random.Random, u: int, m: int) -> HashFunction
         for key in keys[pos : pos + size]:
             cells[key - 1] = cell
         pos += size
-    return HashFunction(tuple(cells), m)
+    return HashFunction(tuple(cells))
 
 
 def random_balanced_family(
@@ -114,25 +114,24 @@ def _select(
     fewest, the first in candidate order on ties, and the run stops when
     nothing is live or no member shrinks the live set.
     A repeated partition that follows its first member never wins: it never
-    strictly improves on it.
+    strictly improves on it.  Nor does a pick win twice: it keeps every set
+    that stays live.
     Returns the picks, the live count after each, and the live bitset; a run
     where no member shrinks the live set picks the first member, so
     candidates must not be empty.
     """
     exceed = exceed_masks(candidates, p, budget)
-    order = list(range(len(candidates)))
     live = (1 << p.total_sets) - 1
     picks: list[HashFunction] = []
     trail: list[int] = []
     while live:
         best, kept = None, live.bit_count()
-        for i in order:
-            cnt = (exceed[i] & live).bit_count()
+        for i, mask in enumerate(exceed):
+            cnt = (mask & live).bit_count()
             if cnt < kept:
                 best, kept = i, cnt
         if best is None:
             break
-        order.remove(best)
         picks.append(candidates[best])
         live &= exceed[best]
         trail.append(kept)

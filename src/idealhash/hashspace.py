@@ -19,9 +19,9 @@ from .errors import BudgetExceededError, DimensionMismatchError
 DEFAULT_ENUM_BUDGET = 10**6
 DEFAULT_POOL_BUDGET = 10**4
 
-# Params (and oracle.IdealCount) check their fields in __new__; NamedTuple's _replace
-# and _make skip __new__, so none calls them.  family_from_text checks a family
-# file; a function built in the package matches its Params by construction.
+# Params checks its fields in __new__; NamedTuple's _replace and _make skip
+# __new__, so none calls them.  family_from_text checks a family file; a
+# function built in the package matches its Params by construction.
 
 
 class _ParamsFields(NamedTuple):
@@ -70,7 +70,6 @@ class HashFunction(NamedTuple):
     """Total map from keys 1..u to cells 1..m, stored as the cell of each key."""
 
     cells: tuple[int, ...]
-    m: int
 
     def partition_signature(self) -> tuple[tuple[int, ...], ...]:
         """Cell-label-free identity: the non-empty fibers, ascending within
@@ -112,7 +111,7 @@ def balanced_functions(p: Params, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator
         if cell == p.m:
             for key in free:
                 cells[key - 1] = cell
-            yield HashFunction(tuple(cells), p.m)
+            yield HashFunction(tuple(cells))
             return
         size = sizes[cell - 1]
         if size == sizes[-1]:  # the cells left all have this size: this one takes the least free key
@@ -140,7 +139,7 @@ def set_partitions(u: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Iterato
     def grow(prefix: tuple[int, ...], used: int) -> Iterator[HashFunction]:
         if used == m or len(prefix) == u:  # every tail keeps the prefix's numbering
             for tail in itertools.product(range(1, m + 1), repeat=u - len(prefix)):
-                yield HashFunction(prefix + tail, m)
+                yield HashFunction(prefix + tail)
         else:
             for cell in range(1, used + 2):
                 yield from grow(prefix + (cell,), max(used, cell))
@@ -166,7 +165,7 @@ def family_from_text(text: str, p: Params) -> tuple[HashFunction, ...]:
     """The one check of a family file: one function per non-blank line, at least one
     (else ValueError), each mapping keys 1..p.u into cells 1..p.m (else DimensionMismatchError).
     """
-    family = tuple(HashFunction(tuple(map(int, ln.split())), p.m) for ln in text.splitlines() if ln.strip())
+    family = tuple(HashFunction(tuple(map(int, ln.split()))) for ln in text.splitlines() if ln.strip())
     if not family:
         raise ValueError("a family holds at least one function")
     if any(len(h.cells) != p.u or min(h.cells) < 1 or max(h.cells) > p.m for h in family):

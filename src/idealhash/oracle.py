@@ -33,20 +33,11 @@ from .hashspace import (
 )
 
 
-class _IdealCountFields(NamedTuple):
-    m_c: int
-    total: int
-
-
-class IdealCount(_IdealCountFields):
+class IdealCount(NamedTuple):
     """How many of the C(u,n) key sets one balanced function hashes within cap."""
 
-    __slots__ = ()
-
-    def __new__(cls, m_c: int, total: int) -> IdealCount:
-        if not 0 <= m_c <= total:
-            raise ValueError("count must lie in [0, total]")
-        return super().__new__(cls, m_c, total)
+    m_c: int
+    total: int
 
     @property
     def probability(self) -> Fraction:

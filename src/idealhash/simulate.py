@@ -5,7 +5,7 @@ RNG contract: each call draws all its trials from one seeded stream, so a
 seed fixes the output bytes.  Max-load, and ideal-prob above the chain's work
 bound (_CHAIN_WORK), draw from one numpy PCG64 stream seeded through
 SeedSequence(seed, spawn_key=(0,)); those bytes hold for the numpy version the
-goldens were recorded with.  Ideal-prob at or below the bound draws from
+sweep digests were recorded with.  Ideal-prob at or below the bound draws from
 random.Random(seed).random(), whose sequence Python keeps across versions.
 Either way a seed must be non-negative.  A seeded max-load estimate also
 depends on the fixed rule that sizes its batches, since each batch is one set

@@ -67,7 +67,7 @@ def oracle_grid():
 
 def test_criterion_01_poissonization_identity_exact():
     t0 = time.time()
-    result = check_poissonization_identity(n_max=12, m_max=4)
+    result = check_poissonization_identity()
     elapsed = time.time() - t0
     report(
         "1. sum-conditioned Poisson mass == multinomial mass, n<=12, m<=4, exact",
@@ -78,7 +78,7 @@ def test_criterion_01_poissonization_identity_exact():
 
 def test_criterion_02_balance_extremality():
     t0 = time.time()
-    result = check_balance_extremality(u_max=14)
+    result = check_balance_extremality()
     elapsed = time.time() - t0
     report(
         "2. balanced decompositions are exactly the ideal-count argmax where the cap binds",

@@ -76,7 +76,7 @@ class TestRandomBalanced:
         rng = _random.Random(42)
         for _ in range(50):
             h = sample_balanced_function(rng, 7, 3)
-            assert sorted(h.cells.count(c) for c in range(1, h.m + 1)) == [2, 2, 3]
+            assert sorted(h.cells.count(c) for c in range(1, 4)) == [2, 2, 3]
 
 
 class TestGreedy:
@@ -106,7 +106,7 @@ class TestGreedy:
                 prev = unc
 
     def test_hopeless_pool_returns_unverified_log(self):
-        log = greedy_cover(P422, [HashFunction((1, 1, 1, 1), 2)])
+        log = greedy_cover(P422, [HashFunction((1, 1, 1, 1))])
         assert not log.verified
         assert verify_family(log.family, P422).uncovered_witness is not None
 
@@ -155,7 +155,7 @@ class TestYao:
     def test_pool_exhaustion_returns_an_unverified_log(self):
         # as greedy and random do: one member, and the sets it leaves live
         p = Params(4, 2, 2, 1)
-        h = HashFunction((1, 1, 2, 2), 2)
+        h = HashFunction((1, 1, 2, 2))
         log = yao_family(p, t=2.0, pool=[h])
         assert log.verified is False
         assert log.family == (h,) and log.uncovered_per_round == (2,)

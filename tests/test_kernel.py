@@ -86,7 +86,7 @@ class TestExceedMasks:
     def test_masks_follow_the_pool_repeats_included(self):
         p = Params(6, 3, 3)
         pool = list(balanced_functions(p))
-        pool += [HashFunction(tuple(4 - c for c in h.cells), 3) for h in pool[::7]]  # relabelled repeats
+        pool += [HashFunction(tuple(4 - c for c in h.cells)) for h in pool[::7]]  # relabelled repeats
         combos = list(itertools.combinations(range(6), 3))
         got = exceed_masks(pool, p, budget=10**6)
         assert got == [direct_exceed_mask([c - 1 for c in h.cells], combos, p.load_cap) for h in pool]
@@ -121,7 +121,7 @@ class TestCallers:
             u, m = rng.randint(3, 8), rng.randint(1, 3)
             n = rng.randint(m, u)
             p = Params(u, m, n)
-            fam = tuple(HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m) for _ in range(rng.randint(1, 3)))
+            fam = tuple(HashFunction(tuple(rng.randint(1, m) for _ in range(u))) for _ in range(rng.randint(1, 3)))
             uncovered = [
                 combo
                 for combo in itertools.combinations(range(1, u + 1), n)
@@ -141,7 +141,7 @@ class TestCallers:
 
         monkeypatch.setattr(oracle, "_key_table", forbidden)
         p = Params(30, 2, 15)
-        h = HashFunction((1, 2) * 15, 2)
+        h = HashFunction((1, 2) * 15)
         calls = [
             lambda: verify_family((h,), p, budget=100),
             lambda: cover_mask(h, p, budget=100),
@@ -159,8 +159,8 @@ class TestCallers:
         # at n = m and c = 1 a set is covered when it puts one key in each cell: prod(beta)
         # sets; at n = 2 that is every pair but those inside one fiber
         rng = random.Random(u)
-        h = HashFunction(tuple(rng.randint(1, m) for _ in range(u)), m)
-        betas = [h.cells.count(c) for c in range(1, h.m + 1)]
+        h = HashFunction(tuple(rng.randint(1, m) for _ in range(u)))
+        betas = [h.cells.count(c) for c in range(1, m + 1)]
         p = Params(u, m, m)
         rep = verify_family((h,), p)
         assert rep.covered == math.prod(betas)
@@ -174,7 +174,7 @@ class TestCallers:
             raise AssertionError("key table built for a refused pool")
 
         def set_partitions(u, m, budget):
-            yield from [HashFunction((1, 2, 1, 2), 2)] * 3
+            yield from [HashFunction((1, 2, 1, 2))] * 3
             raise AssertionError("drew past the first function over the budget")
 
         monkeypatch.setattr(oracle, "_key_table", forbidden)
@@ -206,7 +206,7 @@ def test_one_mask_per_drawn_function(m, data):
     step = data.draw(st.integers(min_value=max(0, 4 * (n - m * cap)), max_value=4 * m - 1))
     p = Params(u, m, n, Fraction(4 * m * cap + step, 4 * n))
     assert p.load_cap == cap
-    every_function = [HashFunction(cells, m) for cells in itertools.product(range(1, m + 1), repeat=u)]
+    every_function = [HashFunction(cells) for cells in itertools.product(range(1, m + 1), repeat=u)]
     pool = data.draw(st.lists(st.sampled_from(every_function), min_size=1, max_size=12))
     exceed = exceed_masks(pool, p, budget=10**6)
     combos = list(itertools.combinations(range(u), n))

@@ -183,7 +183,7 @@ class TestBalanceExtremality:
 class TestVerifyFamily:
     def test_two_function_family_covers_all_six(self):
         p = Params(4, 2, 2, 1)
-        fam = (HashFunction((1, 1, 2, 2), 2), HashFunction((1, 2, 1, 2), 2))
+        fam = (HashFunction((1, 1, 2, 2)), HashFunction((1, 2, 1, 2)))
         rep = verify_family(fam, p)
         assert rep.is_ideal_family
         assert rep.covered == 6
@@ -191,20 +191,20 @@ class TestVerifyFamily:
 
     def test_singleton_misses_its_own_fiber_pair(self):
         p = Params(4, 2, 2, 1)
-        rep = verify_family((HashFunction((1, 1, 2, 2), 2),), p)
+        rep = verify_family((HashFunction((1, 1, 2, 2)),), p)
         assert not rep.is_ideal_family
         assert rep.covered == 4
         assert rep.uncovered_witness == (1, 2)
 
     def test_any_family_verifies_at_c_equal_m(self):
         p = Params(4, 2, 2, 2)
-        rep = verify_family((HashFunction((1, 1, 1, 1), 2),), p)
+        rep = verify_family((HashFunction((1, 1, 1, 1)),), p)
         assert rep.is_ideal_family
 
     def test_budget_guard(self):
         p = Params(30, 2, 15)
         with pytest.raises(BudgetExceededError):
-            verify_family((HashFunction((1,) * 30, 2),), p, budget=100)
+            verify_family((HashFunction((1,) * 30),), p, budget=100)
 
 
 class TestMinFamilySize:
@@ -265,7 +265,7 @@ class TestMinFamilySize:
 
 def every_function(u, m):
     """All m**u functions from 1..u to 1..m, in lexicographic order."""
-    return (HashFunction(cells, m) for cells in itertools.product(range(1, m + 1), repeat=u))
+    return (HashFunction(cells) for cells in itertools.product(range(1, m + 1), repeat=u))
 
 
 def first_members(u, m):
@@ -356,7 +356,7 @@ def test_orbital_branching_returns_none_below_the_minimum():
 
 def test_cover_mask_bit_per_lexicographic_set():
     p = Params(4, 2, 2, 1)
-    h = HashFunction((1, 1, 2, 2), 2)
+    h = HashFunction((1, 1, 2, 2))
     mask = cover_mask(h, p)
     # sets: (1,2) (1,3) (1,4) (2,3) (2,4) (3,4) -> covered except first and last
     assert mask == 0b011110

@@ -331,7 +331,7 @@ class TestAdversarialSet:
         return Params(u, m, n, Fraction((n - 1) * m, n))
 
     def test_identity_block_universe(self):
-        h = HashFunction(tuple([1] * 8 + [2] * 8), 2)
+        h = HashFunction(tuple([1] * 8 + [2] * 8))
         rep = verify_family((h,), self._below_n(16, 2, 4))
         assert rep.uncovered_witness == (1, 2, 3, 4)
 
@@ -344,7 +344,7 @@ class TestAdversarialSet:
     def test_every_function_is_beatable_once_u_covers_nm(self):
         p = self._below_n(6, 2, 2)  # u = 6 >= n*m
         for cells in itertools.product((1, 2), repeat=6):
-            assert not verify_family((HashFunction(cells, 2),), p).is_ideal_family
+            assert not verify_family((HashFunction(cells),), p).is_ideal_family
 
 
 def test_estimate_is_a_plain_record():

@@ -54,6 +54,7 @@ def _report_calls():
 
 
 def _exact_calls():
+    # at (1000005, 16, 300) fibers 62501 x5 and 62500 x11: two groups meet in the last product
     for u, m, n, c in [(1, 1, 1, "1"), (2, 1, 1, "1"), (8, 2, 4, "1"), (8, 2, 4, "3/2"), (7, 2, 3, "1"),
                        (16, 4, 8, "3/2"), (1000, 3, 7, "5/4"), (1000005, 16, 300, "3/2")]:
         yield ["exact", "--u", str(u), "--m", str(m), "--n", str(n), "--c", c]
@@ -73,6 +74,7 @@ def _construct_and_verify_calls():
             family = "{tmp}/" + "-".join([method, *extra[1:], str(u), str(m), str(n), c.replace("/", "_")]) + ".txt"
             yield ["construct", "--method", method, *params, *extra, "--family-out", family]
             yield ["verify", *params, "--family", family]
+    # m*cap = 3 < n: every set exceeds, no key table; pool_size 11550
     yield ["construct", "--method", "greedy", "--u", "11", "--m", "3", "--n", "5"]
     yield ["construct", "--method", "yao", "--u", "10", "--m", "5", "--n", "5", "--t", "1.5"]
     yield ["construct", "--method", "random", "--u", "20", "--m", "4", "--n", "8", "--c", "3/2", "--seed", "3"]
@@ -132,9 +134,53 @@ def _usage_calls():
     ]
 
 
+def _pinned_calls():
+    """Single calls, each chosen for the case its comment names.
+
+    Last in calls(): --diff pairs calls by position, so a sweep without them still lines up.
+    """
+    greedy = ["construct", "--method", "greedy", "--u", "8", "--m", "2", "--n", "4"]
+    report = ["report", "--u", "8,16,256", "--m", "2,4", "--n", "4,8", "--c", "1,3/2"]
+    yield from [
+        ["exact", "--u", "8", "--m", "2", "--n", "4"],
+        ["bounds", "--u", "64", "--m", "4", "--n", "8", "--c", "3/2"],
+        ["bounds", "--u", "16", "--m", "4", "--n", "4", "--format", "table"],
+        # lower.fk and upper.fk valid, log2 column printed
+        ["bounds", "--u", "1000000", "--m", "30", "--n", "30", "--format", "table"],
+        ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", "1/3"],  # nonzero epsilon
+        # c >= m: every advice field is 0 with the one note, lower.main null
+        ["bounds", "--u", "16", "--m", "2", "--n", "4", "--c", "2"],
+        # a 6,264-digit M_c, past the exact command's int->str limit
+        ["bounds", "--u", "1000000", "--m", "16", "--n", "2000", "--c", "3/2"],
+        # m < 2 universe note; the u >= 2 notes of upper.main, upper.naor and upper.prob.loose
+        ["bounds", "--u", "1", "--m", "1", "--n", "1"],
+        ["bounds", "--u", "4", "--m", "2", "--n", "4", "--c", "2"],  # u <= c*alpha universe note; mehlhorn needs c = 1
+        # both cap-below-ceil(alpha) notes; no upper entry or upper advice field applies
+        ["bounds", "--u", "6", "--m", "2", "--n", "3"],
+        greedy,
+        greedy + ["--family-out", "{tmp}/pinned-greedy.txt"],
+        ["verify", "--u", "8", "--m", "2", "--n", "4", "--family", "{tmp}/pinned-greedy.txt"],
+        ["construct", "--method", "yao", "--u", "8", "--m", "2", "--n", "4", "--t", "2.0"],
+        ["construct", "--method", "random", "--u", "10", "--m", "2", "--n", "4", "--c", "3/2", "--seed", "3"],
+        ["construct", "--method", "yao", "--u", "9", "--m", "3", "--n", "3", "--t", "8"],  # fallback rounds [1, 2, 3]
+        ["construct", "--method", "greedy", "--u", "6", "--m", "2", "--n", "2", "--pool", "all"],
+        # cap 1 < ceil(4/3): all 35 sets stay uncovered
+        ["construct", "--method", "greedy", "--u", "7", "--m", "3", "--n", "4"],
+        ["construct", "--method", "yao", "--u", "7", "--m", "2", "--n", "3"],  # m*cap = 2 < n: one member, verified false, exit 0
+        # kernel path over 945 partitions; pool_size 113400
+        ["construct", "--method", "yao", "--u", "10", "--m", "5", "--n", "5", "--t", "2.0"],
+        ["simulate", "--kind", "max-load", "--m", "64", "--n", "64", "--trials", "500", "--seed", "7"],
+        ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2", "--trials", "2000", "--seed", "5"],
+        ["check-lemmas"],
+        report + ["--format", "csv"],
+        report,  # no --format: the same stdout as the csv call
+        report + ["--format", "table"],
+    ]
+
+
 def calls() -> list[list[str]]:
     groups = (_bounds_calls, _report_calls, _exact_calls, _construct_and_verify_calls, _simulate_calls,
-              _check_lemmas_calls, _refusal_calls, _usage_calls)
+              _check_lemmas_calls, _refusal_calls, _usage_calls, _pinned_calls)
     return [argv for group in groups for argv in group()]
 
 
