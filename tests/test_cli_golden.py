@@ -3,6 +3,8 @@
 Each case runs one fast `idealhash` call in-process and compares the sha256
 of its stdout with a recorded digest.  A change that alters any printed byte
 of these calls fails here; a deliberate output change records new digests.
+Every argv here is also a call of `tools/sweep.py`, whose committed digests
+pin it with its stderr and exit code; these cases name the call that moved.
 """
 
 import hashlib
