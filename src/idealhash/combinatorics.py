@@ -63,12 +63,20 @@ def _power_coeffs(p0: int, a: int, b: int, d: int, k: int, n: int) -> list[int]:
     top = min(n, k * d)
     if k < 2:
         return p[: top + 1] if k else [1]
-    short = min(top, d)
-    miller_steps = short * (short + 1) // 2 + (top - short) * d
-    chain_steps = sum(top - i * (d + 1) + 1 for i in range(top // (d + 1) + 1))
+    miller_steps, chain_steps = power_steps(d, k, n)
     if 2 * chain_steps < miller_steps:
         return _chain_power(p, a, b, k, top)
     return _miller_power(p, k, top)
+
+
+def power_steps(d: int, k: int, n: int) -> tuple[int, int]:
+    """(Miller's, the chain's) step counts for coefficients 0..min(n, k*d) of
+    p^k, deg p = d: one big product each, summed over the coefficients of
+    `_miller_power` and over the levels of `_chain_power`."""
+    top = min(n, k * d)
+    short = min(top, d)
+    levels = top // (d + 1) + 1
+    return short * (short + 1) // 2 + (top - short) * d, levels * (top + 1) - (d + 1) * levels * (levels - 1) // 2
 
 
 def power_coeff(p0: int, a: int, b: int, d: int, k: int, n: int) -> int:

@@ -2,18 +2,25 @@
 ideality probability estimates.
 
 RNG contract: each call draws all its trials from one seeded stream, so a
-seed fixes the output bytes.  Max-load, and ideal-prob above the chain's work
-bound (_CHAIN_WORK), draw from one numpy PCG64 stream seeded through
-SeedSequence(seed, spawn_key=(0,)); those bytes hold for the numpy version the
-sweep digests were recorded with.  Ideal-prob at or below the bound draws from
+seed fixes the output bytes.  Max-load at or below its work bound
+(_TMAX_WORK) and ideal-prob at or below the chain's (_CHAIN_WORK) draw from
 random.Random(seed).random(), whose sequence Python keeps across versions.
-Either way a seed must be non-negative.  A seeded max-load estimate also
-depends on the fixed rule that sizes its batches, since each batch is one set
-of draws.
+Above those bounds both draw from one numpy PCG64 stream seeded through
+SeedSequence(seed, spawn_key=(0,)); those bytes hold for the numpy version
+the sweep digests were recorded with.  Either way a seed must be
+non-negative.  A seeded numpy max-load estimate also depends on the fixed
+rule that sizes its batches, since each batch is one set of draws.
 
-Max load (Poissonization with an exact correction, Mitzenmacher & Upfal,
-Probability and Computing, ch. 5).  A trial draws independent Poisson(n/m)
-loads for the m cells, redrawing them while their total S exceeds n, and then
+Max load below the bound (inversion of the exact law, _max_load_counts).
+A trial's maximum is one uniform looked up in the table of
+F(t) = P(T_max <= t), built by _tmax_cdf from the exact `p_tmax_le` and, in
+the far tail, from 1 - m P(one cell > t), which is within one ulp there.
+The law is exact up to the float rounding of F, and a call keeps one count
+per load, so memory does not grow with the trials.
+
+Max load above the bound (Poissonization with an exact correction,
+Mitzenmacher & Upfal, Probability and Computing, ch. 5).  A trial draws
+independent Poisson(n/m) loads for the m cells, redrawing them while their total S exceeds n, and then
 throws only the n - S missing balls uniformly, about 0.8*sqrt(n) of them.
 Given S = s the Poisson loads are multinomial over s throws, so adding n - s
 uniform throws makes them multinomial over n: the law of n throws.  The
@@ -40,6 +47,7 @@ import random
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
+from .combinatorics import power_steps
 from .hashspace import Params, balanced_fiber_sizes
 
 if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands start without it
@@ -57,6 +65,11 @@ _SLICE = 2**18
 # above it: 2^20 chain steps take about as long as importing numpy.random
 # (~0.16 s), which only the numpy path pays.
 _CHAIN_WORK = 2**20
+
+# Max-load inverts the exact law of the maximum where _tmax_work is at most
+# this, and draws with numpy above it: at 2^23 the exact table takes at most
+# about as long as importing numpy (60-90 ms), which only the numpy path pays.
+_TMAX_WORK = 2**23
 
 # The chain's tables keep the mass at least this fraction of the mode's: the
 # 2^-64 cut the max-load window makes.
@@ -81,23 +94,131 @@ def _stream(seed: int) -> np.random.Generator:
 
 
 def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
-    """Mean maximum cell load of n uniform throws into m cells."""
-    values = _max_loads(n, m, trials, seed).astype(float)
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if trials > 1 else 0.0
+    """Mean maximum cell load of n uniform throws into m cells.
+
+    Where _tmax_work(n, m) is at most _TMAX_WORK, each trial's maximum is
+    drawn by inverting its exact law in the stdlib (_max_load_counts), so the
+    call never imports numpy; above it numpy's Poissonization sampler
+    (_max_loads) draws them.
+    """
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    if n > 2**40:  # a numpy trial holds its ~0.8 sqrt(n) missing throws at once
+        raise ValueError("max-load sampling needs n <= 2^40")
+    if seed < 0:  # numpy's SeedSequence refusal; random.Random(-s) would reuse the stream of s
+        raise ValueError("expected non-negative integer")
+    if _tmax_work(n, m) <= _TMAX_WORK:
+        lo, counts = _max_load_counts(n, m, trials, seed)
+        s1 = sum(c * t for t, c in enumerate(counts, lo))
+        s2 = sum(c * t * t for t, c in enumerate(counts, lo))
+        mean = s1 / trials
+        std = math.sqrt((trials * s2 - s1 * s1) / (trials * (trials - 1))) if trials > 1 else 0.0
+    else:
+        values = _max_loads(n, m, trials, seed).astype(float)
+        mean = float(values.mean())
+        std = float(values.std(ddof=1)) if trials > 1 else 0.0
     return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed)
+
+
+def _tmax_work(n: int, m: int) -> float:
+    """An upper estimate of _tmax_cdf's work in word operations, from (n, m) alone.
+
+    Most of it is the `p_tmax_le` calls, one per t from ceil(n/m) while
+    C(m, 2) p1^2 >= 2^-54, p1 = P(Bin(n, 1/m) > t).  The Chernoff bound
+    p1 <= exp(-n KL((t+1)/n || 1/m)) ends that window no earlier than
+    _tmax_cdf does.  A call raises a degree-t polynomial to the m-th power:
+    `power_steps` big products (the cheaper order's, in Miller's units), each
+    on about 16 + (m lg(t!) + n lg m)/64 words.  The binomial terms, about
+    twice as many as the window's end, are products of up to n lg m bits.
+    The sum stops once it passes _TMAX_WORK, so a large n costs a few terms.
+
+    Fit (best of 2 or 3 _tmax_cdf builds, 2-core x86-64 VM, Python 3.11): the
+    table took 1.5-9 ns per unit of W wherever it took over 10 ms, so
+    W <= 2^23 keeps it under about 75 ms.  m = n = 439 is the largest square
+    admitted.
+
+        (n, m)          W        ms      (n, m)          W        ms
+        (64, 64)        0.13M    1.1     (440, 440)      past     36
+        (256, 256)      2.3M     14      (512, 512)      past     47
+        (439, 439)      8.4M     38      (400, 16)       past     32
+        (256, 16)       4.4M     13      (700, 2)        past     26
+        (500, 2)        8.0M     11      (400, 7)        past     39
+        (400, 3)        6.0M     28      (1000, 16)      past     147
+        (300, 7)        4.5M     22      (1000, 7)       past     363
+        (300, 64)       6.6M     33      (1000, 64)      past     716
+        (300, 128)      4.8M     22      (1000, 10^4)    past     160
+        (450, 10^4)     5.3M     42      (1024, 1024)    past     190
+        (1000, 10^9)    1.8M     8
+    """
+    bits = n * math.log2(m)  # of m^n, every probability's denominator
+    work, t = 0.0, -(-n // m)
+    while t < n and work <= _TMAX_WORK:
+        q = (t + 1) / n
+        kl = q * math.log(q * m) + ((1 - q) * math.log((1 - q) * m / (m - 1)) if q < 1 else 0.0)
+        if m * (m - 1) / 2 * math.exp(-2 * n * kl) < 2.0**-54:
+            break
+        miller, chain = power_steps(t, m, n)
+        work += min(miller, 2 * chain) * (16 + (m * math.lgamma(t + 1) / math.log(2) + bits) / 64)
+        t += 1
+    return work + (2 * t + 2) * (bits / 64) ** 2
+
+
+def _tmax_cdf(n: int, m: int) -> tuple[int, list[float]]:
+    """(lo, [F(lo), ..., F(hi)]) for F(t) = P(T_max <= t), lo = ceil(n/m), F(hi) = 1.0.
+
+    With p1 = P(Bin(n, 1/m) > t) for one cell's load, Bonferroni's
+    inequalities give 1 - m p1 <= F(t) <= 1 - m p1 + C(m, 2) P(two given
+    cells > t), and negative association of multinomial counts (Dubhashi &
+    Ranjan, Balls and bins: a study in negative dependence, 1998) bounds that
+    last probability by p1^2.  So F(t) is float(p_tmax_le) while
+    C(m, 2) p1^2 >= 2^-54, then the float of 1 - m p1, which lies within
+    2^-54 of F(t) and so within one ulp of its float; the table ends at the
+    first t with m p1 < 2^-54, where both round to 1.0.  p1 is exact: a
+    running sum of binomial terms over m^n.
+    """
+    from .distributions import p_tmax_le  # here, so ideal-prob runs do not load it
+
+    if m == 1:
+        return n, [1.0]
+    lo = -(-n // m)
+    total = m**n
+    below = sum(math.comb(n, k) * (m - 1) ** (n - k) for k in range(lo))
+    pairs = m * (m - 1) // 2
+    cdf = []
+    for t in range(lo, n + 1):
+        below += math.comb(n, t) * (m - 1) ** (n - t)
+        tail = total - below  # p1 = tail / total
+        if (m * tail) << 54 < total:
+            break
+        if (pairs * tail * tail) << 54 >= total * total:
+            cdf.append(float(p_tmax_le(n, m, t)))
+        else:
+            cdf.append((total - m * tail) / total)
+    cdf.append(1.0)
+    return lo, cdf
+
+
+def _max_load_counts(n: int, m: int, trials: int, seed: int) -> tuple[int, list[int]]:
+    """(lo, counts): how many trials have maximum lo, lo + 1, ..., one uniform each.
+
+    Inversion (Devroye, Non-Uniform Random Variate Generation, 1986, ch. II):
+    a trial's maximum is lo plus the number of _tmax_cdf entries at or below
+    its uniform from random.Random(seed).random().  Only the counts are kept.
+    """
+    lo, cdf = _tmax_cdf(n, m)
+    draw = random.Random(seed).random
+    counts = [0] * len(cdf)
+    for _ in range(trials):
+        counts[bisect.bisect_right(cdf, draw())] += 1
+    return lo, counts
 
 
 def _max_loads(n: int, m: int, trials: int, seed: int) -> np.ndarray:
     """Each trial's maximum cell load, drawn as the module docstring describes."""
     import numpy as np
 
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    if n > 2**40:  # a trial holds its ~0.8 sqrt(n) missing throws at once
-        raise ValueError("max-load sampling needs n <= 2^40")
     lam = n / m
     lo, hi = _poisson_window(lam, m)
     per_cell = hi - lo + 1 > m

@@ -635,9 +635,10 @@ def test_python_dash_m_runs_the_cli(module):
 def test_commands_off_the_kernel_do_not_load_numpy(tmp_path):
     # numpy costs most of the CLI's import time and only the samplers need it:
     # counting, bounds, the coverage kernel (construct, verify, exact
-    # --with-hc) and ideal-prob within the chain's work bound (the benchmark's
-    # two calls) must not load it, while max-load and ideal-prob past the bound
-    # do; the record types are NamedTuples, so no call loads dataclasses, nor
+    # --with-hc), ideal-prob within the chain's work bound (the benchmark's
+    # two calls) and max-load within its own (the benchmark's m = 256 call)
+    # must not load it, while max-load and ideal-prob past their bounds do;
+    # the record types are NamedTuples, so no call loads dataclasses, nor
     # inspect before numpy
     family = tmp_path / "family.txt"
     family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
@@ -658,6 +659,8 @@ calls = [
     ["verify", "--u", "4", "--m", "2", "--n", "2", "--family", {str(family)!r}],
     ["simulate", "--kind", "ideal-prob", "--u", "1000000", "--m", "16", "--n", "256", "--c", "3/2", "--trials", "5000", "--seed", "3"],
     ["simulate", "--kind", "ideal-prob", "--u", "4096", "--m", "8", "--n", "64", "--c", "3/2", "--trials", "20000", "--seed", "3"],
+    ["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"],
+    ["simulate", "--kind", "max-load", "--m", "256", "--n", "256", "--trials", "20000", "--seed", "3"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv) for argv in calls]
@@ -670,7 +673,7 @@ assert "dataclasses" not in sys.modules  # numpy loads inspect, not dataclasses
 """
     env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
     for last in (
-        ["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"],
+        ["simulate", "--kind", "max-load", "--m", "16384", "--n", "16384", "--trials", "10", "--seed", "1"],
         ["simulate", "--kind", "ideal-prob", "--u", "1000000", "--m", "64", "--n", "1024", "--c", "2", "--trials", "5000"],
     ):
         done = subprocess.run([sys.executable, "-c", script, *last], capture_output=True, env=env, timeout=120)

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import statistics
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,10 +12,34 @@ import pytest
 
 from idealhash import simulate
 from idealhash.cli import run
-from idealhash.distributions import p_tmax_le
+from idealhash.distributions import binomial_marginal_le, p_tmax_le
 from idealhash.hashspace import HashFunction, Params, balanced_fiber_sizes, balanced_functions
 from idealhash.oracle import exact_ideal_probability, verify_family
 from idealhash.simulate import Estimate, estimate_ideal_probability, estimate_max_load
+
+
+def assert_follows_the_exact_law(n, m, lo, counts):
+    """Chi-square of counts[k], the trials whose maximum was lo + k, against p_tmax_le, at p = 0.001."""
+    trials = sum(counts)
+    cdf = [float(p_tmax_le(n, m, k)) for k in range(lo - 1, lo + len(counts))]
+    expected = [trials * (b - a) for a, b in zip(cdf, cdf[1:])]
+    expected[0] += trials * cdf[0]
+    expected[-1] += trials * (1 - cdf[-1])
+    bins = [[0, 0.0]]  # [observed, expected], each bin expecting at least 5
+    for seen, want in zip(counts, expected):
+        if bins[-1][1] >= 5:
+            bins.append([0, 0.0])
+        bins[-1][0] += seen
+        bins[-1][1] += want
+    if len(bins) > 1 and bins[-1][1] < 5:
+        seen, want = bins.pop()
+        bins[-1][0] += seen
+        bins[-1][1] += want
+    stat = sum((seen - want) ** 2 / want for seen, want in bins)
+    df = len(bins) - 1
+    # Wilson-Hilferty 0.999 quantile of chi-square with df degrees of freedom
+    crit = df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3 if df else 0.0
+    assert stat <= crit
 
 
 class TestMaxLoad:
@@ -47,39 +73,20 @@ class TestMaxLoad:
         ],
     )
     def test_maxima_follow_the_exact_law(self, n, m):
-        """Chi-square of 10^5 sampled maxima against p_tmax_le, at p = 0.001."""
-        trials = 100_000
-        loads = simulate._max_loads(n, m, trials, seed=17)
-        lo, hi = int(loads.min()), int(loads.max())
-        assert -(-n // m) <= lo and hi <= n
-        cdf = [float(p_tmax_le(n, m, k)) for k in range(lo - 1, hi + 1)]
-        expected = [trials * (b - a) for a, b in zip(cdf, cdf[1:])]
-        expected[0] += trials * cdf[0]
-        expected[-1] += trials * (1 - cdf[-1])
-        bins = [[0, 0.0]]  # [observed, expected], each bin expecting at least 5
-        for seen, want in zip(np.bincount(loads - lo), expected):
-            if bins[-1][1] >= 5:
-                bins.append([0, 0.0])
-            bins[-1][0] += int(seen)
-            bins[-1][1] += want
-        if len(bins) > 1 and bins[-1][1] < 5:
-            seen, want = bins.pop()
-            bins[-1][0] += seen
-            bins[-1][1] += want
-        stat = sum((seen - want) ** 2 / want for seen, want in bins)
-        df = len(bins) - 1
-        # Wilson-Hilferty 0.999 quantile of chi-square with df degrees of freedom
-        crit = df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3 if df else 0.0
-        assert stat <= crit
+        """Chi-square of 10^5 numpy-sampled maxima against p_tmax_le, at p = 0.001."""
+        loads = simulate._max_loads(n, m, 100_000, seed=17)
+        lo = int(loads.min())
+        assert -(-n // m) <= lo and loads.max() <= n
+        assert_follows_the_exact_law(n, m, lo, [int(k) for k in np.bincount(loads - lo)])
 
     def test_many_cells_keep_scratch_memory_bounded(self):
         tracemalloc.start()
         try:
-            est = estimate_max_load(10, 10**6, 200, 1)
+            loads = simulate._max_loads(10, 10**6, 200, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert est.trials == 200
+        assert len(loads) == 200
         assert peak < 100 * 2**20
 
     def test_hundred_million_throws_keep_scratch_memory_bounded(self):
@@ -119,6 +126,89 @@ class TestMaxLoad:
         assert time.perf_counter() - start < 1.0
         assert rc == 0
         assert 1 <= json.loads(capsys.readouterr().out)["mean"] <= 10
+
+
+class TestMaxLoadInversion:
+    """The stdlib sampler that inverts P(T_max <= t) where _tmax_work is at most _TMAX_WORK."""
+
+    @pytest.mark.parametrize("n,m", [(30, 30), (100, 100), (40, 2), (5, 40), (10, 1000), (1, 7), (1, 1000)])
+    def test_maxima_follow_the_exact_law(self, n, m):
+        """The points of TestMaxLoad's chi-square that fall below the work bound."""
+        assert simulate._tmax_work(n, m) <= simulate._TMAX_WORK
+        lo, counts = simulate._max_load_counts(n, m, 100_000, seed=17)
+        assert lo == -(-n // m) and lo + len(counts) - 1 <= n
+        assert_follows_the_exact_law(n, m, lo, counts)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 30])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 64, 1000])
+    def test_table_is_within_one_ulp_of_the_exact_law(self, n, m):
+        lo, cdf = simulate._tmax_cdf(n, m)
+        assert lo == -(-n // m) and lo + len(cdf) - 1 <= n
+        assert p_tmax_le(n, m, lo - 1) == 0 and cdf[-1] == 1.0
+        for t, got in enumerate(cdf, lo):
+            want = float(p_tmax_le(n, m, t))
+            assert math.nextafter(want, 0.0) <= got <= math.nextafter(want, 2.0), (t, got, want)
+        assert float(p_tmax_le(n, m, lo + len(cdf) - 1)) == 1.0
+
+    def test_the_grid_reaches_the_tail_cut(self):
+        # the ulp test above covers the 1 - m p1 entries: t with C(m, 2) p1^2 < 2^-54 <= m p1
+        cut = [
+            (n, m, t)
+            for n in (1, 2, 3, 5, 8, 13, 30)
+            for m in (2, 3, 7, 16, 64, 1000)
+            for t in range(-(-n // m), n)
+            for p1 in [1 - binomial_marginal_le(n, m, t)]
+            if m * (m - 1) // 2 * p1 * p1 < Fraction(1, 2**54) <= m * p1
+        ]
+        assert len(cut) >= 20
+
+    @pytest.mark.parametrize(
+        "n,m,stdlib",
+        [(16, 16, True), (256, 256, True), (439, 439, True), (440, 440, False), (1000, 7, False),
+         (16384, 16384, False), (10, 10**9, True), (2**40, 2, False), (7, 1, True)],
+    )
+    def test_sampler_is_chosen_from_the_work_bound(self, monkeypatch, n, m, stdlib):
+        def refuse(*args):
+            raise AssertionError("the other sampler ran")
+
+        monkeypatch.setattr(simulate, "_max_loads" if stdlib else "_max_load_counts", refuse)
+        if stdlib:
+            monkeypatch.setattr(simulate, "_max_load_counts", lambda *args: (3, [0, 2]))
+        else:
+            monkeypatch.setattr(simulate, "_max_loads", lambda *args: np.array([4.0, 4.0]))
+        assert (simulate._tmax_work(n, m) <= simulate._TMAX_WORK) is stdlib
+        assert estimate_max_load(n, m, 2, seed=1).mean == 4.0
+
+    def test_mean_and_interval_come_from_the_counts(self):
+        est = estimate_max_load(64, 64, trials=500, seed=7)
+        lo, counts = simulate._max_load_counts(64, 64, 500, seed=7)
+        values = [t for t, c in enumerate(counts, lo) for _ in range(c)]
+        assert est.mean == statistics.mean(values)
+        assert est.ci95_halfwidth == pytest.approx(1.96 * statistics.stdev(values) / math.sqrt(500), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n,m,trials,seed,message",
+        [
+            (2**41, 0, 0, -1, "need trials >= 1"),
+            (2**41, 0, 1, -1, "need n >= 1 and m >= 1"),
+            (2**41, 1, 1, -1, "max-load sampling needs n <= 2^40"),
+            (8, 4, 1, -1, "expected non-negative integer"),
+        ],
+    )
+    def test_both_samplers_share_one_check_site(self, n, m, trials, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_max_load(n, m, trials, seed)
+
+    def test_memory_does_not_grow_with_the_trials(self):
+        estimate_max_load(16, 16, 10, 1)  # the table's imports
+        tracemalloc.start()
+        try:
+            est = estimate_max_load(16, 16, 200_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 200_000
+        assert peak < 2**16
 
 
 class TestIdealProbability:

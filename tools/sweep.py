@@ -6,12 +6,15 @@ digest per subcommand and one over every call, so two trees print the same
 lines exactly when every call printed the same bytes.
 
     python3 tools/sweep.py                 # sweep this checkout's src/
-    python3 tools/sweep.py --diff PARENT   # also sweep PARENT/src; name the calls that moved
+    python3 tools/sweep.py --diff PARENT   # also run PARENT's sweep; name the calls that moved, came or went
     python3 tools/sweep.py --tree DIR --calls   # one JSON line per call for DIR/src
 
-With --diff the exit code is 1 when some call moved.  Family files go to a
-temporary directory, whose path reads {tmp} in what is hashed, so sweeps run
-in different places agree.
+--diff runs PARENT/tools/sweep.py over PARENT/src, so each side sweeps its
+own call list, and pairs the two by argv: a call both lists hold moved when
+its digest differs, and a call in one list only was added or removed.  The
+exit code is 1 when any call moved, was added or was removed.  Family files
+go to a temporary directory, whose path reads {tmp} in what is hashed, so
+sweeps run in different places agree.
 """
 
 from __future__ import annotations
@@ -93,6 +96,9 @@ def _simulate_calls():
                "--trials", "5000", "--seed", seed]  # numpy's sampler
         yield ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2",
                "--trials", "2000", "--seed", seed]
+    # max-load on either side of the stdlib work bound: m = n = 439 is the largest square it admits
+    for m, trials in (("16", "2000"), ("256", "20000"), ("439", "2000"), ("440", "2000")):
+        yield ["simulate", "--kind", "max-load", "--m", m, "--n", m, "--trials", trials, "--seed", "3"]
 
 
 def _check_lemmas_calls():
@@ -135,10 +141,7 @@ def _usage_calls():
 
 
 def _pinned_calls():
-    """Single calls, each chosen for the case its comment names.
-
-    Last in calls(): --diff pairs calls by position, so a sweep without them still lines up.
-    """
+    """Single calls, each chosen for the case its comment names."""
     greedy = ["construct", "--method", "greedy", "--u", "8", "--m", "2", "--n", "4"]
     report = ["report", "--u", "8,16,256", "--m", "2,4", "--n", "4,8", "--c", "1,3/2"]
     yield from [
@@ -208,11 +211,28 @@ def _digest(digests) -> str:
     return hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
 
 
+def compare(results, parent) -> dict[str, list[list[str]]]:
+    """The calls that moved, were added or were removed going from parent to results.
+
+    Both are lists of (argv, digest) and are paired by argv, so a call
+    inserted or deleted in the middle of the list moves no other call.
+    Moved and added calls keep the order of results, removed ones that of
+    parent.
+    """
+    old = {tuple(argv): digest for argv, digest in parent}
+    new = {tuple(argv) for argv, _ in results}
+    return {
+        "moved": [argv for argv, digest in results if old.get(tuple(argv), digest) != digest],
+        "added": [argv for argv, _ in results if tuple(argv) not in old],
+        "removed": [argv for argv, _ in parent if tuple(argv) not in new],
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     ap.add_argument("--tree", type=Path, default=HERE, help="checkout whose src/ is swept (default: this one)")
     ap.add_argument("--calls", action="store_true", help="print one JSON line per call instead of the digests")
-    ap.add_argument("--diff", type=Path, metavar="PARENT_TREE", help="also sweep PARENT_TREE/src and name the calls that moved")
+    ap.add_argument("--diff", type=Path, metavar="PARENT_TREE", help="also run PARENT_TREE's own sweep; name moved, added and removed calls")
     args = ap.parse_args()
     results = sweep(args.tree)
     if args.calls:
@@ -227,14 +247,16 @@ def main() -> int:
     print(f"{'all':<13} {len(results):>5} calls  {_digest(d for _, d in results)}")
     if args.diff is None:
         return 0
-    argv = [sys.executable, str(Path(__file__).resolve()), "--tree", str(args.diff), "--calls"]
+    argv = [sys.executable, str(args.diff / "tools" / "sweep.py"), "--tree", str(args.diff), "--calls"]
     child = subprocess.run(argv, capture_output=True, text=True, check=True)
-    parent = [json.loads(line)["digest"] for line in child.stdout.splitlines()]
-    moved = [argv for (argv, digest), old in zip(results, parent) if digest != old]
-    for argv in moved:
-        print("moved: idealhash " + " ".join(argv))
-    print(f"{len(moved)} of {len(results)} calls moved against {args.diff}")
-    return 1 if moved else 0
+    parent = [(row["argv"], row["digest"]) for row in map(json.loads, child.stdout.splitlines())]
+    changes = compare(results, parent)
+    for kind, changed in changes.items():
+        for call in changed:
+            print(f"{kind}: idealhash " + " ".join(call))
+    counts = ", ".join(f"{len(changed)} {kind}" for kind, changed in changes.items())
+    print(f"{counts} of {len(results)} calls against {len(parent)} in {args.diff}")
+    return 1 if any(changes.values()) else 0
 
 
 if __name__ == "__main__":
