@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -357,7 +358,9 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    gc.freeze()  # Py_FinalizeEx's full collections skip frozen objects; atexit, stdio flushes and module teardown still run
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -115,6 +115,8 @@ def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
         s2 = sum(c * t * t for t, c in enumerate(counts, lo))
         mean = s1 / trials
         std = math.sqrt((trials * s2 - s1 * s1) / (trials * (trials - 1))) if trials > 1 else 0.0
+    elif m >= 2**63:  # numpy draws cell indices and per-cell loads as int64
+        raise ValueError("max-load past the work bound needs m < 2^63")
     else:
         values = _max_loads(n, m, trials, seed).astype(float)
         mean = float(values.mean())

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -619,17 +620,48 @@ def test_choice_outside_the_flag_choices_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("module", ["idealhash", "idealhash.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def test_python_dash_m_runs_the_cli(module, tmp_path, capsys):
+    # a fresh process prints, exits and writes what in-process run() does, at every exit code
     env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", module, "exact", "--u", "8", "--m", "2", "--n", "4"],
-        capture_output=True,
-        env=env,
-        timeout=60,
+    exact = ["exact", "--u", "8", "--m", "2", "--n", "4"]
+    calls = [
+        exact,
+        ["construct", "--method", "random", "--u", "100000000", "--m", "2", "--n", "1000000"],  # a budget refusal
+        ["bounds", "--m", "2", "--n", "4"],  # a usage error
+        ["construct", "--method", "greedy", "--u", "8", "--m", "2", "--n", "4", "--family-out", "{dir}/family.txt"],
+    ]
+    (tmp_path / "process").mkdir()
+    (tmp_path / "run").mkdir()
+    frozen = gc.get_freeze_count()
+    codes = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", module, *(a.format(dir=tmp_path / "process") for a in argv)],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        try:
+            code = run([a.format(dir=tmp_path / "run") for a in argv])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (code, out, err), argv
+        assert b"Traceback" not in done.stderr
+        codes.append(code)
+    assert codes == [0, 1, 2, 0]
+    assert (tmp_path / "process" / "family.txt").read_bytes() == (tmp_path / "run" / "family.txt").read_bytes()
+    assert gc.get_freeze_count() == frozen  # run() never freezes: tests and sweeps call it, and it would pin their heap
+    # main() freezes before the interpreter's shutdown collections, which then skip the frozen objects
+    hook = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+        f"runpy.run_module({module!r}, run_name='__main__', alter_sys=True)"
     )
-    assert done.returncode == 0, done.stderr
+    done = subprocess.run([sys.executable, "-c", hook, *exact], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0
     assert json.loads(done.stdout)["probability"] == "36/70"
-    assert b"Traceback" not in done.stderr
+    assert done.stderr == b"frozen True\n"
 
 
 def test_commands_off_the_kernel_do_not_load_numpy(tmp_path):

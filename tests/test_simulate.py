@@ -120,6 +120,21 @@ class TestMaxLoad:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "ValueError", "message": "max-load sampling needs n <= 2^40"}
 
+    @pytest.mark.parametrize("m, n", [(10**30, 10**6), (2**63, 10**8)])
+    def test_cells_past_int64_exit_one_past_the_work_bound(self, capsys, m, n):
+        # numpy's sampler holds cell indices as int64, so past the work bound m stays below 2^63
+        argv = ["simulate", "--kind", "max-load", "--m", str(m), "--n", str(n), "--trials", "3"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": "max-load past the work bound needs m < 2^63"}
+
+    @pytest.mark.parametrize("m, n, top", [(2**63 - 1, 10**8, 10**8), (2**70, 10, 1)])
+    def test_cells_below_two_to_the_63_or_within_the_work_bound_run(self, capsys, m, n, top):
+        assert (simulate._tmax_work(n, m) <= simulate._TMAX_WORK) is (m >= 2**63)
+        assert run(["simulate", "--kind", "max-load", "--m", str(m), "--n", str(n), "--trials", "3"]) == 0
+        assert 1 <= json.loads(capsys.readouterr().out)["mean"] <= top
+
     def test_billion_cells_count_the_throws_not_the_cells(self, capsys):
         start = time.perf_counter()
         rc = run(["simulate", "--kind", "max-load", "--m", "1000000000", "--n", "10", "--trials", "1"])

@@ -61,7 +61,10 @@ def _exact_calls():
     for u, m, n, c in [(1, 1, 1, "1"), (2, 1, 1, "1"), (8, 2, 4, "1"), (8, 2, 4, "3/2"), (7, 2, 3, "1"),
                        (16, 4, 8, "3/2"), (1000, 3, 7, "5/4"), (1000005, 16, 300, "3/2")]:
         yield ["exact", "--u", str(u), "--m", str(m), "--n", str(n), "--c", c]
-    for u, m, n, c in [(2, 1, 1, "1"), (6, 2, 3, "1"), (7, 2, 3, "1"), (8, 2, 4, "1"), (8, 2, 4, "3/2"), (7, 3, 4, "3/2")]:
+    # from (5, 4, 4, "1") on, H = 3, 5, 4, 4, 4, 4, 2: points where pruning or a search budget would change the search
+    for u, m, n, c in [(2, 1, 1, "1"), (6, 2, 3, "1"), (7, 2, 3, "1"), (8, 2, 4, "1"), (8, 2, 4, "3/2"), (7, 3, 4, "3/2"),
+                       (5, 4, 4, "1"), (6, 4, 4, "1"), (7, 3, 3, "1"), (8, 3, 3, "1"), (9, 3, 3, "1"), (9, 2, 4, "1"),
+                       (10, 2, 4, "3/2")]:
         yield ["exact", "--u", str(u), "--m", str(m), "--n", str(n), "--c", c, "--with-hc"]
     yield ["exact", "--u", "8", "--m", "2", "--n", "4", "--with-hc", "--size-limit", "2"]
 
@@ -115,6 +118,7 @@ def _refusal_calls():
         ["exact", "--u", "100000000", "--m", "2", "--n", "1000000"],
         ["exact", "--u", "10", "--m", "2", "--n", "4", "--with-hc", "--pool-budget", "10"],
         ["simulate", "--kind", "max-load", "--m", "1000000", "--n", "1000000000000000000", "--trials", "1"],
+        ["simulate", "--kind", "max-load", "--m", "1000000000000000000000000000000", "--n", "1000000", "--trials", "3"],
         ["simulate", "--kind", "max-load", "--m", "4", "--n", "8", "--c", "3/2"],
         ["simulate", "--kind", "ideal-prob", "--m", "4", "--n", "8"],
         ["simulate", "--kind", "max-load", "--m", "4", "--n", "8", "--seed", "-1"],
