@@ -1,37 +1,32 @@
-"""Byte sweep: run one fixed list of `idealhash` calls and hash what each prints.
+"""Byte sweep: run one fixed list of `idealhash` calls and print a digest of each.
 
 Every call runs in-process through `idealhash.cli.run`.  Its argv, stdout,
 stderr and exit code are hashed together with sha256.  The sweep prints one
-digest per subcommand and one over every call, so two trees print the same
-lines exactly when every call printed the same bytes.
+line per call, in list order: the first 16 hex digits of that digest, then
+`idealhash` and the argv.  No argv word is empty or holds whitespace, so each
+line splits back into its call.  `tools/sweep.digests` holds the lines this
+checkout's `src/` prints, and `tests/test_sweep.py` fails, naming each call
+that moved, was added or was removed, when the sweep prints anything else.
 
-    python3 tools/sweep.py                 # sweep this checkout's src/
-    python3 tools/sweep.py --diff PARENT   # also run PARENT's sweep; name the calls that moved, came or went
-    python3 tools/sweep.py --tree DIR --calls   # one JSON line per call for DIR/src
+    python3 tools/sweep.py | diff tools/sweep.digests -   # name the calls whose bytes moved
+    python3 tools/sweep.py > tools/sweep.digests          # re-record after a deliberate byte change
 
---diff runs PARENT/tools/sweep.py over PARENT/src, so each side sweeps its
-own call list, and pairs the two by argv: a call both lists hold moved when
-its digest differs, and a call in one list only was added or removed.  The
-exit code is 1 when any call moved, was added or was removed.  Family files
-go to a temporary directory, whose path reads {tmp} in what is hashed, so
-sweeps run in different places agree.
+Family files go to a temporary directory, whose path reads {tmp} in what is
+hashed, so sweeps run in different places agree.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 C_VALUES = ("1", "5/4", "3/2", "2", "7")
-SUBCOMMANDS = ("bounds", "report", "exact", "construct", "verify", "simulate", "check-lemmas")
 
 
 def _bounds_calls():
@@ -44,8 +39,9 @@ def _bounds_calls():
     for eps in ("1/5", "1/3"):
         yield ["bounds", "--u", "1000", "--m", "4", "--n", "16", "--eps", eps]
         yield ["bounds", "--u", "10", "--m", "2", "--n", "4", "--eps", eps, "--format", "table"]
-    yield ["bounds", "--u", "2400", "--m", "1200", "--n", "1200"]  # ceilings past the float range
-    yield ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"]  # counting skipped
+    # ceilings past the float range: upper.main and upper.prob.* ceilings are null
+    yield ["bounds", "--u", "2400", "--m", "1200", "--n", "1200"]
+    yield ["bounds", "--u", "1000000000", "--m", "16", "--n", "20000"]  # counting skipped: n * log2(u) beyond desk scale
 
 
 def _report_calls():
@@ -176,6 +172,7 @@ def _pinned_calls():
         ["construct", "--method", "yao", "--u", "7", "--m", "2", "--n", "3"],  # m*cap = 2 < n: one member, verified false, exit 0
         # kernel path over 945 partitions; pool_size 113400
         ["construct", "--method", "yao", "--u", "10", "--m", "5", "--n", "5", "--t", "2.0"],
+        # the stdlib inversion sampler: m = n = 64 is below its work bound
         ["simulate", "--kind", "max-load", "--m", "64", "--n", "64", "--trials", "500", "--seed", "7"],
         ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2", "--trials", "2000", "--seed", "5"],
         ["check-lemmas"],
@@ -191,9 +188,9 @@ def calls() -> list[list[str]]:
     return [argv for group in groups for argv in group()]
 
 
-def sweep(tree: Path) -> list[tuple[list[str], str]]:
-    """(argv, sha256 over argv, stdout, stderr and exit code) for each call, run against tree/src."""
-    sys.path.insert(0, str(tree / "src"))
+def sweep() -> list[tuple[list[str], str]]:
+    """(argv, the first 16 hex digits of sha256 over argv, stdout, stderr and exit code) for each call."""
+    sys.path.insert(0, str(HERE / "src"))
     from idealhash.cli import run
 
     results = []
@@ -207,12 +204,18 @@ def sweep(tree: Path) -> list[tuple[list[str], str]]:
                 except SystemExit as exc:  # argparse's usage errors
                     code = exc.code
             record = [argv, out.getvalue().replace(tmp, "{tmp}"), err.getvalue().replace(tmp, "{tmp}"), code]
-            results.append((argv, hashlib.sha256(json.dumps(record).encode("utf-8")).hexdigest()))
+            results.append((argv, hashlib.sha256(json.dumps(record).encode("utf-8")).hexdigest()[:16]))
     return results
 
 
-def _digest(digests) -> str:
-    return hashlib.sha256("".join(digests).encode("ascii")).hexdigest()
+def render(results) -> str:
+    """The sweep's lines for a list of (argv, digest): `<digest> idealhash <argv...>`."""
+    return "".join(" ".join([digest, "idealhash", *argv]) + "\n" for argv, digest in results)
+
+
+def parse(text: str) -> list[tuple[list[str], str]]:
+    """The (argv, digest) list that render turned into text."""
+    return [(argv, digest) for digest, _, *argv in (line.split(" ") for line in text.splitlines())]
 
 
 def compare(results, parent) -> dict[str, list[list[str]]]:
@@ -232,36 +235,5 @@ def compare(results, parent) -> dict[str, list[list[str]]]:
     }
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
-    ap.add_argument("--tree", type=Path, default=HERE, help="checkout whose src/ is swept (default: this one)")
-    ap.add_argument("--calls", action="store_true", help="print one JSON line per call instead of the digests")
-    ap.add_argument("--diff", type=Path, metavar="PARENT_TREE", help="also run PARENT_TREE's own sweep; name moved, added and removed calls")
-    args = ap.parse_args()
-    results = sweep(args.tree)
-    if args.calls:
-        for argv, digest in results:
-            print(json.dumps({"argv": argv, "digest": digest}))
-        return 0
-    groups: dict[str, list[str]] = {}
-    for argv, digest in results:
-        groups.setdefault(argv[0] if argv and argv[0] in SUBCOMMANDS else "(usage)", []).append(digest)
-    for name, digests in groups.items():
-        print(f"{name:<13} {len(digests):>5} calls  {_digest(digests)}")
-    print(f"{'all':<13} {len(results):>5} calls  {_digest(d for _, d in results)}")
-    if args.diff is None:
-        return 0
-    argv = [sys.executable, str(args.diff / "tools" / "sweep.py"), "--tree", str(args.diff), "--calls"]
-    child = subprocess.run(argv, capture_output=True, text=True, check=True)
-    parent = [(row["argv"], row["digest"]) for row in map(json.loads, child.stdout.splitlines())]
-    changes = compare(results, parent)
-    for kind, changed in changes.items():
-        for call in changed:
-            print(f"{kind}: idealhash " + " ".join(call))
-    counts = ", ".join(f"{len(changed)} {kind}" for kind, changed in changes.items())
-    print(f"{counts} of {len(results)} calls against {len(parent)} in {args.diff}")
-    return 1 if any(changes.values()) else 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.stdout.write(render(sweep()))
