@@ -66,11 +66,16 @@ def check_poissonization_identity() -> CheckResult:
 
 def _mass_by_max_load(n: int, m: int) -> list[Fraction]:
     """Conditioned Poisson mass of the load vectors of n keys in m cells,
-    bucketed by their max load 1..n."""
-    by_max = [Fraction(0)] * n
+    bucketed by their max load 1..n.  Each bucket sums integer numerators
+    over the lcm of its denominators, exactly, and reduces once."""
+    by_max: list[list[Fraction]] = [[] for _ in range(n)]
     for lv in compositions(n, m, n):
-        by_max[max(lv) - 1] += conditioned_poisson_pmf(lv, n, m)
-    return by_max
+        by_max[max(lv) - 1].append(conditioned_poisson_pmf(lv, n, m))
+    sums = []
+    for masses in by_max:
+        den = math.lcm(*(q.denominator for q in masses))
+        sums.append(Fraction(sum(q.numerator * (den // q.denominator) for q in masses), den))
+    return sums
 
 
 def check_conditioned_indicator() -> CheckResult:
@@ -155,8 +160,17 @@ def check_tail_lower_bound() -> CheckResult:
 def check_balance_extremality() -> CheckResult:
     """Balanced decompositions are exactly the ideal-count maximizers when the cap binds."""
     grid = (Params(u, m, n, c) for m in (2, 3) for n in range(m, 7) for u in range(n, 15) for c in C_GRID)
+    # the verdict depends on (u, m, n, load cap) alone, and 117 of the 148 points are distinct
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
+
+    def verdict(p: Params) -> bool:
+        key = (p.u, p.m, p.n, p.load_cap)
+        if key not in verdicts:
+            verdicts[key] = balance_extremality_check(p)
+        return verdicts[key]
+
     # the points where the cap does not bind are the degenerate tie regime
-    return _tally("balance-extremality", (balance_extremality_check(p) for p in grid if cap_binds(p)))
+    return _tally("balance-extremality", (verdict(p) for p in grid if cap_binds(p)))
 
 
 def check_composition_crude_lower() -> CheckResult:

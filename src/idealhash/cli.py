@@ -195,7 +195,15 @@ def _cmd_exact(args) -> int:
 
     p = Params(args.u, args.m, args.n, args.c)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
-    if limit and exceeds(10**limit - 1, binom_steps(p.u, p.n)):  # checked before counting: the count could not be printed
+    k = min(p.n, p.u - p.n)
+    # checked before counting, since the count could not be printed: C(u, k) <= (e u / k)^k
+    # settles most calls in floats with a digit to spare, and the walk settles the rest
+    if (
+        limit
+        and k
+        and k * (1 + math.log(p.u) - math.log(k)) / math.log(10) >= limit - 1
+        and exceeds(10**limit - 1, binom_steps(p.u, p.n))
+    ):
         raise ValueError(f"C({p.u},{p.n}) has more than {limit} decimal digits, Python's int-to-str limit")
     count = oracle_mod.exact_ideal_probability(p)
     record = {

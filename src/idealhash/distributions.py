@@ -42,13 +42,15 @@ def conditioned_poisson_pmf(lv: LoadVector, n: int, m: int) -> Fraction:
     """P((Y_1..Y_m) = lv | Y = n) for independent mean-alpha Poisson cell loads.
 
     Computed along the cancelled chain: alpha^n * n! / (n^n * prod l_i!) with
-    alpha = n/m exact; equals `multinomial_pmf` at the same lv identically.
+    alpha^n = n^n / m^n, as one integer numerator over one integer
+    denominator, so one gcd reduces it; equals `multinomial_pmf` at the same
+    lv identically.
     """
-    alpha = Fraction(n, m)
-    denom = n**n
+    scale = n**n
+    denom = m**n * scale
     for l in lv:
         denom *= math.factorial(l)
-    return alpha**n * Fraction(math.factorial(n), denom)
+    return Fraction(scale * math.factorial(n), denom)
 
 
 def p_tmax_le(n: int, m: int, cap: int) -> Fraction:

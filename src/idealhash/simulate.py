@@ -2,41 +2,53 @@
 ideality probability estimates.
 
 RNG contract: each call draws all its trials from one seeded stream, so a
-seed fixes the output bytes.  Max-load at or below its work bound
-(_TMAX_WORK) and ideal-prob at or below the chain's (_CHAIN_WORK) draw from
+seed fixes the output bytes.  Max-load by either stdlib table (below) and
+ideal-prob at or below the chain's work bound (_CHAIN_WORK) draw from
 random.Random(seed).random(), whose sequence Python keeps across versions.
-Above those bounds both draw from one numpy PCG64 stream seeded through
+Otherwise both draw from one numpy PCG64 stream seeded through
 SeedSequence(seed, spawn_key=(0,)); those bytes hold for the numpy version
 the sweep digests were recorded with.  Either way a seed must be
 non-negative.  A seeded numpy max-load estimate also depends on the fixed
 rule that sizes its batches, since each batch is one set of draws.
 
-Max load below the bound (inversion of the exact law, _max_load_counts).
-A trial's maximum is one uniform looked up in the table of
-F(t) = P(T_max <= t), built by _tmax_cdf from the exact `p_tmax_le` and, in
-the far tail, from 1 - m P(one cell > t), which is within one ulp there.
-The law is exact up to the float rounding of F, and a call keeps one count
-per load, so memory does not grow with the trials.
+Max load picks one of three samplers from (n, m) alone (_stdlib_table).
+The two stdlib ones invert a table of F(t) = P(T_max <= t): a trial's
+maximum is one uniform looked up in it (_max_load_counts), and a call keeps
+one count per load, so memory does not grow with the trials; neither imports
+numpy.
 
-Max load above the bound (Poissonization with an exact correction,
-Mitzenmacher & Upfal, Probability and Computing, ch. 5).  A trial draws
-independent Poisson(n/m) loads for the m cells, redrawing them while their total S exceeds n, and then
-throws only the n - S missing balls uniformly, about 0.8*sqrt(n) of them.
-Given S = s the Poisson loads are multinomial over s throws, so adding n - s
-uniform throws makes them multinomial over n: the law of n throws.  The
-rejection conditions on S alone and so adds no bias.  Cells are exchangeable,
-so the loads are drawn as an occupancy histogram, one multinomial row of how
-many cells hold each load j in the window where m times the Poisson mass of j
-is at least 2^-64; when that window is wider than m, the m loads are drawn
-one per cell instead.  The missing throws land on cells through the
-histogram's cumulative counts, one sort finds the cells they share, and the
-trial's maximum is the top occupied load or the new load of a hit cell.  The
-only departures from the exact law are the float rounding of the class
-probabilities and the cut below 2^-64, the precision of numpy's binomial and
-hypergeometric samplers.  A trial costs O(min(m, window) + sqrt(n)); a batch
-of trials holds about _SLICE/4 histogram cells and missing throws, so scratch
-memory does not grow with m.  A trial holds all its missing throws at once,
-so n is capped at 2^40, where three trials peak below 100 MiB (tracemalloc).
+The exact table, where _tmax_work(n, m) <= _TMAX_WORK.  _tmax_cdf builds it
+from the exact `p_tmax_le` and, in the far tail, from 1 - m P(one cell > t),
+which is within one ulp there.  The law is exact up to the float rounding of F.
+
+The float table, past that bound where m >= _FLOAT_CELLS and n/m <=
+_FLOAT_LOAD (and m < 2^63).  _tmax_float_cdf builds it in floats from the
+Poisson identity (Mitzenmacher & Upfal, Probability and Computing, ch. 5),
+with the same far-tail entries.  Each entry is within 2^-46 of
+float(p_tmax_le): its three cuts move it by at most 2^-50 each, and the
+tests check the bound on a grid over that region wherever `p_tmax_le` is
+affordable.
+
+Poissonization with an exact correction (_max_loads, numpy) otherwise: few
+cells, n/m past _FLOAT_LOAD, or m >= 2^63, which is refused.  A trial draws
+independent Poisson(n/m) loads for the m cells, redrawing them while their
+total S exceeds n, and then throws only the n - S missing balls uniformly,
+about 0.8*sqrt(n) of them.  Given S = s the Poisson loads are multinomial
+over s throws, so adding n - s uniform throws makes them multinomial over n:
+the law of n throws.  The rejection conditions on S alone and so adds no
+bias.  Cells are exchangeable, so the loads are drawn as an occupancy
+histogram, one multinomial row of how many cells hold each load j in the
+window where m times the Poisson mass of j is at least 2^-64; when that
+window is wider than m, the m loads are drawn one per cell instead.  The
+missing throws land on cells through the histogram's cumulative counts, one
+sort finds the cells they share, and the trial's maximum is the top occupied
+load or the new load of a hit cell.  The only departures from the exact law
+are the float rounding of the class probabilities and the cut below 2^-64,
+the precision of numpy's binomial and hypergeometric samplers.  A trial costs
+O(min(m, window) + sqrt(n)); a batch of trials holds about _SLICE/4
+histogram cells and missing throws, so scratch memory does not grow with m.
+A trial holds all its missing throws at once, so n is capped at 2^40, where
+three trials peak below 100 MiB (tracemalloc).
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ import bisect
 import math
 import random
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .combinatorics import power_steps
 from .hashspace import Params, balanced_fiber_sizes
@@ -56,9 +68,10 @@ if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands
 
 # Elements per numpy call: load cells of ideal-prob above _CHAIN_WORK, and four
 # times a max-load batch's occupancy blocks plus missing throws.  One such
-# int64 array is 2 MiB; max-load at m = n = 16384 peaks at about 40 MB RSS
-# (x86-64 Linux), 27 MB of it numpy's import.  The chain holds one group's
-# uniforms at a time, fewer than _CHAIN_WORK floats.
+# int64 array is 2 MiB; numpy max-load at m = 2, n = 10^6 peaks at about 38 MB
+# RSS (x86-64 Linux), 33 MB of it the interpreter and numpy.random's import,
+# while m = n = 16384 on the float table peaks at about 16 MB.  The chain holds
+# one group's uniforms at a time, fewer than _CHAIN_WORK floats.
 _SLICE = 2**18
 
 # Ideal-prob runs the stdlib chain where _chain_work is at most this, and numpy
@@ -67,9 +80,21 @@ _SLICE = 2**18
 _CHAIN_WORK = 2**20
 
 # Max-load inverts the exact law of the maximum where _tmax_work is at most
-# this, and draws with numpy above it: at 2^23 the exact table takes at most
-# about as long as importing numpy (60-90 ms), which only the numpy path pays.
+# this: at 2^23 the exact table takes at most about as long as importing numpy
+# (60-90 ms), which only the numpy path pays.
 _TMAX_WORK = 2**23
+
+# Past that bound the float table serves m >= _FLOAT_CELLS and n/m <=
+# _FLOAT_LOAD.  Fewer cells would widen its frequency band towards the whole
+# circle, and the tests reach no larger n/m: p_tmax_le takes 1.7 s per entry
+# at (n, m) = (2^14, 64) and 25 s at (2^16, 64).  Across that region the
+# table builds in at most 4-6 ms, at m = 64 and n/m = 2^8 (2-core x86-64 VM,
+# Python 3.11), far below numpy's import.
+_FLOAT_CELLS = 64
+_FLOAT_LOAD = 2**8
+
+# Each of the float table's three cuts moves an entry by at most this.
+_FLOAT_CUT = 2.0**-50
 
 # The chain's tables keep the mass at least this fraction of the mode's: the
 # 2^-64 cut the max-load window makes.
@@ -96,10 +121,9 @@ def _stream(seed: int) -> np.random.Generator:
 def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
     """Mean maximum cell load of n uniform throws into m cells.
 
-    Where _tmax_work(n, m) is at most _TMAX_WORK, each trial's maximum is
-    drawn by inverting its exact law in the stdlib (_max_load_counts), so the
-    call never imports numpy; above it numpy's Poissonization sampler
-    (_max_loads) draws them.
+    Where _stdlib_table(n, m) names a table, each trial's maximum is drawn by
+    inverting it in the stdlib (_max_load_counts), so the call never imports
+    numpy; elsewhere numpy's Poissonization sampler (_max_loads) draws them.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -109,7 +133,7 @@ def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
         raise ValueError("max-load sampling needs n <= 2^40")
     if seed < 0:  # numpy's SeedSequence refusal; random.Random(-s) would reuse the stream of s
         raise ValueError("expected non-negative integer")
-    if _tmax_work(n, m) <= _TMAX_WORK:
+    if _stdlib_table(n, m) is not None:
         lo, counts = _max_load_counts(n, m, trials, seed)
         s1 = sum(c * t for t, c in enumerate(counts, lo))
         s2 = sum(c * t * t for t, c in enumerate(counts, lo))
@@ -122,6 +146,16 @@ def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
         mean = float(values.mean())
         std = float(values.std(ddof=1)) if trials > 1 else 0.0
     return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed)
+
+
+def _stdlib_table(n: int, m: int) -> Callable[[int, int], tuple[int, list[float]]] | None:
+    """The builder of the table of P(T_max <= t) that max-load inverts at (n, m),
+    or None where numpy's sampler draws: the one decision between the three."""
+    if _tmax_work(n, m) <= _TMAX_WORK:
+        return _tmax_cdf
+    if _FLOAT_CELLS <= m < 2**63 and n <= _FLOAT_LOAD * m:
+        return _tmax_float_cdf
+    return None
 
 
 def _tmax_work(n: int, m: int) -> float:
@@ -202,14 +236,172 @@ def _tmax_cdf(n: int, m: int) -> tuple[int, list[float]]:
     return lo, cdf
 
 
+def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
+    """(lo, [F(lo), ..., F(hi)]) for F(t) = P(T_max <= t) in floats, F(hi) = 1.0.
+
+    Poissonization: with independent Poisson(lam) loads, lam = n/m, F(t) =
+    P(every load <= t | their sum = n) = C pi_t^m P(S_t = n), where C =
+    n! e^n / n^n = 1/P(Poisson(n) = n), pi_t = P(Poisson(lam) <= t) and S_t
+    sums m loads each conditioned to be <= t.  ln C is Stirling's series and
+    pi_t^m is exp(m log1p(-q_t)), q_t = P(Poisson(lam) > t) summed from the
+    top of the window where m times a mass is at least 2^-64 (Loader's
+    masses, _poisson_pmf), so no rounding error is multiplied by m.
+    _poissonized_cdf gives P(S_t = n); lo is the first t with C pi_t^m at
+    least _FLOAT_CUT, since F(t) <= C pi_t^m.
+
+    The far tail is 1 - m p1 with p1 = P(Bin(n, 1/m) > t), within one ulp
+    where C(m, 2) p1^2 < 2^-54, as in _tmax_cdf; p1 sums Loader's binomial
+    masses from the top.  Each entry lies within 3 _FLOAT_CUT of F(t) up to
+    rounding, and the table is made monotone.
+    """
+    lam = n / m
+    ln_c = 0.5 * math.log(2 * math.pi * n) + _stirlerr(n)
+    lo = -(-n // m)
+    top = max(lo, _poisson_window(lam, m)[1])
+    mass = [_poisson_pmf(j, n, m) for j in range(lo + 1, top + 1)]
+    q = [0.0, *accumulate(reversed(mass))][::-1]  # q[t - lo] = P(Poisson(lam) > t)
+    first = lo
+    while first < top and -m * math.log1p(-q[first - lo]) > ln_c - math.log(_FLOAT_CUT):
+        first += 1
+    binom = []  # P(Bin(n, 1/m) = k) for k > first, until past the mean m times it is below 2^-64
+    for k in range(first + 1, n):
+        binom.append(_binomial_pmf(k, n, m))
+        if k > lam and m * binom[-1] < _CUT:
+            break
+    p1 = [0.0, *accumulate(reversed(binom))][::-1]  # p1[t - first] = P(Bin(n, 1/m) > t)
+    mid = first + sum(m * (m - 1) / 2 * p * p >= 2.0**-54 for p in p1)
+    end = first + sum(m * p >= 2.0**-54 for p in p1)
+    cdf = _poissonized_cdf(n, m, ln_c, first, mass[first - lo :], q[first - lo :], mid - first)
+    cdf += [1 - m * p for p in p1[mid - first : end - first]] + [1.0]
+    for i in range(1, len(cdf)):  # F rises with t, and rounding must not reverse that
+        cdf[i] = max(cdf[i - 1], cdf[i])
+    return first, [min(1.0, max(0.0, f)) for f in cdf]
+
+
+def _poissonized_cdf(
+    n: int, m: int, ln_c: float, first: int, mass: list[float], q: list[float], count: int
+) -> list[float]:
+    """[F(first), ..., F(first + count - 1)] as C pi_t^m P(S_t = n), for
+    _tmax_float_cdf: ln_c = ln C, mass[i] = P(Poisson(n/m) = first + 1 + i)
+    and q[i] = P(Poisson(n/m) > first + i).
+
+    P(S_t = n) is the trapezoid sum (1/N) sum_k psi_t(w_k)^m, w_k = 2 pi k/N,
+    psi_t(w) = E[e^{iw(X - lam)} | X <= t], which converges exponentially
+    (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+    SIAM Review 2014).  psi_t - 1 is formed directly: the full Poisson sum
+    is expm1(lam (e^{iw} - 1 - iw)), less the loads above t, added from the
+    top one per t at each frequency, over pi_t; one tilt lam serves every t.
+    Then psi_t^m = exp(m log1p(psi_t - 1)), the complex log1p taken through
+    its modulus and argument, so its error does not grow with m.  Two cuts
+    each move an entry by at most _FLOAT_CUT:
+      * the sum counts P(S_t = n + jN) for every integer j, and
+        C pi_t^m P(S_t = s) <= C P(Poisson(n) = s), so N >= sqrt(2nL) + L/3,
+        L = ln(2C/_FLOAT_CUT), bounds the aliases by 2C e^-L (Poisson tails
+        are sub-gamma: Boucheron, Lugosi & Massart, Concentration
+        Inequalities, 2.2);
+      * |pi_t psi_t(w)| <= e^{-lam(1 - cos w)} + q_t, which falls with |w|
+        up to pi, so the frequencies past w0, where C (e^{-lam(1 - cos w0)}
+        + q_first)^m = _FLOAT_CUT, are left out: a band of a few dozen.
+    """
+    if count <= 0:
+        return []
+    lam = n / m
+    span = ln_c - math.log(_FLOAT_CUT)  # ln(C / _FLOAT_CUT)
+    big_l = span + math.log(2)
+    grid = math.ceil(math.sqrt(2 * n * big_l) + big_l / 3) | 1  # N, odd so that w and -w pair up
+    band = grid // 2
+    ratio = q[0] * math.exp(span / m)  # q_first / r, r = (_FLOAT_CUT / C)^(1/m)
+    if ratio < 1:
+        half = (span / m - math.log1p(-ratio)) / (2 * lam)  # sin(w0/2)^2: lam (1 - cos w0) = -ln(r - q_first)
+        if half < 1:
+            band = min(band, int(math.asin(math.sqrt(half)) * grid / math.pi) + 1)
+    freqs = [2 * math.pi * k / grid for k in range(1, band + 1)]
+    full = [_expm1j(-2 * lam * math.sin(w / 2) ** 2, lam * _sin_minus(w)) for w in freqs]
+    above = [0j] * band  # sum over the loads j > t of p_j (e^{iw(j - lam)} - 1)
+    added = len(mass)
+    out = []
+    for i in reversed(range(count)):  # t = first + i
+        while added > i:
+            added -= 1
+            p, d = mass[added], ((first + 1 + added) * m - n) / m  # p_j and j - lam
+            for k, w in enumerate(freqs):
+                h = math.sin(w * d / 2)
+                above[k] += p * complex(-2 * h * h, math.sin(w * d))
+        qt = q[i] if i < len(q) else 0.0
+        total = 1.0  # w = 0, then each pair w, -w
+        for f, a in zip(full, above):
+            z = (f - a) / (1 - qt)  # psi_t(w) - 1
+            x, y = z.real, z.imag
+            power = math.exp(0.5 * m * math.log1p(2 * x + x * x + y * y))
+            total += 2 * power * math.cos(m * math.atan2(y, 1 + x))
+        out.append(math.exp(ln_c + m * math.log1p(-qt)) * total / grid)
+    return out[::-1]
+
+
+def _expm1j(x: float, y: float) -> complex:
+    """e^(x + iy) - 1 without cancellation near 0."""
+    return complex(math.expm1(x) * math.cos(y) - 2 * math.sin(y / 2) ** 2, math.exp(x) * math.sin(y))
+
+
+def _sin_minus(w: float) -> float:
+    """sin(w) - w, by its Taylor series below |w| = 1, where the difference cancels."""
+    if abs(w) >= 1:
+        return math.sin(w) - w
+    total, term, k = 0.0, w, 1
+    while True:
+        term *= -w * w / ((2 * k) * (2 * k + 1))
+        if total + term == total:
+            return total
+        total += term
+        k += 1
+
+
+def _stirlerr(k: int) -> float:
+    """ln k! - ((k + 1/2) ln k - k + ln sqrt(2 pi)), Stirling's series past k = 15
+    (Loader, "Fast and accurate computation of binomial probabilities", 2000)."""
+    if k <= 15:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+    kk = 1.0 / (k * k)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - kk / 1188) * kk) * kk) * kk) / k
+
+
+def _bd0(x: float, mean: float, d: float) -> float:
+    """x ln(x/mean) + mean - x, given d = x - mean rounded once, by Loader's
+    series where d is small against x + mean."""
+    s = x + mean
+    if abs(d) >= 0.1 * s:
+        return x * math.log(x / mean) - d
+    v = d / s
+    total, term, j = d * v, 2 * x * v, 1
+    while True:
+        term *= v * v
+        step = total + term / (2 * j + 1)
+        if step == total:
+            return total
+        total, j = step, j + 1
+
+
+def _poisson_pmf(j: int, n: int, m: int) -> float:
+    """P(Poisson(n/m) = j) for j >= 1, to a few ulps (Loader)."""
+    return math.exp(-_stirlerr(j) - _bd0(j, n / m, (j * m - n) / m)) / math.sqrt(2 * math.pi * j)
+
+
+def _binomial_pmf(k: int, n: int, m: int) -> float:
+    """P(Bin(n, 1/m) = k) for 0 < k < n, to a few ulps (Loader)."""
+    dev = (k * m - n) / m  # k - n/m
+    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n / m, dev) - _bd0(n - k, n * (m - 1) / m, -dev)
+    return math.exp(lc) * math.sqrt(n / (2 * math.pi * k * (n - k)))
+
+
 def _max_load_counts(n: int, m: int, trials: int, seed: int) -> tuple[int, list[int]]:
     """(lo, counts): how many trials have maximum lo, lo + 1, ..., one uniform each.
 
     Inversion (Devroye, Non-Uniform Random Variate Generation, 1986, ch. II):
-    a trial's maximum is lo plus the number of _tmax_cdf entries at or below
-    its uniform from random.Random(seed).random().  Only the counts are kept.
+    a trial's maximum is lo plus the number of table entries at or below its
+    uniform from random.Random(seed).random(), the table being the one
+    _stdlib_table picks.  Only the counts are kept.
     """
-    lo, cdf = _tmax_cdf(n, m)
+    lo, cdf = _stdlib_table(n, m)(n, m)
     draw = random.Random(seed).random
     counts = [0] * len(cdf)
     for _ in range(trials):

@@ -63,3 +63,12 @@ def test_check_lemmas_exits_three_through_the_real_battery(capsys, monkeypatch):
     assert payload["all_ok"] is False
     failed = {r["name"] for r in payload["checks"] if r["failures"]}
     assert {"conditioned-indicator", "replacement-direction"} <= failed
+
+
+def test_balance_extremality_runs_once_per_distinct_point(monkeypatch):
+    # the verdict reads (u, m, n, load cap) alone: 117 distinct keys among the 148 binding points
+    seen = []
+    monkeypatch.setattr(checks, "balance_extremality_check", lambda p: seen.append((p.u, p.m, p.n, p.load_cap)) or True)
+    result = checks.check_balance_extremality()
+    assert (result.instances, result.failures) == (148, 0)
+    assert len(seen) == len(set(seen)) == 117

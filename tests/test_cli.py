@@ -96,6 +96,19 @@ class TestExact:
         if rc == 0:
             assert json.loads(out)["m_c"] == 0
 
+    @pytest.mark.parametrize("n,walked,rc", [(1000, False, 0), (1295, True, 0), (1296, True, 1)])
+    def test_size_guard_walks_only_where_its_float_bound_reaches_the_limit(self, capsys, monkeypatch, n, walked, rc):
+        # C(10^6, 1295) has 4,300 digits and C(10^6, 1296) 4,303; (e u / k)^k has 3,435 at k = 1000
+        from idealhash import cli
+        from idealhash.combinatorics import exceeds
+
+        walks = []
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        monkeypatch.setattr(oracle, "count_ideal_sets", lambda *args: 0)
+        monkeypatch.setattr(cli, "exceeds", lambda *args: walks.append(n) or exceeds(*args))
+        got, _, _ = run_capture(capsys, ["exact", "--u", "1000000", "--m", "2", "--n", str(n)])
+        assert (got, bool(walks)) == (rc, walked)
+
 
 class TestBounds:
     def test_json_round_trips_and_carries_vocabulary(self, capsys):
@@ -668,10 +681,10 @@ def test_commands_off_the_kernel_do_not_load_numpy(tmp_path):
     # numpy costs most of the CLI's import time and only the samplers need it:
     # counting, bounds, the coverage kernel (construct, verify, exact
     # --with-hc), ideal-prob within the chain's work bound (the benchmark's
-    # two calls) and max-load within its own (the benchmark's m = 256 call)
-    # must not load it, while max-load and ideal-prob past their bounds do;
-    # the record types are NamedTuples, so no call loads dataclasses, nor
-    # inspect before numpy
+    # two calls) and max-load on either stdlib table (the benchmark's m = 256
+    # and m = 16384 calls) must not load it, while max-load with few cells and
+    # ideal-prob past its bound do; the record types are NamedTuples, so no
+    # call loads dataclasses, nor inspect before numpy
     family = tmp_path / "family.txt"
     family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
     script = f"""
@@ -693,6 +706,7 @@ calls = [
     ["simulate", "--kind", "ideal-prob", "--u", "4096", "--m", "8", "--n", "64", "--c", "3/2", "--trials", "20000", "--seed", "3"],
     ["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"],
     ["simulate", "--kind", "max-load", "--m", "256", "--n", "256", "--trials", "20000", "--seed", "3"],
+    ["simulate", "--kind", "max-load", "--m", "16384", "--n", "16384", "--trials", "2000", "--seed", "3"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv) for argv in calls]
@@ -705,7 +719,7 @@ assert "dataclasses" not in sys.modules  # numpy loads inspect, not dataclasses
 """
     env = dict(os.environ, PYTHONPATH=str(Path(idealhash.__file__).resolve().parents[1]))
     for last in (
-        ["simulate", "--kind", "max-load", "--m", "16384", "--n", "16384", "--trials", "10", "--seed", "1"],
+        ["simulate", "--kind", "max-load", "--m", "2", "--n", "1000000", "--trials", "10", "--seed", "1"],
         ["simulate", "--kind", "ideal-prob", "--u", "1000000", "--m", "64", "--n", "1024", "--c", "2", "--trials", "5000"],
     ):
         done = subprocess.run([sys.executable, "-c", script, *last], capture_output=True, env=env, timeout=120)

@@ -144,7 +144,7 @@ class TestMaxLoad:
 
 
 class TestMaxLoadInversion:
-    """The stdlib sampler that inverts P(T_max <= t) where _tmax_work is at most _TMAX_WORK."""
+    """The stdlib sampler that inverts a table of P(T_max <= t), exact or float."""
 
     @pytest.mark.parametrize("n,m", [(30, 30), (100, 100), (40, 2), (5, 40), (10, 1000), (1, 7), (1, 1000)])
     def test_maxima_follow_the_exact_law(self, n, m):
@@ -179,8 +179,8 @@ class TestMaxLoadInversion:
 
     @pytest.mark.parametrize(
         "n,m,stdlib",
-        [(16, 16, True), (256, 256, True), (439, 439, True), (440, 440, False), (1000, 7, False),
-         (16384, 16384, False), (10, 10**9, True), (2**40, 2, False), (7, 1, True)],
+        [(16, 16, True), (256, 256, True), (439, 439, True), (440, 440, True), (1000, 7, False),
+         (16384, 16384, True), (10, 10**9, True), (2**40, 2, False), (7, 1, True)],
     )
     def test_sampler_is_chosen_from_the_work_bound(self, monkeypatch, n, m, stdlib):
         def refuse(*args):
@@ -191,8 +191,66 @@ class TestMaxLoadInversion:
             monkeypatch.setattr(simulate, "_max_load_counts", lambda *args: (3, [0, 2]))
         else:
             monkeypatch.setattr(simulate, "_max_loads", lambda *args: np.array([4.0, 4.0]))
-        assert (simulate._tmax_work(n, m) <= simulate._TMAX_WORK) is stdlib
+        assert (simulate._stdlib_table(n, m) is not None) is stdlib
         assert estimate_max_load(n, m, 2, seed=1).mean == 4.0
+
+    @pytest.mark.parametrize(
+        "n,m,table",
+        [
+            (439, 439, "_tmax_cdf"), (440, 440, "_tmax_float_cdf"), (16384, 16384, "_tmax_float_cdf"),
+            (300, 64, "_tmax_cdf"), (350, 64, "_tmax_float_cdf"), (350, 63, None),  # the fewest cells
+            (2**14, 64, "_tmax_float_cdf"), (2**14 + 1, 64, None),  # the largest n/m, 2^8
+            (10**8, 2**63 - 1, "_tmax_float_cdf"), (10**8, 2**63, None), (10, 2**70, "_tmax_cdf"),
+        ],
+    )
+    def test_table_is_chosen_from_n_and_m(self, n, m, table):
+        assert simulate._stdlib_table(n, m) is (table and getattr(simulate, table))
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [
+            (350, 64), (1000, 64),  # the fewest cells, just past the exact bound and at n/m = 15.6
+            (440, 440), (1024, 1024),
+            (1000, 10**6),  # many cells; p_tmax_le builds (cap!)^m, so m stays small enough for it
+        ],
+    )
+    def test_float_table_is_within_two_to_the_minus_46_of_the_exact_law(self, n, m):
+        # the exact table is float(p_tmax_le) to one ulp (tested above), built past its work bound
+        assert simulate._stdlib_table(n, m) is simulate._tmax_float_cdf
+        lo, cdf = simulate._tmax_float_cdf(n, m)
+        exact_lo, exact = simulate._tmax_cdf(n, m)
+        assert exact_lo <= lo and cdf[-1] == 1.0
+        cdf = [0.0] * (lo - exact_lo) + cdf  # the entries left out
+        cdf += [1.0] * (len(exact) - len(cdf))
+        exact += [1.0] * (len(cdf) - len(exact))
+        for t, (got, want) in enumerate(zip(cdf, exact), exact_lo):
+            assert abs(got - want) < 2.0**-46, (t, got, want)
+
+    def test_float_table_at_the_largest_load_ratio(self):
+        # n/m = 2^8 at m = 64, where p_tmax_le takes about 1.7 s per entry: the bulk of the law
+        lo, cdf = simulate._tmax_float_cdf(2**14, 64)
+        assert abs(cdf[300 - lo] - float(p_tmax_le(2**14, 64, 300))) < 2.0**-46
+
+    def test_float_tail_is_within_one_ulp_at_m_equal_n_16384(self):
+        # the error does not grow with m: entries with C(m, 2) p1^2 < 2^-54 are 1 - m p1, as in _tmax_cdf
+        n = m = 16384
+        lo, cdf = simulate._tmax_float_cdf(n, m)
+        total = m**n
+        below = sum(math.comb(n, k) * (m - 1) ** (n - k) for k in range(lo))
+        tail = 0
+        for t, got in enumerate(cdf, lo):
+            below += math.comb(n, t) * (m - 1) ** (n - t)
+            p1 = total - below  # over total
+            if (m * (m - 1) // 2 * p1 * p1) << 54 < total * total:
+                want = (total - m * p1) / total
+                assert math.nextafter(want, 0.0) <= got <= math.nextafter(want, 2.0), (t, got, want)
+                tail += 1
+        assert tail >= 5
+
+    def test_float_maxima_follow_the_exact_law(self):
+        lo, counts = simulate._max_load_counts(440, 440, 100_000, seed=17)
+        assert simulate._stdlib_table(440, 440) is simulate._tmax_float_cdf
+        assert_follows_the_exact_law(440, 440, lo, counts)
 
     def test_mean_and_interval_come_from_the_counts(self):
         est = estimate_max_load(64, 64, trials=500, seed=7)

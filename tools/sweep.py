@@ -95,9 +95,11 @@ def _simulate_calls():
                "--trials", "5000", "--seed", seed]  # numpy's sampler
         yield ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2",
                "--trials", "2000", "--seed", seed]
-    # max-load on either side of the stdlib work bound: m = n = 439 is the largest square it admits
-    for m, trials in (("16", "2000"), ("256", "20000"), ("439", "2000"), ("440", "2000")):
+    # max-load on either side of the exact table's work bound: m = n = 439 is the largest square it
+    # admits, and past it the float table serves m >= 64, while fewer cells stay on numpy
+    for m, trials in (("16", "2000"), ("256", "20000"), ("439", "2000"), ("440", "2000"), ("16384", "2000")):
         yield ["simulate", "--kind", "max-load", "--m", m, "--n", m, "--trials", trials, "--seed", "3"]
+    yield ["simulate", "--kind", "max-load", "--m", "7", "--n", "1000", "--trials", "2000", "--seed", "3"]
 
 
 def _check_lemmas_calls():
