@@ -2,7 +2,7 @@
 ideality probability estimates.
 
 RNG contract: each call draws all its trials from one seeded stream, so a
-seed fixes the output bytes.  Max-load by either stdlib table (below) and
+seed fixes the output bytes.  Max-load on the float table (below) and
 ideal-prob at or below the chain's work bound (_CHAIN_WORK) draw from
 random.Random(seed).random(), whose sequence Python keeps across versions.
 Otherwise both draw from one numpy PCG64 stream seeded through
@@ -11,31 +11,26 @@ the sweep digests were recorded with.  Either way a seed must be
 non-negative.  A seeded numpy max-load estimate also depends on the fixed
 rule that sizes its batches, since each batch is one set of draws.
 
-Max load picks one of three samplers from (n, m) alone (_stdlib_table).
-The two stdlib ones invert a table of F(t) = P(T_max <= t): a trial's
-maximum is one uniform looked up in it (_max_load_counts), and a call keeps
-one count per load, so memory does not grow with the trials; neither imports
-numpy.
+Max load picks one of two samplers from (n, m) alone (_stdlib_table).
 
-The exact table, where _tmax_work(n, m) <= _TMAX_WORK.  _tmax_cdf builds it
-from the exact `p_tmax_le` and, in the far tail, from 1 - m P(one cell > t),
-which is within one ulp there.  The law is exact up to the float rounding of F.
-
-The float table, past that bound where m >= _FLOAT_CELLS and n/m <=
-_FLOAT_LOAD (and m < 2^63).  _tmax_float_cdf builds it in floats from the
-Poisson identity (Mitzenmacher & Upfal, Probability and Computing, ch. 5),
-with the same far-tail entries.  Each entry is within 2^-46 of
+The float table, where n/m <= _FLOAT_LOAD, and at m = 1.  A trial's maximum
+is one uniform looked up in a table of F(t) = P(T_max <= t)
+(_max_load_counts), and a call keeps one count per load, so memory does not
+grow with the trials; it never imports numpy.  _tmax_float_cdf builds the
+table in floats from the Poisson identity (Mitzenmacher & Upfal,
+Probability and Computing, ch. 5) and, in the far tail, from 1 - m P(one
+cell > t), which is within one ulp there.  Each entry is within 2^-46 of
 float(p_tmax_le): its three cuts move it by at most 2^-50 each, and the
 tests check the bound on a grid over that region wherever `p_tmax_le` is
 affordable.
 
-Poissonization with an exact correction (_max_loads, numpy) otherwise: few
-cells, n/m past _FLOAT_LOAD, or m >= 2^63, which is refused.  A trial draws
-independent Poisson(n/m) loads for the m cells, redrawing them while their
-total S exceeds n, and then throws only the n - S missing balls uniformly,
-about 0.8*sqrt(n) of them.  Given S = s the Poisson loads are multinomial
-over s throws, so adding n - s uniform throws makes them multinomial over n:
-the law of n throws.  The rejection conditions on S alone and so adds no
+Poissonization with an exact correction (_max_loads, numpy) where n/m is
+past _FLOAT_LOAD, so m < 2^32 there.  A trial draws independent Poisson(n/m)
+loads for the m cells, redrawing them while their total S exceeds n, and
+then throws only the n - S missing balls uniformly, about 0.8*sqrt(n) of
+them.  Given S = s the Poisson loads are multinomial over s throws, so
+adding n - s uniform throws makes them multinomial over n: the law of n
+throws.  The rejection conditions on S alone and so adds no
 bias.  Cells are exchangeable, so the loads are drawn as an occupancy
 histogram, one multinomial row of how many cells hold each load j in the
 window where m times the Poisson mass of j is at least 2^-64; when that
@@ -57,9 +52,8 @@ import bisect
 import math
 import random
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .combinatorics import power_steps
 from .hashspace import Params, balanced_fiber_sizes
 
 if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands start without it
@@ -79,18 +73,11 @@ _SLICE = 2**18
 # (~0.16 s), which only the numpy path pays.
 _CHAIN_WORK = 2**20
 
-# Max-load inverts the exact law of the maximum where _tmax_work is at most
-# this: at 2^23 the exact table takes at most about as long as importing numpy
-# (60-90 ms), which only the numpy path pays.
-_TMAX_WORK = 2**23
-
-# Past that bound the float table serves m >= _FLOAT_CELLS and n/m <=
-# _FLOAT_LOAD.  Fewer cells would widen its frequency band towards the whole
-# circle, and the tests reach no larger n/m: p_tmax_le takes 1.7 s per entry
-# at (n, m) = (2^14, 64) and 25 s at (2^16, 64).  Across that region the
-# table builds in at most 4-6 ms, at m = 64 and n/m = 2^8 (2-core x86-64 VM,
-# Python 3.11), far below numpy's import.
-_FLOAT_CELLS = 64
+# Max-load inverts the float table where n/m is at most this, and at m = 1.
+# The tests reach no larger n/m: p_tmax_le takes 1.7 s per entry at (n, m) =
+# (2^14, 64) and 25 s at (2^16, 64).  Across that region the table builds in
+# at most 36-54 ms, at m = 10 and n = 2560 where every frequency is summed
+# (best of 5, 2-core x86-64 VM, Python 3.11), below numpy's import (60-90 ms).
 _FLOAT_LOAD = 2**8
 
 # Each of the float table's three cuts moves an entry by at most this.
@@ -121,9 +108,10 @@ def _stream(seed: int) -> np.random.Generator:
 def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
     """Mean maximum cell load of n uniform throws into m cells.
 
-    Where _stdlib_table(n, m) names a table, each trial's maximum is drawn by
-    inverting it in the stdlib (_max_load_counts), so the call never imports
-    numpy; elsewhere numpy's Poissonization sampler (_max_loads) draws them.
+    Where _stdlib_table(n, m) holds, each trial's maximum is drawn by
+    inverting the float table in the stdlib (_max_load_counts), so the call
+    never imports numpy; elsewhere numpy's Poissonization sampler
+    (_max_loads) draws them.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
@@ -133,14 +121,12 @@ def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
         raise ValueError("max-load sampling needs n <= 2^40")
     if seed < 0:  # numpy's SeedSequence refusal; random.Random(-s) would reuse the stream of s
         raise ValueError("expected non-negative integer")
-    if _stdlib_table(n, m) is not None:
+    if _stdlib_table(n, m):
         lo, counts = _max_load_counts(n, m, trials, seed)
         s1 = sum(c * t for t, c in enumerate(counts, lo))
         s2 = sum(c * t * t for t, c in enumerate(counts, lo))
         mean = s1 / trials
         std = math.sqrt((trials * s2 - s1 * s1) / (trials * (trials - 1))) if trials > 1 else 0.0
-    elif m >= 2**63:  # numpy draws cell indices and per-cell loads as int64
-        raise ValueError("max-load past the work bound needs m < 2^63")
     else:
         values = _max_loads(n, m, trials, seed).astype(float)
         mean = float(values.mean())
@@ -148,92 +134,10 @@ def estimate_max_load(n: int, m: int, trials: int, seed: int) -> Estimate:
     return Estimate(mean, 1.96 * std / math.sqrt(trials), trials, seed)
 
 
-def _stdlib_table(n: int, m: int) -> Callable[[int, int], tuple[int, list[float]]] | None:
-    """The builder of the table of P(T_max <= t) that max-load inverts at (n, m),
-    or None where numpy's sampler draws: the one decision between the three."""
-    if _tmax_work(n, m) <= _TMAX_WORK:
-        return _tmax_cdf
-    if _FLOAT_CELLS <= m < 2**63 and n <= _FLOAT_LOAD * m:
-        return _tmax_float_cdf
-    return None
-
-
-def _tmax_work(n: int, m: int) -> float:
-    """An upper estimate of _tmax_cdf's work in word operations, from (n, m) alone.
-
-    Most of it is the `p_tmax_le` calls, one per t from ceil(n/m) while
-    C(m, 2) p1^2 >= 2^-54, p1 = P(Bin(n, 1/m) > t).  The Chernoff bound
-    p1 <= exp(-n KL((t+1)/n || 1/m)) ends that window no earlier than
-    _tmax_cdf does.  A call raises a degree-t polynomial to the m-th power:
-    `power_steps` big products (the cheaper order's, in Miller's units), each
-    on about 16 + (m lg(t!) + n lg m)/64 words.  The binomial terms, about
-    twice as many as the window's end, are products of up to n lg m bits.
-    The sum stops once it passes _TMAX_WORK, so a large n costs a few terms.
-
-    Fit (best of 2 or 3 _tmax_cdf builds, 2-core x86-64 VM, Python 3.11): the
-    table took 1.5-9 ns per unit of W wherever it took over 10 ms, so
-    W <= 2^23 keeps it under about 75 ms.  m = n = 439 is the largest square
-    admitted.
-
-        (n, m)          W        ms      (n, m)          W        ms
-        (64, 64)        0.13M    1.1     (440, 440)      past     36
-        (256, 256)      2.3M     14      (512, 512)      past     47
-        (439, 439)      8.4M     38      (400, 16)       past     32
-        (256, 16)       4.4M     13      (700, 2)        past     26
-        (500, 2)        8.0M     11      (400, 7)        past     39
-        (400, 3)        6.0M     28      (1000, 16)      past     147
-        (300, 7)        4.5M     22      (1000, 7)       past     363
-        (300, 64)       6.6M     33      (1000, 64)      past     716
-        (300, 128)      4.8M     22      (1000, 10^4)    past     160
-        (450, 10^4)     5.3M     42      (1024, 1024)    past     190
-        (1000, 10^9)    1.8M     8
-    """
-    bits = n * math.log2(m)  # of m^n, every probability's denominator
-    work, t = 0.0, -(-n // m)
-    while t < n and work <= _TMAX_WORK:
-        q = (t + 1) / n
-        kl = q * math.log(q * m) + ((1 - q) * math.log((1 - q) * m / (m - 1)) if q < 1 else 0.0)
-        if m * (m - 1) / 2 * math.exp(-2 * n * kl) < 2.0**-54:
-            break
-        miller, chain = power_steps(t, m, n)
-        work += min(miller, 2 * chain) * (16 + (m * math.lgamma(t + 1) / math.log(2) + bits) / 64)
-        t += 1
-    return work + (2 * t + 2) * (bits / 64) ** 2
-
-
-def _tmax_cdf(n: int, m: int) -> tuple[int, list[float]]:
-    """(lo, [F(lo), ..., F(hi)]) for F(t) = P(T_max <= t), lo = ceil(n/m), F(hi) = 1.0.
-
-    With p1 = P(Bin(n, 1/m) > t) for one cell's load, Bonferroni's
-    inequalities give 1 - m p1 <= F(t) <= 1 - m p1 + C(m, 2) P(two given
-    cells > t), and negative association of multinomial counts (Dubhashi &
-    Ranjan, Balls and bins: a study in negative dependence, 1998) bounds that
-    last probability by p1^2.  So F(t) is float(p_tmax_le) while
-    C(m, 2) p1^2 >= 2^-54, then the float of 1 - m p1, which lies within
-    2^-54 of F(t) and so within one ulp of its float; the table ends at the
-    first t with m p1 < 2^-54, where both round to 1.0.  p1 is exact: a
-    running sum of binomial terms over m^n.
-    """
-    from .distributions import p_tmax_le  # here, so ideal-prob runs do not load it
-
-    if m == 1:
-        return n, [1.0]
-    lo = -(-n // m)
-    total = m**n
-    below = sum(math.comb(n, k) * (m - 1) ** (n - k) for k in range(lo))
-    pairs = m * (m - 1) // 2
-    cdf = []
-    for t in range(lo, n + 1):
-        below += math.comb(n, t) * (m - 1) ** (n - t)
-        tail = total - below  # p1 = tail / total
-        if (m * tail) << 54 < total:
-            break
-        if (pairs * tail * tail) << 54 >= total * total:
-            cdf.append(float(p_tmax_le(n, m, t)))
-        else:
-            cdf.append((total - m * tail) / total)
-    cdf.append(1.0)
-    return lo, cdf
+def _stdlib_table(n: int, m: int) -> bool:
+    """Whether max-load inverts the float table of P(T_max <= t) at (n, m)
+    rather than draw by numpy's sampler: the one decision between the two."""
+    return m == 1 or n <= _FLOAT_LOAD * m
 
 
 def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
@@ -249,11 +153,24 @@ def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
     _poissonized_cdf gives P(S_t = n); lo is the first t with C pi_t^m at
     least _FLOAT_CUT, since F(t) <= C pi_t^m.
 
-    The far tail is 1 - m p1 with p1 = P(Bin(n, 1/m) > t), within one ulp
-    where C(m, 2) p1^2 < 2^-54, as in _tmax_cdf; p1 sums Loader's binomial
-    masses from the top.  Each entry lies within 3 _FLOAT_CUT of F(t) up to
-    rounding, and the table is made monotone.
+    The far tail is 1 - m p1 with p1 = P(Bin(n, 1/m) > t) for one cell's
+    load.  Bonferroni's inequalities give 1 - m p1 <= F(t) <= 1 - m p1 +
+    C(m, 2) P(two given cells > t), and negative association of multinomial
+    counts (Dubhashi & Ranjan, Balls and bins: a study in negative
+    dependence, 1998) bounds that last probability by p1^2.  So where
+    C(m, 2) p1^2 < 2^-54, 1 - m p1 is within one ulp of F(t)'s float, and
+    the table ends at the first t with m p1 < 2^-54, where both round to
+    1.0.  p1 sums Loader's binomial masses from the top, P(Bin = n) = m^-n
+    included.  Each entry lies within 3 _FLOAT_CUT of F(t) up to rounding,
+    and the table is made monotone.
+
+    One cell holds every ball, and past m = n^2 2^53 F(1) >= 1 - C(n, 2)/m
+    rounds to 1.0, so those two tables are written down.
     """
+    if m == 1:
+        return n, [1.0]
+    if m >= n * n << 53:  # also where m is past the float range
+        return 1, [1.0]
     lam = n / m
     ln_c = 0.5 * math.log(2 * math.pi * n) + _stirlerr(n)
     lo = -(-n // m)
@@ -264,8 +181,8 @@ def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
     while first < top and -m * math.log1p(-q[first - lo]) > ln_c - math.log(_FLOAT_CUT):
         first += 1
     binom = []  # P(Bin(n, 1/m) = k) for k > first, until past the mean m times it is below 2^-64
-    for k in range(first + 1, n):
-        binom.append(_binomial_pmf(k, n, m))
+    for k in range(first + 1, n + 1):
+        binom.append(_binomial_pmf(k, n, m) if k < n else math.exp(-n * math.log(m)))
         if k > lam and m * binom[-1] < _CUT:
             break
     p1 = [0.0, *accumulate(reversed(binom))][::-1]  # p1[t - first] = P(Bin(n, 1/m) > t)
@@ -292,16 +209,22 @@ def _poissonized_cdf(
     is expm1(lam (e^{iw} - 1 - iw)), less the loads above t, added from the
     top one per t at each frequency, over pi_t; one tilt lam serves every t.
     Then psi_t^m = exp(m log1p(psi_t - 1)), the complex log1p taken through
-    its modulus and argument, so its error does not grow with m.  Two cuts
-    each move an entry by at most _FLOAT_CUT:
+    its modulus and argument, so its error does not grow with m; where
+    |psi_t|^2 < 1/2 the modulus is |psi_t| itself, as log1p would take an
+    argument near or below -1 there.  Two cuts each move an entry by at most
+    _FLOAT_CUT:
       * the sum counts P(S_t = n + jN) for every integer j, and
         C pi_t^m P(S_t = s) <= C P(Poisson(n) = s), so N >= sqrt(2nL) + L/3,
         L = ln(2C/_FLOAT_CUT), bounds the aliases by 2C e^-L (Poisson tails
         are sub-gamma: Boucheron, Lugosi & Massart, Concentration
         Inequalities, 2.2);
-      * |pi_t psi_t(w)| <= e^{-lam(1 - cos w)} + q_t, which falls with |w|
-        up to pi, so the frequencies past w0, where C (e^{-lam(1 - cos w0)}
-        + q_first)^m = _FLOAT_CUT, are left out: a band of a few dozen.
+      * |pi_t psi_t(w)| = |sum over j <= t of p_j e^{iwj}| is at most
+        e^{-lam(1 - cos w)} + q_t, and, summing by parts over the rising and
+        the falling masses, at most p_mode / sin(w/2), where p_mode <=
+        1/sqrt(2 pi floor(lam)) by Stirling.  Both fall with |w| up to pi, so
+        the frequencies past w0, where C min(e^{-lam(1 - cos w0)} + q_first,
+        p_mode / sin(w0/2))^m = _FLOAT_CUT, are left out: a band of a few
+        dozen with many cells, and of a few hundred at most with few.
     """
     if count <= 0:
         return []
@@ -309,12 +232,12 @@ def _poissonized_cdf(
     span = ln_c - math.log(_FLOAT_CUT)  # ln(C / _FLOAT_CUT)
     big_l = span + math.log(2)
     grid = math.ceil(math.sqrt(2 * n * big_l) + big_l / 3) | 1  # N, odd so that w and -w pair up
-    band = grid // 2
-    ratio = q[0] * math.exp(span / m)  # q_first / r, r = (_FLOAT_CUT / C)^(1/m)
-    if ratio < 1:
-        half = (span / m - math.log1p(-ratio)) / (2 * lam)  # sin(w0/2)^2: lam (1 - cos w0) = -ln(r - q_first)
-        if half < 1:
-            band = min(band, int(math.asin(math.sqrt(half)) * grid / math.pi) + 1)
+    lift = math.exp(span / m)  # 1/r, r = (_FLOAT_CUT / C)^(1/m)
+    peak = 1 / math.sqrt(2 * math.pi * int(lam)) if lam >= 1 else 1.0  # p_mode at most
+    edge = peak * lift  # sin(w0/2) where p_mode / sin(w0/2) = r
+    if q[0] * lift < 1:  # sin(w0/2) where lam (1 - cos w0) = -ln(r - q_first)
+        edge = min(edge, math.sqrt((span / m - math.log1p(-q[0] * lift)) / (2 * lam)))
+    band = grid // 2 if edge >= 1 else min(grid // 2, int(math.asin(edge) * grid / math.pi) + 1)
     freqs = [2 * math.pi * k / grid for k in range(1, band + 1)]
     full = [_expm1j(-2 * lam * math.sin(w / 2) ** 2, lam * _sin_minus(w)) for w in freqs]
     above = [0j] * band  # sum over the loads j > t of p_j (e^{iw(j - lam)} - 1)
@@ -332,7 +255,8 @@ def _poissonized_cdf(
         for f, a in zip(full, above):
             z = (f - a) / (1 - qt)  # psi_t(w) - 1
             x, y = z.real, z.imag
-            power = math.exp(0.5 * m * math.log1p(2 * x + x * x + y * y))
+            v = 2 * x + x * x + y * y  # |psi_t|^2 - 1
+            power = math.exp(0.5 * m * math.log1p(v)) if v > -0.5 else abs(complex(1 + x, y)) ** m
             total += 2 * power * math.cos(m * math.atan2(y, 1 + x))
         out.append(math.exp(ln_c + m * math.log1p(-qt)) * total / grid)
     return out[::-1]
@@ -399,9 +323,9 @@ def _max_load_counts(n: int, m: int, trials: int, seed: int) -> tuple[int, list[
     Inversion (Devroye, Non-Uniform Random Variate Generation, 1986, ch. II):
     a trial's maximum is lo plus the number of table entries at or below its
     uniform from random.Random(seed).random(), the table being the one
-    _stdlib_table picks.  Only the counts are kept.
+    _tmax_float_cdf builds.  Only the counts are kept.
     """
-    lo, cdf = _stdlib_table(n, m)(n, m)
+    lo, cdf = _tmax_float_cdf(n, m)
     draw = random.Random(seed).random
     counts = [0] * len(cdf)
     for _ in range(trials):
@@ -422,8 +346,8 @@ def _max_loads(n: int, m: int, trials: int, seed: int) -> np.ndarray:
         pmf = np.exp(ln_pmf - ln_pmf.max())
         pmf /= pmf.sum()
     # rows of histogram cells or per-cell loads, plus missing throws, near _SLICE/4;
-    # and trial * m + cell stays below 2^63
-    batch = max(1, min((_SLICE // 4) // (min(m, hi - lo + 1) + math.isqrt(n)), (2**63 - 1) // m))
+    # m < 2^32 here, so trial * m + cell stays below 2^48
+    batch = max(1, (_SLICE // 4) // (min(m, hi - lo + 1) + math.isqrt(n)))
     rng = _stream(seed)
     maxima, done = [], 0
     while done < trials:  # over half the rows have S <= n, so the last pass rarely repeats

@@ -681,10 +681,11 @@ def test_commands_off_the_kernel_do_not_load_numpy(tmp_path):
     # numpy costs most of the CLI's import time and only the samplers need it:
     # counting, bounds, the coverage kernel (construct, verify, exact
     # --with-hc), ideal-prob within the chain's work bound (the benchmark's
-    # two calls) and max-load on either stdlib table (the benchmark's m = 256
-    # and m = 16384 calls) must not load it, while max-load with few cells and
-    # ideal-prob past its bound do; the record types are NamedTuples, so no
-    # call loads dataclasses, nor inspect before numpy
+    # two calls) and max-load on the float table (the benchmark's m = 256 and
+    # m = 16384 calls; few cells, one cell and m past int64 at n <= 2^8 m)
+    # must not load it, while max-load past n/m = 2^8 and ideal-prob past its
+    # bound do; the record types are NamedTuples, so no call loads
+    # dataclasses, nor inspect before numpy
     family = tmp_path / "family.txt"
     family.write_text("1 1 2 2\n1 2 1 2\n", encoding="utf-8")
     script = f"""
@@ -707,6 +708,10 @@ calls = [
     ["simulate", "--kind", "max-load", "--m", "4", "--n", "4", "--trials", "10", "--seed", "1"],
     ["simulate", "--kind", "max-load", "--m", "256", "--n", "256", "--trials", "20000", "--seed", "3"],
     ["simulate", "--kind", "max-load", "--m", "16384", "--n", "16384", "--trials", "2000", "--seed", "3"],
+    ["simulate", "--kind", "max-load", "--m", "16", "--n", "16", "--trials", "2000", "--seed", "3"],
+    ["simulate", "--kind", "max-load", "--m", "7", "--n", "1000", "--trials", "2000", "--seed", "3"],
+    ["simulate", "--kind", "max-load", "--m", "1", "--n", str(2**40), "--trials", "3"],
+    ["simulate", "--kind", "max-load", "--m", str(2**70), "--n", "10", "--trials", "3"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv) for argv in calls]

@@ -42,6 +42,56 @@ def assert_follows_the_exact_law(n, m, lo, counts):
     assert stat <= crit
 
 
+def exact_tmax_cdf(n, m):
+    """(lo, [F(lo), ..., F(hi)]) for F(t) = P(T_max <= t), lo = ceil(n/m), F(hi) = 1.0: the reference.
+
+    F(t) is float(p_tmax_le) while C(m, 2) p1^2 >= 2^-54, p1 = P(Bin(n, 1/m) > t)
+    exact as a running sum of binomial terms over m^n, then the float of
+    1 - m p1, which lies within 2^-54 of F(t) by Bonferroni's inequalities and
+    negative association, and so within one ulp of its float; the table ends
+    at the first t with m p1 < 2^-54, where both round to 1.0.
+    """
+    if m == 1:
+        return n, [1.0]
+    lo = -(-n // m)
+    total = m**n
+    below = sum(math.comb(n, k) * (m - 1) ** (n - k) for k in range(lo))
+    pairs = m * (m - 1) // 2
+    cdf = []
+    for t in range(lo, n + 1):
+        below += math.comb(n, t) * (m - 1) ** (n - t)
+        tail = total - below  # p1 = tail / total
+        if (m * tail) << 54 < total:
+            break
+        if (pairs * tail * tail) << 54 >= total * total:
+            cdf.append(float(p_tmax_le(n, m, t)))
+        else:
+            cdf.append((total - m * tail) / total)
+    cdf.append(1.0)
+    return lo, cdf
+
+
+def assert_float_table_is_within_two_to_the_minus_46(n, m):
+    """Every entry of the float table at (n, m) within 2^-46 of the reference's, which is float(p_tmax_le)
+    to one ulp."""
+    lo, cdf = simulate._tmax_float_cdf(n, m)
+    exact_lo, exact = exact_tmax_cdf(n, m)
+    assert exact_lo <= lo and cdf[-1] == 1.0
+    cdf = [0.0] * (lo - exact_lo) + cdf  # the entries left out
+    cdf += [1.0] * (len(exact) - len(cdf))
+    exact += [1.0] * (len(cdf) - len(exact))
+    for t, (got, want) in enumerate(zip(cdf, exact), exact_lo):
+        assert abs(got - want) < 2.0**-46, (t, got, want)
+
+
+def tail_bounds(n, m, t):
+    """Exact rational bounds on p1 = P(Bin(n, 1/m) > t) where n < m: the first term C(n, t + 1) m^-(t + 1)
+    times (1 - 1/m)^(n - t - 1) >= 1 - n/m from below, and every term's C(n, k) m^-k, at most n/m times the
+    one before, from above."""
+    first, ratio = Fraction(math.comb(n, t + 1), m ** (t + 1)), Fraction(n, m)
+    return first * (1 - ratio), first / (1 - ratio)
+
+
 class TestMaxLoad:
     def test_single_cell_is_exact(self):
         est = estimate_max_load(7, 1, trials=100, seed=0)
@@ -70,6 +120,7 @@ class TestMaxLoad:
             (1000, 7), (40, 2),  # one Poisson load per cell: the window is wider than m
             (5, 40), (10, 1000),  # m >> n
             (1, 7), (1, 1000),
+            (1000, 2),  # past n/m = 2^8, where estimate_max_load draws by numpy
         ],
     )
     def test_maxima_follow_the_exact_law(self, n, m):
@@ -120,20 +171,37 @@ class TestMaxLoad:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "ValueError", "message": "max-load sampling needs n <= 2^40"}
 
-    @pytest.mark.parametrize("m, n", [(10**30, 10**6), (2**63, 10**8)])
-    def test_cells_past_int64_exit_one_past_the_work_bound(self, capsys, m, n):
-        # numpy's sampler holds cell indices as int64, so past the work bound m stays below 2^63
+    @pytest.mark.parametrize("m, n, top, poissonized", [(10**30, 10**6, 1, 0), (2**63, 10**8, 2, 1)])
+    def test_cells_past_int64_run_on_the_float_table(self, capsys, m, n, top, poissonized):
+        # at (10^6, 10^30) P(T_max > 1) is about 5e-19, so every trial's maximum is 1
+        assert simulate._stdlib_table(n, m)
         argv = ["simulate", "--kind", "max-load", "--m", str(m), "--n", str(n), "--trials", "3"]
-        assert run(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err) == {"error": "ValueError", "message": "max-load past the work bound needs m < 2^63"}
+        assert run(argv) == 0
+        assert 1 <= json.loads(capsys.readouterr().out)["mean"] <= top
+        lo, cdf = simulate._tmax_float_cdf(n, m)
+        assert lo == 1 and cdf[-1] == 1.0
+        tail = 0
+        for t, got in enumerate(cdf, lo):  # the entries with C(m, 2) p1^2 < 2^-54 are 1 - m p1 to one ulp
+            low, high = tail_bounds(n, m, t)
+            if m * (m - 1) // 2 * high * high < Fraction(1, 2**54):
+                assert math.nextafter(float(1 - m * high), 0.0) <= got <= math.nextafter(float(1 - m * low), 2.0), t
+                tail += 1
+        assert tail == len(cdf) - poissonized  # F(1) at (10^8, 2^63) is about 1 - 5e-4
 
-    @pytest.mark.parametrize("m, n, top", [(2**63 - 1, 10**8, 10**8), (2**70, 10, 1)])
-    def test_cells_below_two_to_the_63_or_within_the_work_bound_run(self, capsys, m, n, top):
-        assert (simulate._tmax_work(n, m) <= simulate._TMAX_WORK) is (m >= 2**63)
+    @pytest.mark.parametrize(
+        "m, n, top", [(2**63 - 1, 10**8, 10**8), (2**70, 10, 1), pytest.param(10**400, 10, 1, id="10^400-10-1")]
+    )
+    def test_cells_either_side_of_two_to_the_63_run(self, capsys, m, n, top):
+        # the float table needs no int64 cell index, and past m = n^2 2^53, where m may pass the float range, it is [1.0]
+        assert simulate._stdlib_table(n, m)
         assert run(["simulate", "--kind", "max-load", "--m", str(m), "--n", str(n), "--trials", "3"]) == 0
         assert 1 <= json.loads(capsys.readouterr().out)["mean"] <= top
+
+    def test_one_cell_is_instant_at_two_to_the_forty_throws(self):
+        start = time.perf_counter()
+        est = estimate_max_load(2**40, 1, 3, 0)
+        assert time.perf_counter() - start < 1.0
+        assert est.mean == 2**40
 
     def test_billion_cells_count_the_throws_not_the_cells(self, capsys):
         start = time.perf_counter()
@@ -144,20 +212,20 @@ class TestMaxLoad:
 
 
 class TestMaxLoadInversion:
-    """The stdlib sampler that inverts a table of P(T_max <= t), exact or float."""
+    """The stdlib sampler that inverts the float table of P(T_max <= t)."""
 
-    @pytest.mark.parametrize("n,m", [(30, 30), (100, 100), (40, 2), (5, 40), (10, 1000), (1, 7), (1, 1000)])
+    @pytest.mark.parametrize("n,m", [(30, 30), (100, 100), (1000, 7), (40, 2), (5, 40), (10, 1000), (1, 7), (1, 1000)])
     def test_maxima_follow_the_exact_law(self, n, m):
-        """The points of TestMaxLoad's chi-square that fall below the work bound."""
-        assert simulate._tmax_work(n, m) <= simulate._TMAX_WORK
+        """The points of TestMaxLoad's chi-square, every one of them on the float table."""
+        assert simulate._stdlib_table(n, m)
         lo, counts = simulate._max_load_counts(n, m, 100_000, seed=17)
         assert lo == -(-n // m) and lo + len(counts) - 1 <= n
         assert_follows_the_exact_law(n, m, lo, counts)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 30])
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 64, 1000])
-    def test_table_is_within_one_ulp_of_the_exact_law(self, n, m):
-        lo, cdf = simulate._tmax_cdf(n, m)
+    def test_exact_reference_is_within_one_ulp_of_the_exact_law(self, n, m):
+        lo, cdf = exact_tmax_cdf(n, m)
         assert lo == -(-n // m) and lo + len(cdf) - 1 <= n
         assert p_tmax_le(n, m, lo - 1) == 0 and cdf[-1] == 1.0
         for t, got in enumerate(cdf, lo):
@@ -166,7 +234,7 @@ class TestMaxLoadInversion:
         assert float(p_tmax_le(n, m, lo + len(cdf) - 1)) == 1.0
 
     def test_the_grid_reaches_the_tail_cut(self):
-        # the ulp test above covers the 1 - m p1 entries: t with C(m, 2) p1^2 < 2^-54 <= m p1
+        # the reference's ulp test above covers its 1 - m p1 entries: t with C(m, 2) p1^2 < 2^-54 <= m p1
         cut = [
             (n, m, t)
             for n in (1, 2, 3, 5, 8, 13, 30)
@@ -179,10 +247,10 @@ class TestMaxLoadInversion:
 
     @pytest.mark.parametrize(
         "n,m,stdlib",
-        [(16, 16, True), (256, 256, True), (439, 439, True), (440, 440, True), (1000, 7, False),
-         (16384, 16384, True), (10, 10**9, True), (2**40, 2, False), (7, 1, True)],
+        [(16, 16, True), (439, 439, True), (1000, 7, True), (16384, 16384, True), (10, 10**9, True),
+         (10, 2**70, True), (2**40, 1, True), (7, 1, True), (2**40, 2, False), (2**14 + 1, 64, False)],
     )
-    def test_sampler_is_chosen_from_the_work_bound(self, monkeypatch, n, m, stdlib):
+    def test_sampler_is_chosen_from_the_load_ratio(self, monkeypatch, n, m, stdlib):
         def refuse(*args):
             raise AssertionError("the other sampler ran")
 
@@ -191,40 +259,49 @@ class TestMaxLoadInversion:
             monkeypatch.setattr(simulate, "_max_load_counts", lambda *args: (3, [0, 2]))
         else:
             monkeypatch.setattr(simulate, "_max_loads", lambda *args: np.array([4.0, 4.0]))
-        assert (simulate._stdlib_table(n, m) is not None) is stdlib
+        assert simulate._stdlib_table(n, m) is stdlib
         assert estimate_max_load(n, m, 2, seed=1).mean == 4.0
 
     @pytest.mark.parametrize(
-        "n,m,table",
+        "n,m,stdlib",
         [
-            (439, 439, "_tmax_cdf"), (440, 440, "_tmax_float_cdf"), (16384, 16384, "_tmax_float_cdf"),
-            (300, 64, "_tmax_cdf"), (350, 64, "_tmax_float_cdf"), (350, 63, None),  # the fewest cells
-            (2**14, 64, "_tmax_float_cdf"), (2**14 + 1, 64, None),  # the largest n/m, 2^8
-            (10**8, 2**63 - 1, "_tmax_float_cdf"), (10**8, 2**63, None), (10, 2**70, "_tmax_cdf"),
+            (2**14, 64, True), (2**14 + 1, 64, False),  # the largest n/m, 2^8
+            (512, 2, True), (513, 2, False), (2560, 10, True), (2561, 10, False),  # few cells, by the same ratio
+            (2**40, 2**32, True), (2**40, 2**32 - 1, False),
+            (2**40, 1, True), (10**8, 2**63, True), (10, 2**70, True),  # one cell, and past int64
         ],
     )
-    def test_table_is_chosen_from_n_and_m(self, n, m, table):
-        assert simulate._stdlib_table(n, m) is (table and getattr(simulate, table))
+    def test_table_is_chosen_from_n_and_m(self, n, m, stdlib):
+        assert simulate._stdlib_table(n, m) is stdlib
 
     @pytest.mark.parametrize(
         "n,m",
         [
-            (350, 64), (1000, 64),  # the fewest cells, just past the exact bound and at n/m = 15.6
-            (440, 440), (1024, 1024),
+            *(
+                (n, m)
+                for m in (1, 2, 3, 5, 7, 16, 32, 63, 64, 100, 1000)
+                for n in (1, 2, 3, 5, 10, 30, 100, 300, 1000)
+                if n <= 2**8 * m and (n, m) not in {(1000, 63), (1000, 100)}  # p_tmax_le takes over a second
+            ),
+            (350, 64), (440, 440), (1024, 1024),
             (1000, 10**6),  # many cells; p_tmax_le builds (cap!)^m, so m stays small enough for it
         ],
     )
     def test_float_table_is_within_two_to_the_minus_46_of_the_exact_law(self, n, m):
-        # the exact table is float(p_tmax_le) to one ulp (tested above), built past its work bound
-        assert simulate._stdlib_table(n, m) is simulate._tmax_float_cdf
+        assert simulate._stdlib_table(n, m)
+        assert_float_table_is_within_two_to_the_minus_46(n, m)
+
+    @pytest.mark.parametrize(
+        "n,m",
+        [
+            (2, 2), (10, 2), (40, 2), (3, 1000), (5, 64),  # F(n - 1) needs P(Bin(n, 1/m) = n) = m^-n in p1
+            (256, 16), (1000, 32), (1000, 7),  # |psi_t|^2 - 1 reaches -1 at some frequencies, outside log1p's domain
+        ],
+    )
+    def test_float_table_edge_cases_are_within_two_to_the_minus_46_of_p_tmax_le(self, n, m):
         lo, cdf = simulate._tmax_float_cdf(n, m)
-        exact_lo, exact = simulate._tmax_cdf(n, m)
-        assert exact_lo <= lo and cdf[-1] == 1.0
-        cdf = [0.0] * (lo - exact_lo) + cdf  # the entries left out
-        cdf += [1.0] * (len(exact) - len(cdf))
-        exact += [1.0] * (len(cdf) - len(exact))
-        for t, (got, want) in enumerate(zip(cdf, exact), exact_lo):
-            assert abs(got - want) < 2.0**-46, (t, got, want)
+        for t, got in enumerate(cdf, lo):
+            assert abs(got - float(p_tmax_le(n, m, t))) < 2.0**-46, (t, got)
 
     def test_float_table_at_the_largest_load_ratio(self):
         # n/m = 2^8 at m = 64, where p_tmax_le takes about 1.7 s per entry: the bulk of the law
@@ -232,7 +309,7 @@ class TestMaxLoadInversion:
         assert abs(cdf[300 - lo] - float(p_tmax_le(2**14, 64, 300))) < 2.0**-46
 
     def test_float_tail_is_within_one_ulp_at_m_equal_n_16384(self):
-        # the error does not grow with m: entries with C(m, 2) p1^2 < 2^-54 are 1 - m p1, as in _tmax_cdf
+        # the error does not grow with m: entries with C(m, 2) p1^2 < 2^-54 are 1 - m p1, as in the reference
         n = m = 16384
         lo, cdf = simulate._tmax_float_cdf(n, m)
         total = m**n
@@ -249,7 +326,7 @@ class TestMaxLoadInversion:
 
     def test_float_maxima_follow_the_exact_law(self):
         lo, counts = simulate._max_load_counts(440, 440, 100_000, seed=17)
-        assert simulate._stdlib_table(440, 440) is simulate._tmax_float_cdf
+        assert simulate._stdlib_table(440, 440)
         assert_follows_the_exact_law(440, 440, lo, counts)
 
     def test_mean_and_interval_come_from_the_counts(self):

@@ -95,11 +95,13 @@ def _simulate_calls():
                "--trials", "5000", "--seed", seed]  # numpy's sampler
         yield ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2",
                "--trials", "2000", "--seed", seed]
-    # max-load on either side of the exact table's work bound: m = n = 439 is the largest square it
-    # admits, and past it the float table serves m >= 64, while fewer cells stay on numpy
+    # max-load on the float table, which serves every n <= 2^8 m: squares, few cells up to its slowest
+    # corner (m = 10, n = 2560, where it sums every frequency), and one cell at the largest n
     for m, trials in (("16", "2000"), ("256", "20000"), ("439", "2000"), ("440", "2000"), ("16384", "2000")):
         yield ["simulate", "--kind", "max-load", "--m", m, "--n", m, "--trials", trials, "--seed", "3"]
     yield ["simulate", "--kind", "max-load", "--m", "7", "--n", "1000", "--trials", "2000", "--seed", "3"]
+    yield ["simulate", "--kind", "max-load", "--m", "10", "--n", "2560", "--trials", "2000", "--seed", "3"]
+    yield ["simulate", "--kind", "max-load", "--m", "1", "--n", str(2**40), "--trials", "3", "--seed", "3"]
 
 
 def _check_lemmas_calls():
@@ -116,6 +118,7 @@ def _refusal_calls():
         ["exact", "--u", "100000000", "--m", "2", "--n", "1000000"],
         ["exact", "--u", "10", "--m", "2", "--n", "4", "--with-hc", "--pool-budget", "10"],
         ["simulate", "--kind", "max-load", "--m", "1000000", "--n", "1000000000000000000", "--trials", "1"],
+        # m past int64 exits 0: the float table, which needs no int64 cell index, answers mean 1.0
         ["simulate", "--kind", "max-load", "--m", "1000000000000000000000000000000", "--n", "1000000", "--trials", "3"],
         ["simulate", "--kind", "max-load", "--m", "4", "--n", "8", "--c", "3/2"],
         ["simulate", "--kind", "ideal-prob", "--m", "4", "--n", "8"],
@@ -174,7 +177,7 @@ def _pinned_calls():
         ["construct", "--method", "yao", "--u", "7", "--m", "2", "--n", "3"],  # m*cap = 2 < n: one member, verified false, exit 0
         # kernel path over 945 partitions; pool_size 113400
         ["construct", "--method", "yao", "--u", "10", "--m", "5", "--n", "5", "--t", "2.0"],
-        # the stdlib inversion sampler: m = n = 64 is below its work bound
+        # the float table's inversion sampler
         ["simulate", "--kind", "max-load", "--m", "64", "--n", "64", "--trials", "500", "--seed", "7"],
         ["simulate", "--kind", "ideal-prob", "--u", "16", "--m", "4", "--n", "8", "--c", "3/2", "--trials", "2000", "--seed", "5"],
         ["check-lemmas"],
