@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .combinatorics import ln_fraction
+from .combinatorics import _stirlerr, ln_fraction
 from .errors import BoundNotApplicableError
 from .hashspace import Params
 from .oracle import IdealCount, exact_ideal_probability
@@ -277,15 +277,18 @@ def _eval_upper_main(p: Params) -> tuple[BoundEntry]:
 def _eval_fk(p: Params) -> tuple[BoundEntry, BoundEntry]:
     """lower.fk and upper.fk, the perfect-hashing counting pair; the proofs
     do not generalize to n > m, so with n >= m they apply at n = m only,
-    where their m - n + 2 is 2 and q = m!/m^m is the chance a function is perfect."""
+    where their m - n + 2 is 2 and q = m!/m^m is the chance a function is perfect.
+    ln q is the float kernel's Stirling series, which subtracts no two totals of
+    size m ln m; upper.fk's -ln(1-q) is exact at desk scale and ln q past it."""
     if not (2 <= p.n <= p.m and p.c == 1):
         raise BoundNotApplicableError("requires 2 <= n <= m, c = 1")
     u, m = p.u, p.m
-    lower_ln = (m - 1) * math.log(m) + math.log(math.log(u)) - math.lgamma(m + 1) - math.log(math.log(2))
+    ln_q = 0.5 * math.log(2 * math.pi * m) - m + _stirlerr(m)
+    lower_ln = math.log(math.log(u)) - math.log(math.log(2)) - math.log(m) - ln_q
     if m * m.bit_length() <= DESK_SCALE_BITS:
         ln_neg_ln1m_q = _ln_neg_ln1m(math.factorial(m), m**m)
-    else:  # q is far below the float range, so -ln(1-q) is q within q/2; ln q by Stirling-Robbins
-        ln_neg_ln1m_q = 0.5 * math.log(2 * math.pi * m) - m + 1 / (12 * m) - 1 / (360 * m**3)
+    else:  # q is far below the float range, so -ln(1-q) is q within q/2
+        ln_neg_ln1m_q = ln_q
     upper_ln = math.log(m) + math.log(math.log(u)) - ln_neg_ln1m_q
     note = "asymptotic order, natural logs"
     return (BoundEntry("lower.fk", lower_ln, note), BoundEntry("upper.fk", upper_ln, note))

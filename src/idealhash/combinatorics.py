@@ -1,9 +1,12 @@
-"""Exact counting primitives used by every other module.
+"""Exact counting primitives used by every other module, and the float kernel.
 
 Counts are plain Python integers (already arbitrary precision) and exact
 probabilities are `fractions.Fraction`.  Quantities on the Stirling scale,
 which overflow floats long before the interesting parameter ranges end,
-travel as their natural log, a finite float.  No helper here checks the
+travel as their natural log, a finite float.  Every float mass and Stirling
+correction in the package reads Loader's kernel (_stirlerr, _bd0,
+_poisson_pmf, _binomial_pmf), which subtracts no two lgamma totals; the
+tests hold its masses within 5e-14 relative.  No helper here checks the
 precondition its docstring states: its callers pass values that meet it.
 """
 
@@ -42,6 +45,46 @@ def ln_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def _stirlerr(k: int) -> float:
+    """ln k! - ((k + 1/2) ln k - k + ln sqrt(2 pi)), 1 <= k < 2^1024; Stirling's series past k = 15 (Loader)."""
+    if k <= 15:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+    kk = 1.0 / (k * float(k))  # a float square: the int k * k leaves the float range past k = 1.3e154
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - kk / 1188) * kk) * kk) * kk) / k
+
+
+def _bd0(x: float, mean: float, d: float) -> float:
+    """x ln(x/mean) + mean - x, given d = x - mean rounded once, by Loader's
+    series where d is small against x + mean."""
+    s = x + mean
+    if abs(d) >= 0.1 * s:
+        return x * math.log(x / mean) - d
+    v = d / s
+    total, term, j = d * v, 2 * x * v, 1
+    while True:
+        term *= v * v
+        step = total + term / (2 * j + 1)
+        if step == total:
+            return total
+        total, j = step, j + 1
+
+
+def _poisson_pmf(j: int, n: int, m: int) -> float:
+    """P(Poisson(n/m) = j) for j >= 0 (Loader)."""
+    if j == 0:
+        return math.exp(-n / m)
+    return math.exp(-_stirlerr(j) - _bd0(j, n / m, (j * m - n) / m)) / math.sqrt(2 * math.pi * j)
+
+
+def _binomial_pmf(k: int, n: int, m: int) -> float:
+    """P(Bin(n, 1/m) = k) for 0 < k <= n and m >= 2 (Loader)."""
+    if k == n:
+        return math.exp(-n * math.log(m))
+    dev = (k * m - n) / m  # k - n/m
+    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n / m, dev) - _bd0(n - k, n * (m - 1) / m, -dev)
+    return math.exp(lc) * math.sqrt(n / (2 * math.pi * k * (n - k)))
+
+
 def _power_coeffs(p0: int, a: int, b: int, d: int, k: int, n: int) -> list[int]:
     """Coefficients 0..min(n, k*d) of p^k; the rest are zero.  k = 1 returns p
     itself (truncated at n) and k = 0 returns [1], with no recurrence run.
@@ -63,20 +106,13 @@ def _power_coeffs(p0: int, a: int, b: int, d: int, k: int, n: int) -> list[int]:
     top = min(n, k * d)
     if k < 2:
         return p[: top + 1] if k else [1]
-    miller_steps, chain_steps = power_steps(d, k, n)
+    short = min(top, d)  # one big product per step, over Miller's coefficients and the chain's levels
+    levels = top // (d + 1) + 1
+    miller_steps = short * (short + 1) // 2 + (top - short) * d
+    chain_steps = levels * (top + 1) - (d + 1) * levels * (levels - 1) // 2
     if 2 * chain_steps < miller_steps:
         return _chain_power(p, a, b, k, top)
     return _miller_power(p, k, top)
-
-
-def power_steps(d: int, k: int, n: int) -> tuple[int, int]:
-    """(Miller's, the chain's) step counts for coefficients 0..min(n, k*d) of
-    p^k, deg p = d: one big product each, summed over the coefficients of
-    `_miller_power` and over the levels of `_chain_power`."""
-    top = min(n, k * d)
-    short = min(top, d)
-    levels = top // (d + 1) + 1
-    return short * (short + 1) // 2 + (top - short) * d, levels * (top + 1) - (d + 1) * levels * (levels - 1) // 2
 
 
 def power_coeff(p0: int, a: int, b: int, d: int, k: int, n: int) -> int:

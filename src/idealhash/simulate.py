@@ -19,10 +19,10 @@ is one uniform looked up in a table of F(t) = P(T_max <= t)
 grow with the trials; it never imports numpy.  _tmax_float_cdf builds the
 table in floats from the Poisson identity (Mitzenmacher & Upfal,
 Probability and Computing, ch. 5) and, in the far tail, from 1 - m P(one
-cell > t), which is within one ulp there.  Each entry is within 2^-46 of
-float(p_tmax_le): its three cuts move it by at most 2^-50 each, and the
-tests check the bound on a grid over that region wherever `p_tmax_le` is
-affordable.
+cell > t), which is within one ulp there, with the float kernel's masses
+(`combinatorics`).  Each entry is within 2^-46 of float(p_tmax_le): its
+three cuts move it by at most 2^-50 each, and the tests check the bound on
+a grid over that region wherever `p_tmax_le` is affordable.
 
 Poissonization with an exact correction (_max_loads, numpy) where n/m is
 past _FLOAT_LOAD, so m < 2^32 there.  A trial draws independent Poisson(n/m)
@@ -38,7 +38,7 @@ window is wider than m, the m loads are drawn one per cell instead.  The
 missing throws land on cells through the histogram's cumulative counts, one
 sort finds the cells they share, and the trial's maximum is the top occupied
 load or the new load of a hit cell.  The only departures from the exact law
-are the float rounding of the class probabilities and the cut below 2^-64,
+are the rounding of the kernel's class probabilities and the cut below 2^-64,
 the precision of numpy's binomial and hypergeometric samplers.  A trial costs
 O(min(m, window) + sqrt(n)); a batch of trials holds about _SLICE/4
 histogram cells and missing throws, so scratch memory does not grow with m.
@@ -52,8 +52,9 @@ import bisect
 import math
 import random
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from .combinatorics import _binomial_pmf, _poisson_pmf, _stirlerr
 from .hashspace import Params, balanced_fiber_sizes
 
 if TYPE_CHECKING:  # numpy is imported where the samplers run, so other commands start without it
@@ -83,8 +84,8 @@ _FLOAT_LOAD = 2**8
 # Each of the float table's three cuts moves an entry by at most this.
 _FLOAT_CUT = 2.0**-50
 
-# The chain's tables keep the mass at least this fraction of the mode's: the
-# 2^-64 cut the max-load window makes.
+# Max-load's Poisson window keeps the loads whose mass times m is at least
+# this, and the chain's tables the mass at least this fraction of the mode's.
 _CUT = 2.0**-64
 
 
@@ -148,8 +149,8 @@ def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
     n! e^n / n^n = 1/P(Poisson(n) = n), pi_t = P(Poisson(lam) <= t) and S_t
     sums m loads each conditioned to be <= t.  ln C is Stirling's series and
     pi_t^m is exp(m log1p(-q_t)), q_t = P(Poisson(lam) > t) summed from the
-    top of the window where m times a mass is at least 2^-64 (Loader's
-    masses, _poisson_pmf), so no rounding error is multiplied by m.
+    top of _poisson_window (Loader's masses, from the float kernel in
+    combinatorics), so no rounding error is multiplied by m.
     _poissonized_cdf gives P(S_t = n); lo is the first t with C pi_t^m at
     least _FLOAT_CUT, since F(t) <= C pi_t^m.
 
@@ -160,9 +161,9 @@ def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
     dependence, 1998) bounds that last probability by p1^2.  So where
     C(m, 2) p1^2 < 2^-54, 1 - m p1 is within one ulp of F(t)'s float, and
     the table ends at the first t with m p1 < 2^-54, where both round to
-    1.0.  p1 sums Loader's binomial masses from the top, P(Bin = n) = m^-n
-    included.  Each entry lies within 3 _FLOAT_CUT of F(t) up to rounding,
-    and the table is made monotone.
+    1.0.  p1 sums Loader's binomial masses (combinatorics._binomial_pmf) from
+    the top, P(Bin = n) = m^-n included.  Each entry lies within 3 _FLOAT_CUT
+    of F(t) up to rounding, and the table is made monotone.
 
     One cell holds every ball, and past m = n^2 2^53 F(1) >= 1 - C(n, 2)/m
     rounds to 1.0, so those two tables are written down.
@@ -174,7 +175,7 @@ def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
     lam = n / m
     ln_c = 0.5 * math.log(2 * math.pi * n) + _stirlerr(n)
     lo = -(-n // m)
-    top = max(lo, _poisson_window(lam, m)[1])
+    top = max(lo, _poisson_window(n, m)[1])
     mass = [_poisson_pmf(j, n, m) for j in range(lo + 1, top + 1)]
     q = [0.0, *accumulate(reversed(mass))][::-1]  # q[t - lo] = P(Poisson(lam) > t)
     first = lo
@@ -182,7 +183,7 @@ def _tmax_float_cdf(n: int, m: int) -> tuple[int, list[float]]:
         first += 1
     binom = []  # P(Bin(n, 1/m) = k) for k > first, until past the mean m times it is below 2^-64
     for k in range(first + 1, n + 1):
-        binom.append(_binomial_pmf(k, n, m) if k < n else math.exp(-n * math.log(m)))
+        binom.append(_binomial_pmf(k, n, m))
         if k > lam and m * binom[-1] < _CUT:
             break
     p1 = [0.0, *accumulate(reversed(binom))][::-1]  # p1[t - first] = P(Bin(n, 1/m) > t)
@@ -200,7 +201,7 @@ def _poissonized_cdf(
 ) -> list[float]:
     """[F(first), ..., F(first + count - 1)] as C pi_t^m P(S_t = n), for
     _tmax_float_cdf: ln_c = ln C, mass[i] = P(Poisson(n/m) = first + 1 + i)
-    and q[i] = P(Poisson(n/m) > first + i).
+    from combinatorics._poisson_pmf and q[i] = P(Poisson(n/m) > first + i).
 
     P(S_t = n) is the trapezoid sum (1/N) sum_k psi_t(w_k)^m, w_k = 2 pi k/N,
     psi_t(w) = E[e^{iw(X - lam)} | X <= t], which converges exponentially
@@ -280,57 +281,21 @@ def _sin_minus(w: float) -> float:
         k += 1
 
 
-def _stirlerr(k: int) -> float:
-    """ln k! - ((k + 1/2) ln k - k + ln sqrt(2 pi)), Stirling's series past k = 15
-    (Loader, "Fast and accurate computation of binomial probabilities", 2000)."""
-    if k <= 15:
-        return math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
-    kk = 1.0 / (k * k)
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - kk / 1188) * kk) * kk) * kk) / k
-
-
-def _bd0(x: float, mean: float, d: float) -> float:
-    """x ln(x/mean) + mean - x, given d = x - mean rounded once, by Loader's
-    series where d is small against x + mean."""
-    s = x + mean
-    if abs(d) >= 0.1 * s:
-        return x * math.log(x / mean) - d
-    v = d / s
-    total, term, j = d * v, 2 * x * v, 1
-    while True:
-        term *= v * v
-        step = total + term / (2 * j + 1)
-        if step == total:
-            return total
-        total, j = step, j + 1
-
-
-def _poisson_pmf(j: int, n: int, m: int) -> float:
-    """P(Poisson(n/m) = j) for j >= 1, to a few ulps (Loader)."""
-    return math.exp(-_stirlerr(j) - _bd0(j, n / m, (j * m - n) / m)) / math.sqrt(2 * math.pi * j)
-
-
-def _binomial_pmf(k: int, n: int, m: int) -> float:
-    """P(Bin(n, 1/m) = k) for 0 < k < n, to a few ulps (Loader)."""
-    dev = (k * m - n) / m  # k - n/m
-    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n / m, dev) - _bd0(n - k, n * (m - 1) / m, -dev)
-    return math.exp(lc) * math.sqrt(n / (2 * math.pi * k * (n - k)))
-
-
 def _max_load_counts(n: int, m: int, trials: int, seed: int) -> tuple[int, list[int]]:
-    """(lo, counts): how many trials have maximum lo, lo + 1, ..., one uniform each.
-
-    Inversion (Devroye, Non-Uniform Random Variate Generation, 1986, ch. II):
-    a trial's maximum is lo plus the number of table entries at or below its
-    uniform from random.Random(seed).random(), the table being the one
-    _tmax_float_cdf builds.  Only the counts are kept.
-    """
+    """(lo, counts): how many trials have maximum lo, lo + 1, ..., one uniform
+    each from random.Random(seed) inverting the table _tmax_float_cdf builds."""
     lo, cdf = _tmax_float_cdf(n, m)
-    draw = random.Random(seed).random
-    counts = [0] * len(cdf)
+    return lo, _inverse_counts(cdf, trials, random.Random(seed).random)
+
+
+def _inverse_counts(cdf: list[float], trials: int, draw: Callable[[], float]) -> list[int]:
+    """counts[i]: how many of trials uniforms from draw() have exactly i entries of
+    the non-decreasing cdf at or below them, i < len(cdf): inversion (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. II); uniforms past cdf[-1] go uncounted."""
+    counts = [0] * (len(cdf) + 1)
     for _ in range(trials):
         counts[bisect.bisect_right(cdf, draw())] += 1
-    return lo, counts
+    return counts[:-1]
 
 
 def _max_loads(n: int, m: int, trials: int, seed: int) -> np.ndarray:
@@ -338,12 +303,11 @@ def _max_loads(n: int, m: int, trials: int, seed: int) -> np.ndarray:
     import numpy as np
 
     lam = n / m
-    lo, hi = _poisson_window(lam, m)
+    lo, hi = _poisson_window(n, m)
     per_cell = hi - lo + 1 > m
     if not per_cell:
         classes = np.arange(lo, hi + 1)
-        ln_pmf = np.array([j * math.log(lam) - math.lgamma(j + 1) for j in range(lo, hi + 1)])
-        pmf = np.exp(ln_pmf - ln_pmf.max())
+        pmf = np.array([_poisson_pmf(j, n, m) for j in range(lo, hi + 1)])
         pmf /= pmf.sum()
     # rows of histogram cells or per-cell loads, plus missing throws, near _SLICE/4;
     # m < 2^32 here, so trial * m + cell stays below 2^48
@@ -379,20 +343,20 @@ def _max_loads(n: int, m: int, trials: int, seed: int) -> np.ndarray:
     return np.concatenate(maxima)
 
 
-def _poisson_window(lam: float, m: int) -> tuple[int, int]:
-    """The loads j whose Poisson(lam) mass times m is at least 2^-64, as (lo, hi).
+def _poisson_window(n: int, m: int) -> tuple[int, int]:
+    """The loads j whose Poisson(lam = n/m) mass times m is at least _CUT, as (lo, hi).
 
     The mass is unimodal with its mode at floor(lam) inside the window, so
-    each end is a bisection in log space.  Both ends lie within
-    sqrt(2 lam L) + L of lam, L = ln(2^64 m): Poisson tails are sub-gamma
+    each end is a bisection over the kernel's masses.  Both ends lie within
+    sqrt(2 lam L) + L of lam, L = ln(m / _CUT): Poisson tails are sub-gamma
     (Boucheron, Lugosi & Massart, Concentration Inequalities, 2.2), so
     P(|X - lam| >= sqrt(2 lam L) + L/3) <= 2 e^-L.
     """
-    ln_floor = -64 * math.log(2) - math.log(m)
-    ln_lam = math.log(lam)
+    lam = n / m
+    ln_floor = math.log(_CUT) - math.log(m)
 
     def inside(j: int) -> bool:
-        return j * ln_lam - lam - math.lgamma(j + 1) >= ln_floor
+        return m * _poisson_pmf(j, n, m) >= _CUT
 
     mode = int(lam)
     reach = int(math.sqrt(-2 * lam * ln_floor) - ln_floor) + 2
@@ -457,7 +421,7 @@ def _chain_successes(betas: tuple[int, ...], n: int, cap: int, trials: int, seed
     Random Variate Generation, 1986, ch. XI), which numpy's `marginals`
     method also uses.  Trials are exchangeable, so they are kept only as a
     count per r.  For each (cell, r), one inversion table serves the group's
-    uniforms, sorted and counted per CDF bin.  A trial fails once its load
+    uniforms, counted per CDF bin (_inverse_counts).  A trial fails once its load
     exceeds cap or r exceeds cap times the cells left, and passes once
     r <= cap.
     """
@@ -474,13 +438,9 @@ def _chain_successes(betas: tuple[int, ...], n: int, cap: int, trials: int, seed
             if r > cap * (len(betas) - cell):
                 continue
             lo, cdf = _hypergeometric_cdf(keys_left, beta, r, cap)
-            us = sorted([draw() for _ in range(t)])
-            below = 0
-            for x, edge in enumerate(cdf, lo):
-                within = bisect.bisect_left(us, edge, below)
-                if within > below:
-                    moved[r - x] = moved.get(r - x, 0) + within - below
-                below = within
+            for x, c in enumerate(_inverse_counts(cdf, t, draw), lo):
+                if c:
+                    moved[r - x] = moved.get(r - x, 0) + c
         keys_left -= beta
         groups = moved
     return successes + sum(t for r, t in groups.items() if r <= cap)

@@ -68,6 +68,25 @@ def decimal_ln_upper_fk(u: int, m: int, n: int) -> Decimal:
         return (n * Decimal(u).ln() / decimal_neg_ln1m(q)).ln()
 
 
+# pi and the Bernoulli numbers B_2..B_14 of Stirling's series, for 50-digit references.
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6))
+
+
+def decimal_ln_q(m: int) -> Decimal:
+    """ln(m!/m^m) at 50 digits: exact at desk scale, and past it Stirling's
+    series to B_14, whose next term is below 1e-60 from m = 2^15 on."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(m)
+        if m * m.bit_length() <= bounds.DESK_SCALE_BITS:
+            return Decimal(math.factorial(m)).ln() - m * d.ln()
+        total = d.ln() / 2 - d + (2 * PI).ln() / 2
+        for k, b in enumerate(BERNOULLI, 1):
+            total += Decimal(b.numerator) / (b.denominator * 2 * k * (2 * k - 1)) / d ** (2 * k - 1)
+        return total
+
+
 # A gap of 1e-9 in ln is a relative error of 1e-9 in the bound.
 LN_TOL = 1e-9
 
@@ -343,12 +362,28 @@ class TestComparisonBounds:
 
     @pytest.mark.parametrize("m", [2**15, 2**16])
     def test_upper_fk_past_desk_scale_matches_the_exact_path(self, m):
-        # past desk scale ln q comes from Stirling-Robbins, not from m! and m**m
+        # past desk scale ln q comes from Stirling's series, not from m! and m**m
         assert m * m.bit_length() > bounds.DESK_SCALE_BITS
         u = 10**12
         fk = {e.name: e for e in comparison_bounds(Params(u, m, m))}["upper.fk"]
         exact = math.log(m) + math.log(math.log(u)) - bounds._ln_neg_ln1m(math.factorial(m), m**m)
         assert fk.ln == pytest.approx(exact, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize(
+        "m",
+        [2, 64, 1200, 2**15, 10**9, 10**30, 10**100, 10**200],
+        ids=["2", "64", "1200", "2^15", "10^9", "10^30", "10^100", "10^200"],
+    )
+    def test_lower_fk_matches_decimal_reference(self, m):
+        # ln(ln u / (m q ln 2)); at m = n = 10^30 a difference of lgamma totals printed it above upper.fk
+        u = 10 * m
+        entries = {e.name: e for e in comparison_bounds(Params(u, m, m))}
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = Decimal(u).ln().ln() - Decimal(2).ln().ln() - Decimal(m).ln() - decimal_ln_q(m)
+        assert entries["lower.fk"].ln == pytest.approx(float(want), rel=1e-15, abs=0)
+        assert entries["upper.fk"].valid
+        assert entries["lower.fk"].ln <= entries["upper.fk"].ln
 
     def test_naor_needs_u_at_least_two(self):
         entries = {e.name: e for e in comparison_bounds(Params(1, 1, 1))}

@@ -1,4 +1,6 @@
+import bisect
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from idealhash import combinatorics
 from idealhash.combinatorics import (
+    _binomial_pmf,
     _chain_power,
     _miller_power,
+    _poisson_pmf,
     _power_coeffs,
     binom,
     composition_count,
@@ -19,6 +23,7 @@ from idealhash.combinatorics import (
 )
 from idealhash.distributions import p_tmax_le
 from idealhash.oracle import count_ideal_sets
+from idealhash.simulate import _poisson_window
 
 
 class TestBinom:
@@ -313,3 +318,94 @@ def test_ln_fraction_handles_huge_terms():
     assert ln_fraction(q) == pytest.approx(math.log(300))
     with pytest.raises(ValueError):
         ln_fraction(Fraction(0))
+
+
+# pi and the Bernoulli numbers B_2..B_14 of Stirling's series, for 50-digit references.
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+BERNOULLI = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6))
+
+# A float mass e^x carries the rounding of its exponent x, a few ulps of |x|
+# (up to about 460 on these grids), and below k = 16 _stirlerr loses a few
+# ulps of ln 16! to cancellation; the worst error measured on these grids was
+# 3.8e-14 relative, at (n, m) = (1000, 7).
+KERNEL_TOL = 5e-14
+
+
+def decimal_ln_factorial(k: int) -> Decimal:
+    """ln k! at 50 digits: exact below k = 1000, and from there Stirling's
+    series to B_14, whose next term is below 1e-46."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if k < 1000:
+            return Decimal(math.factorial(k)).ln()
+        d = Decimal(k)
+        total = (d + Decimal("0.5")) * d.ln() - d + (2 * PI).ln() / 2
+        for i, b in enumerate(BERNOULLI, 1):
+            total += Decimal(b.numerator) / (b.denominator * 2 * i * (2 * i - 1)) / d ** (2 * i - 1)
+        return total
+
+
+def decimal_ln_poisson(j: int, n: int, m: int) -> Decimal:
+    """ln P(Poisson(n/m) = j) at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam = Decimal(n) / m
+        return (j * lam.ln() if j else 0) - lam - decimal_ln_factorial(j)
+
+
+def decimal_ln_binomial(k: int, n: int, m: int) -> Decimal:
+    """ln P(Bin(n, 1/m) = k) at 50 digits, m >= 2."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln_choose = decimal_ln_factorial(n) - decimal_ln_factorial(k) - decimal_ln_factorial(n - k)
+        return ln_choose - k * Decimal(m).ln() + (n - k) * (Decimal(m - 1) / m).ln()
+
+
+def decimal_window(ln_mass, m: int, mode: int, top: int) -> tuple[int, int]:
+    """The ends (lo, hi) of the j in [0, top] around mode whose reference mass
+    times m is at least 2^-64, found by bisection: the mass is unimodal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        floor = Decimal(2).ln() * -64 - Decimal(m).ln()
+
+    def inside(j: int) -> bool:
+        return ln_mass(j) >= floor
+
+    lo = bisect.bisect_left(range(mode + 1), True, key=inside)
+    hi = mode + bisect.bisect_left(range(mode, top + 1), True, key=lambda j: not inside(j)) - 1
+    return lo, hi
+
+
+def assert_within_kernel_tol(got: float, ln_want: Decimal, where) -> None:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        assert abs(Decimal(got) / ln_want.exp() - 1) <= KERNEL_TOL, where
+
+
+# lam = n/m in {10^-3, 1/2, 1, 10, 256, 10^4, 10^7}
+POISSON_POINTS = [(1, 1000), (1, 2), (64, 64), (640, 64), (2**14, 64), (64 * 10**4, 64), (64 * 10**7, 64)]
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("n,m", POISSON_POINTS)
+    def test_poisson_window_matches_decimal_reference(self, n, m):
+        want = decimal_window(lambda j: decimal_ln_poisson(j, n, m), m, n // m, n // m + 10**6)
+        assert _poisson_window(n, m) == want
+
+    @pytest.mark.parametrize("n,m", POISSON_POINTS)
+    def test_poisson_pmf_matches_decimal_reference(self, n, m):
+        lo, hi = _poisson_window(n, m)
+        js = {lo, hi, *range(lo, hi + 1, max(1, (hi - lo) // 200))}
+        if n <= 256 * m:  # e^-lam is a normal float here
+            js.add(0)
+        for j in sorted(js):
+            assert_within_kernel_tol(_poisson_pmf(j, n, m), decimal_ln_poisson(j, n, m), j)
+
+    @pytest.mark.parametrize("n,m", [(10, 2), (30, 7), (100, 100), (1000, 7), (2**14, 64), (2**40, 2**32)])
+    def test_binomial_pmf_matches_decimal_reference(self, n, m):
+        lo, hi = decimal_window(lambda k: decimal_ln_binomial(k, n, m), m, (n + 1) // m, n)
+        ks = {max(1, lo), hi, *range(max(1, lo), hi + 1, max(1, (hi - lo) // 200))}
+        if n <= 100:  # m^-n is a normal float here
+            ks.add(n)
+        for k in sorted(ks):
+            assert_within_kernel_tol(_binomial_pmf(k, n, m), decimal_ln_binomial(k, n, m), k)
